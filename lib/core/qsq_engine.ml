@@ -620,7 +620,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
     Hashtbl.fold (fun p st acc -> (p, Runtime.facts_count st.rt) :: acc) t.states []
     |> List.sort compare
   in
-  let clipped = Hashtbl.fold (fun _ st acc -> acc + st.rt.Runtime.clipped) t.states 0 in
+  let clipped = Hashtbl.fold (fun _ st acc -> acc + Runtime.clipped st.rt) t.states 0 in
   {
     answers;
     deliveries;
@@ -703,6 +703,7 @@ let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps ?j
   run ?max_steps ?jobs ?pinning t ~query
 
 let peer_store t p = Runtime.store (state t p).rt
+let peer_rules t p = Runtime.rules (state t p).rt
 
 (** Union of all peer stores with every ["@peer"] segment stripped from the
     relation names — the zeta mapping of Theorem 1, for comparison against

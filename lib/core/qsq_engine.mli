@@ -128,6 +128,9 @@ val recycle : t -> Dprogram.t -> edb:Datom.t list -> query:Datom.t -> unit
 
 val peer_store : t -> string -> Fact_store.t
 
+val peer_rules : t -> string -> Rule.t list
+(** The rules installed at a peer, in install order. *)
+
 val set_tracing : t -> bool -> unit
 (** Enable the underlying simulator's delivery trace (before {!run}). *)
 

@@ -4,16 +4,7 @@
 
 open Datalog
 
-type t = {
-  peer : string;
-  store : Fact_store.t;
-  mutable rules : Rule.t list;
-  installed : (string, unit) Hashtbl.t;
-  subscribers : (Symbol.t, string list ref) Hashtbl.t;
-  mutable eval_options : Eval.options;
-  mutable derivations : int;
-  mutable clipped : int;  (** facts dropped by the depth gadget *)
-}
+type t
 
 val create : ?eval_options:Eval.options -> string -> t
 
@@ -23,19 +14,33 @@ val reset : t -> unit
     [eval_options] are preserved. *)
 
 val install : t -> Rule.t -> bool
-(** Install a rule; [true] iff new (idempotent otherwise). *)
+(** Install a rule; [true] iff new (idempotent otherwise). Rules are
+    compared structurally ({!Datalog.Rule.equal}): a rule rebuilt from
+    scratch is a duplicate, a variable renaming is not. *)
 
 val subscribe : t -> Symbol.t -> dst:string -> Atom.t list
 (** Record the subscriber and return the current extent to ship at once. *)
 
 val subscribers_of : t -> Symbol.t -> string list
+
 val add_fact : t -> Atom.t -> bool
+(** Add a fact; [true] iff new. A new fact clears the record that the store
+    is a fixpoint of the installed rules. *)
 
 val evaluate : ?delta:Atom.t list -> t -> (Atom.t * string list) list
 (** Local semi-naive evaluation; returns the newly derived facts with the
     peers subscribed to their relations. [delta] restricts the initial
-    delta to freshly arrived facts (rule installs need a full pass). *)
+    delta to freshly arrived facts and must hold every fact added since the
+    last evaluation (rule installs need a full pass). The peer keeps its
+    rule index across calls, and a completed evaluation records that the
+    store is a fixpoint of the rules installed so far: the next full pass
+    skips their firings until something new is derived. The derived facts
+    and their order are those of a from-scratch pass. *)
 
 val facts_count : t -> int
 val store : t -> Fact_store.t
 val rules : t -> Rule.t list
+(** Installed rules, in install order. *)
+
+val clipped : t -> int
+(** Facts discarded by the depth bound, over every evaluation. *)

@@ -239,15 +239,74 @@ let naive ?(options = default_options) (program : Program.t) (store : Fact_store
   | () -> { status = final_status options stats; stats }
   | exception Stop st -> { status = st; stats }
 
-(** Semi-naive evaluation: each round only considers rule instantiations in
-    which at least one body atom matches a fact derived in the previous
-    round. [init_delta], when given, replaces the default initial delta (the
-    whole store) — used for incremental re-evaluation when new facts arrive
-    from the network. [on_new] observes every fact added to the store. *)
-let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.t) -> ())
-    (program : Program.t) (store : Fact_store.t) : result =
-  let facts, program = Program.partition_facts program in
+(* ------------------------------------------------------------------ *)
+(* Rule index                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The rules of a program indexed by the relations of their positive body
+   atoms, so a round only touches the rules whose delta is nonempty. Every
+   rule gets a serial (its rank in addition order): an index grows one rule
+   at a time, so a caller that keeps it across evaluations (a dQSQ peer)
+   never rebuilds it, and a serial bound names "the rules present when the
+   store was last a fixpoint". Firing order within a round does not affect
+   the fixpoint. *)
+type index = {
+  mutable size : int;  (* rules added; the next rule's serial *)
+  mutable facts : Atom.t list;  (* ground body-less rules, newest first *)
+  mutable bodyless : (int * Rule.t) list;  (* newest first *)
+  occurrences : (Symbol.t, (int * Rule.t * int) list) Hashtbl.t;
+      (* body relation -> (serial, rule, position among positive atoms),
+         newest rule first *)
+}
+
+let index_create () =
+  { size = 0; facts = []; bodyless = []; occurrences = Hashtbl.create 64 }
+
+let index_clear ix =
+  ix.size <- 0;
+  ix.facts <- [];
+  ix.bodyless <- [];
+  Hashtbl.clear ix.occurrences
+
+let index_size ix = ix.size
+
+let index_add ix (r : Rule.t) =
+  let serial = ix.size in
+  ix.size <- serial + 1;
+  if Rule.is_fact r && Atom.is_ground r.Rule.head then ix.facts <- r.Rule.head :: ix.facts
+  else
+    match Rule.body_atoms r with
+    | [] ->
+      (* Non-ground fact rules fail when fired. Rules whose body is only
+         constraints cannot be range restricted unless variable-free. *)
+      ix.bodyless <- (serial, r) :: ix.bodyless
+    | atoms ->
+      List.iteri
+        (fun j atom ->
+          let prev =
+            Option.value ~default:[] (Hashtbl.find_opt ix.occurrences atom.Atom.rel)
+          in
+          Hashtbl.replace ix.occurrences atom.Atom.rel ((serial, r, j) :: prev))
+        atoms
+
+let index_of_program program =
+  let ix = index_create () in
+  List.iter (index_add ix) (Program.rules program);
+  ix
+
+(** Semi-naive evaluation over an index: each round only considers rule
+    instantiations in which at least one body atom matches a fact derived
+    in the previous round. [init_delta], when given, replaces the default
+    initial delta (the whole store). [closed] promises that the store is a
+    fixpoint of the rules with serial below it: until round 1 derives its
+    first new fact, their firings are skipped — over an unchanged store
+    they could only re-derive present facts. From that fact on every rule
+    fires, so the derived facts and their order are those of a run without
+    the promise. *)
+let seminaive_indexed ~options ~init_delta ~on_new ~closed ix (store : Fact_store.t) :
+    result =
   let stats = fresh_stats () in
+  let skip = ref closed in
   let delta : (Symbol.t, Term.t list list) Hashtbl.t = Hashtbl.create 64 in
   let delta_add (a : Atom.t) =
     let prev = Option.value ~default:[] (Hashtbl.find_opt delta a.Atom.rel) in
@@ -255,40 +314,18 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
   in
   (match init_delta with
   | None ->
-    (* Initial delta: all facts currently in the store plus program facts. *)
-    List.iter
-      (fun rel -> List.iter delta_add (Fact_store.facts_of store rel))
-      (Fact_store.relations store)
+    (* Initial delta: all facts currently in the store plus program facts;
+       the stored newest-first tuple lists are shared as they are. *)
+    Fact_store.iter_extents store (fun rel tuples -> Hashtbl.replace delta rel tuples)
   | Some atoms -> List.iter delta_add atoms);
   List.iter
     (fun a ->
       if Fact_store.add store a then begin
+        skip := 0;
         delta_add a;
         on_new a
       end)
-    facts;
-  (* Index the rules by the relations of their positive body atoms, so a
-     round only touches the rules whose delta is nonempty. Firing order
-     within a round does not affect the fixpoint. *)
-  let occurrences : (Symbol.t, (Rule.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let bodyless = ref [] in
-  List.iter
-    (fun r ->
-      let atoms = Rule.body_atoms r in
-      if atoms = [] then
-        (* Non-ground fact rules were rejected earlier; ground ones already
-           added. Rules whose body is only constraints cannot be range
-           restricted unless variable-free. *)
-        bodyless := r :: !bodyless
-      else
-        List.iteri
-          (fun j atom ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt occurrences atom.Atom.rel)
-            in
-            Hashtbl.replace occurrences atom.Atom.rel ((r, j) :: prev))
-          atoms)
-    (Program.rules program);
+    (List.rev ix.facts);
   let rec loop () =
     check_rounds options stats;
     Obs.Metrics.observe_int delta_size_h
@@ -300,17 +337,22 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
     in
     let fired = ref false in
     let add_new a =
+      skip := 0;
       fired := true;
       next_add a;
       on_new a
     in
-    List.iter (fun r -> fire_rule store options stats r add_new) !bodyless;
+    List.iter
+      (fun (i, r) -> if i >= !skip then fire_rule store options stats r add_new)
+      ix.bodyless;
     Hashtbl.iter
       (fun rel tuples ->
         List.iter
-          (fun (r, j) -> fire_rule store options stats r ~delta:(j, tuples) add_new)
-          (Option.value ~default:[] (Hashtbl.find_opt occurrences rel)))
+          (fun (i, r, j) ->
+            if i >= !skip then fire_rule store options stats r ~delta:(j, tuples) add_new)
+          (Option.value ~default:[] (Hashtbl.find_opt ix.occurrences rel)))
       delta;
+    skip := 0;
     if !fired then begin
       Hashtbl.reset delta;
       Hashtbl.iter (fun rel tuples -> Hashtbl.replace delta rel tuples) next;
@@ -320,6 +362,12 @@ let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.
   match loop () with
   | () -> { status = final_status options stats; stats }
   | exception Stop st -> { status = st; stats }
+
+(** Semi-naive evaluation of a whole program: index it, then run the
+    rounds. [on_new] observes every fact added to the store. *)
+let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.t) -> ())
+    (program : Program.t) (store : Fact_store.t) : result =
+  seminaive_indexed ~options ~init_delta ~on_new ~closed:0 (index_of_program program) store
 
 (* ------------------------------------------------------------------ *)
 (* Negation (Remark 4)                                                 *)

@@ -43,6 +43,39 @@ val seminaive :
     store) for incremental re-evaluation; [on_new] observes every added
     fact (the distributed engines forward them to subscribers). *)
 
+(** {2 Incremental evaluation}
+
+    A rule index kept across evaluations: a peer that keeps receiving
+    rules and facts (dQSQ, Remark 2) extends it one rule at a time instead
+    of re-indexing its whole program on every activation. {!seminaive}
+    indexes its program, then runs {!seminaive_indexed}. *)
+
+type index
+(** Rules indexed by the relations of their positive body atoms. Each rule
+    has a serial: its rank in addition order. *)
+
+val index_create : unit -> index
+val index_clear : index -> unit
+val index_add : index -> Rule.t -> unit
+val index_size : index -> int
+(** Rules added so far (the serial the next rule gets). *)
+
+val seminaive_indexed :
+  options:options ->
+  init_delta:Atom.t list option ->
+  on_new:(Atom.t -> unit) ->
+  closed:int ->
+  index ->
+  Fact_store.t ->
+  result
+(** The semi-naive rounds over an index. [closed] is the caller's promise
+    that the store is a fixpoint of the rules with serial [< closed]
+    ([0] promises nothing): until round 1 derives its first new fact their
+    firings are skipped, since over an unchanged store they could only
+    re-derive present facts. From that fact on every rule fires, so the
+    derived facts, their order and the [on_new] calls are exactly those of
+    [closed = 0]; only [stats.derivations] drops. *)
+
 val stratify : Program.t -> (Program.t list, string) Stdlib.result
 (** Split into strata with every negated relation fully defined strictly
     below; [Error rel] names a relation on a negative cycle. *)

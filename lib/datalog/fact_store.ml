@@ -37,13 +37,16 @@ type t = {
 
 (* Live-store population: incremented at [create], decremented by a GC
    finalizer — "live" meaning reachable, which is exactly the leak signal a
-   long-running service wants to watch across thousands of sessions. *)
+   long-running service wants to watch across thousands of sessions. The
+   finalizer is [finalise_last]: it never reads the store, and a
+   [Gc.finalise] callback would keep a dead store (tuples, tables, terms)
+   alive for one more major cycle. *)
 let live_g = Obs.Metrics.gauge "fact_store.live"
 
 let create () =
   let t = { rels = Hashtbl.create 64; total = 0 } in
   Obs.Metrics.add_gauge live_g 1;
-  Gc.finalise (fun (_ : t) -> Obs.Metrics.add_gauge live_g (-1)) t;
+  Gc.finalise_last (fun () -> Obs.Metrics.add_gauge live_g (-1)) t;
   t
 
 (** Clear every relation in place, keeping the relation table, membership
@@ -60,11 +63,13 @@ let reset t =
     t.rels;
   t.total <- 0
 
+(* Tables start small and grow: a dQSQ peer holds ~100 relations, most of
+   them with a handful of tuples. *)
 let rel_store t rel =
   match Hashtbl.find_opt t.rels rel with
   | Some rs -> rs
   | None ->
-    let rs = { tuples = []; n = 0; members = Tuple_tbl.create 64; indexes = [] } in
+    let rs = { tuples = []; n = 0; members = Tuple_tbl.create 8; indexes = [] } in
     Hashtbl.add t.rels rel rs;
     rs
 
@@ -118,6 +123,9 @@ let tuples_of t rel =
 
 let facts_of t rel = List.map (fun args -> Atom.cmake rel args) (tuples_of t rel)
 
+let iter_extents t f =
+  List.iter (fun rel -> f rel (Hashtbl.find t.rels rel).tuples) (relations t)
+
 let all t =
   List.concat_map (fun rel -> facts_of t rel) (relations t)
 
@@ -135,7 +143,7 @@ let ensure_index rs (mask : int list) =
   | Some idx -> idx
   | None ->
     let t0 = Obs.Clock.now_s () in
-    let idx = Tuple_tbl.create (max 64 rs.n) in
+    let idx = Tuple_tbl.create (max 8 rs.n) in
     List.iter
       (fun args ->
         let key = project_mask mask args in
@@ -214,7 +222,7 @@ let copy t =
     t.rels;
   let t' = { rels; total = t.total } in
   Obs.Metrics.add_gauge live_g 1;
-  Gc.finalise (fun (_ : t) -> Obs.Metrics.add_gauge live_g (-1)) t';
+  Gc.finalise_last (fun () -> Obs.Metrics.add_gauge live_g (-1)) t';
   t'
 
 (** Facts of [t] as a sorted list of strings; handy in tests for equality

@@ -32,6 +32,11 @@ val tuples_of : t -> Symbol.t -> Term.t list list
 (** Tuples of a relation in insertion order. *)
 
 val facts_of : t -> Symbol.t -> Atom.t list
+
+val iter_extents : t -> (Symbol.t -> Term.t list list -> unit) -> unit
+(** [f rel tuples] for every relation of {!relations}, in that order, with
+    its tuples newest first — the stored list itself, shared, not copied. *)
+
 val all : t -> Atom.t list
 
 val iter_matches : t -> Atom.t -> init:Subst.t -> (Subst.t -> unit) -> unit

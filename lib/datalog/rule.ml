@@ -116,3 +116,24 @@ let equal a b =
          | Neq (a1, b1), Neq (a2, b2) -> Term.equal a1 a2 && Term.equal b1 b2
          | (Pos _ | Neq _ | Neg _), _ -> false)
        a.body b.body
+
+(* Structural hash matching [equal]: terms are hash-consed, so this is
+   O(rule size) field reads. *)
+let hash r =
+  List.fold_left
+    (fun acc lit ->
+      let h =
+        match lit with
+        | Pos a -> Atom.hash a
+        | Neg a -> 17 + Atom.hash a
+        | Neq (x, y) -> (Term.hash x * 31) + Term.hash y
+      in
+      (acc * 65599) + h)
+    (Atom.hash r.head) r.body
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

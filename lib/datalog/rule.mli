@@ -44,3 +44,10 @@ val pp_literal : Format.formatter -> literal -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Structural hash agreeing with {!equal}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by rules up to {!equal}: the same rule rebuilt is the same
+    key, a variable renaming is not. *)

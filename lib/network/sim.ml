@@ -112,8 +112,8 @@ and 'msg t = {
   mutable channel_order : (peer_id * peer_id) array;
   mutable channel_count : int;
   mutable rr_cursor : int;
-  mutable seq : int;  (** global send counter, for [Global_fifo] *)
-  pending : (int * (peer_id * peer_id)) Queue.t;  (** send order of messages *)
+  pending : (peer_id * peer_id) Queue.t;
+      (** channels in message send order, kept under [Global_fifo] only *)
   metrics : Obs.Metrics.registry;  (** per-instance accounting *)
   c_sent : Obs.Metrics.counter;
   c_delivered : Obs.Metrics.counter;
@@ -142,7 +142,6 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
     channel_order = [||];
     channel_count = 0;
     rr_cursor = 0;
-    seq = 0;
     pending = Queue.create ();
     metrics;
     c_sent = Obs.Metrics.counter ~registry:metrics "sim.sent";
@@ -274,8 +273,8 @@ let send t ~src ~dst msg =
       let key = (src, dst) in
       let sz = t.size_of ~src ~dst msg in
       Queue.add msg (channel t key);
-      Queue.add (t.seq, key) t.pending;
-      t.seq <- t.seq + 1;
+      (* only [Global_fifo] ever pops the send order *)
+      if t.policy = Global_fifo then Queue.add key t.pending;
       tick t.c_sent g_sent;
       tick_by sz t.c_bytes g_bytes;
       bump_per_channel t key sz
@@ -300,7 +299,7 @@ let pick_channel t =
     let rec go () =
       if Queue.is_empty t.pending then None
       else
-        let _, key = Queue.pop t.pending in
+        let key = Queue.pop t.pending in
         match Hashtbl.find_opt t.channels key with
         | Some q when not (Queue.is_empty q) -> Some key
         | Some _ | None -> go ()
@@ -460,6 +459,48 @@ let process_box t p b =
     Mutex.unlock p.sched_mu
   end
 
+(* Worker domains live as long as the process: [run_parallel] hands its
+   workers to idle pool domains instead of spawning and joining fresh ones
+   per run. A domain that exits orphans its weak arrays (the buckets of
+   the hash-consing table in {!Datalog.Term} that it grew), and on OCaml
+   5.1.1 runs that joined their workers corrupted the heap now and then
+   (DESIGN.md §5c has the measurements). Workers that never exit orphan
+   nothing. *)
+let pool_mu = Mutex.create ()
+let pool_cond = Condition.create ()
+let pool_tasks : (unit -> unit) Queue.t = Queue.create ()
+let pool_size = ref 0 (* domains spawned so far; guarded by pool_mu *)
+
+let rec pool_serve () : unit =
+  Mutex.lock pool_mu;
+  while Queue.is_empty pool_tasks do
+    Condition.wait pool_cond pool_mu
+  done;
+  let task = Queue.pop pool_tasks in
+  Mutex.unlock pool_mu;
+  task ();
+  pool_serve ()
+
+(* Run [tasks] (which must not raise) on pool domains, growing the pool to
+   one domain per task; return once every task has. *)
+let pool_run tasks =
+  let left = ref (Array.length tasks) and all_done = Condition.create () in
+  let finish () =
+    Mutex.protect pool_mu (fun () ->
+        decr left;
+        if !left = 0 then Condition.signal all_done)
+  in
+  Mutex.protect pool_mu (fun () ->
+      while !pool_size < Array.length tasks do
+        ignore (Domain.spawn pool_serve : unit Domain.t);
+        incr pool_size
+      done;
+      Array.iter (fun task -> Queue.add (fun () -> task (); finish ()) pool_tasks) tasks;
+      Condition.broadcast pool_cond;
+      while !left > 0 do
+        Condition.wait all_done pool_mu
+      done)
+
 let worker t p d =
   let rec loop () =
     match take_box p d with
@@ -535,8 +576,12 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs ?(pinning = Balanced) t =
   if Atomic.get p.in_flight = 0 then Atomic.set p.stop true;
   t.par <- Some p;
   Obs.Metrics.set g_domains jobs;
-  let domains = Array.init jobs (fun d -> Domain.spawn (fun () -> worker t p d)) in
-  Array.iter Domain.join domains;
+  pool_run
+    (Array.init jobs (fun d () ->
+         try worker t p d
+         with e ->
+           record_error p e;
+           stop_all p));
   t.par <- None;
   (match Atomic.get p.par_error with Some e -> raise e | None -> ());
   Atomic.get p.par_deliveries

@@ -67,7 +67,9 @@ type pinning =
 
 val run_parallel : ?max_steps:int -> ?jobs:int -> ?pinning:pinning -> 'msg t -> int
 (** Deliver until quiescent using [jobs] worker domains (default
-    {!Domain.recommended_domain_count}). Each peer owns a mailbox box
+    {!Domain.recommended_domain_count}). Worker domains are pooled for the
+    life of the process: a run reuses idle ones and spawns only the
+    missing, and none is ever joined. Each peer owns a mailbox box
     homed on a domain (per [pinning], default [Balanced]); a worker claims
     a runnable peer — stealing whole boxes from the most-loaded other
     domain when its own run queue is empty ([sim.steals]) — and drains the

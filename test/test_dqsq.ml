@@ -458,6 +458,56 @@ let test_local_only_program_no_messages () =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Incremental peer evaluation                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every peer store ends closed under its own installed rules: a
+   from-scratch semi-naive pass over them, on a copy, adds no fact. The
+   peers evaluate incrementally (kept index, skipped firings), so this is
+   the check that nothing they skipped could have fired. *)
+let check_closed name t (out : Qsq_engine.outcome) =
+  let rules_seen = ref 0 in
+  List.iter
+    (fun (p, _) ->
+      let rules = Qsq_engine.peer_rules t p in
+      rules_seen := !rules_seen + List.length rules;
+      let store = Fact_store.copy (Qsq_engine.peer_store t p) in
+      let r = Eval.seminaive (Program.make rules) store in
+      Alcotest.(check int) (Printf.sprintf "%s: peer %s closed" name p) 0
+        r.Eval.stats.Eval.new_facts)
+    out.Qsq_engine.facts_per_peer;
+  Alcotest.(check bool) (name ^ ": rules were installed") true (!rules_seen > 0)
+
+let test_peer_stores_closed () =
+  let fig3 =
+    Qsq_engine.create ~seed:5 (Dprogram.figure3 ()) ~edb:(fig3_edb ()) ~query:(fig3_query ())
+  in
+  check_closed "Fig. 3" fig3 (Qsq_engine.run fig3 ~query:(fig3_query ()));
+  let program = ring_program 4 and rng = Random.State.make [| 12 |] in
+  let edb = ring_edb ~rng 4 ~edges:48 () in
+  let query = Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ] in
+  let ring4 = Qsq_engine.create ~seed:12 program ~edb ~query in
+  check_closed "ring4" ring4 (Qsq_engine.run ring4 ~query)
+
+(* A warm engine recycled session after session (as [diag serve] pools
+   them) must not grow: under the default random interleaving nothing
+   may be kept per message sent. *)
+let test_recycled_engine_bounded () =
+  let program = Dprogram.figure3 () and edb = fig3_edb () and query = fig3_query () in
+  let t = Qsq_engine.create ~seed:5 program ~edb ~query in
+  let session () =
+    Qsq_engine.recycle t program ~edb ~query;
+    ignore (Qsq_engine.run t ~query)
+  in
+  ignore (Qsq_engine.run t ~query);
+  for _ = 1 to 5 do session () done;
+  let warm = Obj.reachable_words (Obj.repr t) in
+  for _ = 1 to 100 do session () done;
+  let later = Obj.reachable_words (Obj.repr t) in
+  if later > warm + (warm / 20) then
+    Alcotest.failf "engine grew from %d to %d words over 100 sessions" warm later
+
 let suite =
   [ ( "ddatalog",
       [ Alcotest.test_case "parse dDatalog" `Quick test_parse_ddatalog;
@@ -486,7 +536,10 @@ let suite =
           test_lossy_channels_degrade_monotonically;
         Alcotest.test_case "lossy stats" `Quick test_lossy_stats;
         Alcotest.test_case "local program, no messages" `Quick
-          test_local_only_program_no_messages ]
+          test_local_only_program_no_messages;
+        Alcotest.test_case "peer stores closed under their rules" `Quick
+          test_peer_stores_closed;
+        Alcotest.test_case "recycled engine stays bounded" `Quick test_recycled_engine_bounded ]
       @ qcheck [ prop_ds_mode_random ] ) ]
 
 let () = Alcotest.run "dqsq" suite

@@ -185,6 +185,29 @@ let test_store_copy_isolated () =
   Alcotest.(check int) "original unchanged" 1 (Fact_store.count store);
   Alcotest.(check int) "copy grew" 2 (Fact_store.count copy)
 
+(* Dead stores are freed by the first major cycle that finds them dead:
+   the live-gauge finalizer must not resurrect them for one more cycle. *)
+let test_store_finalised_promptly () =
+  let live = Obs.Metrics.gauge "fact_store.live" in
+  Gc.full_major ();
+  Gc.full_major ();
+  let before = Obs.Metrics.gauge_value live in
+  let w = Weak.create 8 in
+  let fill () =
+    for i = 0 to 7 do
+      let s = if i mod 2 = 0 then Fact_store.create () else Fact_store.copy (Fact_store.create ()) in
+      ignore (Fact_store.add s (Atom.make "r" [ Term.const (string_of_int i) ]));
+      Weak.set w i (Some (Sys.opaque_identity s))
+    done
+  in
+  fill ();
+  Gc.full_major ();
+  for i = 0 to 7 do
+    Alcotest.(check bool) (Printf.sprintf "store %d freed by one cycle" i) false (Weak.check w i)
+  done;
+  Gc.full_major ();
+  Alcotest.(check int) "gauge back at its start value" before (Obs.Metrics.gauge_value live)
+
 let test_store_function_terms () =
   let store = Fact_store.create () in
   let node = Term.app "g" [ Term.app "f" [ Term.const "i" ]; Term.const "c1" ] in
@@ -259,6 +282,44 @@ let test_eval_max_rounds () =
   let res = Eval.seminaive ~options p store in
   Alcotest.(check bool) "budget status" true (res.Eval.status = Eval.Budget_exhausted)
 
+(* The [closed] promise only skips firings: after an install, a pass that
+   skips the rules the store is closed under derives the same facts, in the
+   same order, as a pass that fires everything. *)
+let test_eval_closed_skips_only_dead_firings () =
+  let ix = Eval.index_create () in
+  List.iter
+    (fun r -> Eval.index_add ix (Parser.parse_rule r))
+    [ "t(X, Y) :- e(X, Y)."; "t(X, Z) :- e(X, Y), t(Y, Z)." ];
+  let store = Fact_store.create () in
+  List.iter
+    (fun (a, b) -> ignore (Fact_store.add store (Atom.make "e" [ Term.const a; Term.const b ])))
+    [ ("a", "b"); ("b", "c"); ("c", "d") ];
+  let pass ~closed store =
+    let seen = ref [] in
+    let r =
+      Eval.seminaive_indexed ~options:Eval.default_options ~init_delta:None
+        ~on_new:(fun a -> seen := Atom.to_string a :: !seen)
+        ~closed ix store
+    in
+    (List.rev !seen, r.Eval.stats.Eval.derivations)
+  in
+  ignore (pass ~closed:0 store);
+  (* a redundant rule: nothing new, and only its own firings run *)
+  let closed = Eval.index_size ix in
+  Eval.index_add ix (Parser.parse_rule "t(X, Z) :- t(X, Y), e(Y, Z).");
+  let full, full_fired = pass ~closed:0 (Fact_store.copy store) in
+  let skipped, skipped_fired = pass ~closed (Fact_store.copy store) in
+  Alcotest.(check (list string)) "nothing new either way" [] (full @ skipped);
+  Alcotest.(check bool) "fewer firings" true (skipped_fired < full_fired);
+  (* a productive rule: every rule fires again from its first new fact *)
+  let closed = Eval.index_size ix in
+  Eval.index_add ix (Parser.parse_rule "s(X) :- t(X, d), t(a, X).");
+  let full, _ = pass ~closed:0 (Fact_store.copy store) in
+  let skipped, _ = pass ~closed (Fact_store.copy store) in
+  Alcotest.(check (list string)) "same facts, same order" full skipped;
+  Alcotest.(check (list string)) "the new rule's facts" [ "s(b)"; "s(c)" ]
+    (List.sort String.compare skipped)
+
 let test_eval_run_wrapper () =
   let p = Parser.parse_program "tc(X, Y) :- e(X, Y). e(a, b)." in
   let _, res, answers = Eval.run ~strategy:`Naive p (Atom.make "tc" [ Term.var "X"; Term.var "Y" ]) in
@@ -322,6 +383,85 @@ let test_runtime_install_idempotent () =
   Alcotest.(check bool) "first install" true (Runtime.install rt r);
   Alcotest.(check bool) "second install" false (Runtime.install rt r);
   Alcotest.(check int) "one rule" 1 (List.length (Runtime.rules rt))
+
+(* Structural dedup: the same rule rebuilt from scratch is a duplicate, a
+   variable renaming or a different literal is not. *)
+let test_runtime_install_structural () =
+  let rt = Runtime.create "p" in
+  let install s = Runtime.install rt (Parser.parse_rule s) in
+  Alcotest.(check bool) "first" true (install "a(X) :- b(X), X != c.");
+  Alcotest.(check bool) "re-parsed: duplicate" false (install "a(X) :- b(X), X != c.");
+  let rebuilt =
+    Rule.make
+      (Atom.make "a" [ Term.var "X" ])
+      [ Rule.Pos (Atom.make "b" [ Term.var "X" ]); Rule.Neq (Term.var "X", Term.const "c") ]
+  in
+  Alcotest.(check bool) "rebuilt by hand: duplicate" false (Runtime.install rt rebuilt);
+  Alcotest.(check bool) "renamed variable: distinct" true (install "a(Y) :- b(Y), Y != c.");
+  Alcotest.(check bool) "other constant: distinct" true (install "a(X) :- b(X), X != d.");
+  Alcotest.(check bool) "no constraint: distinct" true (install "a(X) :- b(X).");
+  Alcotest.(check (list string)) "install order kept"
+    [ "a(X) :- b(X), X != c."; "a(Y) :- b(Y), Y != c."; "a(X) :- b(X), X != d.";
+      "a(X) :- b(X)." ]
+    (List.map Rule.to_string (Runtime.rules rt))
+
+let tc_rules = [ "t(X, Y) :- e(X, Y)."; "t(X, Z) :- e(X, Y), t(Y, Z)."; "u(X) :- t(X, X)." ]
+
+let tc_facts =
+  List.map
+    (fun (a, b) -> Atom.make "e" [ Term.const a; Term.const b ])
+    [ ("a", "b"); ("b", "c"); ("c", "a"); ("c", "d") ]
+
+(* A fact added without an evaluation, then an unrelated install: the
+   evaluation the install triggers must still push that fact through the
+   rules installed before it (the Batch case of a fact followed by a
+   delegation in dQSQ). *)
+let test_runtime_unevaluated_fact_then_install () =
+  let rt = Runtime.create "p" in
+  ignore (Runtime.install rt (Parser.parse_rule "b(X) :- a(X)."));
+  Alcotest.(check int) "nothing to derive yet" 0 (List.length (Runtime.evaluate rt));
+  Alcotest.(check bool) "fact is new" true (Runtime.add_fact rt (Atom.make "a" [ Term.const "1" ]));
+  ignore (Runtime.install rt (Parser.parse_rule "d(X) :- c(X)."));
+  let derived = List.map (fun (a, _) -> Atom.to_string a) (Runtime.evaluate rt) in
+  Alcotest.(check (list string)) "old rule fired on the new fact" [ "b(1)" ] derived
+
+(* Rules installed and facts added in any order reach the same store as a
+   from-scratch evaluation. *)
+let test_runtime_order_independent () =
+  let expected =
+    let store = Fact_store.create () in
+    List.iter (fun a -> ignore (Fact_store.add store a)) tc_facts;
+    ignore (Eval.seminaive (Program.make (List.map Parser.parse_rule tc_rules)) store);
+    Fact_store.to_sorted_strings store
+  in
+  let install_all rt =
+    List.iter
+      (fun r -> if Runtime.install rt (Parser.parse_rule r) then ignore (Runtime.evaluate rt))
+      tc_rules
+  in
+  let add_all rt =
+    List.iter
+      (fun a -> if Runtime.add_fact rt a then ignore (Runtime.evaluate ~delta:[ a ] rt))
+      tc_facts
+  in
+  let rules_first = Runtime.create "p" and facts_first = Runtime.create "p" in
+  install_all rules_first;
+  add_all rules_first;
+  add_all facts_first;
+  install_all facts_first;
+  (* interleaved: half the facts, the rules, the rest of the facts *)
+  let mixed = Runtime.create "p" in
+  List.iteri (fun i a -> if i < 2 then ignore (Runtime.add_fact mixed a)) tc_facts;
+  install_all mixed;
+  List.iteri
+    (fun i a ->
+      if i >= 2 && Runtime.add_fact mixed a then ignore (Runtime.evaluate ~delta:[ a ] mixed))
+    tc_facts;
+  List.iter
+    (fun (name, rt) ->
+      Alcotest.(check (list string)) name expected
+        (Fact_store.to_sorted_strings (Runtime.store rt)))
+    [ ("rules first", rules_first); ("facts first", facts_first); ("interleaved", mixed) ]
 
 (* ------------------------------------------------------------------ *)
 (* Canon                                                              *)
@@ -460,6 +600,7 @@ let suite =
       [ Alcotest.test_case "basics" `Quick test_store_basics;
         Alcotest.test_case "indexing" `Quick test_store_indexing;
         Alcotest.test_case "copy isolation" `Quick test_store_copy_isolated;
+        Alcotest.test_case "dead stores freed promptly" `Quick test_store_finalised_promptly;
         Alcotest.test_case "function terms" `Quick test_store_function_terms ] );
     ( "adornment",
       [ Alcotest.test_case "binding patterns" `Quick test_adornment;
@@ -468,13 +609,19 @@ let suite =
       [ Alcotest.test_case "freshen" `Quick test_rule_freshen;
         Alcotest.test_case "partition facts" `Quick test_program_partition_facts;
         Alcotest.test_case "max rounds" `Quick test_eval_max_rounds;
+        Alcotest.test_case "closed rules skipped, same facts" `Quick
+          test_eval_closed_skips_only_dead_firings;
         Alcotest.test_case "run wrapper" `Quick test_eval_run_wrapper ] );
     ( "ddatalog",
       [ Alcotest.test_case "name distinctness" `Quick test_names_not_distinct;
         Alcotest.test_case "rule peers" `Quick test_drule_peers;
         Alcotest.test_case "message wire codec" `Quick test_message_wire;
         Alcotest.test_case "runtime subscribe" `Quick test_runtime_subscribe;
-        Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent ] );
+        Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent;
+        Alcotest.test_case "runtime structural dedup" `Quick test_runtime_install_structural;
+        Alcotest.test_case "runtime unevaluated fact, then install" `Quick
+          test_runtime_unevaluated_fact_then_install;
+        Alcotest.test_case "runtime order independence" `Quick test_runtime_order_independent ] );
     ( "canon",
       [ Alcotest.test_case "roundtrip" `Quick test_canon_roundtrip;
         Alcotest.test_case "depth agreement" `Quick test_canon_depth_agreement ] );
