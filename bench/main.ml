@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every figure and quantitative claim of the
-   paper (experiments E1–E16 of DESIGN.md), printing one deterministic table
-   per experiment, then runs bechamel timings for the performance-sensitive
-   kernels. Results are recorded in EXPERIMENTS.md.
+   paper (experiments E1–E17 of DESIGN.md), printing one deterministic table
+   per experiment, then records the determinism digests in BENCH_diag.json.
+   Results are recorded in EXPERIMENTS.md; performance is measured by
+   bench/perf.
 
-   Run with:  dune exec bench/main.exe            (full output)
-              dune exec bench/main.exe -- --no-timings   (tables only) *)
+   Run with:  dune exec bench/main.exe                       (all tables)
+              dune exec bench/main.exe -- --only E5          (one table)
+              dune exec bench/main.exe -- --check-baseline   (digest gate) *)
 
 open Datalog
 open Dqsq
@@ -603,641 +605,18 @@ let e17 () =
                 \ --property NAME — see `diag fuzz --list-properties`)\n" !total
 
 (* ------------------------------------------------------------------ *)
-(* E18: hash-consing hot path — deep-unfolding wall time               *)
-(* ------------------------------------------------------------------ *)
-
-(* The diagnosis encoding manufactures node identities from nested Skolem
-   spines; these scenarios are the deep-term workloads whose inner loops
-   (Fact_store.iter_matches / Unify.match_lists) the hash-consed term
-   representation accelerates. Each row reports wall time, the number of
-   index candidates the fact store touched, and candidate throughput; the
-   term.interned / term.hashcons_hits columns read 0 on builds predating
-   the hash-consed representation, which is how the before/after table of
-   EXPERIMENTS.md was produced from the same harness. *)
-let e18_scenarios ~ci =
-  let unfold name depth net = (name, fun () -> ignore (Diagnoser.full_unfolding_materialization ~depth net)) in
-  let diagnose_ring name ?(peers = 3) ~seed ~steps () =
-    ( name,
-      fun () ->
-        let net = Petri.Net.binarize (Petri.Examples.ring ~peers ()) in
-        let firing = Petri.Exec.random_execution ~rng:(rng seed) ~steps net in
-        let a = alarms (Petri.Exec.alarms_of_execution net firing) in
-        ignore (Diagnoser.diagnose ~engine:Diagnoser.Centralized_qsq net a) )
-  in
-  if ci then
-    [ unfold "full-unfold/running@d7" 7 (running_net ());
-      diagnose_ring "diagnose-qsq/ring3@s3" ~seed:103 ~steps:3 () ]
-  else
-    [ unfold "full-unfold/running@d10" 10 (running_net ());
-      unfold "full-unfold/toggles3@d9" 9
-        (Petri.Net.binarize (Petri.Examples.toggles ~width:3 ~peer:"p" ()));
-      diagnose_ring "diagnose-qsq/ring3@s6" ~seed:106 ~steps:6 ();
-      diagnose_ring "diagnose-qsq/ring4@s7" ~peers:4 ~seed:107 ~steps:7 ();
-      unfold "full-unfold/toggles3@d13" 13
-        (Petri.Net.binarize (Petri.Examples.toggles ~width:3 ~peer:"p" ())) ]
-
-let counter_now name = Obs.Metrics.counter_value name
-
-let e18 ?(ci = false) () =
-  section "E18" "Hash-consing hot path: deep-unfolding wall time, candidate throughput";
-  Printf.printf "%-26s %9s %12s %12s %10s %10s\n" "scenario" "wall" "candidates" "cand/s"
-    "interned" "hc-hits";
-  List.iter
-    (fun (name, f) ->
-      Gc.compact ();
-      let c0 = counter_now "fact_store.candidates" in
-      let i0 = counter_now "term.interned" and h0 = counter_now "term.hashcons_hits" in
-      let t0 = Obs.Clock.now_s () in
-      f ();
-      let dt = Obs.Clock.now_s () -. t0 in
-      let dc = counter_now "fact_store.candidates" - c0 in
-      Printf.printf "%-26s %8.3fs %12d %12.0f %10d %10d\n" name dt dc
-        (float_of_int dc /. Float.max dt 1e-9)
-        (counter_now "term.interned" - i0)
-        (counter_now "term.hashcons_hits" - h0))
-    (e18_scenarios ~ci)
-
-(* ------------------------------------------------------------------ *)
-(* E19: domain-parallel dQSQ                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Each peer runs on its own OCaml domain (Network.Sim.run_parallel). The
-   protocol is confluent — idempotent delegations and subscriptions over
-   monotone Datalog — so every parallel row must report the very same
-   diagnosis and fact total as the sequential scheduler; the equal column
-   asserts it. Wall-clock speedup depends on the host's core count
-   (printed below): on a single-core container the parallel rows only pay
-   synchronization overhead, which is itself worth recording. Per-mode
-   times also land in BENCH_diag.json as E19/<mode> pseudo-experiments. *)
-let e19_times : (string * float) list ref = ref []
-
-let e19 ?(ci = false) () =
-  section "E19" "Domain-parallel dQSQ: sequential scheduler vs 1/2/4 domains";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "(host: %d recommended domain(s))\n" cores;
-  (* The CI perf gate needs real parallelism to be meaningful, so on a
-     multi-core host [--ci] runs the full deep-ring scenarios (the ROADMAP
-     success criterion: jobs=4 beats sequential on ring4@s5 and ring5@s6)
-     and fails the build on a regression; on smaller hosts it keeps the
-     tiny smoke scenario and skips the assertion with a warning. *)
-  let gated = ci && cores >= 4 in
-  let scenarios =
-    if gated || not ci then [ ("ring4@s5", 4, 104, 5); ("ring5@s6", 5, 105, 6) ]
-    else [ ("ring4@s3", 4, 104, 3) ]
-  in
-  Printf.printf "%-12s %-10s | %9s %8s %10s | %6s\n" "scenario" "mode" "wall" "facts"
-    "deliveries" "equal";
-  List.iter
-    (fun (name, peers, seed, steps) ->
-      let net = Petri.Net.binarize (Petri.Examples.ring ~peers ()) in
-      let firing = Petri.Exec.random_execution ~rng:(rng seed) ~steps net in
-      let a = alarms (Petri.Exec.alarms_of_execution net firing) in
-      let prepared = Diagnoser.prepare net a in
-      let time engine =
-        Gc.compact ();
-        let t0 = Obs.Clock.now_s () in
-        let r = Diagnoser.run prepared engine in
-        (Obs.Clock.now_s () -. t0, r)
-      in
-      let t_seq, r_seq =
-        time (Diagnoser.Distributed { seed = 0; policy = Network.Sim.Random_interleaving })
-      in
-      let row mode dt (r : Diagnoser.result) =
-        e19_times := (Printf.sprintf "E19/%s/%s" name mode, dt) :: !e19_times;
-        Printf.printf "%-12s %-10s | %8.3fs %8d %10d | %6b\n" name mode dt
-          r.Diagnoser.facts_total
-          (match r.Diagnoser.comm with Some c -> c.Diagnoser.deliveries | None -> 0)
-          (Canon.equal_diagnosis r.Diagnoser.diagnosis r_seq.Diagnoser.diagnosis)
-      in
-      row "sequential" t_seq r_seq;
-      List.iter
-        (fun jobs ->
-          let dt, r = time (Diagnoser.Distributed_parallel { jobs }) in
-          if not (Canon.equal_diagnosis r.Diagnoser.diagnosis r_seq.Diagnoser.diagnosis)
-          then Printf.printf "!! parallel diagnosis differs at jobs=%d\n" jobs;
-          row (Printf.sprintf "jobs=%d" jobs) dt r)
-        [ 1; 2; 4 ])
-    scenarios;
-  e19_times := List.rev !e19_times;
-  if ci then
-    if not gated then
-      Printf.printf
-        "E19 gate: SKIPPED — host has %d recommended domain(s) < 4; the\n\
-         jobs=4-beats-sequential assertion needs real cores.\n"
-        cores
-    else
-      List.iter
-        (fun (name, _, _, _) ->
-          let wall mode =
-            List.assoc (Printf.sprintf "E19/%s/%s" name mode) !e19_times
-          in
-          let t_seq = wall "sequential" and t_par = wall "jobs=4" in
-          if t_par > t_seq then
-            failwith
-              (Printf.sprintf
-                 "E19 gate: jobs=4 (%.3fs) slower than sequential (%.3fs) on %s"
-                 t_par t_seq name)
-          else
-            Printf.printf "E19 gate: OK on %s (jobs=4 %.3fs <= sequential %.3fs)\n"
-              name t_par t_seq)
-        scenarios
-
-(* ------------------------------------------------------------------ *)
-(* E20: the diagnosis service under interleaved session load            *)
-(* ------------------------------------------------------------------ *)
-
-(* Thousands of sessions over two tenants, a bounded window of them in
-   flight at any moment, every one stepped a quantum of deliveries per
-   round-robin turn — the serve workload without the pipe. Engines recycle
-   through the tenant pools, so steady-state sessions ride warm codec
-   dictionaries and pre-allocated stores; wire bytes are the codec's real
-   frame lengths (wire_verify stays on: every message is decoded and
-   checked physically identical). Latency is open-to-report wall time
-   under the interleaving, so it grows with the window — throughput and
-   the p50/p99 spread are the numbers to watch. Rows land in
-   BENCH_diag.json as E20/* pseudo-experiments. *)
-let e20_rows : (string * float) list ref = ref []
-
-let e20 ?(ci = false) () =
-  let sessions = if ci then 120 else 1200 in
-  let window = 32 in
-  section "E20"
-    (Printf.sprintf
-       "Service: %d interleaved sessions, 2 tenants, window %d, warm engines"
-       sessions window);
-  let coord = Service.Coordinator.create ~quantum:8 () in
-  let ok = function Ok v -> v | Error m -> failwith ("E20: " ^ m) in
-  ignore (ok (Service.Coordinator.add_tenant coord ~name:"running"
-                (Petri.Examples.running_example ())));
-  ignore (ok (Service.Coordinator.add_tenant coord ~name:"ring"
-                (Petri.Examples.ring ~peers:3 ())));
-  (* a fixed scenario pool per tenant: cheap, deterministic variety *)
-  let running_scenarios =
-    [ [ ("b", "p1"); ("a", "p2"); ("c", "p1") ];
-      [ ("b", "p1"); ("c", "p1"); ("a", "p2") ];
-      [ ("c", "p1"); ("b", "p1"); ("a", "p2") ] ]
-  in
-  let ring_scenarios =
-    let net = Petri.Net.binarize (Petri.Examples.ring ~peers:3 ()) in
-    List.init 4 (fun i ->
-        let firing =
-          Petri.Exec.random_execution ~rng:(rng (200 + i)) ~steps:(3 + (i mod 2)) net
-        in
-        Petri.Exec.alarms_of_execution net firing)
-  in
-  let nth l i = List.nth l (i mod List.length l) in
-  let start_session i =
-    let tenant, alarms =
-      if i mod 2 = 0 then ("running", nth running_scenarios (i / 2))
-      else ("ring", nth ring_scenarios (i / 2))
-    in
-    let sid = ok (Service.Coordinator.open_session coord ~tenant) in
-    List.iter
-      (fun (symbol, peer) ->
-        ok (Service.Coordinator.add_alarm coord sid ~symbol ~peer))
-      alarms;
-    ok (Service.Coordinator.start coord sid);
-    sid
-  in
-  let latencies = ref [] in
-  let total_bytes = ref 0 and total_deliveries = ref 0 in
-  let opened = ref 0 and completed = ref 0 in
-  let in_flight = ref [] in
-  let t0 = Obs.Clock.now_s () in
-  while !completed < sessions do
-    while !opened < sessions && List.length !in_flight < window do
-      in_flight := start_session !opened :: !in_flight;
-      incr opened
-    done;
-    ignore (Service.Coordinator.step_round coord);
-    let finished, still =
-      List.partition (Service.Coordinator.is_done coord) !in_flight
-    in
-    List.iter
-      (fun sid ->
-        let r = ok (Service.Coordinator.report coord sid) in
-        latencies := r.Service.Coordinator.latency_s :: !latencies;
-        total_bytes := !total_bytes + r.Service.Coordinator.wire_bytes;
-        total_deliveries := !total_deliveries + r.Service.Coordinator.deliveries;
-        ok (Service.Coordinator.close coord sid);
-        incr completed)
-      finished;
-    in_flight := still
-  done;
-  let wall = Obs.Clock.now_s () -. t0 in
-  let sorted = List.sort compare !latencies in
-  let pct p =
-    List.nth sorted
-      (min (List.length sorted - 1)
-         (int_of_float (p *. float_of_int (List.length sorted))))
-  in
-  let p50 = pct 0.50 and p99 = pct 0.99 in
-  let throughput = float_of_int sessions /. wall in
-  let s = Service.Coordinator.stats coord in
-  Printf.printf "%10s %12s %10s %10s %12s %12s\n" "sessions" "sess/s" "p50" "p99"
-    "deliveries" "wire-bytes";
-  Printf.printf "%10d %12.1f %9.1fus %9.1fus %12d %12d\n" sessions throughput
-    (p50 *. 1e6) (p99 *. 1e6) !total_deliveries !total_bytes;
-  Printf.printf
-    "(pool at rest: %d warm engine(s); %d sessions started, %d completed)\n"
-    s.Service.Coordinator.pooled s.Service.Coordinator.started
-    s.Service.Coordinator.completed;
-  e20_rows :=
-    [ ("E20/sessions", float_of_int sessions);
-      ("E20/throughput_sessions_per_s", throughput);
-      ("E20/p50_s", p50);
-      ("E20/p99_s", p99);
-      ("E20/wire_bytes", float_of_int !total_bytes) ]
-
-(* ------------------------------------------------------------------ *)
-(* E21: sustained streaming through the service                         *)
-(* ------------------------------------------------------------------ *)
-
-(* One long-lived streaming session consumes a generated 10k-alarm stream
-   through the coordinator while short streaming sessions churn beside it.
-   The net is two synchronized 3-place cycles (peers p and q exchange a
-   token each round) whose first alarm of every round is ambiguous — a
-   conflict trap. The trap lineage stalls on its own peer immediately and
-   starves on the sync token within one round, so the prefix GC can prove
-   it conflict-dead: the live set stays flat while states_explored grows
-   linearly with the stream. Per-alarm wall time is sampled around every
-   [add_alarm]; comparing the last decile's p50 against the first
-   decile's is the fixpoint-restart tripwire — an engine that re-saturates
-   the prefix turns O(1)-per-alarm into O(n) and trips it instantly.
-   [--ci] asserts the flatness (and fails the build); rows land in
-   BENCH_diag.json as E21/*. *)
-let e21_rows : (string * float) list ref = ref []
-
-let e21_net () =
-  let place peer id = Petri.Net.mk_place ~peer id in
-  let tr peer alarm pre post id = Petri.Net.mk_transition ~peer ~alarm ~pre ~post id in
-  Petri.Net.make
-    ~places:
-      [ place "p" "p0"; place "p" "p1"; place "p" "p2"; place "p" "pX";
-        place "p" "sp"; place "q" "q0"; place "q" "q1"; place "q" "q2";
-        place "q" "qX"; place "q" "sq" ]
-    ~transitions:
-      [ tr "p" "a" [ "p0" ] [ "p1" ] "pa";
-        tr "p" "a" [ "p0" ] [ "pX" ] "pa'";  (* the conflict trap on p *)
-        tr "p" "b" [ "p1" ] [ "p2" ] "pb";
-        tr "p" "c" [ "p2"; "sq" ] [ "p0"; "sp" ] "pc";  (* sync q -> p *)
-        tr "q" "d" [ "q0" ] [ "q1" ] "qd";
-        tr "q" "d" [ "q0" ] [ "qX" ] "qd'";  (* the conflict trap on q *)
-        tr "q" "e" [ "q1" ] [ "q2" ] "qe";
-        tr "q" "f" [ "q2"; "sp" ] [ "q0"; "sq" ] "qf" ]  (* sync p -> q *)
-    ~marking:[ "p0"; "q0"; "sp" ]
-
-(* the unique firable alarm order per round: a b (p), d e f (q), c (p) *)
-let e21_alarm k =
-  [| ("a", "p"); ("b", "p"); ("d", "q"); ("e", "q"); ("f", "q"); ("c", "p") |].(k mod 6)
-
-let e21 ?(ci = false) () =
-  let long_total = 10_000 in
-  let shorts_total = if ci then 50 else 500 in
-  let short_window = 25 in
-  let short_len = 6 in
-  let report_every = 1_000 in
-  section "E21"
-    (Printf.sprintf
-       "Streaming: one %d-alarm session + %d short streams (window %d), prefix GC"
-       long_total shorts_total short_window);
-  let coord = Service.Coordinator.create ~quantum:8 () in
-  let ok = function Ok v -> v | Error m -> failwith ("E21: " ^ m) in
-  ignore (ok (Service.Coordinator.add_tenant coord ~name:"cycle" (e21_net ())));
-  let long_sid = ok (Service.Coordinator.open_stream coord ~tenant:"cycle") in
-  let lat = Array.make long_total 0. in
-  let shorts_opened = ref 0 and shorts_closed = ref 0 in
-  let short_alarms = ref 0 in
-  let active = ref [] in
-  let k = ref 0 in
-  let t0 = Obs.Clock.now_s () in
-  while !k < long_total || !shorts_closed < shorts_total do
-    if !k < long_total then begin
-      let symbol, peer = e21_alarm !k in
-      let a0 = Obs.Clock.now_s () in
-      ok (Service.Coordinator.add_alarm coord long_sid ~symbol ~peer);
-      lat.(!k) <- Obs.Clock.now_s () -. a0;
-      incr k;
-      (* periodic intermediate report: the O(delta) answer a streaming
-         client would poll for, folded into the measured workload *)
-      if !k mod report_every = 0 then begin
-        ignore (ok (Service.Coordinator.report coord long_sid));
-        let si = ok (Service.Coordinator.stream_info coord long_sid) in
-        Printf.printf "  ... %d/%d alarms (live states %d)\n%!" !k long_total
-          si.Service.Coordinator.si_live_states
-      end
-    end;
-    while !shorts_opened < shorts_total && List.length !active < short_window do
-      let sid = ok (Service.Coordinator.open_stream coord ~tenant:"cycle") in
-      active := (sid, ref 0) :: !active;
-      incr shorts_opened
-    done;
-    active :=
-      List.filter
-        (fun (sid, sent) ->
-          let symbol, peer = e21_alarm !sent in
-          ok (Service.Coordinator.add_alarm coord sid ~symbol ~peer);
-          incr short_alarms;
-          incr sent;
-          if !sent = short_len then begin
-            ignore (ok (Service.Coordinator.report coord sid));
-            ok (Service.Coordinator.close coord sid);
-            incr shorts_closed;
-            false
-          end
-          else true)
-        !active
-  done;
-  let final = ok (Service.Coordinator.report coord long_sid) in
-  let si = ok (Service.Coordinator.stream_info coord long_sid) in
-  let wall = Obs.Clock.now_s () -. t0 in
-  ok (Service.Coordinator.close coord long_sid);
-  let sorted = Array.copy lat in
-  Array.sort compare sorted;
-  let pct p =
-    sorted.(min (long_total - 1) (int_of_float (p *. float_of_int long_total)))
-  in
-  let decile = long_total / 10 in
-  let decile_p50 off =
-    let s = Array.sub lat off decile in
-    Array.sort compare s;
-    s.(decile / 2)
-  in
-  let d_first = decile_p50 0 and d_last = decile_p50 (long_total - decile) in
-  let throughput = float_of_int (long_total + !short_alarms) /. wall in
-  Printf.printf "%10s %12s %10s %10s %12s %12s\n" "alarms" "alarms/s" "p50" "p99"
-    "peak-live" "reclaimed";
-  Printf.printf "%10d %12.0f %9.1fus %9.1fus %12d %12d\n"
-    (long_total + !short_alarms) throughput (pct 0.50 *. 1e6) (pct 0.99 *. 1e6)
-    si.Service.Coordinator.si_peak_live_states si.Service.Coordinator.si_gc_reclaimed;
-  Printf.printf
-    "(long stream: %d explanations at the final prefix, %d report frames for %d wire \
-     bytes;\n first-decile p50 %.1fus vs last-decile p50 %.1fus; %d short streams \
-     served)\n"
-    final.Service.Coordinator.explanations si.Service.Coordinator.si_reports
-    si.Service.Coordinator.si_wire_bytes (d_first *. 1e6) (d_last *. 1e6) !shorts_closed;
-  e21_rows :=
-    [ ("E21/long_alarms", float_of_int long_total);
-      ("E21/short_streams", float_of_int shorts_total);
-      ("E21/alarms_per_s", throughput);
-      ("E21/p50_us", pct 0.50 *. 1e6);
-      ("E21/p99_us", pct 0.99 *. 1e6);
-      ("E21/first_decile_p50_us", d_first *. 1e6);
-      ("E21/last_decile_p50_us", d_last *. 1e6);
-      ("E21/peak_live_states", float_of_int si.Service.Coordinator.si_peak_live_states);
-      ("E21/gc_reclaimed", float_of_int si.Service.Coordinator.si_gc_reclaimed);
-      ("E21/wire_bytes", float_of_int final.Service.Coordinator.wire_bytes) ];
-  if ci && d_last > 2. *. max d_first 1e-6 then
-    failwith
-      (Printf.sprintf
-         "E21: per-alarm latency is not flat (first-decile p50 %.1fus, last-decile \
-          p50 %.1fus > 2x) — fixpoint-restart regression"
-         (d_first *. 1e6) (d_last *. 1e6))
-
-(* ------------------------------------------------------------------ *)
-(* E22: durability — kill a stream mid-flight, restore, finish          *)
-(* ------------------------------------------------------------------ *)
-
-(* The crash-recovery claim, measured: one coordinator streams the E21
-   cycle net, checkpointing every tenth of the run through the snapshot
-   codec; at the halfway point the coordinator is dropped on the floor
-   and a fresh one adopts the last checkpoint ([restore_stream]) and
-   consumes the remaining alarms. The final report must be byte-identical
-   to an uninterrupted reference run of the same stream — the bench fails
-   otherwise. A checkpoint carries only the live frontier, but the
-   frontier's configurations embed their causal history — the explanation
-   itself is Ω(prefix) — so the honest compaction bound is relative:
-   snapshot bytes *per consumed alarm* stay flat as the prefix grows 5x
-   (dead branches and the monotone materialized views never enter the
-   frame), and the whole snapshot stays below the rendered diagnosis at
-   the same prefix. Both asserted under [--ci]; rows land in
-   BENCH_diag.json as E22/*. *)
-let e22_rows : (string * float) list ref = ref []
-
-let e22 ?(ci = false) () =
-  let total = if ci then 5_000 else 100_000 in
-  let kill_at = total / 2 in
-  let ckpt_every = total / 10 in
-  section "E22"
-    (Printf.sprintf
-       "Durability: kill at %d of %d alarms, restore from the last checkpoint, finish"
-       kill_at total);
-  let ok = function Ok v -> v | Error m -> failwith ("E22: " ^ m) in
-  let mk_coord () =
-    let coord = Service.Coordinator.create ~quantum:8 () in
-    ignore (ok (Service.Coordinator.add_tenant coord ~name:"cycle" (e21_net ())));
-    coord
-  in
-  let feed coord sid lo hi =
-    for k = lo to hi - 1 do
-      let symbol, peer = e21_alarm k in
-      ok (Service.Coordinator.add_alarm coord sid ~symbol ~peer)
-    done
-  in
-  (* the uninterrupted reference run *)
-  let t0 = Obs.Clock.now_s () in
-  let ref_coord = mk_coord () in
-  let ref_sid = ok (Service.Coordinator.open_stream ref_coord ~tenant:"cycle") in
-  feed ref_coord ref_sid 0 total;
-  let ref_report = ok (Service.Coordinator.report ref_coord ref_sid) in
-  ok (Service.Coordinator.close ref_coord ref_sid);
-  let t_ref = Obs.Clock.now_s () -. t0 in
-  (* phase A: stream with periodic checkpoints, then die *)
-  let a = mk_coord () in
-  let sa = ok (Service.Coordinator.open_stream a ~tenant:"cycle") in
-  let ckpt_lat = ref [] in
-  let first_bytes = ref 0 in
-  let last_blob = ref "" in
-  for k = 0 to kill_at - 1 do
-    let symbol, peer = e21_alarm k in
-    ok (Service.Coordinator.add_alarm a sa ~symbol ~peer);
-    if (k + 1) mod ckpt_every = 0 then begin
-      let c0 = Obs.Clock.now_s () in
-      let blob = Snapshot.encode_stream (ok (Service.Coordinator.checkpoint_stream a sa)) in
-      ckpt_lat := (Obs.Clock.now_s () -. c0) :: !ckpt_lat;
-      if !first_bytes = 0 then first_bytes := String.length blob;
-      last_blob := blob
-    end
-  done;
-  let kill_report = ok (Service.Coordinator.report a sa) in
-  (* coordinator A is dead; B adopts the checkpoint taken at [kill_at] *)
-  let b = mk_coord () in
-  let r0 = Obs.Clock.now_s () in
-  let sb = ok (Service.Coordinator.restore_stream b (Snapshot.decode_stream !last_blob)) in
-  let t_restore = Obs.Clock.now_s () -. r0 in
-  feed b sb kill_at total;
-  let fin = ok (Service.Coordinator.report b sb) in
-  let si = ok (Service.Coordinator.stream_info b sb) in
-  ok (Service.Coordinator.close b sb);
-  let identical =
-    String.equal fin.Service.Coordinator.body ref_report.Service.Coordinator.body
-  in
-  let lats = List.sort compare !ckpt_lat in
-  let p50 = List.nth lats (List.length lats / 2) in
-  let kill_bytes = String.length !last_blob in
-  let kill_report_bytes = String.length kill_report.Service.Coordinator.body in
-  let per_alarm_first = float_of_int !first_bytes /. float_of_int ckpt_every in
-  let per_alarm_kill = float_of_int kill_bytes /. float_of_int kill_at in
-  Printf.printf "%10s %10s %12s %14s %13s %10s\n" "alarms" "kill-at" "ckpt-p50"
-    "snap@first" "snap@kill" "identical";
-  Printf.printf "%10d %10d %10.1fus %13dB %12dB %10b\n" total kill_at (p50 *. 1e6)
-    !first_bytes kill_bytes identical;
-  Printf.printf
-    "(reference run %.2fs; restore %.1fms; snapshot %.1f -> %.1f B/alarm, vs %dB of \
-     rendered\n diagnosis at the kill point; restored stream finished with %d live \
-     states,\n %d explanations, %dB of final report)\n"
-    t_ref (t_restore *. 1e3) per_alarm_first per_alarm_kill kill_report_bytes
-    si.Service.Coordinator.si_live_states fin.Service.Coordinator.explanations
-    (String.length fin.Service.Coordinator.body);
-  e22_rows :=
-    [ ("E22/long_alarms", float_of_int total);
-      ("E22/kill_at", float_of_int kill_at);
-      ("E22/checkpoint_p50_us", p50 *. 1e6);
-      ("E22/snapshot_bytes_first", float_of_int !first_bytes);
-      ("E22/snapshot_bytes_kill", float_of_int kill_bytes);
-      ("E22/snapshot_bytes_per_alarm", per_alarm_kill);
-      ("E22/kill_report_bytes", float_of_int kill_report_bytes);
-      ("E22/restore_s", t_restore);
-      ("E22/final_report_bytes", float_of_int (String.length fin.Service.Coordinator.body));
-      ("E22/final_identical", if identical then 1. else 0.) ];
-  if not identical then
-    failwith "E22: restored final report differs from the uninterrupted run";
-  if ci && per_alarm_kill > 1.5 *. per_alarm_first then
-    failwith
-      (Printf.sprintf
-         "E22: snapshot grew superlinearly (%.1f B/alarm at the first checkpoint, %.1f \
-          at the kill point) — compaction regression"
-         per_alarm_first per_alarm_kill);
-  if ci && kill_bytes > kill_report_bytes then
-    failwith
-      (Printf.sprintf
-         "E22: snapshot (%dB) outgrew the rendered diagnosis at the same prefix (%dB)"
-         kill_bytes kill_report_bytes)
-
-(* ------------------------------------------------------------------ *)
-(* bechamel timings                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let timings () =
-  section "TIMINGS" "bechamel (time per run, ordinary least squares)";
-  let open Bechamel in
-  let open Toolkit in
-  let running = running_net () in
-  let run_alarms = alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ] in
-  let ring = Petri.Net.binarize (Petri.Examples.ring ~peers:3 ()) in
-  let ring_alarms =
-    let firing = Petri.Exec.random_execution ~rng:(rng 104) ~steps:4 ring in
-    alarms (Petri.Exec.alarms_of_execution ring firing)
-  in
-  let fig3 = Dprogram.figure3 () in
-  let fig3_local = Dprogram.localize fig3 in
-  let fig3_q = Parser.parse_atom {| R("1", Y) |} in
-  let fig3_store () =
-    let store = Fact_store.create () in
-    List.iter
-      (fun (d : Datom.t) -> ignore (Fact_store.add store (Datom.to_local_atom d)))
-      (fig3_edb ());
-    store
-  in
-  let tests =
-    [ Test.make ~name:"unfold/running-example"
-        (Staged.stage (fun () -> ignore (Petri.Unfolding.unfold running)));
-      Test.make ~name:"qsq-rewrite/fig3"
-        (Staged.stage (fun () -> ignore (Qsq.rewrite fig3_local fig3_q)));
-      Test.make ~name:"qsq-solve/fig3"
-        (Staged.stage (fun () -> ignore (Qsq.solve fig3_local fig3_q (fig3_store ()))));
-      Test.make ~name:"dqsq-solve/fig3"
-        (Staged.stage (fun () ->
-             ignore (Qsq_engine.solve ~seed:1 fig3 ~edb:(fig3_edb ()) ~query:(fig3_query ()))));
-      Test.make ~name:"diagnose-qsq/running"
-        (Staged.stage (fun () -> ignore (Diagnoser.diagnose running run_alarms)));
-      Test.make ~name:"diagnose-magic/running"
-        (Staged.stage (fun () ->
-             ignore (Diagnoser.diagnose ~engine:Diagnoser.Centralized_magic running run_alarms)));
-      Test.make ~name:"diagnose-product/running"
-        (Staged.stage (fun () -> ignore (Product.diagnose running run_alarms)));
-      Test.make ~name:"diagnose-reference/running"
-        (Staged.stage (fun () -> ignore (Reference.diagnose running run_alarms)));
-      Test.make ~name:"diagnose-qsq/ring3"
-        (Staged.stage (fun () -> ignore (Diagnoser.diagnose ring ring_alarms)));
-      Test.make ~name:"diagnose-product/ring3"
-        (Staged.stage (fun () -> ignore (Product.diagnose ring ring_alarms)));
-      Test.make ~name:"strategy/naive-chain32"
-        (Staged.stage (fun () -> ignore (Eval.naive tc_program (chain_edb 32))));
-      Test.make ~name:"strategy/seminaive-chain32"
-        (Staged.stage (fun () -> ignore (Eval.seminaive tc_program (chain_edb 32))));
-      Test.make ~name:"strategy/qsq-chain32"
-        (Staged.stage (fun () ->
-             ignore
-               (Qsq.solve tc_program
-                  (Atom.make "tc" [ Term.const "n31"; Term.var "Y" ])
-                  (chain_edb 32))));
-      Test.make ~name:"strategy/magic-chain32"
-        (Staged.stage (fun () ->
-             ignore
-               (Magic.solve tc_program
-                  (Atom.make "tc" [ Term.const "n31"; Term.var "Y" ])
-                  (chain_edb 32)))) ]
-  in
-  let grouped = Test.make_grouped ~name:"bench" tests in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some [ est ] -> (name, est) :: acc
-        | Some _ | None -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Printf.printf "%-42s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Printf.printf "%-42s %16s\n" name pretty)
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* observability snapshot                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The registered counters accumulated over every experiment above: probe
-   and derivation volume, network traffic, materialized prefix sizes. With
-   [--stats-json FILE] the snapshot is also written as JSON, so a
-   BENCH_*.json record can carry counters alongside the timings. *)
-let metrics_section stats_json_file =
-  section "METRICS" "observability snapshot (lib/obs registry, whole run)";
-  print_string (Obs.Snapshot.to_table ());
-  match stats_json_file with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Obs.Snapshot.to_json ());
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "(JSON snapshot written to %s)\n" path
-
-(* ------------------------------------------------------------------ *)
 (* determinism digests and --check-baseline                             *)
 (* ------------------------------------------------------------------ *)
 
 (* A handful of cheap, fully deterministic end-to-end artifacts, hashed:
    the rendered diagnosis of the running example and its wire configs
-   frame, the Figure 3 program text, and — over the E21 cycle net at a
-   1k-alarm prefix — the online report plus the report of a checkpoint →
-   restore roundtrip. Every run records them in BENCH_diag.json's
-   "digests" section; [--check-baseline] recomputes them in a fresh
-   process and fails on any drift, so an accidental change to term
-   construction, canonical ordering, report rendering, or the snapshot
-   codec trips the build before a human has to eyeball a diff. (The raw
+   frame, the Figure 3 program text, and — over the synchronized-cycles
+   net ([Petri.Examples.sync_cycles]) at a 1k-alarm prefix — the online
+   report plus the report of a checkpoint → restore roundtrip. Every run
+   records them in BENCH_diag.json; [--check-baseline] recomputes them in
+   a fresh process and fails on any drift, so an accidental change to
+   term construction, canonical ordering, report rendering, or the
+   snapshot codec trips the build before a human has to eyeball a diff. (The raw
    checkpoint frame is deliberately not digested: its node order follows
    hash-cons tags, which depend on process history — only its *meaning*
    is deterministic, which is what the roundtrip report pins.) *)
@@ -1256,10 +635,10 @@ let output_digests () =
        (Diagnoser.Distributed_parallel { jobs = 4 }))
       .Diagnoser.diagnosis
   in
-  let cycle = Petri.Net.binarize (e21_net ()) in
+  let cycle = Petri.Net.binarize (Petri.Examples.sync_cycles ()) in
   let o = Online.start cycle in
   for k = 0 to 999 do
-    Online.observe o (e21_alarm k)
+    Online.observe o (Petri.Examples.sync_cycles_alarm k)
   done;
   let stream_report = Report.to_string cycle (Online.diagnosis o) in
   let restored = Online.restore cycle (Online.checkpoint o) in
@@ -1337,42 +716,21 @@ let check_baseline path =
   Printf.printf "all %d digests match\n" (List.length current)
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_diag.json: the perf-trajectory snapshot                        *)
+(* BENCH_diag.json: the committed determinism baseline                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One record per bench run: per-experiment wall time plus the key Obs
-   counters, so successive PRs can diff throughput without re-reading the
-   tables. Counters absent from the build (e.g. term.interned before the
-   hash-consed representation) are reported as 0. *)
-let key_counters =
-  [ "fact_store.probes"; "fact_store.candidates"; "fact_store.full_scans";
-    "fact_store.index_builds"; "eval.rules_fired"; "eval.facts_derived";
-    "qsq.facts_derived"; "term.interned"; "term.hashcons_hits";
-    "online.gc_reclaimed" ]
-
-let write_bench_json path (times : (string * float) list) digests =
-  let buf = Buffer.create 1024 in
-  let fields to_field l =
-    String.concat ",\n" (List.map (fun x -> "    " ^ to_field x) l)
-  in
-  Buffer.add_string buf "{\n  \"experiments\": {\n";
-  Buffer.add_string buf
-    (fields (fun (id, dt) -> Printf.sprintf "%S: %.6f" id dt) times);
-  Buffer.add_string buf "\n  },\n  \"digests\": {\n";
-  Buffer.add_string buf
-    (fields (fun (name, dg) -> Printf.sprintf "%S: %S" name dg) digests);
-  Buffer.add_string buf "\n  },\n  \"counters\": {\n";
-  Buffer.add_string buf
-    (fields (fun name -> Printf.sprintf "%S: %d" name (counter_now name)) key_counters);
-  Buffer.add_string buf "\n  }\n}\n";
+(* Every run records the digests; commit the file to move the baseline
+   that [--check-baseline] compares against. Performance is measured by
+   bench/perf, not here. *)
+let write_bench_json path digests =
   let oc = open_out path in
-  Buffer.output_buffer oc buf;
+  Printf.fprintf oc "{\n  \"digests\": {\n%s\n  }\n}\n"
+    (String.concat ",\n"
+       (List.map (fun (name, dg) -> Printf.sprintf "    %S: %S" name dg) digests));
   close_out oc;
-  Printf.printf "(bench snapshot written to %s)\n" path
+  Printf.printf "(digests written to %s)\n" path
 
 let () =
-  let no_timings = Array.exists (fun a -> a = "--no-timings") Sys.argv in
-  let ci = Array.exists (fun a -> a = "--ci") Sys.argv in
   let arg_value name =
     let rec go i =
       if i >= Array.length Sys.argv then None
@@ -1382,44 +740,20 @@ let () =
     in
     go 1
   in
-  let stats_json_file = arg_value "--stats-json" in
-  let bench_json_file =
-    Option.value ~default:"BENCH_diag.json" (arg_value "--bench-json")
-  in
-  let only = arg_value "--only" in
   if Array.exists (fun a -> a = "--check-baseline") Sys.argv then begin
     check_baseline (Option.value ~default:"BENCH_diag.json" (arg_value "--baseline"));
     exit 0
   end;
   let experiments =
-    if ci then
-      [ ("E18", fun () -> e18 ~ci:true ()); ("E19", fun () -> e19 ~ci:true ());
-        ("E20", fun () -> e20 ~ci:true ()); ("E21", fun () -> e21 ~ci:true ());
-        ("E22", fun () -> e22 ~ci:true ()) ]
-    else
-      [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
-        ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
-        ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-        ("E17", e17); ("E18", fun () -> e18 ()); ("E19", fun () -> e19 ());
-        ("E20", fun () -> e20 ()); ("E21", fun () -> e21 ());
-        ("E22", fun () -> e22 ()) ]
+    [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
+      ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
+      ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
+      ("E17", e17) ]
   in
-  let experiments =
-    match only with
-    | None -> experiments
-    | Some id -> List.filter (fun (i, _) -> i = id) experiments
-  in
-  let times =
-    List.map
-      (fun (id, f) ->
-        let t0 = Obs.Clock.now_s () in
-        f ();
-        (id, Obs.Clock.now_s () -. t0))
-      experiments
-  in
-  metrics_section stats_json_file;
-  write_bench_json bench_json_file
-    (times @ !e19_times @ !e20_rows @ !e21_rows @ !e22_rows)
+  List.iter
+    (fun (id, f) -> match arg_value "--only" with Some o when o <> id -> () | _ -> f ())
+    experiments;
+  write_bench_json
+    (Option.value ~default:"BENCH_diag.json" (arg_value "--bench-json"))
     (output_digests ());
-  if not (no_timings || ci) then timings ();
   Printf.printf "\n%s\nAll experiments completed.\n" line

@@ -113,3 +113,32 @@ let toggles ~width:n ~peer () : Net.t =
   in
   let marking = List.init n (fun k -> Printf.sprintf "off%d" k) in
   Net.make ~places ~transitions ~marking
+
+(** Two synchronized 3-place cycles: peers [p] and [q] exchange a token
+    each round, and the first alarm of every round on each peer is
+    ambiguous — a conflict trap ([pa'], [qd']). The trap lineage stalls
+    on its own peer immediately and starves on the sync token within one
+    round, so the prefix GC can prove it conflict-dead: the live set of a
+    streaming diagnosis stays flat however long the stream. *)
+let sync_cycles () : Net.t =
+  let place peer id = Net.mk_place ~peer id in
+  let tr peer alarm pre post id = Net.mk_transition ~peer ~alarm ~pre ~post id in
+  Net.make
+    ~places:
+      [ place "p" "p0"; place "p" "p1"; place "p" "p2"; place "p" "pX";
+        place "p" "sp"; place "q" "q0"; place "q" "q1"; place "q" "q2";
+        place "q" "qX"; place "q" "sq" ]
+    ~transitions:
+      [ tr "p" "a" [ "p0" ] [ "p1" ] "pa";
+        tr "p" "a" [ "p0" ] [ "pX" ] "pa'";  (* the conflict trap on p *)
+        tr "p" "b" [ "p1" ] [ "p2" ] "pb";
+        tr "p" "c" [ "p2"; "sq" ] [ "p0"; "sp" ] "pc";  (* sync q -> p *)
+        tr "q" "d" [ "q0" ] [ "q1" ] "qd";
+        tr "q" "d" [ "q0" ] [ "qX" ] "qd'";  (* the conflict trap on q *)
+        tr "q" "e" [ "q1" ] [ "q2" ] "qe";
+        tr "q" "f" [ "q2"; "sp" ] [ "q0"; "sq" ] "qf" ]  (* sync p -> q *)
+    ~marking:[ "p0"; "q0"; "sp" ]
+
+(* the unique firable alarm order per round: a b (p), d e f (q), c (p) *)
+let sync_cycles_alarm k =
+  [| ("a", "p"); ("b", "p"); ("d", "q"); ("e", "q"); ("f", "q"); ("c", "p") |].(k mod 6)

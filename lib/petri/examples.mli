@@ -19,3 +19,15 @@ val toggles : width:int -> peer:string -> unit -> Net.t
 (** [width] independent two-state toggles on one peer; the unfolding grows
     combinatorially with [width] — used to contrast goal-directed diagnosis
     with full-unfolding materialization. *)
+
+val sync_cycles : unit -> Net.t
+(** Two synchronized 3-place cycles on peers [p] and [q] that exchange a
+    token each round; the first alarm of every round on each peer is
+    ambiguous (a conflict trap that dies within one round). A long
+    stream over it keeps a streaming diagnosis's live set flat — the
+    workload of the streaming latency and durability checks. *)
+
+val sync_cycles_alarm : int -> string * string
+(** The [k]-th alarm [(symbol, peer)] of the unique firable order of
+    {!sync_cycles}, six alarms per round: [a b] on [p], [d e f] on [q],
+    [c] on [p]. *)

@@ -68,11 +68,14 @@ let snap_size store name =
   | { Unix.st_size; _ } -> st_size
   | exception Unix.Unix_error _ -> 0
 
+(* a store that cannot be written (removed, full, read-only) fails the
+   one checkpoint, never the server *)
 let write_checkpoint ck coord sid =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let* img = Coordinator.checkpoint_stream coord sid in
-  let name = Snapshot.write ck.store img in
-  Ok (img, name)
+  match Snapshot.write ck.store img with
+  | name -> Ok (img, name)
+  | exception Sys_error m -> Error m
 
 (* every-N-alarms policy: fires after a stream alarm lands; failures are
    logged, never turned into request errors *)

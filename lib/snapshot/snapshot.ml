@@ -101,7 +101,11 @@ let write store img =
   Obs.Metrics.incr ~by:(String.length frame) bytes_written_c;
   name
 
+(* only names [write] could have produced: a client-supplied [../x], an
+   absolute path or a foreign file never resolves outside the store *)
 let read store name =
+  if Option.is_none (parse_basename name) then
+    raise (Sys_error (Printf.sprintf "%s: not a snapshot name (stream-SID-ALARMS.snap)" name));
   let img = decode_stream (read_file (Filename.concat store.dir name)) in
   Obs.Metrics.incr restores_c;
   img

@@ -47,9 +47,12 @@ val write : store -> stream_image -> string
     snapshots of the same session are pruned after the rename. *)
 
 val read : store -> string -> stream_image
-(** Read one snapshot by basename.
+(** Read one snapshot by basename. Only names of the form
+    [stream-<session>-<alarms>.snap] (what {!write} returns) are accepted,
+    so a name can never reach a file outside the store.
     @raise Dqsq.Wire.Corrupt on malformed content
-    @raise Sys_error when the file cannot be read *)
+    @raise Sys_error when the name is not a snapshot basename or the file
+    cannot be read *)
 
 val scan : store -> (string * stream_image) list
 (** The latest valid snapshot per session, as (basename, image) sorted by

@@ -248,6 +248,67 @@ let test_stream_budget_failure () =
   Alcotest.(check int) "fresh stream diagnoses" 3 r.Coordinator.explanations;
   ok (Coordinator.close coord s2)
 
+(* the synchronized-cycles net as tenant "cycle", and its alarms [lo, hi) *)
+let cycle_coordinator () =
+  let coord = Coordinator.create ~quantum:8 () in
+  ignore (ok (Coordinator.add_tenant coord ~name:"cycle" (Petri.Examples.sync_cycles ())));
+  coord
+
+let feed_cycles coord sid lo hi =
+  for k = lo to hi - 1 do
+    let symbol, peer = Petri.Examples.sync_cycles_alarm k in
+    ok (Coordinator.add_alarm coord sid ~symbol ~peer)
+  done
+
+(* One 10k-alarm stream beside 50 short streams (window 25, length 6),
+   with a report every 1k alarms: the prefix GC keeps the live set flat,
+   so per-alarm latency must be too. An engine that re-saturates the
+   prefix (O(1) per alarm back to O(n)) or lets the live set grow without
+   GC pushes the last decile's p50 past 2x the first decile's. *)
+let test_stream_latency_flat () =
+  let long_total = 10_000 and shorts_total = 50 and window = 25 and short_len = 6 in
+  let coord = cycle_coordinator () in
+  let long = ok (Coordinator.open_stream coord ~tenant:"cycle") in
+  let lat = Array.make long_total 0. in
+  let k = ref 0 and opened = ref 0 and closed = ref 0 and active = ref [] in
+  while !k < long_total || !closed < shorts_total do
+    if !k < long_total then begin
+      let t0 = Obs.Clock.now_s () in
+      feed_cycles coord long !k (!k + 1);
+      lat.(!k) <- Obs.Clock.now_s () -. t0;
+      incr k;
+      if !k mod 1_000 = 0 then ignore (ok (Coordinator.report coord long))
+    end;
+    while !opened < shorts_total && List.length !active < window do
+      active := (ok (Coordinator.open_stream coord ~tenant:"cycle"), ref 0) :: !active;
+      incr opened
+    done;
+    active :=
+      List.filter
+        (fun (sid, sent) ->
+          feed_cycles coord sid !sent (!sent + 1);
+          incr sent;
+          !sent < short_len
+          || (ignore (ok (Coordinator.report coord sid));
+              ok (Coordinator.close coord sid);
+              incr closed;
+              false))
+        !active
+  done;
+  ok (Coordinator.close coord long);
+  let decile = long_total / 10 in
+  let decile_p50 off =
+    let s = Array.sub lat off decile in
+    Array.sort compare s;
+    s.(decile / 2)
+  in
+  let first = decile_p50 0 and last = decile_p50 (long_total - decile) in
+  Alcotest.(check bool)
+    (Printf.sprintf "last-decile p50 %.1fus <= 2x first-decile p50 %.1fus" (last *. 1e6)
+       (first *. 1e6))
+    true
+    (last <= 2. *. Float.max first 1e-6)
+
 (* ------------------------------------------------------------------ *)
 (* Durability: migration, the snapshot store, graceful shutdown       *)
 (* ------------------------------------------------------------------ *)
@@ -263,9 +324,52 @@ let rec rm_rf path =
 let feed coord sid l =
   List.iter (fun (symbol, peer) -> ok (Coordinator.add_alarm coord sid ~symbol ~peer)) l
 
+(* Kill a 5k-alarm stream at 2.5k, checkpointing every 500 alarms, and
+   let a fresh coordinator finish it from the last checkpoint: the final
+   report is byte-identical to an uninterrupted run. A checkpoint carries
+   only the live frontier, but the frontier's configurations embed their
+   causal history, so the compaction bounds are relative: bytes per alarm
+   at the kill point within 1.5x those at the first checkpoint, and the
+   snapshot no larger than the rendered report at the same prefix. *)
+let migrate_long_stream () =
+  let total = 5_000 in
+  let kill_at = total / 2 and every = total / 10 in
+  let reference = cycle_coordinator () in
+  let sr = ok (Coordinator.open_stream reference ~tenant:"cycle") in
+  feed_cycles reference sr 0 total;
+  let a = cycle_coordinator () in
+  let sa = ok (Coordinator.open_stream a ~tenant:"cycle") in
+  let first = ref "" and last = ref "" in
+  for k = 0 to kill_at - 1 do
+    feed_cycles a sa k (k + 1);
+    if (k + 1) mod every = 0 then begin
+      last := Snapshot.encode_stream (ok (Coordinator.checkpoint_stream a sa));
+      if !first = "" then first := !last
+    end
+  done;
+  let kill_report = (ok (Coordinator.report a sa)).Coordinator.body in
+  let b = cycle_coordinator () in
+  let sb = ok (Coordinator.restore_stream b (Snapshot.decode_stream !last)) in
+  feed_cycles b sb kill_at total;
+  Alcotest.(check string) "resumed long stream reports byte-identically"
+    (ok (Coordinator.report reference sr)).Coordinator.body
+    (ok (Coordinator.report b sb)).Coordinator.body;
+  let per_alarm blob alarms = float_of_int (String.length blob) /. float_of_int alarms in
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshot %.1f B/alarm at the kill point <= 1.5x %.1f at the first"
+       (per_alarm !last kill_at) (per_alarm !first every))
+    true
+    (per_alarm !last kill_at <= 1.5 *. per_alarm !first every);
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshot (%dB) <= rendered report at the kill point (%dB)"
+       (String.length !last) (String.length kill_report))
+    true
+    (String.length !last <= String.length kill_report);
+  List.iter (fun (c, sid) -> ok (Coordinator.close c sid)) [ (reference, sr); (a, sa); (b, sb) ]
+
 (* a stream checkpointed on one coordinator and restored on another (a
    different process in spirit) must report byte-identically after both
-   consume the same suffix *)
+   consume the same suffix; then the same for a long stream killed midway *)
 let test_stream_migration () =
   let a = Coordinator.create ~quantum:4 () in
   ignore (ok (Coordinator.add_tenant a ~name:"t" (running_net ())));
@@ -287,7 +391,8 @@ let test_stream_migration () =
   Alcotest.(check int) "restored stream is streaming" 1
     (Coordinator.stats b).Coordinator.streaming;
   ok (Coordinator.close a sa);
-  ok (Coordinator.close b sb)
+  ok (Coordinator.close b sb);
+  migrate_long_stream ()
 
 (* only streaming sessions checkpoint *)
 let test_checkpoint_rejects_batch () =
@@ -315,6 +420,26 @@ let test_snapshot_store () =
   Alcotest.(check int) "alarms round-trip" img1.Snapshot.alarms back.Snapshot.alarms;
   Alcotest.(check string) "engine bytes round-trip" img1.Snapshot.engine
     back.Snapshot.engine;
+  (* only snapshot names resolve: a valid frame outside the store, or
+     inside it under a foreign name, cannot be read *)
+  let outside = "tmp_snap_outside_test" in
+  rm_rf outside;
+  List.iter
+    (fun d ->
+      ignore (Snapshot.open_store d);
+      let oc = open_out_bin (Filename.concat d "secret.bin") in
+      output_string oc (Snapshot.encode_stream img1);
+      close_out oc)
+    [ outside; dir ];
+  List.iter
+    (fun bad ->
+      match Snapshot.read store bad with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "read %S, not a name in the store" bad))
+    [ Filename.concat ".." (Filename.concat outside "secret.bin");
+      Filename.concat (Sys.getcwd ()) (Filename.concat outside "secret.bin");
+      "secret.bin" ];
+  rm_rf outside;
   (* a later checkpoint of the same session prunes the earlier file *)
   feed coord sid [ ("a", "p2") ];
   let n2 = Snapshot.write store (ok (Coordinator.checkpoint_stream coord sid)) in
@@ -331,6 +456,55 @@ let test_snapshot_store () =
   | l -> Alcotest.fail (Printf.sprintf "scan returned %d entries" (List.length l)));
   ok (Coordinator.close coord sid);
   rm_rf dir
+
+(* a store that vanishes under a running server fails the [checkpoint]
+   request with [err], and the server goes on serving: later requests are
+   answered and the shutdown flush returns normally *)
+let test_checkpoint_write_failure () =
+  let dir = "tmp_snap_vanish_test" and path = "tmp_serve_vanish.sock" in
+  rm_rf dir;
+  (try Sys.remove path with Sys_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        let coord = Coordinator.create ~quantum:4 () in
+        ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
+        let checkpoints =
+          { Serve.store = Snapshot.open_store dir; every = None; recover = false }
+        in
+        Serve.socket ~checkpoints coord ~path ~once:true;
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.02
+    done;
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect sock (Unix.ADDR_UNIX path);
+    let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
+    let ask line =
+      output_string oc (line ^ "\n");
+      flush oc;
+      try input_line ic with End_of_file -> "<server gone>"
+    in
+    let starts prefix reply =
+      Alcotest.(check string) reply prefix
+        (String.sub reply 0 (min (String.length prefix) (String.length reply)))
+    in
+    starts "ok stream 1" (ask "stream t");
+    starts "ok" (ask "alarm 1 b p1");
+    starts "ok checkpoint 1" (ask "checkpoint 1");
+    rm_rf dir;
+    starts "err " (ask "checkpoint 1");
+    starts "ok stats" (ask "stats");
+    starts "ok bye" (ask "quit");
+    Unix.close sock;
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "clean exit after a failed flush" true (status = Unix.WEXITED 0)
 
 (* SIGTERM while [Serve.socket] blocks in accept: the child must flush its
    live stream to the store, unlink the socket, and exit cleanly *)
@@ -383,12 +557,16 @@ let () =
         [ Alcotest.test_case "per-alarm reports == direct Online" `Quick
             test_stream_matches_direct;
           Alcotest.test_case "state budget fails gracefully" `Quick
-            test_stream_budget_failure ] );
+            test_stream_budget_failure;
+          Alcotest.test_case "per-alarm latency stays flat" `Quick
+            test_stream_latency_flat ] );
       ( "durability",
         [ Alcotest.test_case "stream migration" `Quick test_stream_migration;
           Alcotest.test_case "checkpoint rejects batch sessions" `Quick
             test_checkpoint_rejects_batch;
           Alcotest.test_case "snapshot store" `Quick test_snapshot_store;
+          Alcotest.test_case "failed checkpoint write keeps serving" `Quick
+            test_checkpoint_write_failure;
           Alcotest.test_case "graceful shutdown flushes" `Quick
             test_graceful_shutdown ] );
       (* this group MUST run after "durability": once a domain has been
