@@ -83,6 +83,7 @@ type t = {
       (* per-engine rule-freshening suffixes: with a process-global counter
          the suffix lengths — and hence real wire bytes — would depend on
          what ran before, breaking same-seed byte determinism *)
+  mutable released : bool;  (* peers cleared by {!release}, nothing installed *)
 }
 
 let state t p = Hashtbl.find t.states p
@@ -523,7 +524,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   let t =
     { program; sim; states; query; query_peer = query.Datom.peer; batching;
       detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
-      fact_messages = Atomic.make 0; fresh = Atomic.make 0 }
+      fact_messages = Atomic.make 0; fresh = Atomic.make 0; released = false }
   in
   List.iter
     (fun p ->
@@ -647,9 +648,31 @@ let run ?max_steps ?jobs ?pinning (t : t) ~(query : Datom.t) : outcome =
   in
   finish ~deliveries t
 
-(* Point the warm engine at the next session: same peers (the simulator's
-   handlers and per-channel codec state are kept), new program, EDB and
-   query. Peer runtimes are cleared in place — tables stay allocated. *)
+(* Clear a quiescent engine for the pool: peer runtimes and protocol
+   tables are emptied in place (tables stay allocated), while the
+   simulator's handlers and per-channel codec state are kept, so a pooled
+   engine holds no session's facts, rules or plans. *)
+let release (t : t) =
+  if not (Sim.is_quiescent t.sim) then
+    invalid_arg "Qsq_engine.release: network not quiescent";
+  Atomic.set t.delegations 0;
+  Atomic.set t.subscriptions 0;
+  Atomic.set t.fact_messages 0;
+  Atomic.set t.fresh 0;
+  Hashtbl.iter
+    (fun _ st ->
+      Runtime.reset st.rt;
+      Hashtbl.clear st.my_rules;
+      Hashtbl.clear st.demanded;
+      Hashtbl.clear st.delegations_seen;
+      Hashtbl.clear st.subscriptions_sent;
+      Hashtbl.clear st.out_tbl;
+      st.out_order <- [])
+    t.states;
+  t.released <- true
+
+(* Point the warm engine at the next session: same peers, new program, EDB
+   and query. An engine not yet {!release}d is released first. *)
 let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom.t) =
   if t.detector <> None then
     invalid_arg "Qsq_engine.recycle: Dijkstra-Scholten engines are one-shot";
@@ -667,22 +690,13 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
         invalid_arg
           (Printf.sprintf "Qsq_engine.recycle: peer %s not in the warm engine" p))
     peers;
+  if not t.released then release t;
+  t.released <- false;
   t.program <- program;
   t.query <- query;
   t.query_peer <- query.Datom.peer;
-  Atomic.set t.delegations 0;
-  Atomic.set t.subscriptions 0;
-  Atomic.set t.fact_messages 0;
-  Atomic.set t.fresh 0;
   Hashtbl.iter
     (fun p st ->
-      Runtime.reset st.rt;
-      Hashtbl.clear st.my_rules;
-      Hashtbl.clear st.demanded;
-      Hashtbl.clear st.delegations_seen;
-      Hashtbl.clear st.subscriptions_sent;
-      Hashtbl.clear st.out_tbl;
-      st.out_order <- [];
       List.iter
         (fun r ->
           let rel = r.Drule.head.Datom.rel in

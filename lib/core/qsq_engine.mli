@@ -117,12 +117,19 @@ val finish : ?deliveries:int -> t -> outcome
     [net_stats] is cumulative over the engine's lifetime, so per-session
     byte deltas come from counter differences. *)
 
+val release : t -> unit
+(** Clear a quiescent engine for a warm pool: every peer's facts, rules,
+    compiled plans and protocol tables are dropped in place (tables stay
+    allocated), while per-channel wire codec state survives, so later
+    sessions' symbols ride the established dictionaries. A pooled engine
+    then holds no session's data.
+    @raise Invalid_argument on a non-quiescent network. *)
+
 val recycle : t -> Dprogram.t -> edb:Datom.t list -> query:Datom.t -> unit
-(** Point a quiescent warm engine at its next session: peer runtimes are
-    reset in place (tables stay allocated, per-channel wire codec state
-    survives, so later sessions' symbols ride the established
-    dictionaries), then the new program's rules and EDB are installed.
-    Every peer of the new scenario must already exist in the engine.
+(** Point a quiescent warm engine at its next session: install the new
+    program's rules and EDB. An engine not {!release}d since its last
+    session is released first. Every peer of the new scenario must already
+    exist in the engine.
     @raise Invalid_argument on unknown peers, a non-quiescent network, or
     a Dijkstra-Scholten engine. *)
 

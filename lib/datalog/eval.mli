@@ -52,7 +52,12 @@ val seminaive :
 
 type index
 (** Rules indexed by the relations of their positive body atoms. Each rule
-    has a serial: its rank in addition order. *)
+    has a serial: its rank in addition order. The index also keeps each
+    rule's compiled joins: on a rule's first firing from a delta position
+    its join is compiled to a plan (the order of its probes and checks
+    fixed in advance, bindings in a slot array) that every later firing
+    from that position reuses. Adding a rule compiles nothing; plans built
+    are counted in [eval.plans_compiled]. *)
 
 val index_create : unit -> index
 val index_clear : index -> unit

@@ -19,6 +19,11 @@ type checkpoints = {
 
 exception Shutdown
 
+(* Set with every [Shutdown]: an exception raised by a signal handler is
+   lost if it lands inside a catch-all (closing a hung-up client's
+   channel), the flag is not, so the accept loop still stops. *)
+let shutdown_requested = ref false
+
 let respond oc fmt =
   Printf.ksprintf
     (fun s ->
@@ -118,21 +123,32 @@ let flush_checkpoints checkpoints coord =
         | Error m -> Printf.eprintf "serve: flush of session %d failed: %s\n%!" sid m)
       (Coordinator.streaming_sessions coord)
 
+(* SIGINT/SIGTERM raise [Shutdown]; SIGPIPE is ignored, so a client that
+   hangs up mid-reply surfaces as [Sys_error] on the write instead of
+   killing the server *)
 let with_signals f =
-  let install s =
-    try Some (Sys.signal s (Sys.Signal_handle (fun _ -> raise Shutdown)))
-    with Invalid_argument _ | Sys_error _ -> None
+  let install s behavior =
+    try Some (Sys.signal s behavior) with Invalid_argument _ | Sys_error _ -> None
   in
   let restore s = function
     | Some b -> ( try Sys.set_signal s b with Invalid_argument _ | Sys_error _ -> ())
     | None -> ()
   in
-  let prev_int = install Sys.sigint in
-  let prev_term = install Sys.sigterm in
+  shutdown_requested := false;
+  let shutdown =
+    Sys.Signal_handle
+      (fun _ ->
+        shutdown_requested := true;
+        raise Shutdown)
+  in
+  let prev_int = install Sys.sigint shutdown in
+  let prev_term = install Sys.sigterm shutdown in
+  let prev_pipe = install Sys.sigpipe Sys.Signal_ignore in
   Fun.protect
     ~finally:(fun () ->
       restore Sys.sigint prev_int;
-      restore Sys.sigterm prev_term)
+      restore Sys.sigterm prev_term;
+      restore Sys.sigpipe prev_pipe)
     f
 
 (* ------------------------------------------------------------------ *)
@@ -279,6 +295,8 @@ let handle ?checkpoints coord oc line =
     respond oc "err unknown command %s" cmd;
     Continue
 
+(* Serve one client to EOF or [quit]. A client that hangs up (a read or a
+   write on its channel fails) ends its session, not the server. *)
 let session_loop ?checkpoints coord ic oc =
   let rec loop () =
     match input_line ic with
@@ -286,7 +304,7 @@ let session_loop ?checkpoints coord ic oc =
     | line -> (
       match handle ?checkpoints coord oc line with Continue -> loop () | Quit -> ())
   in
-  loop ()
+  try loop () with Sys_error m -> Printf.eprintf "serve: client hung up: %s\n%!" m
 
 let stdio ?checkpoints coord =
   with_signals @@ fun () ->
@@ -309,15 +327,18 @@ let socket ?checkpoints coord ~path ~once =
         let fd, _ = Unix.accept sock in
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
+        (* closing [oc] closes [fd] and drops what a hung-up client left
+           unflushed, so no later flush writes it into a reused fd *)
         Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> close_out_noerr oc)
           (fun () -> session_loop ?checkpoints coord ic oc)
       in
       (try
          if once then serve_one ()
          else
-           while true do
+           while not !shutdown_requested do
              serve_one ()
            done
-       with Shutdown -> prerr_endline "serve: shutting down");
+       with Shutdown -> ());
+      if !shutdown_requested then prerr_endline "serve: shutting down";
       flush_checkpoints checkpoints coord)

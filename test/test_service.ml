@@ -506,6 +506,73 @@ let test_checkpoint_write_failure () =
     let _, status = Unix.waitpid [] pid in
     Alcotest.(check bool) "clean exit after a failed flush" true (status = Unix.WEXITED 0)
 
+(* a client that hangs up with replies still owed must not take the server
+   down: the writes into its closed socket fail (SIGPIPE is ignored while
+   serving), its session ends, the next client is served, and the shutdown
+   flush still persists the stream the first client left open *)
+let test_client_hangup () =
+  let dir = "tmp_snap_hangup_test" and path = "tmp_serve_hangup.sock" in
+  rm_rf dir;
+  (try Sys.remove path with Sys_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        let coord = Coordinator.create ~quantum:4 () in
+        ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
+        let checkpoints =
+          { Serve.store = Snapshot.open_store dir; every = None; recover = false }
+        in
+        Serve.socket ~checkpoints coord ~path ~once:false;
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.02
+    done;
+    let connect () =
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      (sock, Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock)
+    in
+    let ask (_, ic, oc) line =
+      output_string oc (line ^ "\n");
+      flush oc;
+      try input_line ic with End_of_file -> "<server gone>"
+    in
+    let starts prefix reply =
+      Alcotest.(check string) reply prefix
+        (String.sub reply 0 (min (String.length prefix) (String.length reply)))
+    in
+    let ((sock, _, oc) as first) = connect () in
+    starts "ok stream 1" (ask first "stream t");
+    starts "ok" (ask first "alarm 1 b p1");
+    (* many reports queued, then hang up without reading one reply *)
+    for _ = 1 to 500 do
+      output_string oc "report 1\n"
+    done;
+    flush oc;
+    Unix.close sock;
+    let ((sock, _, _) as second) =
+      try connect ()
+      with Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "server gone after the hang-up: %s" (Unix.error_message e)
+    in
+    starts "ok stats" (ask second "stats");
+    starts "ok bye" (ask second "quit");
+    Unix.close sock;
+    Unix.kill pid Sys.sigterm;
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
+    (match Snapshot.scan (Snapshot.open_store dir) with
+    | [ (_, img) ] -> Alcotest.(check int) "stream flushed" 1 img.Snapshot.alarms
+    | l ->
+      Alcotest.fail (Printf.sprintf "expected one flushed snapshot, found %d" (List.length l)));
+    rm_rf dir
+
 (* SIGTERM while [Serve.socket] blocks in accept: the child must flush its
    live stream to the store, unlink the socket, and exit cleanly *)
 let test_graceful_shutdown () =
@@ -568,7 +635,8 @@ let () =
           Alcotest.test_case "failed checkpoint write keeps serving" `Quick
             test_checkpoint_write_failure;
           Alcotest.test_case "graceful shutdown flushes" `Quick
-            test_graceful_shutdown ] );
+            test_graceful_shutdown;
+          Alcotest.test_case "client hang-up keeps serving" `Quick test_client_hangup ] );
       (* this group MUST run after "durability": once a domain has been
          spawned anywhere in the process, OCaml 5 permanently forbids
          Unix.fork (even after Domain.join) — and the graceful-shutdown

@@ -320,6 +320,109 @@ let test_eval_closed_skips_only_dead_firings () =
   Alcotest.(check (list string)) "the new rule's facts" [ "s(b)"; "s(c)" ]
     (List.sort String.compare skipped)
 
+(* ------------------------------------------------------------------ *)
+(* Compiled joins (Eval's per-(rule, delta position) plans)           *)
+(* ------------------------------------------------------------------ *)
+
+(* The sorted facts of [rel] after evaluating [text] from an empty store. *)
+let derived ?(eval = fun p s -> ignore (Eval.seminaive p s)) text rel =
+  let store = Fact_store.create () in
+  eval (Parser.parse_program text) store;
+  List.map Atom.to_string (Fact_store.facts_of store (Symbol.intern rel))
+  |> List.sort String.compare
+
+let strings = Alcotest.(list string)
+
+let test_plan_repeated_vars () =
+  Alcotest.check strings "within one atom" [ "r(a)"; "r(b)" ]
+    (derived "e(a, a). e(a, b). e(b, b). e(c, d). r(X) :- e(X, X)." "r");
+  (* the probe's key covers X, the repeated Y is checked on each candidate *)
+  Alcotest.check strings "within a probe" [ "s(a, c)" ]
+    (derived
+       "e(a, b). e(a, c). e(a, d). t(b, c, c). t(b, d, c). s(X, Z) :- e(X, Y), t(Y, Z, Z), e(X, Z)."
+       "s")
+
+let test_plan_compound_patterns () =
+  Alcotest.check strings "compound scan" [ "q(a)"; "q(b)" ]
+    (derived "p(f(a), a). p(f(a), b). p(g(c), c). p(f(b), b). q(X) :- p(f(X), X)." "q");
+  (* the probe key holds f(X), built from the slots *)
+  Alcotest.check strings "compound key" [ "r(a, b)" ]
+    (derived "e(a, b). e(b, a). p(f(a), b). p(f(a), a). r(X, Y) :- e(X, Y), p(f(X), Y)." "r");
+  (* a compound at a non-key position binds its variables *)
+  Alcotest.check strings "compound binds" [ "r(a, c)" ]
+    (derived "e(a). p(a, g(c, c)). p(a, g(c, d)). p(a, h(d, d)). r(X, Y) :- e(X), p(X, g(Y, Y))." "r")
+
+let test_plan_deferred_constraints () =
+  let stratified p s = ignore (Eval.stratified p s) in
+  (* [not b(X)] and [X != Y] come before anything binds them: with
+     negation in the body the order is static, so both wait for the end *)
+  Alcotest.check strings "negation and disequality deferred" [ "r(a, c)"; "r(c, a)" ]
+    (derived ~eval:stratified
+       "a(a). a(b). a(c). b(b). r(X, Y) :- not b(X), X != Y, a(X), a(Y), not b(Y)." "r");
+  (* without negation a disequality is checked right after its step *)
+  Alcotest.check strings "disequality after its step" [ "r(a, b)"; "r(b, a)" ]
+    (derived "a(a). a(b). r(X, Y) :- X != Y, a(X), a(Y)." "r")
+
+let test_plan_never_checkable () =
+  (* [Z] is bound by no atom: the rule never fires, but its probes run *)
+  let p = Parser.parse_program "a(x). a(y). b(x). r(X) :- a(X), b(X), X != Z." in
+  let store = Fact_store.create () in
+  let probes = Obs.Metrics.counter_value "fact_store.probes" in
+  let res = Eval.naive p store in
+  Alcotest.(check int) "no firing" 0 res.Eval.stats.Eval.derivations;
+  Alcotest.(check int) "nothing derived" 0 (Fact_store.count_rel store (Symbol.intern "r"));
+  Alcotest.(check bool) "probes still counted" true
+    (Obs.Metrics.counter_value "fact_store.probes" > probes)
+
+let test_plan_unbound_head_var () =
+  let ix = Eval.index_create () in
+  (* compiling is lazy: adding the unsafe rule does not fail *)
+  Eval.index_add ix (Parser.parse_rule "r(X, Y) :- a(X).");
+  let store = Fact_store.create () in
+  ignore (Fact_store.add store (Atom.make "a" [ Term.const "c" ]));
+  Alcotest.check_raises "fails at firing"
+    (Invalid_argument "Eval: rule r(X, Y) :- a(X). derived non-ground fact r(c, Y)")
+    (fun () ->
+      ignore
+        (Eval.seminaive_indexed ~options:Eval.default_options ~init_delta:None
+           ~on_new:ignore ~closed:0 ix store))
+
+let test_plan_many_vars () =
+  (* 21 variables, more than the shared slot constructors *)
+  let n = 20 in
+  let v i = Printf.sprintf "X%d" i in
+  let body = List.init n (fun i -> Printf.sprintf "e(%s, %s)" (v i) (v (i + 1))) in
+  let text =
+    String.concat " " (List.init (n + 5) (fun i -> Printf.sprintf "e(n%d, n%d)." i (i + 1)))
+    ^ Printf.sprintf " r(%s, %s) :- %s, %s != %s." (v 0) (v n) (String.concat ", " body) (v 0)
+        (v 17)
+  in
+  Alcotest.check strings "chains of 20 edges"
+    (List.sort String.compare (List.init 6 (fun i -> Printf.sprintf "r(n%d, n%d)" i (i + n))))
+    (derived text "r")
+
+let test_plan_lazy () =
+  let compiled () = Obs.Metrics.counter_value "eval.plans_compiled" in
+  let ix = Eval.index_create () in
+  let c0 = compiled () in
+  Eval.index_add ix (Parser.parse_rule "t(X, Z) :- e(X, Y), f(Y, Z).");
+  Alcotest.(check int) "adding compiles nothing" c0 (compiled ());
+  let store = Fact_store.create () in
+  let fact rel a b = Atom.make rel [ Term.const a; Term.const b ] in
+  let pass delta =
+    List.iter (fun a -> ignore (Fact_store.add store a)) delta;
+    ignore
+      (Eval.seminaive_indexed ~options:Eval.default_options ~init_delta:(Some delta)
+         ~on_new:ignore ~closed:0 ix store)
+  in
+  pass [ fact "e" "a" "b" ];
+  Alcotest.(check int) "only the e position compiles" (c0 + 1) (compiled ());
+  pass [ fact "e" "b" "c" ];
+  Alcotest.(check int) "and is reused" (c0 + 1) (compiled ());
+  pass [ fact "f" "b" "d" ];
+  Alcotest.(check int) "the f position on its first firing" (c0 + 2) (compiled ());
+  Alcotest.(check bool) "derived through it" true (Fact_store.mem store (fact "t" "a" "d"))
+
 let test_eval_run_wrapper () =
   let p = Parser.parse_program "tc(X, Y) :- e(X, Y). e(a, b)." in
   let _, res, answers = Eval.run ~strategy:`Naive p (Atom.make "tc" [ Term.var "X"; Term.var "Y" ]) in
@@ -612,6 +715,14 @@ let suite =
         Alcotest.test_case "closed rules skipped, same facts" `Quick
           test_eval_closed_skips_only_dead_firings;
         Alcotest.test_case "run wrapper" `Quick test_eval_run_wrapper ] );
+    ( "compiled joins",
+      [ Alcotest.test_case "repeated variables" `Quick test_plan_repeated_vars;
+        Alcotest.test_case "compound patterns" `Quick test_plan_compound_patterns;
+        Alcotest.test_case "deferred constraints" `Quick test_plan_deferred_constraints;
+        Alcotest.test_case "never-checkable constraint" `Quick test_plan_never_checkable;
+        Alcotest.test_case "unbound head variable" `Quick test_plan_unbound_head_var;
+        Alcotest.test_case "more variables than shared slots" `Quick test_plan_many_vars;
+        Alcotest.test_case "plans compile lazily" `Quick test_plan_lazy ] );
     ( "ddatalog",
       [ Alcotest.test_case "name distinctness" `Quick test_names_not_distinct;
         Alcotest.test_case "rule peers" `Quick test_drule_peers;
