@@ -298,38 +298,49 @@ let parallel_eq_sequential i =
 (* The coordinator runs the same scenario through the full service stack:
    every protocol message crosses the Wire codec with verification on
    (decode must return physically identical terms — Roundtrip_mismatch is
-   caught by the guard as a Fail), and the diagnosis itself crosses a
-   configuration-set frame before rendering. The rendered report must be
-   byte-identical to Report.to_string on the directly computed diagnosis,
-   and a session that delivered messages must have accounted wire bytes. *)
+   caught by the guard as a Fail). The diagnosis must survive its
+   configuration-set frame: the render of the decoded copy is
+   byte-identical to Report.to_string on the direct diagnosis, which is
+   what lets the service render without decoding its own report frame.
+   The service's report must equal it too, and a session that delivered
+   messages must have accounted wire bytes. *)
 let codec_roundtrip i =
   let p, r_qsq = baseline i in
-  let direct = Report.to_string p.Diagnoser.net r_qsq.Diagnoser.diagnosis in
-  let coord = Service.Coordinator.create ~quantum:5 () in
-  let ( let* ) r f =
-    match r with Ok v -> f v | Error m -> failf "service: %s" m
+  let render = Report.to_string p.Diagnoser.net in
+  let direct = render r_qsq.Diagnoser.diagnosis in
+  let frame =
+    Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements r_qsq.Diagnoser.diagnosis)
   in
-  let* _placement = Service.Coordinator.add_tenant coord ~name:"t" i.net in
-  let* sid = Service.Coordinator.open_session coord ~tenant:"t" in
-  let rec feed = function
-    | [] -> Pass
-    | (symbol, peer) :: rest ->
-      let* () = Service.Coordinator.add_alarm coord sid ~symbol ~peer in
-      feed rest
-  in
-  (match feed (Petri.Alarm.to_pairs i.alarms) with
-  | Fail _ as f -> f
-  | Pass ->
-    let* () = Service.Coordinator.start coord sid in
-    let* () = Service.Coordinator.drive ~only:sid coord in
-    let* r = Service.Coordinator.report coord sid in
-    if r.Service.Coordinator.body <> direct then
-      failf "service report differs from the in-memory path (%d vs %d bytes)"
-        (String.length r.Service.Coordinator.body) (String.length direct)
-    else if r.Service.Coordinator.deliveries > 0 && r.Service.Coordinator.wire_bytes <= 0
-    then
-      failf "%d deliveries but no wire bytes accounted" r.Service.Coordinator.deliveries
-    else Pass)
+  let decoded = render (List.map Term.Set.of_list (Wire.decode_configs (Wire.decoder ()) frame)) in
+  if decoded <> direct then
+    failf "the decoded configs frame renders differently (%d vs %d bytes)"
+      (String.length decoded) (String.length direct)
+  else
+    let coord = Service.Coordinator.create ~quantum:5 () in
+    let ( let* ) r f =
+      match r with Ok v -> f v | Error m -> failf "service: %s" m
+    in
+    let* _placement = Service.Coordinator.add_tenant coord ~name:"t" i.net in
+    let* sid = Service.Coordinator.open_session coord ~tenant:"t" in
+    let rec feed = function
+      | [] -> Pass
+      | (symbol, peer) :: rest ->
+        let* () = Service.Coordinator.add_alarm coord sid ~symbol ~peer in
+        feed rest
+    in
+    match feed (Petri.Alarm.to_pairs i.alarms) with
+    | Fail _ as f -> f
+    | Pass ->
+      let* () = Service.Coordinator.start coord sid in
+      let* () = Service.Coordinator.drive ~only:sid coord in
+      let* r = Service.Coordinator.report coord sid in
+      if r.Service.Coordinator.body <> direct then
+        failf "service report differs from the in-memory path (%d vs %d bytes)"
+          (String.length r.Service.Coordinator.body) (String.length direct)
+      else if r.Service.Coordinator.deliveries > 0 && r.Service.Coordinator.wire_bytes <= 0
+      then
+        failf "%d deliveries but no wire bytes accounted" r.Service.Coordinator.deliveries
+      else Pass
 
 (* -------- online (incremental) == batch at every prefix --------- *)
 

@@ -76,7 +76,7 @@ let create ?(seed = 0) ?(policy = Network.Sim.Random_interleaving)
     ?(eval_options = Eval.default_options) (program : Dprogram.t)
     ~(edb : Datom.t list) ~(query : Datom.t) : t =
   let sim =
-    Network.Sim.create ~seed ~policy ~size_of:(Wire.message_sizer ())
+    Network.Sim.create ~seed ~policy ~size_of:(Wire.message_sizer (Wire.channels ()))
       ~describe:Message.describe ()
   in
   let peers =

@@ -67,6 +67,7 @@ type peer_state = {
 type t = {
   mutable program : Dprogram.t;
   sim : Message.t Ds.wrapped Sim.t;
+  channels : Wire.channels;  (* the sizer's per-channel codec state *)
   states : (string, peer_state) Hashtbl.t;
   mutable query : Datom.t;
   mutable query_peer : string;
@@ -504,7 +505,8 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   (* byte accounting runs every message through the real codec, with one
      connection per channel; [wire_verify] additionally decodes each
      message and insists on physical equality *)
-  let size_of = Wire.wrapped_sizer ~verify:wire_verify () in
+  let channels = Wire.channels () in
+  let size_of = Wire.wrapped_sizer ~verify:wire_verify channels in
   let describe = function Ds.Work m -> Message.describe m | Ds.Ack -> "ack" in
   let sim = Sim.create ~seed ~policy ~loss ~size_of ~describe () in
   let peers =
@@ -522,7 +524,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   in
   let states = Hashtbl.create 16 in
   let t =
-    { program; sim; states; query; query_peer = query.Datom.peer; batching;
+    { program; sim; channels; states; query; query_peer = query.Datom.peer; batching;
       detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
       fact_messages = Atomic.make 0; fresh = Atomic.make 0; released = false }
   in
@@ -566,6 +568,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
 let set_tracing (t : t) b = Sim.set_tracing t.sim b
 let delivery_trace (t : t) = Sim.delivery_trace t.sim
 let metrics (t : t) = Sim.metrics t.sim
+let wire_tables (t : t) = Wire.table_entries t.channels
 
 type outcome = {
   answers : Atom.t list;

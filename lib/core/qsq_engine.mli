@@ -153,6 +153,10 @@ val metrics : t -> Obs.Metrics.registry
     {!Obs.Snapshot} is byte-identical across same-seed runs (unlike the
     process-wide registry, whose histograms record wall-clock times). *)
 
+val wire_tables : t -> int * int
+(** (symbols, terms) in the engine's per-channel codec tables
+    ({!Wire.table_entries}); they survive {!release}. *)
+
 val zeta_facts : t -> string list
 (** Union of all peer stores with every ["@peer"] segment stripped from the
     relation names — the zeta mapping of Theorem 1, comparable to the

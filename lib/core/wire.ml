@@ -27,15 +27,6 @@ let bytes_sent_c = Obs.Metrics.counter "wire.bytes_sent"
 let bytes_recv_c = Obs.Metrics.counter "wire.bytes_recv"
 let frames_c = Obs.Metrics.counter "wire.frames"
 
-(* Channel codec tables are append-only and live as long as their
-   connection: one entry per distinct symbol/term that ever crossed it.
-   These gauges count entries across every live half (encoders and
-   decoders alike), so unbounded growth — a service churning fresh
-   Skolem spines through one long-lived connection — shows up in
-   `serve` stats and --stats=json instead of only in RSS. *)
-let table_syms_g = Obs.Metrics.gauge "wire.table_symbols"
-let table_terms_g = Obs.Metrics.gauge "wire.table_terms"
-
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
@@ -116,13 +107,15 @@ let get_uvarint r =
     if shift > 62 then corrupt "varint overflow";
     let b = get_byte r in
     let acc = acc lor ((b land 0x7f) lsl shift) in
+    if acc < 0 then corrupt "varint overflow";
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   go 0 0
 
 let get_string r =
   let n = get_uvarint r in
-  if r.pos + n > String.length r.src then corrupt "truncated string";
+  (* [r.pos + n] could overflow *)
+  if n > String.length r.src - r.pos then corrupt "truncated string";
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
@@ -148,15 +141,13 @@ let put_symbol e buf s =
     put_uvarint buf 0;
     put_string buf (Symbol.name s);
     Hashtbl.add e.e_syms s e.e_nsyms;
-    e.e_nsyms <- e.e_nsyms + 1;
-    Obs.Metrics.add_gauge table_syms_g 1
+    e.e_nsyms <- e.e_nsyms + 1
 
 let get_symbol d r =
   let k = get_uvarint r in
   if k = 0 then begin
     let s = Symbol.intern (get_string r) in
     push_sym d s;
-    Obs.Metrics.add_gauge table_syms_g 1;
     s
   end
   else begin
@@ -183,8 +174,7 @@ let rec put_term e buf t =
       put_uvarint buf (List.length args);
       List.iter (put_term e buf) args);
     Hashtbl.add e.e_terms (Term.tag t) e.e_nterms;
-    e.e_nterms <- e.e_nterms + 1;
-    Obs.Metrics.add_gauge table_terms_g 1
+    e.e_nterms <- e.e_nterms + 1
 
 let rec get_term d r =
   let k = get_uvarint r in
@@ -205,7 +195,6 @@ let rec get_term d r =
       | b -> corrupt "bad term tag %d" b
     in
     push_term d t;
-    Obs.Metrics.add_gauge table_terms_g 1;
     t
   end
 
@@ -402,44 +391,54 @@ exception Roundtrip_mismatch of string
    stealing: a peer box runs on at most one domain at a time (Sim's
    scheduled flag), so a given src's sends on any channel are serialized
    by its activations, wherever those activations execute. *)
-let channel_table () =
-  let tbl : (string * string, encoder * decoder) Hashtbl.t = Hashtbl.create 16 in
-  let mu = Mutex.create () in
-  fun ~src ~dst f ->
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
-    let conn =
-      match Hashtbl.find_opt tbl (src, dst) with
-      | Some c -> c
-      | None ->
-        let c = (encoder (), decoder ()) in
-        Hashtbl.add tbl (src, dst) c;
-        c
-    in
-    f conn
+type channels = {
+  conns : (string * string, encoder * decoder) Hashtbl.t;
+  mu : Mutex.t;
+}
+
+let channels () = { conns = Hashtbl.create 16; mu = Mutex.create () }
+
+let locked ch f =
+  Mutex.lock ch.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock ch.mu) f
+
+let with_conn ch ~src ~dst f =
+  locked ch @@ fun () ->
+  let conn =
+    match Hashtbl.find_opt ch.conns (src, dst) with
+    | Some c -> c
+    | None ->
+      let c = (encoder (), decoder ()) in
+      Hashtbl.add ch.conns (src, dst) c;
+      c
+  in
+  f conn
+
+let table_entries ch =
+  locked ch @@ fun () ->
+  Hashtbl.fold
+    (fun _ (e, d) (syms, terms) ->
+      (syms + e.e_nsyms + d.d_nsyms, terms + e.e_nterms + d.d_nterms))
+    ch.conns (0, 0)
 
 let check ok m =
   if not ok then
     raise (Roundtrip_mismatch (Printf.sprintf "decode(encode(%s)) differs" m))
 
-let wrapped_sizer ?(verify = false) () =
-  let with_conn = channel_table () in
-  fun ~src ~dst (w : Message.t Ds.wrapped) ->
-    with_conn ~src ~dst @@ fun (e, d) ->
-    let fr = encode_wrapped e w in
-    if verify then begin
-      match (w, decode_wrapped d fr) with
-      | Ds.Ack, Ds.Ack -> ()
-      | Ds.Work m, Ds.Work m' -> check (Message.equal m m') (Message.describe m)
-      | Ds.Work m, Ds.Ack -> check false (Message.describe m)
-      | Ds.Ack, Ds.Work _ -> check false "ack"
-    end;
-    String.length fr
+let wrapped_sizer ?(verify = false) ch ~src ~dst (w : Message.t Ds.wrapped) =
+  with_conn ch ~src ~dst @@ fun (e, d) ->
+  let fr = encode_wrapped e w in
+  if verify then begin
+    match (w, decode_wrapped d fr) with
+    | Ds.Ack, Ds.Ack -> ()
+    | Ds.Work m, Ds.Work m' -> check (Message.equal m m') (Message.describe m)
+    | Ds.Work m, Ds.Ack -> check false (Message.describe m)
+    | Ds.Ack, Ds.Work _ -> check false "ack"
+  end;
+  String.length fr
 
-let message_sizer ?(verify = false) () =
-  let with_conn = channel_table () in
-  fun ~src ~dst (m : Message.t) ->
-    with_conn ~src ~dst @@ fun (e, d) ->
-    let fr = encode_message e m in
-    if verify then check (Message.equal m (decode_message d fr)) (Message.describe m);
-    String.length fr
+let message_sizer ?(verify = false) ch ~src ~dst (m : Message.t) =
+  with_conn ch ~src ~dst @@ fun (e, d) ->
+  let fr = encode_message e m in
+  if verify then check (Message.equal m (decode_message d fr)) (Message.describe m);
+  String.length fr

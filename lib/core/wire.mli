@@ -12,10 +12,10 @@
     to the encoded ones.
 
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
-    the default {!Obs.Metrics} registry account every frame, and gauges
-    [wire.table_symbols] / [wire.table_terms] count codec-table entries
-    across all live connection halves — unbounded channel-table growth
-    is visible in [serve stats] instead of only in RSS. *)
+    the default {!Obs.Metrics} registry account every frame, and
+    {!table_entries} counts the codec-table entries of a set of channels,
+    so unbounded channel-table growth is visible in [serve stats]
+    instead of only in RSS. *)
 
 open Datalog
 
@@ -81,15 +81,26 @@ val decode_snapshot : decoder -> string -> (reader -> 'a) -> 'a
     version, kind, exact consumption) and hands the body to [get_body]
     (terms via [get_term d]). Raises {!Corrupt} on malformed input. *)
 
+type channels
+(** One (encoder, decoder) pair per directed channel, created on first
+    send. Thread-safe. *)
+
+val channels : unit -> channels
+
+val table_entries : channels -> int * int
+(** (symbols, terms) held by the tables of every channel half, encoders
+    and decoders alike. The tables are append-only and live as long as
+    their channels. *)
+
 val wrapped_sizer :
-  ?verify:bool -> unit -> src:string -> dst:string -> Message.t Network.Termination.wrapped -> int
-(** A [Sim.size_of] implementation: keeps one (encoder, decoder) pair per
-    directed channel and reports the actual frame length of each message,
+  ?verify:bool -> channels -> src:string -> dst:string -> Message.t Network.Termination.wrapped -> int
+(** A [Sim.size_of] implementation: encodes each message with its
+    channel's connection state and reports the actual frame length,
     so byte totals reflect the codec's history-dependent compression
     (definitions first, references after). With [verify], every message
     is also decoded through the channel's receiving half and checked
     physically identical to the original ({!Roundtrip_mismatch}
-    otherwise) — the service runs with this on. Thread-safe. *)
+    otherwise) — the service runs with this on. *)
 
-val message_sizer : ?verify:bool -> unit -> src:string -> dst:string -> Message.t -> int
+val message_sizer : ?verify:bool -> channels -> src:string -> dst:string -> Message.t -> int
 (** Same for unwrapped messages (the distributed naive engine). *)

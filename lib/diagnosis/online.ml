@@ -35,6 +35,12 @@
    - Refcounts: event terms are counted once per live edge, condition
      terms once per live cut; [events_materialized]/[conds_materialized]
      remain monotone views of everything ever built.
+   - A configuration is causally closed, so its maximal events (tips)
+     determine it: each Skolem event term f(t, g(parent, p), ...) names
+     the events that produced its preset, recursively down to the root.
+     A config payload is therefore its tip set. Extending it by [ev]
+     removes [ev]'s parents and adds [ev] — O(preset), whatever the
+     prefix — and the closure is walked only at the [diagnosis] boundary.
    - Every per-alarm structure (cuts, config payloads, materialized views,
      refcounts, node keys) is keyed by hash-cons tags, never by structural
      term order: two same-transition events from different rounds diverge
@@ -53,30 +59,33 @@ let live_events_gauge = Obs.Metrics.gauge "online.live_events"
 let live_conds_gauge = Obs.Metrics.gauge "online.live_conds"
 let gc_reclaimed_counter = Obs.Metrics.counter "online.gc_reclaimed"
 
-(* growable per-peer alarm word: O(1) amortized push, O(1) random access *)
-type word = { mutable syms : string array; mutable len : int }
+(* growable per-peer alarm word: O(1) amortized push, O(1) random access.
+   Symbols below [base] are never read again (a restored word starts at
+   the snapshot's base), so only the suffix is stored: [syms.(i - base)]
+   is symbol [i], for [base <= i < len]. *)
+type word = { mutable syms : string array; base : int; mutable len : int }
 
 let word_push w s =
-  if w.len = Array.length w.syms then begin
-    let a = Array.make (max 8 (2 * Array.length w.syms)) "" in
-    Array.blit w.syms 0 a 0 w.len;
+  let n = w.len - w.base in
+  if n = Array.length w.syms then begin
+    let a = Array.make (max 8 (2 * n)) "" in
+    Array.blit w.syms 0 a 0 n;
     w.syms <- a
   end;
-  w.syms.(w.len) <- s;
+  w.syms.(n) <- s;
   w.len <- w.len + 1
+
+let word_get w i = w.syms.(i - w.base)
 
 module Int_map = Map.Make (Int)
 
-(* Little-endian Patricia trie over event tags (Okasaki & Gill). Two
-   properties make it the right payload set for config deltas, where the
-   balanced stdlib [Set] is not:
-   - the shape is history-independent, so the same set built along two
-     different interleavings of a diamond is the same tree — and since
-     both sides grow by persistent [add] from a common ancestor, they are
-     largely the same *pointers*;
-   - [equal] therefore short-circuits on physical equality and only walks
-     the divergent spine, making the duplicate-delivery check O(delta)
-     and allocation-free instead of an O(|config|) enumeration walk. *)
+(* Little-endian Patricia trie over event tags (Okasaki & Gill), the set
+   of a config's tips. Its shape is history-independent ([remove]
+   collapses emptied branches), so the same tip set reached along two
+   interleavings of a diamond is the same tree, and the duplicate-delivery
+   check is a structural [equal] that short-circuits on shared pointers.
+   A causally closed set has exactly one set of maximal events, so equal
+   tips mean equal configurations. *)
 module Tag_set = struct
   type t = Empty | Leaf of int | Branch of int * int * t * t
       (* Branch (prefix, branching bit, zero side, one side) *)
@@ -87,12 +96,6 @@ module Tag_set = struct
   let branching_bit p0 p1 = lowest_bit (p0 lxor p1)
   let mask k m = k land (m - 1)
   let match_prefix k p m = mask k m = p
-
-  let rec mem k = function
-    | Empty -> false
-    | Leaf j -> k = j
-    | Branch (p, m, l, r) ->
-      match_prefix k p m && mem k (if zero_bit k m then l else r)
 
   let join p0 t0 p1 t1 =
     let m = branching_bit p0 p1 in
@@ -112,6 +115,22 @@ module Tag_set = struct
           let r' = add k r in
           if r' == r then t else Branch (p, m, l, r')
       else join k (Leaf k) p t
+
+  let branch p m l r =
+    match (l, r) with Empty, t | t, Empty -> t | _ -> Branch (p, m, l, r)
+
+  let rec remove k t =
+    match t with
+    | Empty -> t
+    | Leaf j -> if j = k then Empty else t
+    | Branch (p, m, l, r) ->
+      if not (match_prefix k p m) then t
+      else if zero_bit k m then
+        let l' = remove k l in
+        if l' == l then t else branch p m l' r
+      else
+        let r' = remove k r in
+        if r' == r then t else branch p m l r'
 
   let rec equal a b =
     a == b
@@ -135,8 +154,7 @@ type node = {
   total : int;  (** sum of positions: complete iff = alarms seen *)
   cut : Term.t Int_map.t;  (** condition tag -> condition term *)
   key : int list;  (** positions ++ cut tags — the node's table key *)
-  mutable configs : (int * Tag_set.t) list;
-      (** (commutative hash, event tags of the config) *)
+  mutable configs : Tag_set.t list;  (** each config's maximal event tags *)
   mutable succs : (Term.t * node) list;  (** (firing event, child) edges *)
   mutable cu : int;  (** slots where caught up; 0 after a drain = inert *)
 }
@@ -152,7 +170,7 @@ module Tbl = Hashtbl.Make (Key)
 
 type work =
   | Extend of node * int  (** compute the extension of a node at a peer slot *)
-  | Add_config of node * int * Tag_set.t  (** deliver a configuration *)
+  | Add_config of node * Tag_set.t  (** deliver a configuration *)
 
 type t = {
   peers : string array;
@@ -198,14 +216,24 @@ let ref_decr tbl gauge tag =
   | Some n -> Hashtbl.replace tbl tag (n - 1)
   | None -> ()
 
-(* commutative event mix: config hashes are order-independent, so merged
-   nodes dedup payloads arriving along different interleavings in O(1)
-   before the [Term.Set.equal] confirmation *)
-let mix_event h ev = h + (Term.hash ev * 0x9e3779b1)
+(* fold over the events that produced [ev]'s preset conditions, read off
+   its term f(t, g(parent, p), ...); initial conditions have no parent *)
+let fold_parents f ev acc =
+  match Term.view ev with
+  | Term.App (_, _ :: conds) ->
+    List.fold_left
+      (fun acc cond ->
+        match Term.view cond with
+        | Term.App (_, [ parent; _ ]) when not (Term.equal parent Canon.root_term) ->
+          f parent acc
+        | _ -> acc)
+      acc conds
+  | _ -> acc
 
-let extend_config h c ev =
-  let tag = Term.tag ev in
-  if Tag_set.mem tag c then (h, c) else (mix_event h ev, Tag_set.add tag c)
+(* [ev]'s preset is in the node's cut, so [ev] is new to the config and
+   becomes a tip, and the tips it consumes from are exactly its parents *)
+let extend_config c ev =
+  Tag_set.add (Term.tag ev) (fold_parents (fun p c -> Tag_set.remove (Term.tag p) c) ev c)
 
 let new_node t queue ~positions ~total ~cut ~key =
   if t.states_explored >= t.max_states then
@@ -228,14 +256,10 @@ let new_node t queue ~positions ~total ~cut ~key =
     positions;
   n
 
-let add_config queue n h c =
-  if not (List.exists (fun (h', c') -> h' = h && Tag_set.equal c' c) n.configs) then begin
-    n.configs <- (h, c) :: n.configs;
-    List.iter
-      (fun (ev, succ) ->
-        let h', c' = extend_config h c ev in
-        Queue.add (Add_config (succ, h', c')) queue)
-      n.succs
+let add_config queue n c =
+  if not (List.exists (Tag_set.equal c) n.configs) then begin
+    n.configs <- c :: n.configs;
+    List.iter (fun (ev, succ) -> Queue.add (Add_config (succ, extend_config c ev)) queue) n.succs
   end
 
 (* fire every transition of slot [pi]'s next unconsumed alarm against
@@ -244,7 +268,7 @@ let extend t queue n pi =
   let w = t.words.(pi) in
   let i = n.positions.(pi) in
   if i < w.len then begin
-    let alarm = w.syms.(i) in
+    let alarm = word_get w i in
     match Hashtbl.find_opt t.by_label (pi, alarm) with
     | None -> ()
     | Some transitions ->
@@ -276,9 +300,7 @@ let extend t queue n pi =
             n.succs <- (event, child) :: n.succs;
             ref_incr t.ref_events live_events_gauge (Term.tag event);
             List.iter
-              (fun (h, c) ->
-                let h', c' = extend_config h c event in
-                Queue.add (Add_config (child, h', c')) queue)
+              (fun c -> Queue.add (Add_config (child, extend_config c event)) queue)
               n.configs
           in
           (* one cut condition per parent place, pairwise distinct; the
@@ -307,7 +329,7 @@ let drain t queue =
   while not (Queue.is_empty queue) do
     match Queue.pop queue with
     | Extend (n, pi) -> extend t queue n pi
-    | Add_config (n, h, c) -> add_config queue n h c
+    | Add_config (n, c) -> add_config queue n c
   done
 
 (* drop an inert node: each of its out-edges' event refcounts falls exactly
@@ -380,7 +402,7 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       peers;
       peer_index;
       by_label;
-      words = Array.init (Array.length peers) (fun _ -> { syms = [||]; len = 0 });
+      words = Array.init (Array.length peers) (fun _ -> { syms = [||]; base = 0; len = 0 });
       table = Tbl.create 256;
       caught_up = Array.make (max 1 (Array.length peers)) [];
       ref_events = Hashtbl.create 256;
@@ -404,7 +426,7 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
   let root =
     new_node t queue ~positions ~total:0 ~cut:initial_cut ~key:(key_of positions initial_cut)
   in
-  root.configs <- [ (0, Tag_set.empty) ];
+  root.configs <- [ Tag_set.empty ];
   assert (Queue.is_empty queue);
   t
 
@@ -436,10 +458,22 @@ let observe_all t alarms =
   List.iter (fun (a : Petri.Alarm.alarm) -> observe t (a.Petri.Alarm.symbol, a.Petri.Alarm.peer))
     alarms
 
-let config_terms t tags =
-  Tag_set.fold
-    (fun tag acc -> Term.Set.add (Hashtbl.find t.events_tbl tag) acc)
-    tags Term.Set.empty
+let tip_events t tips = Tag_set.fold (fun tag acc -> Hashtbl.find t.events_tbl tag :: acc) tips []
+
+(* the causal closure of a tip set; iterative — causal spines are as deep
+   as the alarm prefix is long *)
+let config_terms t tips =
+  let seen = Hashtbl.create 64 in
+  let rec walk acc = function
+    | [] -> acc
+    | ev :: rest ->
+      if Hashtbl.mem seen (Term.tag ev) then walk acc rest
+      else begin
+        Hashtbl.add seen (Term.tag ev) ();
+        walk (Term.Set.add ev acc) (fold_parents List.cons ev rest)
+      end
+  in
+  walk Term.Set.empty (tip_events t tips)
 
 let diagnosis (t : t) : Canon.diagnosis =
   if t.unknown_alarms > 0 then Canon.normalize_diagnosis []
@@ -448,7 +482,7 @@ let diagnosis (t : t) : Canon.diagnosis =
       (Tbl.fold
          (fun _ n acc ->
            if n.total = t.alarms_seen then
-             List.fold_left (fun acc (_, c) -> config_terms t c :: acc) acc n.configs
+             List.fold_left (fun acc c -> config_terms t c :: acc) acc n.configs
            else acc)
          t.table [])
 
@@ -488,9 +522,14 @@ let release t =
    snapshot never stores a tag. Terms cross through the wire codec's
    definition-or-backref tables (shared spines once per frame) and are
    re-interned on restore; tag-keyed structures — cuts, node keys,
-   Tag_set payloads, refcounts — are rebuilt from the re-interned terms,
-   and the commutative config hash is recomputed from [Term.hash], which
-   is structural and deterministic.
+   Tag_set payloads, refcounts — are rebuilt from the re-interned terms.
+   A config crosses as its tips, which is what the node already holds:
+   checkpoint writes each tip set as it stands and restore reads it back,
+   with no closure walk either way. The term codec defines the shared
+   spine below the tips once per frame. Tips, nodes and cut conditions
+   are written in tag order, so the frame's bytes can differ between two
+   processes holding the same frontier, while its decoded content does
+   not.
 
    Nothing else is pending between alarms: after [observe]'s drain the
    work queue is empty, every lagging slot's extension has already run
@@ -501,65 +540,9 @@ let release t =
    positions.(pi)]: an extension at slot [pi] only ever reads
    [syms.(positions.(pi))] of some node, and every future node's
    positions dominate some live node's, so indices below [base] are
-   never read again. *)
+   never read again; a restored word stores only that suffix. *)
 
 let snapshot_sub_engine = 0
-
-(* A configuration is the causal closure of its maximal events, and each
-   event term structurally embeds its causal past (its pre-conditions
-   name their producing events, recursively down to the root). So a
-   config crosses the wire as its maximal events only — the handful of
-   per-token tips, not the prefix-long closure — and restore walks the
-   term structure to rebuild the full set. The shared spine below the
-   tips is defined once by the codec's backref tables regardless. *)
-let config_maximal t c =
-  let covered = Hashtbl.create 16 in
-  Tag_set.fold
-    (fun tag () ->
-      match Term.view (Hashtbl.find t.events_tbl tag) with
-      | Term.App (_, _ :: conds) ->
-        List.iter
-          (fun cond ->
-            match Term.view cond with
-            | Term.App (_, [ parent; _ ]) -> Hashtbl.replace covered (Term.tag parent) ()
-            | _ -> ())
-          conds
-      | _ -> ())
-    c ();
-  Tag_set.fold
-    (fun tag acc ->
-      if Hashtbl.mem covered tag then acc else Hashtbl.find t.events_tbl tag :: acc)
-    c []
-
-(* rebuild (hash, closure) from the maximal events; iterative — causal
-   spines are as deep as the alarm prefix is long *)
-let config_of_maximal t evs =
-  let h = ref 0 and c = ref Tag_set.empty in
-  let stack = ref evs in
-  let push ev = stack := ev :: !stack in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | ev :: rest ->
-      stack := rest;
-      let tag = Term.tag ev in
-      if not (Tag_set.mem tag !c) then begin
-        Hashtbl.replace t.events_tbl tag ev;
-        h := mix_event !h ev;
-        c := Tag_set.add tag !c;
-        match Term.view ev with
-        | Term.App (_, _ :: conds) ->
-          List.iter
-            (fun cond ->
-              match Term.view cond with
-              | Term.App (_, [ parent; _ ]) when not (Term.equal parent Canon.root_term) ->
-                push parent
-              | _ -> ())
-            conds
-        | _ -> ()
-      end
-  done;
-  (!h, !c)
 
 let checkpoint (t : t) : string =
   if t.released then invalid_arg "Online.checkpoint: released instance";
@@ -591,11 +574,11 @@ let checkpoint (t : t) : string =
           Wire.put_uvarint buf w.len;
           Wire.put_uvarint buf bases.(pi);
           for i = bases.(pi) to w.len - 1 do
-            Wire.put_string buf w.syms.(i)
+            Wire.put_string buf (word_get w i)
           done)
         t.words;
       Wire.put_uvarint buf nnodes;
-      (* pass 1: node cores (positions, cut, config payloads as terms) *)
+      (* pass 1: node cores (positions, cut, config tips as terms) *)
       Array.iter
         (fun n ->
           Array.iter (Wire.put_uvarint buf) n.positions;
@@ -603,8 +586,8 @@ let checkpoint (t : t) : string =
           Int_map.iter (fun _ cd -> Wire.put_term e buf cd) n.cut;
           Wire.put_uvarint buf (List.length n.configs);
           List.iter
-            (fun (_, c) ->
-              let tips = config_maximal t c in
+            (fun c ->
+              let tips = tip_events t c in
               Wire.put_uvarint buf (List.length tips);
               List.iter (Wire.put_term e buf) tips)
             n.configs)
@@ -648,19 +631,17 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
   let unknown_alarms = Wire.get_uvarint r in
   let states_explored = Wire.get_uvarint r in
   let reclaimed = Wire.get_uvarint r in
+  (* sized by the symbols actually read, never by a length field: a
+     forged length runs into the end of the frame ([Wire.Corrupt]) *)
   let words =
-    Array.init npeers (fun _ -> { syms = [||]; len = 0 })
+    Array.of_list
+      (read_list npeers (fun () ->
+           let len = Wire.get_uvarint r in
+           let base = Wire.get_uvarint r in
+           if base > len then raise (Wire.Corrupt "snapshot word base exceeds length");
+           let syms = Array.of_list (read_list (len - base) (fun () -> Wire.get_string r)) in
+           { syms; base; len }))
   in
-  for pi = 0 to npeers - 1 do
-    let len = Wire.get_uvarint r in
-    let base = Wire.get_uvarint r in
-    if base > len then raise (Wire.Corrupt "snapshot word base exceeds length");
-    let syms = Array.make (max 1 len) "" in
-    for i = base to len - 1 do
-      syms.(i) <- Wire.get_string r
-    done;
-    words.(pi) <- { syms; len }
-  done;
   let t =
     {
       peers;
@@ -691,7 +672,8 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
            let positions = Array.make npeers 0 in
            for pi = 0 to npeers - 1 do
              let p = Wire.get_uvarint r in
-             if p > words.(pi).len then raise (Wire.Corrupt "snapshot position exceeds word");
+             if p < words.(pi).base || p > words.(pi).len then
+               raise (Wire.Corrupt "snapshot position outside the stored word");
              positions.(pi) <- p
            done;
            let ncut = Wire.get_uvarint r in
@@ -707,7 +689,12 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
            let configs =
              read_list nconfigs (fun () ->
                  let ntips = Wire.get_uvarint r in
-                 config_of_maximal t (read_list ntips (fun () -> Wire.get_term d r)))
+                 List.fold_left
+                   (fun c ev ->
+                     Hashtbl.replace t.events_tbl (Term.tag ev) ev;
+                     Tag_set.add (Term.tag ev) c)
+                   Tag_set.empty
+                   (read_list ntips (fun () -> Wire.get_term d r)))
            in
            let total = Array.fold_left ( + ) 0 positions in
            { positions; total; cut; key = key_of positions cut; configs; succs = []; cu = 0 }))

@@ -86,7 +86,8 @@ val release : t -> unit
 
 val checkpoint : t -> string
 (** Serialize the live frontier as one wire [snapshot] frame: nodes with
-    their cuts, configuration payloads and successor edges, the word
+    their cuts, configurations (each as its maximal events) and successor
+    edges, the word
     suffixes still reachable by future extensions, and the engine
     counters. Terms cross through the codec's definition-or-backref
     tables, so shared Skolem spines are written once per frame. Only
@@ -94,16 +95,23 @@ val checkpoint : t -> string
     the events/conditions only they reference, are dropped (compaction):
     snapshot size is bounded by the live frontier, not the alarm prefix.
     The instance is untouched and keeps running. Raises
-    [Invalid_argument] on a released instance. *)
+    [Invalid_argument] on a released instance.
+
+    Tips, nodes and cut conditions are written in hash-cons tag order, so
+    two processes holding the same frontier can write different bytes
+    (tags depend on process history); the decoded content is the same. *)
 
 val restore : ?max_states:int -> Petri.Net.t -> string -> t
 (** Rebuild an engine from a {!checkpoint} frame. Terms are re-interned
     through the hash-consing constructors and every tag-keyed structure
-    (cuts, node keys, config payload sets, refcounts) is rebuilt from the
+    (cuts, node keys, config tip sets, refcounts) is rebuilt from the
     re-interned terms, so the result behaves identically in a different
     process: for any future alarms, [diagnosis] and the service report
-    frames are byte-identical to the uninterrupted run's. [max_states]
-    overrides the snapshot's saved budget (the cumulative
+    frames are byte-identical to the uninterrupted run's. Restore walks
+    no causal closure, so {!events_materialized} afterwards holds the
+    live frontier's events (tips and edges), not the prefix's.
+    [max_states] overrides the snapshot's saved budget (the cumulative
     [states_explored] carries over). The net must be structurally
-    identical to the one the checkpoint was taken against.
+    identical to the one the checkpoint was taken against. Memory is
+    allocated by what the frame carries, never by a length it claims.
     @raise Dqsq.Wire.Corrupt on malformed input or a net mismatch. *)

@@ -8,7 +8,8 @@
    stepped a quantum of deliveries at a time in round-robin with every
    other running session. All engine traffic runs
    through the {!Dqsq.Wire} codec with verification on, and the finished
-   report itself crosses a codec connection before rendering. *)
+   report is encoded as a configuration-set frame, whose length is billed
+   to the session. *)
 
 open Datalog
 open Dqsq
@@ -96,6 +97,8 @@ type stats = {
   pooled : int;
   started : int;
   completed : int;
+  wire_symbols : int;
+  wire_terms : int;
 }
 
 type stream_info = {
@@ -285,18 +288,18 @@ let start (t : t) sid =
     | () -> Ok ()
     | exception Invalid_argument m -> errorf "session %d: %s" sid m)
 
-(* At quiescence: collect the answers, push the diagnosis through a codec
-   connection (the report frame the client would receive), and render. The
-   decoded terms are physically the derived ones, so the body is
-   byte-identical to a direct in-memory [Report.to_string]. *)
+(* The report frame the client would receive: its bytes are billed to the
+   session. Decoding it would give back physically the same terms (the
+   [codec-roundtrip] fuzz property checks that), so the body is rendered
+   from [diagnosis] directly. *)
+let report_frame diagnosis =
+  Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
+
+(* At quiescence: collect the answers, encode the report frame, render. *)
 let finalize (t : t) (s : session) (r : running) =
   let out = Qsq_engine.finish ~deliveries:r.deliveries r.engine in
   let diagnosis = Supervisor.diagnosis_of_answers out.Qsq_engine.answers in
-  let frame =
-    Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
-  in
-  let configs = Wire.decode_configs (Wire.decoder ()) frame in
-  let diagnosis = List.map Term.Set.of_list configs in
+  let frame = report_frame diagnosis in
   let body = Report.to_string s.s_tenant.net diagnosis in
   let latency_s = Obs.Clock.now_s () -. r.started_at in
   let wire_bytes = engine_bytes r.engine - r.bytes0 + String.length frame in
@@ -365,16 +368,11 @@ let drive ?only t =
       else errorf "session %d stalled" sid)
 
 (* Streaming report: read the live diagnosis (already saturated — O(live)
-   rather than O(work)), push it through the same codec framing as the
-   batch path, and render. Byte-identical to [Report.to_string] over the
-   direct [Online.diagnosis]. The session stays open for more alarms. *)
+   rather than O(work)), encode the same report frame as the batch path,
+   and render. The session stays open for more alarms. *)
 let stream_report (s : session) (st : stream) =
   let diagnosis = Online.diagnosis st.online in
-  let frame =
-    Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
-  in
-  let configs = Wire.decode_configs (Wire.decoder ()) frame in
-  let diagnosis = List.map Term.Set.of_list configs in
+  let frame = report_frame diagnosis in
   let body = Report.to_string s.s_tenant.net diagnosis in
   st.s_reports <- st.s_reports + 1;
   st.s_wire_bytes <- st.s_wire_bytes + String.length frame;
@@ -491,6 +489,19 @@ let stats (t : t) =
   let pooled =
     Hashtbl.fold (fun _ tn acc -> acc + List.length tn.pool) t.tenants 0
   in
+  (* the channel tables of live engines: pooled and running ones (a done
+     session's engine is back in its pool). One-frame codecs — reports,
+     checkpoints, restores — die with their frame and are not counted. *)
+  let add_tables (ns, nt) e =
+    let s, t = Qsq_engine.wire_tables e in
+    (ns + s, nt + t)
+  in
+  let wire_symbols, wire_terms =
+    Hashtbl.fold
+      (fun _ s acc -> match s.phase with Running r -> add_tables acc r.engine | _ -> acc)
+      t.sessions
+      (Hashtbl.fold (fun _ tn acc -> List.fold_left add_tables acc tn.pool) t.tenants (0, 0))
+  in
   {
     tenants_count = Hashtbl.length t.tenants;
     active;
@@ -499,4 +510,6 @@ let stats (t : t) =
     pooled;
     started = t.started;
     completed = t.completed;
+    wire_symbols;
+    wire_terms;
   }

@@ -40,8 +40,8 @@ type report = {
   tenant : string;
   explanations : int;
   body : string;
-      (** the rendered {!Diagnosis.Report}, decoded from the codec's
-          configuration-set frame — byte-identical to the in-memory path *)
+      (** the rendered {!Diagnosis.Report} of the diagnosis the
+          configuration-set report frame carries *)
   deliveries : int;  (** messages delivered for this session *)
   wire_bytes : int;  (** codec bytes: session traffic + the report frame *)
   latency_s : float;  (** open-to-report wall time under interleaving *)
@@ -55,6 +55,10 @@ type stats = {
   pooled : int;  (** warm engines parked across all tenants *)
   started : int;  (** batch sessions started *)
   completed : int;
+  wire_symbols : int;
+  wire_terms : int;
+      (** entries in the channel codec tables of live engines (pooled or
+          running); report, checkpoint and restore frames do not count *)
 }
 
 type stream_info = {

@@ -8,9 +8,6 @@
    auto-checkpoint policy, and a graceful SIGINT/SIGTERM path that
    flushes every live stream to the store before closing the socket. *)
 
-let wire_syms_g = Obs.Metrics.gauge "wire.table_symbols"
-let wire_terms_g = Obs.Metrics.gauge "wire.table_terms"
-
 type checkpoints = {
   store : Snapshot.store;
   every : int option;  (* auto-checkpoint a stream every N alarms *)
@@ -287,9 +284,7 @@ let handle ?checkpoints coord oc line =
        completed=%d wire_syms=%d wire_terms=%d"
       s.Coordinator.tenants_count s.Coordinator.active s.Coordinator.running
       s.Coordinator.streaming s.Coordinator.pooled s.Coordinator.started
-      s.Coordinator.completed
-      (Obs.Metrics.gauge_value wire_syms_g)
-      (Obs.Metrics.gauge_value wire_terms_g);
+      s.Coordinator.completed s.Coordinator.wire_symbols s.Coordinator.wire_terms;
     Continue
   | cmd :: _ ->
     respond oc "err unknown command %s" cmd;

@@ -24,7 +24,7 @@
       close SID                forget a finished or streaming session
       stats                    -> ok stats tenants=.. active=.. ...
                                wire_syms=.. wire_terms=.. (codec-table
-                               entries across all live connections)
+                               entries of the live engines' channels)
       quit                     -> ok bye (socket clients disconnect)
     v}
     Every response is one [ok ...] or [err ...] line, except [report],

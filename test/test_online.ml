@@ -243,6 +243,113 @@ let test_restore_budget_carry () =
      Alcotest.(check int) "alarms consumed counts the snapshot prefix" 2 alarms_consumed);
   Online.release r
 
+(* ------------------------------------------------------------------ *)
+(* Configurations as tip sets                                          *)
+(* ------------------------------------------------------------------ *)
+
+let cycles_net () = Petri.Net.binarize (Petri.Examples.sync_cycles ())
+let cycles_alarms n = List.init n Petri.Examples.sync_cycles_alarm
+
+(* the tips of the explanations of the whole prefix, as transition names *)
+let complete_tips t =
+  let alarms = Online.alarms_consumed t in
+  List.concat_map
+    (fun (n : Snapshot_layout.node) ->
+      if Array.fold_left ( + ) 0 n.positions = alarms then
+        List.map (fun c -> Canon.config_transitions (Term.Set.of_list c)) n.tips
+      else [])
+    (Snapshot_layout.read (Online.checkpoint t)).nodes
+
+(* One round of the synchronized cycles is a b d e f c. After f, qf (a
+   sync event whose parents are qe and the initial sp) is a tip beside
+   pb; c fires pc, whose two parents are pb and qf, so both leave the
+   tips and pc is the only one left. *)
+let test_tips_sync_event () =
+  let net = cycles_net () in
+  let t = Online.start net in
+  List.iter (Online.observe t) (cycles_alarms 5);
+  Alcotest.(check (list (list string))) "tips after f" [ [ "pb"; "qf" ] ] (complete_tips t);
+  Online.observe t (Petri.Examples.sync_cycles_alarm 5);
+  Alcotest.(check (list (list string))) "pc replaces both parents" [ [ "pc" ] ]
+    (complete_tips t);
+  check_diag "diagnosis == Product"
+    (Product.diagnose net (alarms (cycles_alarms 6))).Product.diagnosis (Online.diagnosis t);
+  Online.release t
+
+(* a restored engine holds the same frontier, so checkpointing it again
+   gives the donor's bytes *)
+let test_checkpoint_restore_checkpoint () =
+  let net = cycles_net () in
+  let t = Online.start net in
+  let prefixes = List.init 12 succ @ [ 1_000; 5_000 ] in
+  List.iteri
+    (fun k alarm ->
+      Online.observe t alarm;
+      if List.mem (k + 1) prefixes then begin
+        let snap = Online.checkpoint t in
+        let r = Online.restore net snap in
+        Alcotest.(check string)
+          (Printf.sprintf "checkpoint of the restored engine at prefix %d" (k + 1))
+          snap (Online.checkpoint r);
+        Online.release r
+      end)
+    (cycles_alarms 5_000);
+  Online.release t
+
+(* restore reads tips and edges and walks no closure: what it
+   materializes is the live frontier's events, not the prefix's *)
+let test_restore_materializes_frontier () =
+  let net = cycles_net () in
+  let t = Online.start net in
+  List.iter (Online.observe t) (cycles_alarms 5_000);
+  let snap = Online.checkpoint t in
+  let r = Online.restore net snap in
+  let tips =
+    List.fold_left
+      (fun acc (n : Snapshot_layout.node) ->
+        List.fold_left (fun acc c -> acc + List.length c) acc n.tips)
+      0 (Snapshot_layout.read snap).nodes
+  in
+  let restored = Term.Set.cardinal (Online.events_materialized r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d restored events <= %d edge events + %d tips" restored
+       (Online.live_events r) tips)
+    true
+    (restored <= Online.live_events r + tips);
+  Alcotest.(check bool) "far below the prefix" true (restored < 100);
+  (* not [check_diag]: rendering a 5k-deep diagnosis for the message is
+     quadratic *)
+  Alcotest.(check bool) "same diagnosis" true
+    (Canon.equal_diagnosis (Online.diagnosis t) (Online.diagnosis r));
+  Online.release t;
+  Online.release r
+
+(* a length the frame does not carry is a corrupt frame, whatever its
+   size: no exception but [Wire.Corrupt], and no allocation sized by the
+   forged length *)
+let test_restore_forged_lengths () =
+  let net = cycles_net () in
+  (match
+     Online.restore net
+       (Dqsq.Wire.encode_snapshot (Dqsq.Wire.encoder ()) (fun buf ->
+            Dqsq.Wire.put_uvarint buf 0;
+            Dqsq.Wire.put_uvarint buf (max_int - 2)))
+   with
+  | exception Dqsq.Wire.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a digest of max_int - 2 bytes accepted");
+  List.iter
+    (fun len ->
+      let frame = Snapshot_layout.forged_word net ~len in
+      let before = Gc.allocated_bytes () in
+      (match Online.restore net frame with
+      | exception Dqsq.Wire.Corrupt _ -> ()
+      | _ -> Alcotest.fail "forged word length accepted");
+      Alcotest.(check bool)
+        (Printf.sprintf "word length %d: allocation bounded by the frame" len)
+        true
+        (Gc.allocated_bytes () -. before < 1e6))
+    [ 1 lsl 60; 1 lsl 22 ]
+
 let prop_online_eq_batch =
   QCheck.Test.make ~count:25
     ~name:"online == batch after every prefix (random scenarios)"
@@ -356,7 +463,15 @@ let suite =
       [ Alcotest.test_case "mid-stream roundtrip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "compacts to the live frontier" `Quick test_checkpoint_compacts;
         Alcotest.test_case "refuses a different net" `Quick test_restore_wrong_net;
-        Alcotest.test_case "carries the state budget" `Quick test_restore_budget_carry ] );
+        Alcotest.test_case "carries the state budget" `Quick test_restore_budget_carry;
+        Alcotest.test_case "forged lengths are corrupt" `Quick
+          test_restore_forged_lengths ] );
+    ( "tips",
+      [ Alcotest.test_case "sync event drops both parents" `Quick test_tips_sync_event;
+        Alcotest.test_case "checkpoint (restore (checkpoint o)) == checkpoint o" `Quick
+          test_checkpoint_restore_checkpoint;
+        Alcotest.test_case "restore materializes the frontier only" `Quick
+          test_restore_materializes_frontier ] );
     ( "report",
       [ Alcotest.test_case "text" `Quick test_report_text;
         Alcotest.test_case "causal order" `Quick test_report_causal_order;

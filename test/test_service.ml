@@ -394,6 +394,51 @@ let test_stream_migration () =
   ok (Coordinator.close b sb);
   migrate_long_stream ()
 
+(* a hostile engine frame is refused with an [Error], never an exception:
+   its first word claims 2^60 symbols *)
+let test_restore_forged_frame () =
+  let coord = cycle_coordinator () in
+  let forged =
+    Snapshot_layout.forged_word
+      (Petri.Net.binarize (Petri.Examples.sync_cycles ()))
+      ~len:(1 lsl 60)
+  in
+  let img =
+    { Snapshot.tenant = "cycle"; session = 1; alarms = 0; reports = 0; wire_bytes = 0;
+      peak_live = 0; engine = forged }
+  in
+  match Coordinator.restore_stream coord img with
+  | Error m -> Alcotest.(check bool) "reported as corrupt" true (contains m "corrupt")
+  | Ok _ -> Alcotest.fail "forged frame restored"
+
+(* [stats] counts the channel tables of live engines. Report, checkpoint
+   and restore frames use one-frame codecs that die with the frame, so
+   any number of them leaves the counts where they were. *)
+let test_wire_stats_steady () =
+  let coord = Coordinator.create ~quantum:4 () in
+  ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
+  let batch = start_one coord "t" seq in
+  ignore (finish_one coord batch);
+  let stream = ok (Coordinator.open_stream coord ~tenant:"t") in
+  feed coord stream seq;
+  let tables () =
+    let s = Coordinator.stats coord in
+    (s.Coordinator.wire_symbols, s.Coordinator.wire_terms)
+  in
+  let before = tables () in
+  Alcotest.(check bool) "the pooled engine's channels hold entries" true
+    (fst before > 0 && snd before > 0);
+  for _ = 1 to 5 do
+    ignore (ok (Coordinator.report coord stream));
+    ignore (ok (Coordinator.report coord batch));
+    let img = ok (Coordinator.checkpoint_stream coord stream) in
+    let restored = ok (Coordinator.restore_stream coord img) in
+    ignore (ok (Coordinator.report coord restored));
+    ok (Coordinator.close coord restored)
+  done;
+  Alcotest.(check (pair int int)) "unchanged by reports and checkpoints" before (tables ());
+  ok (Coordinator.close coord stream)
+
 (* only streaming sessions checkpoint *)
 let test_checkpoint_rejects_batch () =
   let coord = Coordinator.create ~quantum:4 () in
@@ -631,6 +676,9 @@ let () =
         [ Alcotest.test_case "stream migration" `Quick test_stream_migration;
           Alcotest.test_case "checkpoint rejects batch sessions" `Quick
             test_checkpoint_rejects_batch;
+          Alcotest.test_case "forged snapshot is an error" `Quick test_restore_forged_frame;
+          Alcotest.test_case "reports and checkpoints leave wire stats" `Quick
+            test_wire_stats_steady;
           Alcotest.test_case "snapshot store" `Quick test_snapshot_store;
           Alcotest.test_case "failed checkpoint write keeps serving" `Quick
             test_checkpoint_write_failure;
