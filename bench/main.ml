@@ -612,11 +612,12 @@ let e17 () =
    the rendered diagnosis of the running example and its wire configs
    frame, the Figure 3 program text, and — over the synchronized-cycles
    net ([Petri.Examples.sync_cycles]) at a 1k-alarm prefix — the online
-   report plus the report of a checkpoint → restore roundtrip. Every run
-   records them in BENCH_diag.json; [--check-baseline] recomputes them in
-   a fresh process and fails on any drift, so an accidental change to
-   term construction, canonical ordering, report rendering, or the
-   snapshot codec trips the build before a human has to eyeball a diff. (The raw
+   report, its configs frame (the bytes a stream session is billed) and
+   the report of a checkpoint → restore roundtrip. Every run records them
+   in BENCH_diag.json; [--check-baseline] recomputes them in a fresh
+   process and fails on any drift, so an accidental change to term
+   construction, canonical ordering, report rendering, or the wire and
+   snapshot codecs trips the build before a human has to eyeball a diff. (The raw
    checkpoint frame is deliberately not digested: its node order follows
    hash-cons tags, which depend on process history — only its *meaning*
    is deterministic, which is what the roundtrip report pins.) *)
@@ -640,7 +641,9 @@ let output_digests () =
   for k = 0 to 999 do
     Online.observe o (Petri.Examples.sync_cycles_alarm k)
   done;
-  let stream_report = Report.to_string cycle (Online.diagnosis o) in
+  let cycle_d = Online.diagnosis o in
+  let stream_report = Report.to_string cycle cycle_d in
+  let cycle_frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements cycle_d) in
   let restored = Online.restore cycle (Online.checkpoint o) in
   let restored_report = Report.to_string cycle (Online.diagnosis restored) in
   Online.release restored;
@@ -651,7 +654,8 @@ let output_digests () =
     ("running/configs_frame", hex frame);
     ("fig3/program", hex (Dprogram.to_string (Dprogram.figure3 ())));
     ("cycle1k/report", hex stream_report);
-    ("cycle1k/restored_report", hex restored_report) ]
+    ("cycle1k/restored_report", hex restored_report);
+    ("cycle1k/configs_frame", hex cycle_frame) ]
 
 let read_file path =
   let ic = open_in_bin path in

@@ -38,13 +38,13 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 type encoder = {
   e_syms : (Symbol.t, int) Hashtbl.t;
   mutable e_nsyms : int;
-  e_terms : (int, int) Hashtbl.t;  (* Term.tag -> wire id *)
+  mutable e_terms : int Term.Tag_tbl.t;  (* Term.tag -> wire id *)
   mutable e_nterms : int;
   e_buf : Buffer.t;  (* scratch: the body of the frame being built *)
 }
 
 let encoder () =
-  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Hashtbl.create 256;
+  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Term.Tag_tbl.create 256;
     e_nterms = 0; e_buf = Buffer.create 256 }
 
 (* Dynamic arrays for the id -> value direction; [Term.var "_"] and the
@@ -79,16 +79,17 @@ let push_term d t = d.d_nterms <- push (fun a -> d.d_terms <- a) d.d_nterms d.d_
 (* Primitives                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* top level, so a call allocates no closure over [buf] *)
+let rec put_uvarint_loop buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    put_uvarint_loop buf (n lsr 7)
+  end
+
 let put_uvarint buf n =
   if n < 0 then invalid_arg "Wire.put_uvarint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  put_uvarint_loop buf n
 
 let put_string buf s =
   put_uvarint buf (String.length s);
@@ -157,7 +158,7 @@ let get_symbol d r =
   end
 
 let rec put_term e buf t =
-  match Hashtbl.find_opt e.e_terms (Term.tag t) with
+  match Term.Tag_tbl.find_opt e.e_terms (Term.tag t) with
   | Some id -> put_uvarint buf (id + 1)
   | None ->
     put_uvarint buf 0;
@@ -173,7 +174,7 @@ let rec put_term e buf t =
       put_symbol e buf f;
       put_uvarint buf (List.length args);
       List.iter (put_term e buf) args);
-    Hashtbl.add e.e_terms (Term.tag t) e.e_nterms;
+    Term.Tag_tbl.add e.e_terms (Term.tag t) e.e_nterms;
     e.e_nterms <- e.e_nterms + 1
 
 let rec get_term d r =
@@ -356,6 +357,11 @@ let encode_snapshot e put_body = frame e k_snapshot put_body
 let decode_snapshot d s get_body = unframe d k_snapshot (fun _ r -> get_body r) s
 
 let encode_configs e (configs : Term.t list list) =
+  (* a frame defines about three terms per event (the event, its preset
+     conditions, shared constants), and a table of n buckets grows past 2n
+     entries: size a fresh encoder's table once for the whole frame *)
+  if e.e_nterms = 0 then
+    e.e_terms <- Term.Tag_tbl.create (2 * List.fold_left (fun n c -> n + List.length c) 0 configs);
   frame e k_configs (fun buf ->
       put_uvarint buf (List.length configs);
       List.iter (put_terms e buf) configs)

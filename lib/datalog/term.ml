@@ -241,3 +241,14 @@ end
 
 module Set = Set.Make (As_key)
 module Map = Map.Make (As_key)
+
+(* Tags are dense and drawn in creation order, so a tag is its own hash:
+   terms built together land in neighbouring buckets. (It beat both the
+   polymorphic hash and a multiplicative mix on the report and
+   checkpoint paths.) *)
+module Tag_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t
+end)

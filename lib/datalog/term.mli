@@ -85,3 +85,7 @@ module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t
 (** Ordered by {!compare_structural}. *)
+
+module Tag_tbl : Hashtbl.S with type key = int
+(** Tables keyed by {!tag}: O(1) on the deepest spine, where a table keyed
+    by the term itself hashes and compares structure. *)

@@ -78,6 +78,7 @@ let word_push w s =
 let word_get w i = w.syms.(i - w.base)
 
 module Int_map = Map.Make (Int)
+module Tag_tbl = Term.Tag_tbl
 
 (* Little-endian Patricia trie over event tags (Okasaki & Gill), the set
    of a config's tips. Its shape is history-independent ([remove]
@@ -168,6 +169,16 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
+(* What firing one transition builds, interned once per engine at [start]
+   / [restore] — never at module init, where an interned symbol would
+   shift every later symbol id (DESIGN.md §4b item 11) — so [extend]
+   builds events and conditions with [Term.capp] alone. *)
+type firing = {
+  tid : Term.t;  (** the transition's id constant *)
+  pre : Symbol.t list;  (** preset places, in [t_pre] order *)
+  post : Term.t list;  (** postset place constants, in [t_post] order *)
+}
+
 type work =
   | Extend of node * int  (** compute the extension of a node at a peer slot *)
   | Add_config of node * Tag_set.t  (** deliver a configuration *)
@@ -175,15 +186,17 @@ type work =
 type t = {
   peers : string array;
   peer_index : (string, int) Hashtbl.t;
-  by_label : (int * string, Petri.Net.transition list) Hashtbl.t;
-      (** (peer slot, alarm symbol) -> transitions emitting it *)
+  by_label : (string, firing list) Hashtbl.t array;
+      (** peer slot -> alarm symbol -> transitions emitting it *)
+  f : Symbol.t;  (** the event Skolem function *)
+  g : Symbol.t;  (** the condition Skolem function *)
   words : word array;
   table : node Tbl.t;  (** live nodes (plus dead ones when GC is off) *)
   caught_up : node list array;
-  ref_events : (int, int) Hashtbl.t;  (** event tag -> live edge count *)
-  ref_conds : (int, int) Hashtbl.t;  (** cond tag -> live cut count *)
-  events_tbl : (int, Term.t) Hashtbl.t;  (** every event ever built, by tag *)
-  conds_tbl : (int, Term.t) Hashtbl.t;  (** every condition ever built, by tag *)
+  ref_events : int Tag_tbl.t;  (** event tag -> live edge count *)
+  ref_conds : int Tag_tbl.t;  (** cond tag -> live cut count *)
+  events_tbl : Term.t Tag_tbl.t;  (** every event ever built, by tag *)
+  conds_tbl : Term.t Tag_tbl.t;  (** every condition ever built, by tag *)
   mutable live_count : int;
   mutable reclaimed : int;
   mutable states_explored : int;
@@ -202,18 +215,18 @@ let key_of positions cut =
     (Int_map.fold (fun tag _ acc -> tag :: acc) cut [])
 
 let ref_incr tbl gauge tag =
-  match Hashtbl.find_opt tbl tag with
-  | Some n -> Hashtbl.replace tbl tag (n + 1)
+  match Tag_tbl.find_opt tbl tag with
+  | Some n -> Tag_tbl.replace tbl tag (n + 1)
   | None ->
-    Hashtbl.replace tbl tag 1;
+    Tag_tbl.replace tbl tag 1;
     Obs.Metrics.add_gauge gauge 1
 
 let ref_decr tbl gauge tag =
-  match Hashtbl.find_opt tbl tag with
+  match Tag_tbl.find_opt tbl tag with
   | Some 1 ->
-    Hashtbl.remove tbl tag;
+    Tag_tbl.remove tbl tag;
     Obs.Metrics.add_gauge gauge (-1)
-  | Some n -> Hashtbl.replace tbl tag (n - 1)
+  | Some n -> Tag_tbl.replace tbl tag (n - 1)
   | None -> ()
 
 (* fold over the events that produced [ev]'s preset conditions, read off
@@ -269,18 +282,16 @@ let extend t queue n pi =
   let i = n.positions.(pi) in
   if i < w.len then begin
     let alarm = word_get w i in
-    match Hashtbl.find_opt t.by_label (pi, alarm) with
+    match Hashtbl.find_opt t.by_label.(pi) alarm with
     | None -> ()
     | Some transitions ->
       List.iter
-        (fun (tr : Petri.Net.transition) ->
+        (fun fr ->
           let emit pre_conds =
-            let event = Term.app "f" (Term.const tr.Petri.Net.t_id :: pre_conds) in
-            let children =
-              List.map (fun c' -> Term.app "g" [ event; Term.const c' ]) tr.Petri.Net.t_post
-            in
-            Hashtbl.replace t.events_tbl (Term.tag event) event;
-            List.iter (fun cd -> Hashtbl.replace t.conds_tbl (Term.tag cd) cd) children;
+            let event = Term.capp t.f (fr.tid :: pre_conds) in
+            let children = List.map (fun pl -> Term.capp t.g [ event; pl ]) fr.post in
+            Tag_tbl.replace t.events_tbl (Term.tag event) event;
+            List.iter (fun cd -> Tag_tbl.replace t.conds_tbl (Term.tag cd) cd) children;
             let cut =
               List.fold_left
                 (fun acc cd -> Int_map.add (Term.tag cd) cd acc)
@@ -314,14 +325,14 @@ let extend t queue n pi =
                   match Term.view cond with
                   | Term.App (_, [ _; pl ])
                     when (match Term.view pl with
-                         | Term.Const p -> String.equal (Symbol.name p) place
+                         | Term.Const p -> Symbol.equal p place
                          | Term.Var _ | Term.App _ -> false)
                          && not (List.exists (Term.equal cond) chosen) ->
                     choose (cond :: chosen) rest
                   | _ -> ())
                 n.cut
           in
-          choose [] tr.Petri.Net.t_pre)
+          choose [] fr.pre)
         transitions
   end
 
@@ -376,39 +387,47 @@ let peer_tables (net : Petri.Net.t) =
   let peers = Array.of_list (Petri.Net.peers net) in
   let peer_index = Hashtbl.create 8 in
   Array.iteri (fun i p -> Hashtbl.replace peer_index p i) peers;
-  let by_label = Hashtbl.create 64 in
+  let by_label = Array.map (fun _ -> Hashtbl.create 8) peers in
   List.iter
     (fun (tr : Petri.Net.transition) ->
       match Hashtbl.find_opt peer_index tr.Petri.Net.t_peer with
       | None -> ()
       | Some pi ->
-        let k = (pi, tr.Petri.Net.t_alarm) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_label k) in
-        Hashtbl.replace by_label k (prev @ [ tr ]))
+        let fr =
+          { tid = Term.const tr.Petri.Net.t_id;
+            pre = List.map Symbol.intern tr.Petri.Net.t_pre;
+            post = List.map Term.const tr.Petri.Net.t_post }
+        in
+        let a = tr.Petri.Net.t_alarm in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt by_label.(pi) a) in
+        Hashtbl.replace by_label.(pi) a (prev @ [ fr ]))
     (Petri.Net.transitions net);
   (peers, peer_index, by_label)
 
 let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
-  let peers, peer_index, by_label = peer_tables net in
+  let g = Symbol.intern "g" in
   let initial_cut =
     Petri.Net.String_set.fold
       (fun place acc ->
-        let cd = Term.app "g" [ Canon.root_term; Term.const place ] in
+        let cd = Term.capp g [ Canon.root_term; Term.const place ] in
         Int_map.add (Term.tag cd) cd acc)
       (Petri.Net.marking net) Int_map.empty
   in
+  let peers, peer_index, by_label = peer_tables net in
   let t =
     {
       peers;
       peer_index;
       by_label;
+      f = Symbol.intern "f";
+      g;
       words = Array.init (Array.length peers) (fun _ -> { syms = [||]; base = 0; len = 0 });
       table = Tbl.create 256;
       caught_up = Array.make (max 1 (Array.length peers)) [];
-      ref_events = Hashtbl.create 256;
-      ref_conds = Hashtbl.create 256;
-      events_tbl = Hashtbl.create 256;
-      conds_tbl = Hashtbl.create 256;
+      ref_events = Tag_tbl.create 256;
+      ref_conds = Tag_tbl.create 256;
+      events_tbl = Tag_tbl.create 256;
+      conds_tbl = Tag_tbl.create 256;
       live_count = 0;
       reclaimed = 0;
       states_explored = 0;
@@ -420,7 +439,7 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       net_digest = net_fingerprint net;
     }
   in
-  Int_map.iter (fun tag cd -> Hashtbl.replace t.conds_tbl tag cd) initial_cut;
+  Int_map.iter (fun tag cd -> Tag_tbl.replace t.conds_tbl tag cd) initial_cut;
   let positions = Array.make (Array.length peers) 0 in
   let queue = Queue.create () in
   let root =
@@ -458,22 +477,22 @@ let observe_all t alarms =
   List.iter (fun (a : Petri.Alarm.alarm) -> observe t (a.Petri.Alarm.symbol, a.Petri.Alarm.peer))
     alarms
 
-let tip_events t tips = Tag_set.fold (fun tag acc -> Hashtbl.find t.events_tbl tag :: acc) tips []
+let tip_events t tips = Tag_set.fold (fun tag acc -> Tag_tbl.find t.events_tbl tag :: acc) tips []
 
 (* the causal closure of a tip set; iterative — causal spines are as deep
    as the alarm prefix is long *)
 let config_terms t tips =
-  let seen = Hashtbl.create 64 in
+  let seen = Tag_tbl.create 64 in
   let rec walk acc = function
     | [] -> acc
     | ev :: rest ->
-      if Hashtbl.mem seen (Term.tag ev) then walk acc rest
+      if Tag_tbl.mem seen (Term.tag ev) then walk acc rest
       else begin
-        Hashtbl.add seen (Term.tag ev) ();
-        walk (Term.Set.add ev acc) (fold_parents List.cons ev rest)
+        Tag_tbl.add seen (Term.tag ev) ();
+        walk (ev :: acc) (fold_parents List.cons ev rest)
       end
   in
-  walk Term.Set.empty (tip_events t tips)
+  Term.Set.of_list (walk [] (tip_events t tips))
 
 let diagnosis (t : t) : Canon.diagnosis =
   if t.unknown_alarms > 0 then Canon.normalize_diagnosis []
@@ -486,22 +505,22 @@ let diagnosis (t : t) : Canon.diagnosis =
            else acc)
          t.table [])
 
-let set_of_tbl tbl = Hashtbl.fold (fun _ tm acc -> Term.Set.add tm acc) tbl Term.Set.empty
+let set_of_tbl tbl = Tag_tbl.fold (fun _ tm acc -> Term.Set.add tm acc) tbl Term.Set.empty
 let events_materialized t = set_of_tbl t.events_tbl
 let conds_materialized t = set_of_tbl t.conds_tbl
 let states_explored t = t.states_explored
 let live_states t = t.live_count
 let gc_reclaimed t = t.reclaimed
-let live_events t = Hashtbl.length t.ref_events
-let live_conds t = Hashtbl.length t.ref_conds
+let live_events t = Tag_tbl.length t.ref_events
+let live_conds t = Tag_tbl.length t.ref_conds
 let alarms_consumed t = t.alarms_seen + t.unknown_alarms
 
 let release t =
   if not t.released then begin
     t.released <- true;
     Obs.Metrics.add_gauge live_states_gauge (-t.live_count);
-    Obs.Metrics.add_gauge live_events_gauge (-(Hashtbl.length t.ref_events));
-    Obs.Metrics.add_gauge live_conds_gauge (-(Hashtbl.length t.ref_conds))
+    Obs.Metrics.add_gauge live_events_gauge (-(Tag_tbl.length t.ref_events));
+    Obs.Metrics.add_gauge live_conds_gauge (-(Tag_tbl.length t.ref_conds))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -647,13 +666,15 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
       peers;
       peer_index;
       by_label;
+      f = Symbol.intern "f";
+      g = Symbol.intern "g";
       words;
       table = Tbl.create 256;
       caught_up = Array.make (max 1 npeers) [];
-      ref_events = Hashtbl.create 256;
-      ref_conds = Hashtbl.create 256;
-      events_tbl = Hashtbl.create 256;
-      conds_tbl = Hashtbl.create 256;
+      ref_events = Tag_tbl.create 256;
+      ref_conds = Tag_tbl.create 256;
+      events_tbl = Tag_tbl.create 256;
+      conds_tbl = Tag_tbl.create 256;
       live_count = 0;
       reclaimed;
       states_explored;
@@ -680,7 +701,7 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
            let cut =
              List.fold_left
                (fun acc cd ->
-                 Hashtbl.replace t.conds_tbl (Term.tag cd) cd;
+                 Tag_tbl.replace t.conds_tbl (Term.tag cd) cd;
                  Int_map.add (Term.tag cd) cd acc)
                Int_map.empty
                (read_list ncut (fun () -> Wire.get_term d r))
@@ -691,7 +712,7 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
                  let ntips = Wire.get_uvarint r in
                  List.fold_left
                    (fun c ev ->
-                     Hashtbl.replace t.events_tbl (Term.tag ev) ev;
+                     Tag_tbl.replace t.events_tbl (Term.tag ev) ev;
                      Tag_set.add (Term.tag ev) c)
                    Tag_set.empty
                    (read_list ntips (fun () -> Wire.get_term d r)))
@@ -707,7 +728,7 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
             let ev = Wire.get_term d r in
             let i = Wire.get_uvarint r in
             if i >= nnodes then raise (Wire.Corrupt "snapshot edge target out of range");
-            Hashtbl.replace t.events_tbl (Term.tag ev) ev;
+            Tag_tbl.replace t.events_tbl (Term.tag ev) ev;
             (ev, nodes.(i))))
     nodes;
   (* rebuild the derived state: table, caught-up lists (a node is caught

@@ -10,145 +10,134 @@ type event_view = {
   causes : Term.t list;  (** immediate causal predecessors within the config *)
 }
 
-(* The parent events of an event term: the producers of its preset
-   conditions, read off the term structure. *)
-let parents_of_event_term (t : Term.t) : Term.t list =
-  match Term.view t with
-  | Term.App (_, _ :: pres) ->
-    List.filter_map
-      (fun pre ->
-        match Term.view pre with
-        | Term.App (_, [ parent; _ ]) when Canon.is_event_term parent -> Some parent
-        | _ -> None)
-      pres
-  | _ -> []
+(* A transition as the report shows it, resolved once per symbol: the net
+   entry and the padded head of its report line. *)
+type resolved = { tr : Petri.Net.transition; head : string }
 
-let view_of_config (net : Petri.Net.t) (config : Canon.config) : event_view list =
-  let events = Term.Set.elements config in
-  (* membership by hash-cons tag: [Term.Set.mem] compares structurally,
-     which is O(depth) on the deep causal chains of a long prefix *)
-  let tags : (int, unit) Hashtbl.t = Hashtbl.create (List.length events) in
-  List.iter (fun t -> Hashtbl.replace tags (Term.tag t) ()) events;
-  List.filter_map
-    (fun t ->
-      match Canon.transition_of_event_term t with
-      | None -> None
-      | Some tid ->
-        let tr = Petri.Net.transition net tid in
-        let causes =
-          List.filter (fun p -> Hashtbl.mem tags (Term.tag p)) (parents_of_event_term t)
-        in
-        Some
-          {
-            term = t;
-            transition = tid;
-            peer = tr.Petri.Net.t_peer;
-            alarm = tr.Petri.Net.t_alarm;
-            causes;
-          })
-    events
+let resolver (net : Petri.Net.t) =
+  let cache : (Symbol.t, resolved) Hashtbl.t = Hashtbl.create 16 in
+  fun ev ->
+    match Term.view ev with
+    | Term.App (_, first :: _) -> (
+      match Term.view first with
+      | Term.Const s -> (
+        match Hashtbl.find_opt cache s with
+        | Some _ as r -> r
+        | None ->
+          let tr = Petri.Net.transition net (Symbol.name s) in
+          let head =
+            Printf.sprintf "    %-12s @%-10s alarm %-8s (" tr.Petri.Net.t_id tr.Petri.Net.t_peer
+              tr.Petri.Net.t_alarm
+          in
+          let r = { tr; head } in
+          Hashtbl.add cache s r;
+          Some r)
+      | Term.Var _ | Term.App _ -> None)
+    | Term.App (_, []) | Term.Const _ | Term.Var _ -> None
 
-(* topological order: causes first (stable within levels by term order).
-   Level-synchronous Kahn's algorithm, O(V log V + E): configurations at a
-   long streaming prefix reach tens of thousands of events, where the naive
-   repeated-partition version is quadratic and dominates report rendering.
-   A cause that is not itself a view never resolves, so nodes depending on
-   it fall through to the input-order tail — same as the old fixpoint. *)
-let topo_sort (views : event_view list) : event_view list =
-  let vs = Array.of_list views in
-  let n = Array.length vs in
-  (* index by hash-cons tag: polymorphic [Hashtbl.hash] inspects only the
-     first few nodes of a term, which are identical for every event of one
-     causal chain — a [Term.t]-keyed table degenerates to a single bucket
-     of structural-equality probes on deep spines *)
-  let index : (int, int) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace index (Term.tag v.term) i) vs;
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun i v ->
-      List.iter
-        (fun c ->
-          indeg.(i) <- indeg.(i) + 1;
-          match Hashtbl.find_opt index (Term.tag c) with
-          | Some j -> succs.(j) <- i :: succs.(j)
-          | None -> ())
-        v.causes)
-    vs;
-  let out = ref [] and placed = ref 0 in
-  let level = ref [] in
-  for i = n - 1 downto 0 do
-    if indeg.(i) = 0 then level := i :: !level
-  done;
+(* [config]'s events in term order with their transitions ([None] for a
+   term that names none), the positions of each event's causes — the
+   producers of its preset conditions, read off the term, that are events
+   of the config — and the events' positions in causal order: causes
+   first, stable within levels by term order.
+
+   One index by hash-cons tag serves the cause lookup and the sort
+   (polymorphic hashing of deep Skolem spines degenerates to one bucket).
+   The sort is level-synchronous Kahn, O(V log V + E): configurations at a
+   long streaming prefix reach tens of thousands of events. An event with
+   a cause that names no transition is never placed by it, and falls to
+   the tail in term order. *)
+let causal_order resolve (config : Canon.config) =
+  let events = Array.of_list (Term.Set.elements config) in
+  let n = Array.length events in
+  let index = Term.Tag_tbl.create n in
+  Array.iteri (fun i ev -> Term.Tag_tbl.replace index (Term.tag ev) i) events;
+  let views = Array.map resolve events in
+  let causes =
+    Array.mapi
+      (fun i ev ->
+        match (views.(i), Term.view ev) with
+        | Some _, Term.App (_, _ :: pres) ->
+          List.filter_map
+            (fun pre ->
+              match Term.view pre with
+              | Term.App (_, [ parent; _ ]) -> Term.Tag_tbl.find_opt index (Term.tag parent)
+              | _ -> None)
+            pres
+        | _ -> [])
+      events
+  in
+  let indeg = Array.map List.length causes and succs = Array.make n [] in
+  Array.iteri (fun i cs -> List.iter (fun j -> succs.(j) <- i :: succs.(j)) cs) causes;
+  let viewed p = List.filter (fun i -> Option.is_some views.(i) && p i) (List.init n Fun.id) in
+  let out = ref [] in
+  let level = ref (viewed (fun i -> indeg.(i) = 0)) in
   while !level <> [] do
     let next = ref [] in
     List.iter
       (fun i ->
-        out := vs.(i) :: !out;
-        incr placed;
+        out := i :: !out;
         List.iter
           (fun j ->
             indeg.(j) <- indeg.(j) - 1;
             if indeg.(j) = 0 then next := j :: !next)
           succs.(i))
       !level;
-    level := List.sort compare !next
+    level := List.sort Int.compare !next
   done;
-  let sorted = List.rev !out in
-  if !placed = n then sorted
-  else sorted @ (Array.to_list vs |> List.filteri (fun i _ -> indeg.(i) > 0))
+  (events, views, causes, List.rev_append !out (viewed (fun i -> indeg.(i) > 0)))
 
-let pp_config ppf (net : Petri.Net.t) (config : Canon.config) =
-  let views = topo_sort (view_of_config net config) in
-  if views = [] then Format.fprintf ppf "    (the empty explanation)@,"
-  else
-    List.iter
-      (fun v ->
-        let because =
-          match v.causes with
-          | [] -> "initial state"
-          | causes ->
-            "after "
-            ^ String.concat " and "
-                (List.filter_map
-                   (fun c ->
-                     Option.map
-                       (fun tid -> Printf.sprintf "%s" tid)
-                       (Canon.transition_of_event_term c))
-                   causes)
-        in
-        Format.fprintf ppf "    %-12s @@%-10s alarm %-8s (%s)@," v.transition v.peer
-          v.alarm because)
-      views
+let view_of_config (net : Petri.Net.t) (config : Canon.config) : event_view list =
+  let events, views, causes, _ = causal_order (resolver net) config in
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun { tr; _ } ->
+          { term = events.(i); transition = tr.Petri.Net.t_id; peer = tr.Petri.Net.t_peer;
+            alarm = tr.Petri.Net.t_alarm; causes = List.map (Array.get events) causes.(i) })
+        views.(i))
+    (List.init (Array.length events) Fun.id)
 
-(** A compact textual report of a whole diagnosis: one block per
-    explanation, events in causal order, each with its peer, alarm, and
-    immediate causes. *)
-let pp ppf (net : Petri.Net.t) (diagnosis : Canon.diagnosis) =
-  Format.fprintf ppf "@[<v>%d possible explanation(s)@," (List.length diagnosis);
+(* One [Buffer] pass; each line is the transition's cached head, then its
+   causes. *)
+let to_string net (diagnosis : Canon.diagnosis) =
+  let b = Buffer.create 4096 in
+  let resolve = resolver net in
+  Printf.bprintf b "%d possible explanation(s)\n" (List.length diagnosis);
   List.iteri
-    (fun i config ->
-      Format.fprintf ppf "explanation #%d:@," (i + 1);
-      pp_config ppf net config)
+    (fun k config ->
+      Printf.bprintf b "explanation #%d:\n" (k + 1);
+      let _, views, causes, order = causal_order resolve config in
+      let name j = Option.map (fun r -> r.tr.Petri.Net.t_id) views.(j) in
+      if order = [] then Buffer.add_string b "    (the empty explanation)\n";
+      List.iter
+        (fun i ->
+          Buffer.add_string b (Option.get views.(i)).head;
+          (match causes.(i) with
+          | [] -> Buffer.add_string b "initial state"
+          | cs ->
+            Buffer.add_string b "after ";
+            Buffer.add_string b (String.concat " and " (List.filter_map name cs)));
+          Buffer.add_string b ")\n")
+        order)
     diagnosis;
-  Format.fprintf ppf "@]"
-
-let to_string net diagnosis = Format.asprintf "%a" (fun ppf () -> pp ppf net diagnosis) ()
+  Buffer.contents b
 
 (** Per-peer timelines: each observed peer's events in a causal linear
     order — how the supervisor would narrate what happened at each site. *)
 let timelines (net : Petri.Net.t) (config : Canon.config) : (string * string list) list =
-  let views = topo_sort (view_of_config net config) in
-  let peers = List.sort_uniq String.compare (List.map (fun v -> v.peer) views) in
+  let _, views, _, order = causal_order (resolver net) config in
+  let trs = List.map (fun i -> (Option.get views.(i)).tr) order in
+  let peers = List.sort_uniq String.compare (List.map (fun tr -> tr.Petri.Net.t_peer) trs) in
   List.map
     (fun p ->
       ( p,
         List.filter_map
-          (fun v ->
-            if String.equal v.peer p then
-              Some (Printf.sprintf "%s(%s)" v.transition v.alarm)
+          (fun (tr : Petri.Net.transition) ->
+            if String.equal tr.Petri.Net.t_peer p then
+              Some (Printf.sprintf "%s(%s)" tr.Petri.Net.t_id tr.Petri.Net.t_alarm)
             else None)
-          views ))
+          trs ))
     peers
 
 (** DOT rendering of one explanation inside the unfolding prefix (the

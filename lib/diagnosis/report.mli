@@ -18,8 +18,10 @@ type event_view = {
 
 val view_of_config : Petri.Net.t -> Canon.config -> event_view list
 
-val pp : Format.formatter -> Petri.Net.t -> Canon.diagnosis -> unit
 val to_string : Petri.Net.t -> Canon.diagnosis -> string
+(** A compact textual report of a whole diagnosis: one block per
+    explanation, events in causal order, each with its peer, alarm, and
+    immediate causes. *)
 
 val timelines : Petri.Net.t -> Canon.config -> (string * string list) list
 (** Per-peer narration: each peer's events in a causal linear order. *)

@@ -28,7 +28,8 @@ type tenant = {
   t_name : string;
   net : Petri.Net.t;  (* binarized *)
   supervisor : string;
-  placement : string list;  (* shard directory: net peers + the supervisor *)
+  peers : string list;  (* the net's peers, the only alarm sources *)
+  placement : string list;  (* shard directory: [peers] + the supervisor *)
   batch : (Dprogram.t * Datom.t list) Lazy.t;
       (* the unfolding rules and [petriNet] facts: batch sessions only,
          built on the first batch start *)
@@ -144,7 +145,8 @@ let add_tenant t ~name net =
   else
     let net = if Petri.Net.is_binary net then net else Petri.Net.binarize net in
     let supervisor = "supervisor" in
-    if List.mem supervisor (Petri.Net.peers net) then
+    let peers = Petri.Net.peers net in
+    if List.mem supervisor peers then
       errorf "tenant %s: a net peer is named %S" name supervisor
     else begin
       let tn =
@@ -152,7 +154,8 @@ let add_tenant t ~name net =
           t_name = name;
           net;
           supervisor;
-          placement = Petri.Net.peers net @ [ supervisor ];
+          peers;
+          placement = peers @ [ supervisor ];
           batch = lazy (Encode.unfolding_program net, Encode.petri_net_facts net);
           pool = [];
         }
@@ -205,15 +208,16 @@ let open_stream ?max_states t ~tenant:name =
 
 let add_alarm t sid ~symbol ~peer =
   let* s = session t sid in
+  let known = List.mem peer s.s_tenant.peers in
   match s.phase with
   | Open ->
-    if List.mem peer (Petri.Net.peers s.s_tenant.net) then begin
+    if known then begin
       s.alarms_rev <- (symbol, peer) :: s.alarms_rev;
       Ok ()
     end
     else errorf "session %d: tenant %s has no peer %s" sid s.s_tenant.t_name peer
   | Streaming st ->
-    if List.mem peer (Petri.Net.peers s.s_tenant.net) then begin
+    if known then begin
       let t0 = Obs.Clock.now_s () in
       match Online.observe st.online (symbol, peer) with
       | () ->
@@ -246,8 +250,7 @@ let engine_bytes engine =
 let prepare_session tn alarms =
   let unfolding, net_facts = Lazy.force tn.batch in
   let sup =
-    Supervisor.build ~supervisor:tn.supervisor
-      ~place_peers:(Petri.Net.peers tn.net) alarms
+    Supervisor.build ~supervisor:tn.supervisor ~place_peers:tn.peers alarms
   in
   ( Dprogram.append unfolding sup.Supervisor.program,
     net_facts @ sup.Supervisor.facts,

@@ -444,6 +444,49 @@ let test_report_dot () =
   let s = Report.dot_of_config net (List.hd d) in
   Alcotest.(check bool) "has highlighting" true (contains s "fillcolor")
 
+(* Literal renderings of the report's edge cases: no explanation, the
+   empty one, an event with two causes, and names longer than the
+   12/10/8 pad widths (printed whole), one past the 78-column margin. *)
+let long_tid = "a_transition_name_long_enough_to_run_the_report_line_past_the_seventy_eight_column_margin"
+
+let report_net () =
+  let place peer id = Petri.Net.mk_place ~peer id in
+  let tr peer alarm pre post id = Petri.Net.mk_transition ~peer ~alarm ~pre ~post id in
+  Petri.Net.make
+    ~places:[ place "p" "a"; place "q" "b"; place "p" "c"; place "q" "d"; place "p" "e" ]
+    ~transitions:
+      [ tr "p" "u" [ "a" ] [ "c" ] "x";
+        tr "q" "v" [ "b" ] [ "d" ] "y";
+        tr "p" "w" [ "c"; "d" ] [ "e" ] "z";
+        tr "a_long_peer_name" "a_long_alarm" [ "e" ] [ "a" ] long_tid ]
+    ~marking:[ "a"; "b" ]
+
+let report_config () =
+  let cond parent place = Term.app "g" [ parent; Term.const place ] in
+  let ev tid pres = Term.app "f" (Term.const tid :: pres) in
+  let x = ev "x" [ cond Canon.root_term "a" ] and y = ev "y" [ cond Canon.root_term "b" ] in
+  let z = ev "z" [ cond x "c"; cond y "d" ] in
+  let l = ev long_tid [ cond z "e" ] in
+  Term.Set.of_list [ x; y; z; l ]
+
+let test_report_edge_cases () =
+  let net = report_net () in
+  Alcotest.(check string) "no explanation" "0 possible explanation(s)\n"
+    (Report.to_string net []);
+  Alcotest.(check string) "the empty explanation"
+    "1 possible explanation(s)\nexplanation #1:\n    (the empty explanation)\n"
+    (Report.to_string net [ Term.Set.empty ]);
+  Alcotest.(check string) "two causes, long names"
+    ("2 possible explanation(s)\n\
+      explanation #1:\n\
+     \    (the empty explanation)\n\
+      explanation #2:\n\
+     \    x            @p          alarm u        (initial state)\n\
+     \    y            @q          alarm v        (initial state)\n\
+     \    z            @p          alarm w        (after x and y)\n\
+     \    " ^ long_tid ^ " @a_long_peer_name alarm a_long_alarm (after z)\n")
+    (Report.to_string net [ Term.Set.empty; report_config () ])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -476,6 +519,7 @@ let suite =
       [ Alcotest.test_case "text" `Quick test_report_text;
         Alcotest.test_case "causal order" `Quick test_report_causal_order;
         Alcotest.test_case "timelines" `Quick test_report_timelines;
-        Alcotest.test_case "dot" `Quick test_report_dot ] ) ]
+        Alcotest.test_case "dot" `Quick test_report_dot;
+        Alcotest.test_case "edge cases" `Quick test_report_edge_cases ] ) ]
 
 let () = Alcotest.run "online-report" suite

@@ -178,6 +178,31 @@ let test_lifecycle_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "report after close accepted"
 
+(* an alarm from a peer outside the tenant's net is refused with the same
+   text by a batch session and a stream, and leaves both usable; the
+   supervisor is placed beside the peers but emits no alarm *)
+let test_unknown_peer_both_arms () =
+  let coord = Coordinator.create () in
+  ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
+  let batch = ok (Coordinator.open_session coord ~tenant:"t") in
+  let stream = ok (Coordinator.open_stream coord ~tenant:"t") in
+  List.iter
+    (fun sid ->
+      List.iter
+        (fun peer ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "session %d, peer %s" sid peer)
+            (Error (Printf.sprintf "session %d: tenant t has no peer %s" sid peer))
+            (Coordinator.add_alarm coord sid ~symbol:"b" ~peer))
+        [ "nope"; "supervisor" ];
+      ok (Coordinator.add_alarm coord sid ~symbol:"b" ~peer:"p1"))
+    [ batch; stream ];
+  Alcotest.(check int) "the stream consumed only the known-peer alarm" 1
+    (ok (Coordinator.stream_info coord stream)).Coordinator.si_alarms;
+  ok (Coordinator.start coord batch);
+  Alcotest.(check int) "the batch session explains the known-peer alarm" 1
+    (finish_one coord batch).Coordinator.explanations
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -664,7 +689,9 @@ let () =
     [ ( "coordinator",
         [ Alcotest.test_case "tenant isolation" `Quick test_tenant_isolation;
           Alcotest.test_case "warm-engine recycling" `Quick test_warm_recycling;
-          Alcotest.test_case "lifecycle errors" `Quick test_lifecycle_errors ] );
+          Alcotest.test_case "lifecycle errors" `Quick test_lifecycle_errors;
+        Alcotest.test_case "unknown peer, batch and stream" `Quick
+          test_unknown_peer_both_arms ] );
       ( "streaming",
         [ Alcotest.test_case "per-alarm reports == direct Online" `Quick
             test_stream_matches_direct;
