@@ -627,9 +627,10 @@ let output_digests () =
             .Diagnoser.diagnosis
   in
   let frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements d) in
-  (* the same scenario under the parallel scheduler (4 domains, stealing
-     allowed): confluence + structural sorting promise a byte-identical
-     report regardless of the schedule, and this digest holds it to that *)
+  (* the same scenario under the parallel scheduler (4 domains, peers
+     migrating between them): confluence + structural sorting promise a
+     byte-identical report regardless of the schedule, and this digest
+     holds it to that *)
   let d_par =
     (Diagnoser.run
        (Diagnoser.prepare net (alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ]))

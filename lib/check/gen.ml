@@ -107,7 +107,7 @@ let truncate_to_budget (net : Petri.Net.t) ~(firing : string list)
 
 let case ?(pins = no_pins) ~seed () : case =
   (* one stream for the shape choices, separate ones for net and scenario,
-     so pinning the spec does not perturb the scenario of the same seed *)
+     so fixing the spec does not perturb the scenario of the same seed *)
   let shape_rng = Random.State.make [| 0x5eed; seed; 0 |] in
   let sampled_spec = sample_spec shape_rng in
   let sampled_steps = Random.State.int shape_rng 9 in

@@ -275,23 +275,10 @@ let parallel_eq_sequential i =
       failf "per-peer fact counts differ under %s" label
     else Pass
   in
-  let balanced =
-    compare_run
-      (Printf.sprintf "%d domains" i.jobs)
-      (Qsq_engine.solve ~max_steps ~jobs:i.jobs p.Diagnoser.program
-         ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query)
-  in
-  match balanced with
-  | Pass when i.jobs >= 2 ->
-    (* same scenario with every peer homed on domain 0: the other workers
-       only get work by stealing, so this pins the steal path (box
-       migration between domains, mailbox-segment hand-off) to the same
-       byte-identical outcome *)
-    compare_run
-      (Printf.sprintf "%d domains (skewed pinning, forced steals)" i.jobs)
-      (Qsq_engine.solve ~max_steps ~jobs:i.jobs ~pinning:Network.Sim.Skewed
-         p.Diagnoser.program ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query)
-  | r -> r
+  compare_run
+    (Printf.sprintf "%d domains" i.jobs)
+    (Qsq_engine.solve ~max_steps ~jobs:i.jobs p.Diagnoser.program
+       ~edb:p.Diagnoser.edb ~query:p.Diagnoser.query)
 
 (* ------------- the service path == the in-memory path ----------- *)
 
@@ -563,7 +550,7 @@ let all =
     mk "reference-vs-literal" "condition (iii), two readings"
       ~applies:single_component_per_peer reference_vs_literal;
     mk "parallel-eq-sequential"
-      "confluence (domain-parallel == sequential dQSQ, incl. forced steals)"
+      "confluence (domain-parallel == sequential dQSQ, peers migrating)"
       parallel_eq_sequential;
     mk "online-eq-batch-prefix"
       "incrementality (online == batch after every prefix, any interleaving)"

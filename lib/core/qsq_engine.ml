@@ -43,7 +43,7 @@ let terms_vars terms =
    and {!Sim.run_parallel} runs a peer's activations on at most one domain
    at a time, with happens-before hand-offs through the peer's mailbox
    mutex — so none of these hashtables or the runtime need locks, even
-   though work stealing migrates peers between domains. Engine-wide
+   though peers migrate between domains. Engine-wide
    counters shared by all handlers are [Atomic.t]. *)
 type peer_state = {
   rt : Runtime.t;
@@ -638,7 +638,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
     ds_terminated = Option.map Ds.is_terminated t.detector;
   }
 
-let run ?max_steps ?jobs ?pinning (t : t) ~(query : Datom.t) : outcome =
+let run ?max_steps ?jobs (t : t) ~(query : Datom.t) : outcome =
   Obs.Trace.with_span "qsq_engine.run" ~attrs:[ ("query", Datom.to_string query) ]
   @@ fun () ->
   t.query <- query;
@@ -647,7 +647,7 @@ let run ?max_steps ?jobs ?pinning (t : t) ~(query : Datom.t) : outcome =
   let deliveries =
     match jobs with
     | None -> Network.Sim.run ?max_steps t.sim
-    | Some jobs -> Network.Sim.run_parallel ?max_steps ~jobs ?pinning t.sim
+    | Some jobs -> Network.Sim.run_parallel ?max_steps ~jobs t.sim
   in
   finish ~deliveries t
 
@@ -713,11 +713,11 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
     edb
 
 let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps ?jobs
-    ?pinning program ~edb ~query =
+    program ~edb ~query =
   let t =
     create ?seed ?policy ?loss ?eval_options ?termination ?batching program ~edb ~query
   in
-  run ?max_steps ?jobs ?pinning t ~query
+  run ?max_steps ?jobs t ~query
 
 let peer_store t p = Runtime.store (state t p).rt
 let peer_rules t p = Runtime.rules (state t p).rt

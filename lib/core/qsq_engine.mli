@@ -66,7 +66,6 @@ type outcome = {
 val run :
   ?max_steps:int ->
   ?jobs:int ->
-  ?pinning:Network.Sim.pinning ->
   t ->
   query:Datom.t ->
   outcome
@@ -76,9 +75,7 @@ val run :
     sequential scheduler; the protocol is confluent (idempotent
     delegations/subscriptions, monotone Datalog), so the final fact sets —
     and hence [answers], sorted structurally — are identical to a
-    sequential run. [pinning] (parallel mode only) selects peer home
-    domains; [Skewed] forces the work-stealing path. [policy]/[seed] are
-    ignored in parallel mode. *)
+    sequential run. [policy]/[seed] are ignored in parallel mode. *)
 
 val solve :
   ?seed:int ->
@@ -89,7 +86,6 @@ val solve :
   ?batching:bool ->
   ?max_steps:int ->
   ?jobs:int ->
-  ?pinning:Network.Sim.pinning ->
   Dprogram.t ->
   edb:Datom.t list ->
   query:Datom.t ->

@@ -393,10 +393,10 @@ exception Roundtrip_mismatch of string
 (* One (encoder, decoder) pair per directed channel, created on first
    send. The table is shared across domains in parallel runs; the lock is
    held across the encode so each channel's codec state sees its sends in
-   order. Per-channel call order equals send order even under work
-   stealing: a peer box runs on at most one domain at a time (Sim's
-   scheduled flag), so a given src's sends on any channel are serialized
-   by its activations, wherever those activations execute. *)
+   order. Per-channel call order equals send order even though peers
+   migrate between domains: a peer box runs on at most one domain at a
+   time (Sim's scheduled flag), so a given src's sends on any channel are
+   serialized by its activations, wherever those activations execute. *)
 type channels = {
   conns : (string * string, encoder * decoder) Hashtbl.t;
   mu : Mutex.t;
@@ -404,12 +404,8 @@ type channels = {
 
 let channels () = { conns = Hashtbl.create 16; mu = Mutex.create () }
 
-let locked ch f =
-  Mutex.lock ch.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ch.mu) f
-
 let with_conn ch ~src ~dst f =
-  locked ch @@ fun () ->
+  Mutex.protect ch.mu @@ fun () ->
   let conn =
     match Hashtbl.find_opt ch.conns (src, dst) with
     | Some c -> c
@@ -421,7 +417,7 @@ let with_conn ch ~src ~dst f =
   f conn
 
 let table_entries ch =
-  locked ch @@ fun () ->
+  Mutex.protect ch.mu @@ fun () ->
   Hashtbl.fold
     (fun _ (e, d) (syms, terms) ->
       (syms + e.e_nsyms + d.d_nsyms, terms + e.e_nterms + d.d_nterms))

@@ -42,9 +42,6 @@ val decoder : unit -> decoder
 val encode_message : encoder -> Message.t -> string
 val decode_message : decoder -> string -> Message.t
 
-val encode_wrapped : encoder -> Message.t Network.Termination.wrapped -> string
-val decode_wrapped : decoder -> string -> Message.t Network.Termination.wrapped
-
 val encode_configs : encoder -> Term.t list list -> string
 (** A diagnosis as a set of configurations, each a list of ground terms —
     the service's report frame (the diagnosis layer converts its

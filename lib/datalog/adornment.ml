@@ -14,8 +14,6 @@ let to_string (ad : t) =
 
 let pp ppf ad = Format.pp_print_string ppf (to_string ad)
 let equal (a : t) (b : t) = a = b
-let all_free n : t = Array.make n false
-let all_bound n : t = Array.make n true
 let bound_count (ad : t) = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 ad
 
 module Var_set = Set.Make (String)
@@ -74,9 +72,6 @@ let classify (sym : Symbol.t) :
         `Input (String.sub base 2 (String.length base - 2), ad)
       else `Answer (base, ad)
 
-(** Bound / free argument selectors. *)
+(** The arguments at bound positions. *)
 let bound_args (ad : t) (args : 'a list) : 'a list =
   List.filteri (fun i _ -> ad.(i)) args
-
-let free_args (ad : t) (args : 'a list) : 'a list =
-  List.filteri (fun i _ -> not ad.(i)) args

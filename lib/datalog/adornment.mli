@@ -12,12 +12,7 @@ module Var_set : Set.S with type elt = string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val all_free : int -> t
-val all_bound : int -> t
 val bound_count : t -> int
-
-val term_bound : Var_set.t -> Term.t -> bool
-(** Ground under the given bound variables. *)
 
 val of_atom : Var_set.t -> Atom.t -> t
 (** Adornment of a body atom given the variables bound so far. *)
@@ -46,4 +41,3 @@ val classify :
     otherwise. *)
 
 val bound_args : t -> 'a list -> 'a list
-val free_args : t -> 'a list -> 'a list

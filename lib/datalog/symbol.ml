@@ -6,13 +6,10 @@
     intern table is global and append-only, which is safe because symbols are
     never deleted during a run.
 
-    A single mutex serializes writers (interning a *new* string, growing the
-    names array, the gensym counter). Readers never take it: [name] reads an
-    atomically published snapshot of the names array, so [compare_name] —
-    which sits under every structural term comparison and every canonical
-    output sort — is lock-free from any domain. Each domain also keeps a
-    private read cache for [intern] ({!Domain.DLS}), sound because the
-    global table is append-only: a cached id can never go stale. *)
+    One mutex serializes [intern] and [fresh]. Readers never take it:
+    [name] reads an atomically published snapshot of the names array, so
+    [compare_name] — which sits under every structural term comparison and
+    every canonical output sort — is lock-free from any domain. *)
 
 type t = int
 
@@ -27,38 +24,28 @@ let table : (string, int) Hashtbl.t = Hashtbl.create 1024
 let names : string array Atomic.t = Atomic.make (Array.make 1024 "")
 let next = Atomic.make 0
 
-let local_key : (string, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let intern s =
-  let local = Domain.DLS.get local_key in
-  match Hashtbl.find_opt local s with
+(* Call with [mu] held. *)
+let intern_locked s =
+  match Hashtbl.find_opt table s with
   | Some id -> id
   | None ->
-    Mutex.lock mu;
-    let id =
-      match Hashtbl.find_opt table s with
-      | Some id -> id
-      | None ->
-        let id = Atomic.get next in
-        let arr = Atomic.get names in
-        let arr =
-          if id >= Array.length arr then begin
-            let bigger = Array.make (2 * Array.length arr) "" in
-            Array.blit arr 0 bigger 0 (Array.length arr);
-            bigger
-          end
-          else arr
-        in
-        arr.(id) <- s;
-        Atomic.set names arr;
-        Atomic.set next (id + 1);
-        Hashtbl.add table s id;
-        id
+    let id = Atomic.get next in
+    let arr = Atomic.get names in
+    let arr =
+      if id >= Array.length arr then begin
+        let bigger = Array.make (2 * Array.length arr) "" in
+        Array.blit arr 0 bigger 0 (Array.length arr);
+        bigger
+      end
+      else arr
     in
-    Mutex.unlock mu;
-    Hashtbl.add local s id;
+    arr.(id) <- s;
+    Atomic.set names arr;
+    Atomic.set next (id + 1);
+    Hashtbl.add table s id;
     id
+
+let intern s = Mutex.protect mu (fun () -> intern_locked s)
 
 let name id =
   if id < 0 || id >= Atomic.get next then invalid_arg "Symbol.name: unknown symbol"
@@ -78,8 +65,9 @@ let pp ppf id = Format.pp_print_string ppf (name id)
 
 (* A private namespace for generated symbols (gensym), used by rewriters to
    create fresh relation names that cannot clash with user symbols. *)
-let fresh_counter = Atomic.make 0
+let fresh_count = ref 0 (* guarded by [mu] *)
 
 let fresh prefix =
-  let n = Atomic.fetch_and_add fresh_counter 1 + 1 in
-  intern (Printf.sprintf "%s#%d" prefix n)
+  Mutex.protect mu (fun () ->
+      incr fresh_count;
+      intern_locked (Printf.sprintf "%s#%d" prefix !fresh_count))

@@ -8,13 +8,10 @@
     Every materialized diagnosis fact carries deep Skolem spines like
     [g(t, g(u, h(...)))], and the fact store, unifier and QSQ engines probe
     the same spines over and over. Terms are therefore hash-consed in the
-    style of Filliâtre–Conchon ("Type-safe modular hash-consing"): a global
-    weak table (sharded, with a per-shard mutex, so concurrent interning from
-    multiple domains is safe) maps each structure to a unique physical
-    representative; each domain additionally keeps a lock-free weak arena
-    ({!Domain.DLS}) caching the representatives it has seen, so the hot
-    path — re-consing a spine that already exists — never touches a shard
-    mutex. Thus
+    style of Filliâtre–Conchon ("Type-safe modular hash-consing"): one
+    global weak table, guarded by one mutex so that peer domains of a
+    parallel dQSQ run may intern concurrently, maps each structure to a
+    unique physical representative. Thus
 
     - [equal] is physical equality [(==)],
     - [hash], [is_ground], [depth] and [size] are cached field reads,
@@ -71,77 +68,39 @@ module W = Weak.Make (struct
   let hash t = t.hash
 end)
 
-(* The global table is sharded by hash, one weak table + mutex per shard,
-   so concurrent cons calls from peer domains (parallel dQSQ) only contend
-   when they hash to the same shard. Within a shard, [W.merge] under the
-   mutex guarantees a unique physical representative per structure. *)
-let shard_count = 16
-let tables = Array.init shard_count (fun _ -> W.create 1024)
-let locks = Array.init shard_count (fun _ -> Mutex.create ())
-
-(* Tags are drawn in per-domain blocks (one atomic fetch-and-add per
-   [tag_block] distinct structures, instead of one per constructor call),
-   and only on the miss path. Gaps — from wasted block tails and from
-   structures another domain interned first — are harmless: tags only feed
-   the process-local [compare] below, which needs distinctness, not
-   density or cross-run stability. *)
-let next_tag = Atomic.make 0
-let tag_block = 512
-
-(* Domain-local intern arena: a *weak cache* of the global table's
-   representatives, probed lock-free before touching a shard mutex.
-
-   The ISSUE sketched private per-domain arenas with promotion deferred to
-   Wire-encode time; that is unsound here, because terms cross domains by
-   reference (simulator messages are not serialized between domains — the
-   codec only *prices* them) and work stealing migrates peers between
-   domains mid-run, so two private representatives of one structure could
-   meet and break [equal = (==)]. Instead the global table stays the
-   single source of truth and "promotion" is simply the arena's miss path
-   through the shard lock: every representative a domain ever returns is
-   already global, so [==] ≡ structural holds across domains by
-   construction, and the hot path (hashcons hits outnumber distinct
-   interns ~30:1 on the deep ring scenarios) costs no lock, no atomic —
-   just a probe of an unshared weak set. The arena is weak, so it pins
-   nothing: terms the GC collects simply miss and re-promote later. *)
-type arena = { cache : W.t; mutable tag_next : int; mutable tag_limit : int }
-
-let arena_key =
-  Domain.DLS.new_key (fun () -> { cache = W.create 4096; tag_next = 0; tag_limit = 0 })
-
-let draw_tag a =
-  if a.tag_next >= a.tag_limit then begin
-    let base = Atomic.fetch_and_add next_tag tag_block in
-    a.tag_next <- base;
-    a.tag_limit <- base + tag_block
-  end;
-  let tag = a.tag_next in
-  a.tag_next <- tag + 1;
-  tag
+(* One table, one mutex. The mutex makes find-or-add atomic, so every
+   domain gets the same representative for a structure, and [==] stays
+   structural equality even for terms that cross domains by reference
+   (simulator messages are priced by the codec, not serialized). Tags come
+   from a plain counter under the same mutex, drawn on the miss path only:
+   a sequential run numbers its structures 0, 1, 2, ... in interning order.
+   The table starts small and grows as it fills: every bucket is a weak
+   array of its own, so a sparse table wastes words per entry (131072
+   initial buckets raised the bench/perf [diagnose] heap peak from 11 MB
+   to 38 MB). *)
+let table = W.create 1024
+let mu = Mutex.create ()
+let next_tag = ref 0
 
 (* Registered instruments (lib/obs): distinct structures interned vs
-   constructor calls answered by an existing representative (in the
-   domain-local arena or the global table). *)
+   constructor calls answered by an existing representative. *)
 let interned_c = Obs.Metrics.counter "term.interned"
 let hits_c = Obs.Metrics.counter "term.hashcons_hits"
 
 let hashcons node ~hash ~ground ~depth ~size =
-  let a = Domain.DLS.get arena_key in
   let probe = { node; tag = -1; hash; ground; depth; size } in
-  match W.find_opt a.cache probe with
+  Mutex.lock mu;
+  match W.find_opt table probe with
   | Some t ->
+    Mutex.unlock mu;
     Obs.Metrics.incr hits_c;
     t
   | None ->
-    let candidate = { probe with tag = draw_tag a } in
-    let i = hash land (shard_count - 1) in
-    let mu = locks.(i) in
-    Mutex.lock mu;
-    let t = W.merge tables.(i) candidate in
+    let t = { probe with tag = !next_tag } in
+    incr next_tag;
+    W.add table t;
     Mutex.unlock mu;
-    W.add a.cache t;
-    if t == candidate then Obs.Metrics.incr interned_c
-    else Obs.Metrics.incr hits_c;
+    Obs.Metrics.incr interned_c;
     t
 
 let cconst s =
@@ -163,7 +122,7 @@ let capp f args =
 
 let app f args = capp (Symbol.intern f) args
 
-(** Total order on terms: creation-attempt order, O(1). Deterministic
+(** Total order on terms: creation order, O(1). Deterministic
     within a sequential run, but NOT stable across runs, processes, or
     domain schedules (parallel runs race on tag allocation) — any output
     that must be byte-identical orders terms with {!compare_structural}
@@ -214,15 +173,7 @@ let to_string t = Format.asprintf "%a" pp t
 
 (* Introspection for tests and diagnostics: number of live (not yet
    collected) terms in the hash-cons table. *)
-let live_terms () =
-  let n = ref 0 in
-  Array.iteri
-    (fun i table ->
-      Mutex.lock locks.(i);
-      n := !n + W.count table;
-      Mutex.unlock locks.(i))
-    tables;
-  !n
+let live_terms () = Mutex.protect mu (fun () -> W.count table)
 
 module As_key = struct
   type nonrec t = t

@@ -38,7 +38,7 @@ val equal : t -> t -> bool
     sharing. *)
 
 val compare : t -> t -> int
-(** Total order by creation-attempt order (the hash-cons tag) — O(1).
+(** Total order by creation order (the hash-cons tag) — O(1).
     Deterministic within a sequential run but {e not} across runs,
     processes, or parallel domain schedules; use {!compare_structural}
     for any externally visible ordering. *)

@@ -54,16 +54,6 @@ let unify ?(init = Subst.empty) a b =
     Some s
   | exception Clash -> None
 
-(** Unify two argument lists pointwise. *)
-let unify_lists ?(init = Subst.empty) xs ys =
-  if List.length xs <> List.length ys then None
-  else
-    match List.fold_left2 unify_acc init xs ys with
-    | s ->
-      let s = Subst.of_list (List.map (fun (x, t) -> (x, Subst.apply s t)) (Subst.bindings s)) in
-      Some s
-    | exception Clash -> None
-
 (** One-way matching: find [s] with [Subst.apply s pattern = target], where
     [target] must be ground. Faster than full unification and used in the
     fact-store inner loop. *)

@@ -9,9 +9,6 @@ val unify : ?init:Subst.t -> Term.t -> Term.t -> Subst.t option
 (** Most general unifier extending [init]; [None] on clash or occurs-check
     failure. The result is idempotent. *)
 
-val unify_lists : ?init:Subst.t -> Term.t list -> Term.t list -> Subst.t option
-(** Pointwise unification of two argument lists (arity-checked). *)
-
 val match_term : ?init:Subst.t -> Term.t -> Term.t -> Subst.t option
 (** [match_term pattern target] finds [s] with [apply s pattern = target];
     [target] is expected ground. Faster than full unification; used in the

@@ -473,10 +473,6 @@ let observe (t : t) ((symbol, peer) : string * string) : unit =
        anything else either kept its caught-up slots or was born with one *)
     if t.gc_enabled then List.iter (fun n -> if n.cu = 0 then reclaim t n) frontier
 
-let observe_all t alarms =
-  List.iter (fun (a : Petri.Alarm.alarm) -> observe t (a.Petri.Alarm.symbol, a.Petri.Alarm.peer))
-    alarms
-
 let tip_events t tips = Tag_set.fold (fun tag acc -> Tag_tbl.find t.events_tbl tag :: acc) tips []
 
 (* the causal closure of a tip set; iterative — causal spines are as deep
@@ -512,7 +508,6 @@ let states_explored t = t.states_explored
 let live_states t = t.live_count
 let gc_reclaimed t = t.reclaimed
 let live_events t = Tag_tbl.length t.ref_events
-let live_conds t = Tag_tbl.length t.ref_conds
 let alarms_consumed t = t.alarms_seen + t.unknown_alarms
 
 let release t =

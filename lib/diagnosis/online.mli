@@ -51,8 +51,6 @@ val observe : t -> string * string -> unit
 (** One alarm [(symbol, peer)] arrives.
     @raise State_budget_exceeded when [max_states] is exceeded. *)
 
-val observe_all : t -> Petri.Alarm.alarm list -> unit
-
 val diagnosis : t -> Canon.diagnosis
 (** Explanations of everything observed so far. *)
 
@@ -71,9 +69,6 @@ val gc_reclaimed : t -> int
 
 val live_events : t -> int
 (** Distinct event terms referenced by live edges (refcount table size). *)
-
-val live_conds : t -> int
-(** Distinct condition terms in live cuts (refcount table size). *)
 
 val alarms_consumed : t -> int
 (** Alarms accepted by {!observe} so far (unknown-peer alarms included). *)

@@ -34,7 +34,6 @@ let g_dropped = Obs.Metrics.counter "sim.dropped"
 let g_bytes = Obs.Metrics.counter "sim.bytes"
 let g_domains = Obs.Metrics.gauge "sim.domains"
 let g_mailbox_depth = Obs.Metrics.gauge "sim.mailbox_depth"
-let g_steals = Obs.Metrics.counter "sim.steals"
 let g_batches = Obs.Metrics.counter "sim.batches"
 let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
 
@@ -42,26 +41,17 @@ let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
 (* Parallel scheduler state                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** How peers' home domains are assigned by {!run_parallel}. *)
-type pinning =
-  | Balanced  (** round-robin over domains in sorted-name order *)
-  | Skewed
-      (** every peer homes on domain 0 — other workers only ever get work
-          by stealing. A test/fuzz mode that forces the steal path. *)
-
-(* One box per PEER (not per domain): a mutex-guarded message queue plus a
-   [scheduled] flag. The flag makes peer activations mutually exclusive —
-   a box enters a domain's run queue exactly once per nonempty episode, so
-   at most one worker runs a given peer's handler at a time. Combined with
-   the happens-before edges of the box mutex (locked by every enqueuer and
-   by the draining worker), per-peer mutable state in the engines and in
-   the Dijkstra–Scholten detector still needs no locks of its own, even
-   though stealing migrates peers between domains: "pinned to one domain"
-   has weakened to "on at most one domain at a time, with ordered
-   hand-offs". *)
+(* One box per PEER: a mutex-guarded message queue plus a [scheduled]
+   flag. The flag makes peer activations mutually exclusive — a box enters
+   the run queue exactly once per nonempty episode, so at most one worker
+   runs a given peer's handler at a time. Combined with the happens-before
+   edges of the box mutex (locked by every enqueuer and by the draining
+   worker), per-peer mutable state in the engines and in the
+   Dijkstra–Scholten detector needs no locks of its own, even though any
+   idle worker may take the next activation of any peer: a peer runs on at
+   most one domain at a time, with ordered hand-offs. *)
 type 'msg peer_box = {
   pb_id : peer_id;
-  pb_home : int;  (* home domain: which run queue the box prefers *)
   pb_mu : Mutex.t;
   pb_q : (peer_id * 'msg) Queue.t;  (* (src, payload) *)
   mutable pb_scheduled : bool;  (* guarded by pb_mu *)
@@ -71,10 +61,9 @@ type 'msg peer_box = {
 and 'msg parallel = {
   boxes : (peer_id, 'msg peer_box) Hashtbl.t;
       (* read-only once domains are up *)
-  sched_mu : Mutex.t;  (* guards runqs *)
+  sched_mu : Mutex.t;  (* guards runq *)
   sched_cond : Condition.t;
-  runqs : 'msg peer_box Queue.t array;  (* runnable peers, one per domain *)
-  par_jobs : int;
+  runq : 'msg peer_box Queue.t;  (* runnable peers, shared by all workers *)
   in_flight : int Atomic.t;
       (* queued + currently-being-handled messages. Incremented BEFORE a
          message is enqueued and decremented only AFTER its handler
@@ -207,10 +196,18 @@ let bump_per_channel t ((src, dst) as key) bytes =
   book.pc_bytes <- book.pc_bytes + bytes;
   Obs.Metrics.incr ~by:bytes book.pc_global
 
+(* A box that just became runnable joins the shared run queue and wakes
+   one idle worker. *)
+let schedule p b =
+  Mutex.lock p.sched_mu;
+  Queue.add b p.runq;
+  Condition.signal p.sched_cond;
+  Mutex.unlock p.sched_mu
+
 (* Parallel route: the message goes into the destination peer's box; if the
-   box was idle it becomes runnable on its home domain's queue. in_flight
-   is incremented before the enqueue (see the [parallel] type) so
-   quiescence detection never under-counts. *)
+   box was idle it becomes runnable. in_flight is incremented before the
+   enqueue (see the [parallel] type) so quiescence detection never
+   under-counts. *)
 let send_parallel t p ~src ~dst msg =
   let lost =
     t.loss > 0.0
@@ -233,7 +230,7 @@ let send_parallel t p ~src ~dst msg =
     (* The sizer may thread per-channel codec state; all sends on one
        channel happen inside activations of the source peer, which the
        scheduled flag serializes — so per-channel sizer call order is
-       still the send order, stealing or not. *)
+       still the send order, whichever domain runs the source. *)
     let sz = t.size_of ~src ~dst msg in
     let b = Hashtbl.find p.boxes dst in
     Atomic.incr p.in_flight;
@@ -244,12 +241,7 @@ let send_parallel t p ~src ~dst msg =
     if newly_runnable then b.pb_scheduled <- true;
     Mutex.unlock b.pb_mu;
     Obs.Metrics.set_max g_mailbox_depth depth;
-    if newly_runnable then begin
-      Mutex.lock p.sched_mu;
-      Queue.add b p.runqs.(b.pb_home);
-      Condition.signal p.sched_cond;
-      Mutex.unlock p.sched_mu
-    end;
+    if newly_runnable then schedule p b;
     tick t.c_sent g_sent;
     tick_by sz t.c_bytes g_bytes;
     Mutex.lock p.book_mu;
@@ -360,45 +352,14 @@ let stop_all p =
   Atomic.set p.stop true;
   wake_all p
 
-(* Claim a runnable peer for domain [d]: own run queue first; when it is
-   empty, steal from the most-loaded other domain's queue — whole-mailbox
-   segments, since claiming a box claims everything queued in it. Blocks
-   on the scheduler condition when no peer is runnable anywhere. Returns
-   [None] on stop. *)
-let take_box p d =
-  Mutex.lock p.sched_mu;
-  let rec go () =
-    if Atomic.get p.stop then begin
-      Mutex.unlock p.sched_mu;
-      None
-    end
-    else if not (Queue.is_empty p.runqs.(d)) then begin
-      let b = Queue.pop p.runqs.(d) in
-      Mutex.unlock p.sched_mu;
-      Some b
-    end
-    else begin
-      let victim = ref (-1) and best = ref 0 in
-      for j = 0 to p.par_jobs - 1 do
-        let len = Queue.length p.runqs.(j) in
-        if j <> d && len > !best then begin
-          victim := j;
-          best := len
-        end
-      done;
-      if !victim >= 0 then begin
-        let b = Queue.pop p.runqs.(!victim) in
-        Obs.Metrics.incr g_steals;
-        Mutex.unlock p.sched_mu;
-        Some b
-      end
-      else begin
-        Condition.wait p.sched_cond p.sched_mu;
-        go ()
-      end
-    end
-  in
-  go ()
+(* Claim the next runnable peer, blocking on the scheduler condition while
+   none is runnable. Returns [None] on stop. *)
+let take_box p =
+  Mutex.protect p.sched_mu @@ fun () ->
+  while (not (Atomic.get p.stop)) && Queue.is_empty p.runq do
+    Condition.wait p.sched_cond p.sched_mu
+  done;
+  if Atomic.get p.stop then None else Some (Queue.pop p.runq)
 
 (* Run one peer activation: drain the box's whole queue into a local
    segment under one lock acquisition, then deliver every message with no
@@ -453,10 +414,7 @@ let process_box t p b =
   end
   else begin
     Mutex.unlock b.pb_mu;
-    Mutex.lock p.sched_mu;
-    Queue.add b p.runqs.(b.pb_home);
-    Condition.signal p.sched_cond;
-    Mutex.unlock p.sched_mu
+    schedule p b
   end
 
 (* Worker domains live as long as the process: [run_parallel] hands its
@@ -501,9 +459,9 @@ let pool_run tasks =
         Condition.wait all_done pool_mu
       done)
 
-let worker t p d =
+let worker t p =
   let rec loop () =
-    match take_box p d with
+    match take_box p with
     | None -> ()
     | Some b ->
       process_box t p b;
@@ -512,13 +470,12 @@ let worker t p d =
   loop ()
 
 (** Run to quiescence with [jobs] worker domains. Each peer has its own
-    box homed on a domain (round-robin in sorted-name order under
-    [Balanced] pinning; all on domain 0 under [Skewed]); idle workers
-    steal runnable peers from the most-loaded domain. Returns the number
-    of deliveries performed by this call. Delivery order is whatever the
-    domain scheduler produces — for confluent protocols (dQSQ) the final
-    fact sets still match the sequential scheduler exactly. *)
-let run_parallel ?(max_steps = 10_000_000) ?jobs ?(pinning = Balanced) t =
+    box; runnable boxes wait in one shared run queue, and any idle worker
+    takes the next. Returns the number of deliveries performed by this
+    call. Delivery order is whatever the domain scheduler produces — for
+    confluent protocols (dQSQ) the final fact sets still match the
+    sequential scheduler exactly. *)
+let run_parallel ?(max_steps = 10_000_000) ?jobs t =
   let jobs =
     match jobs with
     | Some j when j >= 1 -> j
@@ -527,23 +484,19 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs ?(pinning = Balanced) t =
   in
   Obs.Trace.with_span "sim.run_parallel" ~attrs:[ ("jobs", string_of_int jobs) ]
   @@ fun () ->
-  let peer_list = List.sort compare (peers t) in
   let boxes = Hashtbl.create 16 in
-  List.iteri
-    (fun i id ->
-      let home = match pinning with Balanced -> i mod jobs | Skewed -> 0 in
+  Hashtbl.iter
+    (fun id handler ->
       Hashtbl.add boxes id
-        { pb_id = id; pb_home = home; pb_mu = Mutex.create ();
-          pb_q = Queue.create (); pb_scheduled = false;
-          pb_handler = Hashtbl.find t.handlers id })
-    peer_list;
+        { pb_id = id; pb_mu = Mutex.create (); pb_q = Queue.create ();
+          pb_scheduled = false; pb_handler = handler })
+    t.handlers;
   let p =
     {
       boxes;
       sched_mu = Mutex.create ();
       sched_cond = Condition.create ();
-      runqs = Array.init jobs (fun _ -> Queue.create ());
-      par_jobs = jobs;
+      runq = Queue.create ();
       in_flight = Atomic.make 0;
       stop = Atomic.make false;
       par_deliveries = Atomic.make 0;
@@ -568,7 +521,7 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs ?(pinning = Balanced) t =
       done;
       if (not (Queue.is_empty b.pb_q)) && not b.pb_scheduled then begin
         b.pb_scheduled <- true;
-        Queue.add b p.runqs.(b.pb_home)
+        Queue.add b p.runq
       end
     | None -> ()
   done;
@@ -577,8 +530,8 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs ?(pinning = Balanced) t =
   t.par <- Some p;
   Obs.Metrics.set g_domains jobs;
   pool_run
-    (Array.init jobs (fun d () ->
-         try worker t p d
+    (Array.init jobs (fun _ () ->
+         try worker t p
          with e ->
            record_error p e;
            stop_all p));

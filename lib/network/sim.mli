@@ -59,24 +59,17 @@ val run : ?max_steps:int -> 'msg t -> int
 (** Deliver until quiescent; returns the number of deliveries.
     @raise Budget_exhausted after [max_steps] deliveries. *)
 
-type pinning =
-  | Balanced  (** peer home domains round-robin in sorted-name order *)
-  | Skewed
-      (** all peers homed on domain 0, so other workers only ever get
-          work by stealing — a test/fuzz mode that forces the steal path *)
-
-val run_parallel : ?max_steps:int -> ?jobs:int -> ?pinning:pinning -> 'msg t -> int
+val run_parallel : ?max_steps:int -> ?jobs:int -> 'msg t -> int
 (** Deliver until quiescent using [jobs] worker domains (default
     {!Domain.recommended_domain_count}). Worker domains are pooled for the
     life of the process: a run reuses idle ones and spawns only the
-    missing, and none is ever joined. Each peer owns a mailbox box
-    homed on a domain (per [pinning], default [Balanced]); a worker claims
-    a runnable peer — stealing whole boxes from the most-loaded other
-    domain when its own run queue is empty ([sim.steals]) — and drains the
-    peer's entire mailbox per claim ([sim.batches]/[sim.batch_size]),
-    running every handler without holding any lock. A scheduled flag makes
-    peer activations mutually exclusive, so per-peer mutable state still
-    needs no locks even though peers migrate between domains. Messages
+    missing, and none is ever joined. Each peer owns a mailbox box;
+    runnable boxes wait in one shared run queue, and an idle worker claims
+    the next one and drains the peer's entire mailbox per claim
+    ([sim.batches]/[sim.batch_size]), running every handler without
+    holding any lock. A scheduled flag makes peer activations mutually
+    exclusive, so per-peer mutable state needs no locks even though
+    peers migrate between domains from one claim to the next. Messages
     already queued under the sequential scheduler are migrated in
     (per-channel FIFO preserved). Termination uses an atomic in-flight
     count at drained-segment granularity: a segment's units are released

@@ -18,13 +18,13 @@
     time [state] only reads it. Peer [p]'s [parent]/[deficit] fields are
     mutated exclusively from [p]'s own handler ([send_work] bumps the
     {e sender}'s deficit and is only called from inside the sender's
-    handler, or from the main domain before the run starts). Under work
-    stealing a peer's activations may migrate between domains, but the
-    sim runs each peer box on at most one domain at a time and hands it
-    off through the box mutex, so the fields are never written
-    concurrently and every write is visible to the next activation.
-    [terminated] is written by the root's domain and read by the main
-    domain after [Domain.join], which orders the accesses. *)
+    handler, or from the main domain before the run starts). A peer's
+    activations may migrate between domains, but the sim runs each peer
+    box on at most one domain at a time and hands it off through the box
+    mutex, so the fields are never written concurrently and every write
+    is visible to the next activation. [terminated] is written by the
+    root's domain and read by the main domain after the run returns; the
+    worker pool's completion handshake (a mutex) orders the accesses. *)
 
 type peer_id = Sim.peer_id
 

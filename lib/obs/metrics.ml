@@ -10,23 +10,14 @@
 
     Every instrument is safe to update from any domain, so instrumentation
     stays on in parallel dQSQ runs:
-    - counters stripe their value over a small array of [Atomic.t] cells
-      indexed by domain id, so concurrent increments do not contend on one
-      cache line; reading sums the stripes (reads are monotone but may
-      race with in-flight increments, which is fine for telemetry);
-    - gauges are a single [Atomic.t];
+    - counters and gauges are a single [Atomic.t] each;
     - histograms and the registry table itself are mutex-guarded (they are
       off the hot paths). *)
 
-(* Power of two so [land] replaces [mod]; 8 stripes covers the domain
-   counts we spawn without wasting a page per counter. *)
-let stripes = 8
-
-type counter = { c_name : string; cells : int Atomic.t array }
-type gauge = { g_name : string; g : int Atomic.t }
+type counter = int Atomic.t
+type gauge = int Atomic.t
 
 type histogram = {
-  h_name : string;
   h_mu : Mutex.t;
   mutable h_count : int;
   mutable h_sum : float;
@@ -46,22 +37,13 @@ let create_registry () : registry =
 
 let default : registry = create_registry ()
 
-let name_of = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
-
 let kind_of = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let with_lock mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
 let register (registry : registry) name make classify =
-  with_lock registry.mu (fun () ->
+  Mutex.protect registry.mu (fun () ->
       match Hashtbl.find_opt registry.tbl name with
       | Some ins -> (
         match classify ins with
@@ -77,45 +59,36 @@ let register (registry : registry) name make classify =
 
 let counter ?(registry = default) name : counter =
   register registry name
-    (fun () ->
-      let c = { c_name = name; cells = Array.init stripes (fun _ -> Atomic.make 0) } in
-      (c, Counter c))
+    (fun () -> let c = Atomic.make 0 in (c, Counter c))
     (function Counter c -> Some c | Gauge _ | Histogram _ -> None)
 
 let gauge ?(registry = default) name : gauge =
   register registry name
-    (fun () ->
-      let g = { g_name = name; g = Atomic.make 0 } in
-      (g, Gauge g))
+    (fun () -> let g = Atomic.make 0 in (g, Gauge g))
     (function Gauge g -> Some g | Counter _ | Histogram _ -> None)
 
 let histogram ?(registry = default) name : histogram =
   register registry name
     (fun () ->
       let h =
-        { h_name = name; h_mu = Mutex.create (); h_count = 0; h_sum = 0.0;
+        { h_mu = Mutex.create (); h_count = 0; h_sum = 0.0;
           h_min = infinity; h_max = neg_infinity; h_buckets = Hashtbl.create 8 }
       in
       (h, Histogram h))
     (function Histogram h -> Some h | Counter _ | Gauge _ -> None)
 
-let stripe_index () = (Domain.self () :> int) land (stripes - 1)
+let incr ?(by = 1) (c : counter) = ignore (Atomic.fetch_and_add c by)
+let value (c : counter) = Atomic.get c
 
-let incr ?(by = 1) (c : counter) =
-  ignore (Atomic.fetch_and_add c.cells.(stripe_index ()) by)
-
-let value (c : counter) =
-  Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
-
-let set (g : gauge) v = Atomic.set g.g v
-let gauge_value (g : gauge) = Atomic.get g.g
-let add_gauge (g : gauge) d = ignore (Atomic.fetch_and_add g.g d)
+let set (g : gauge) v = Atomic.set g v
+let gauge_value (g : gauge) = Atomic.get g
+let add_gauge (g : gauge) d = ignore (Atomic.fetch_and_add g d)
 
 (* Lock-free high-water mark: retry the CAS until either we published v or
    somebody else published something at least as large. *)
 let rec set_max (g : gauge) v =
-  let cur = Atomic.get g.g in
-  if v > cur && not (Atomic.compare_and_set g.g cur v) then set_max g v
+  let cur = Atomic.get g in
+  if v > cur && not (Atomic.compare_and_set g cur v) then set_max g v
 
 (* Log-scale (base 2) bucketing: an observation v > 0 lands in the bucket
    whose upper bound is the smallest power of two >= v. *)
@@ -127,7 +100,7 @@ let bucket_exponent v =
     if Float.pow 2.0 (float_of_int (e - 1)) >= v then e - 1 else e
 
 let observe (h : histogram) v =
-  with_lock h.h_mu (fun () ->
+  Mutex.protect h.h_mu (fun () ->
       h.h_count <- h.h_count + 1;
       h.h_sum <- h.h_sum +. v;
       if v < h.h_min then h.h_min <- v;
@@ -149,7 +122,7 @@ type histogram_summary = {
 }
 
 let summary (h : histogram) : histogram_summary =
-  with_lock h.h_mu (fun () ->
+  Mutex.protect h.h_mu (fun () ->
       let buckets =
         Hashtbl.fold
           (fun e r acc ->
@@ -161,12 +134,12 @@ let summary (h : histogram) : histogram_summary =
       { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max; buckets })
 
 let instruments (registry : registry) : (string * instrument) list =
-  with_lock registry.mu (fun () ->
+  Mutex.protect registry.mu (fun () ->
       Hashtbl.fold (fun name ins acc -> (name, ins) :: acc) registry.tbl [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let find ?(registry = default) name =
-  with_lock registry.mu (fun () -> Hashtbl.find_opt registry.tbl name)
+  Mutex.protect registry.mu (fun () -> Hashtbl.find_opt registry.tbl name)
 
 (** Current value of a named counter, 0 when absent or not a counter —
     convenient for tests and thin read-only views. *)
@@ -176,14 +149,14 @@ let counter_value ?(registry = default) name =
 (** Zero every instrument (the instruments themselves stay registered, so
     handles held by other modules remain valid). *)
 let reset ?(registry = default) () =
-  with_lock registry.mu (fun () ->
+  Mutex.protect registry.mu (fun () ->
       Hashtbl.iter
         (fun _ ins ->
           match ins with
-          | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
-          | Gauge g -> Atomic.set g.g 0
+          | Counter c -> Atomic.set c 0
+          | Gauge g -> Atomic.set g 0
           | Histogram h ->
-            with_lock h.h_mu (fun () ->
+            Mutex.protect h.h_mu (fun () ->
                 h.h_count <- 0;
                 h.h_sum <- 0.0;
                 h.h_min <- infinity;

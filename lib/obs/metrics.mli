@@ -5,9 +5,9 @@
     instrument, so modules share instruments by agreeing on names; asking
     for a name under a different instrument kind raises [Invalid_argument].
     Updates are cheap enough to leave on, and every instrument is safe to
-    update concurrently from multiple domains: counters stripe atomically
-    per domain, gauges are a single [Atomic.t], histograms and the
-    registry itself are mutex-guarded. *)
+    update concurrently from multiple domains: counters and gauges are a
+    single [Atomic.t] each, histograms and the registry itself are
+    mutex-guarded. *)
 
 type counter
 type gauge
@@ -55,7 +55,6 @@ type histogram_summary = {
 
 val summary : histogram -> histogram_summary
 
-val name_of : instrument -> string
 val kind_of : instrument -> string
 
 val instruments : registry -> (string * instrument) list

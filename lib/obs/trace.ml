@@ -29,7 +29,6 @@ let ring_len = ref 0
 let depth = ref 0
 
 let set_sink s = the_sink := s
-let current_sink () = !the_sink
 
 let set_recording b = recording := b
 

@@ -17,7 +17,6 @@ type span = {
 }
 
 val set_sink : sink -> unit
-val current_sink : unit -> sink
 
 val set_recording : bool -> unit
 (** Record spans to the ring buffer even with the sink [Off]. *)

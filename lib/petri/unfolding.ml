@@ -55,11 +55,6 @@ let rec name_depth = function
   | Cond_name (Parent e, _) -> 1 + name_depth e
   | Event_name (_, pres) -> 1 + List.fold_left (fun acc n -> max acc (name_depth n)) 1 pres
 
-module Name_set = Set.Make (struct
-  type t = name
-  let compare = name_compare
-end)
-
 type cond = {
   c_id : int;
   c_place : string;
@@ -101,12 +96,6 @@ let net u = u.net
 let co_set u c = Option.value ~default:Int_set.empty (Hashtbl.find_opt u.co c)
 
 let concurrent u c1 c2 = c1 <> c2 && Int_set.mem c2 (co_set u c1)
-
-(** Map an unfolding node to the Petri-net node it instantiates (the
-    homomorphism rho of Definition 3). *)
-let rho_cond c = c.c_place
-
-let rho_event e = e.e_trans
 
 let add_cond u ~place ~parent : cond =
   let id = u.n_conds in
@@ -365,10 +354,3 @@ let iter_configurations ?size ?max_size u f =
   in
   if ok_size Int_set.empty then f Int_set.empty;
   go Int_set.empty Int_set.empty
-
-(** All canonical names of the unfolding's nodes. *)
-let all_names u : Name_set.t =
-  let s =
-    Hashtbl.fold (fun _ c acc -> Name_set.add c.c_name acc) u.conds Name_set.empty
-  in
-  Hashtbl.fold (fun _ e acc -> Name_set.add e.e_name acc) u.events s

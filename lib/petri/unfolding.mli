@@ -22,8 +22,6 @@ val name_compare : name -> name -> int
 val name_depth : name -> int
 (** Root conditions have depth 2 (they print as [g(r, place)]). *)
 
-module Name_set : Set.S with type elt = name
-
 type cond = {
   c_id : int;
   c_place : string;
@@ -58,16 +56,10 @@ val net : t -> Net.t
 val concurrent : t -> int -> int -> bool
 (** Concurrency between conditions. *)
 
-val rho_cond : cond -> string
-val rho_event : event -> string
-(** The homomorphism to the original net (Definition 3). *)
-
 type bound = {
   max_events : int option;
   max_depth : int option;  (** canonical-name depth *)
 }
-
-val no_bound : bound
 
 val unfold : ?bound:bound -> Net.t -> t
 (** The unique maximal branching process, possibly truncated by [bound]. *)
@@ -89,5 +81,3 @@ val iter_configurations : ?size:int -> ?max_size:int -> t -> (Int_set.t -> unit)
 (** Enumerate configurations, each exactly once: all of them, exactly
     [size] events, or at most [max_size] events. Exponential — for
     reference checks on small prefixes. *)
-
-val all_names : t -> Name_set.t

@@ -164,9 +164,6 @@ let add_tenant t ~name net =
       Ok tn.placement
     end
 
-let tenant_names t =
-  Hashtbl.fold (fun n _ acc -> n :: acc) t.tenants [] |> List.sort compare
-
 let open_session t ~tenant:name =
   let* tn = tenant t name in
   let id = t.next_id in

@@ -81,8 +81,6 @@ val add_tenant : t -> name:string -> Petri.Net.t -> (string list, string) result
     placement (net peers + supervisor).
     Fails on duplicate names or a peer named ["supervisor"]. *)
 
-val tenant_names : t -> string list
-
 val open_session : t -> tenant:string -> (int, string) result
 
 val open_stream : ?max_states:int -> t -> tenant:string -> (int, string) result

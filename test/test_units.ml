@@ -100,20 +100,25 @@ let test_term_weak_collection () =
   Alcotest.(check bool) "dead terms are collected" true (Term.live_terms () < peak)
 
 let test_term_parallel_intern () =
-  (* N domains race to intern the same deep Skolem spines; the sharded
-     intern table must still hand out one physical representative per
-     structure, so the lists built on different domains are pointwise
-     [==] — to each other and to the main domain's copy. *)
+  (* N domains race to intern the same deep Skolem spines; the intern
+     table must still hand out one physical representative per structure,
+     so the lists built on different domains are pointwise [==] — to each
+     other and to the main domain's copy. Each domain also interns terms
+     no other domain builds. *)
   let domains = 4 and variants = 32 and depth = 48 in
   let n = variants * 4 in
   let build i =
     Term.app "par" [ deep_term depth; Term.const (string_of_int (i mod variants)) ]
   in
-  let workers = List.init domains (fun _ -> Domain.spawn (fun () -> List.init n build)) in
+  let own d i = Term.app "own" [ Term.const (Printf.sprintf "%d/%d" d i) ] in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () -> (List.init n build, List.init n (own d))))
+  in
   let per_domain = List.map Domain.join workers in
   let reference = List.init n build in
   List.iteri
-    (fun d ts ->
+    (fun d (ts, _) ->
       List.iteri
         (fun i t ->
           Alcotest.(check bool)
@@ -121,7 +126,23 @@ let test_term_parallel_intern () =
             true
             (t == List.nth reference i))
         ts)
-    per_domain
+    per_domain;
+  (* [Term.compare] orders by tag, so no two structures interned
+     concurrently, shared or not, may carry the same tag *)
+  let by_tag = Hashtbl.create 1024 and clashes = ref 0 in
+  let rec visit t =
+    match Hashtbl.find_opt by_tag (Term.tag t) with
+    | Some u -> if u != t then incr clashes
+    | None -> (
+      Hashtbl.add by_tag (Term.tag t) t;
+      match Term.view t with
+      | Term.App (_, args) -> List.iter visit args
+      | Term.Const _ | Term.Var _ -> ())
+  in
+  List.iter (fun (ts, mine) -> List.iter visit ts; List.iter visit mine) per_domain;
+  Alcotest.(check bool) "every own term visited" true
+    (Hashtbl.length by_tag >= 2 * domains * n);
+  Alcotest.(check int) "tags are pairwise distinct" 0 !clashes
 
 (* ------------------------------------------------------------------ *)
 (* Subst                                                              *)
