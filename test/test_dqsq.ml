@@ -218,6 +218,48 @@ let test_ring_parallel_eq_sequential () =
         [ 2; 3 ])
     [ (3, 11); (4, 12); (5, 13) ]
 
+(* run_parallel takes over messages the sequential scheduler already
+   queued and handlers that send while running in worker domains: every
+   channel must still deliver in send order, and every message exactly
+   once. Peers a and b each queue [n] numbers to c; c forwards each one to
+   d, so c -> d interleaves two streams produced under the parallel run. *)
+let test_parallel_keeps_channel_fifo () =
+  let module Sim = Network.Sim in
+  let n = 200 in
+  let net : (string * int) Sim.t = Sim.create ~seed:3 () in
+  let at_c = ref [] and at_d = ref [] in
+  Sim.add_peer net "a" (fun _ ~src:_ _ -> ());
+  Sim.add_peer net "b" (fun _ ~src:_ _ -> ());
+  Sim.add_peer net "c" (fun net ~src msg ->
+      at_c := (src, msg) :: !at_c;
+      Sim.send net ~src:"c" ~dst:"d" msg);
+  Sim.add_peer net "d" (fun _ ~src:_ msg -> at_d := msg :: !at_d);
+  for i = 0 to n - 1 do
+    Sim.send net ~src:"a" ~dst:"c" ("a", i);
+    Sim.send net ~src:"b" ~dst:"c" ("b", i)
+  done;
+  let early = ref 0 in
+  for _ = 1 to 25 do
+    if Sim.step net then incr early
+  done;
+  let late = Sim.run_parallel ~jobs:2 net in
+  Alcotest.(check int) "every message delivered once" (4 * n) (!early + late);
+  let stream from l =
+    List.filter_map (fun (origin, i) -> if origin = from then Some i else None) (List.rev l)
+  in
+  let in_order = List.init n Fun.id in
+  List.iter
+    (fun from ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s -> c in send order" from)
+        in_order
+        (stream from (List.map snd !at_c));
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s's stream reaches d in order" from)
+        in_order (stream from !at_d))
+    [ "a"; "b" ];
+  Alcotest.(check bool) "quiescent" true (Sim.is_quiescent net)
+
 (* Theorem 1: dQSQ's facts (modulo zeta) == centralized QSQ's facts on the
    localized program. *)
 let check_theorem1 program edb query seed =
@@ -491,8 +533,10 @@ let suite =
           test_fig3_parallel_eq_sequential;
         Alcotest.test_case "parallel == sequential (rings)" `Quick
           test_ring_parallel_eq_sequential;
-        Alcotest.test_case "cross-domain and decoded terms are (==)" `Quick
+        Alcotest.test_case "arena promotion: cross-domain (==)" `Quick
           test_cross_domain_intern;
+        Alcotest.test_case "parallel keeps channel FIFO" `Quick
+          test_parallel_keeps_channel_fifo;
         Alcotest.test_case "Theorem 1 on Fig. 3" `Quick test_theorem1_fig3 ] );
     ( "random",
       qcheck [ prop_theorem1_random; prop_dqsq_answers_random; prop_dnaive_answers_random ] );
