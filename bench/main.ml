@@ -574,13 +574,15 @@ let e16 () =
 (* ------------------------------------------------------------------ *)
 
 (* Each theorem property of lib/check runs over the same fixed 25-seed
-   corpus. Checks are differential — two engines per check — so the time
-   column is dominated by the slower engine of the pair (usually the
-   reference oracle or the distributed run). A non-zero fails column is a
-   regression: the fuzzer would print a one-line replay recipe for it. *)
+   corpus. Checks are differential — two engines per check — so a
+   property's time is dominated by the slower engine of the pair (usually
+   the reference oracle or the distributed run). A non-zero fails column
+   is a regression: the fuzzer would print a one-line replay recipe for
+   it. Times go to stderr, so stdout stays byte-identical across runs
+   (test/bench_golden.txt pins it). *)
 let e17 () =
   section "E17" "Differential fuzzing corpus: theorem properties over 25 fixed seeds";
-  Printf.printf "%-36s %7s %8s %6s %9s\n" "property" "checks" "skipped" "fails" "time";
+  Printf.printf "%-36s %7s %8s %6s\n" "property" "checks" "skipped" "fails";
   let total = ref 0.0 in
   List.iter
     (fun (p : Check.Property.t) ->
@@ -596,13 +598,14 @@ let e17 () =
       let report = Check.Runner.run config in
       let dt = Sys.time () -. t0 in
       total := !total +. dt;
-      Printf.printf "%-36s %7d %8d %6d %8.2fs\n" p.Check.Property.name
+      Printf.printf "%-36s %7d %8d %6d\n" p.Check.Property.name
         report.Check.Runner.checks report.Check.Runner.skipped
-        (List.length report.Check.Runner.failures)
-        dt)
+        (List.length report.Check.Runner.failures);
+      Printf.eprintf "E17 %-36s %8.2fs\n" p.Check.Property.name dt)
     Check.Property.all;
-  Printf.printf "(total %.2fs; replay any failure with: diag fuzz --runs 1 --seed N\n\
-                \ --property NAME — see `diag fuzz --list-properties`)\n" !total
+  Printf.eprintf "E17 total %.2fs\n" !total;
+  Printf.printf "(replay any failure with: diag fuzz --runs 1 --seed N\n\
+                \ --property NAME — see `diag fuzz --list-properties`)\n"
 
 (* ------------------------------------------------------------------ *)
 (* determinism digests and --check-baseline                             *)
