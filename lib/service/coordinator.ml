@@ -141,14 +141,15 @@ let session t sid =
   | None -> errorf "unknown session %d" sid
 
 let add_tenant t ~name net =
+  let supervisor = "supervisor" in
   if Hashtbl.mem t.tenants name then errorf "tenant %s already exists" name
   else
-    let net = if Petri.Net.is_binary net then net else Petri.Net.binarize net in
-    let supervisor = "supervisor" in
-    let peers = Petri.Net.peers net in
-    if List.mem supervisor peers then
+    match if Petri.Net.is_binary net then net else Petri.Net.binarize net with
+    | exception Petri.Net.Ill_formed m -> errorf "tenant %s: %s" name m
+    | net when List.mem supervisor (Petri.Net.peers net) ->
       errorf "tenant %s: a net peer is named %S" name supervisor
-    else begin
+    | net ->
+      let peers = Petri.Net.peers net in
       let tn =
         {
           t_name = name;
@@ -162,7 +163,6 @@ let add_tenant t ~name net =
       in
       Hashtbl.add t.tenants name tn;
       Ok tn.placement
-    end
 
 let open_session t ~tenant:name =
   let* tn = tenant t name in

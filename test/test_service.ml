@@ -527,6 +527,28 @@ let test_snapshot_store () =
   ok (Coordinator.close coord sid);
   rm_rf dir
 
+(* Client side of the socket tests: wait for the server's socket file,
+   connect, and exchange one request line for one reply line. *)
+let await_socket path =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done
+
+let connect path =
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  (sock, Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock)
+
+let ask (_, ic, oc) line =
+  output_string oc (line ^ "\n");
+  flush oc;
+  try input_line ic with End_of_file -> "<server gone>"
+
+let starts prefix reply =
+  Alcotest.(check string) reply prefix
+    (String.sub reply 0 (min (String.length prefix) (String.length reply)))
+
 (* a store that vanishes under a running server fails the [checkpoint]
    request with [err], and the server goes on serving: later requests are
    answered and the shutdown flush returns normally *)
@@ -549,29 +571,15 @@ let test_checkpoint_write_failure () =
     in
     Unix._exit code
   | pid ->
-    let deadline = Unix.gettimeofday () +. 10. in
-    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.02
-    done;
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect sock (Unix.ADDR_UNIX path);
-    let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
-    let ask line =
-      output_string oc (line ^ "\n");
-      flush oc;
-      try input_line ic with End_of_file -> "<server gone>"
-    in
-    let starts prefix reply =
-      Alcotest.(check string) reply prefix
-        (String.sub reply 0 (min (String.length prefix) (String.length reply)))
-    in
-    starts "ok stream 1" (ask "stream t");
-    starts "ok" (ask "alarm 1 b p1");
-    starts "ok checkpoint 1" (ask "checkpoint 1");
+    await_socket path;
+    let ((sock, _, _) as client) = connect path in
+    starts "ok stream 1" (ask client "stream t");
+    starts "ok" (ask client "alarm 1 b p1");
+    starts "ok checkpoint 1" (ask client "checkpoint 1");
     rm_rf dir;
-    starts "err " (ask "checkpoint 1");
-    starts "ok stats" (ask "stats");
-    starts "ok bye" (ask "quit");
+    starts "err " (ask client "checkpoint 1");
+    starts "ok stats" (ask client "stats");
+    starts "ok bye" (ask client "quit");
     Unix.close sock;
     let _, status = Unix.waitpid [] pid in
     Alcotest.(check bool) "clean exit after a failed flush" true (status = Unix.WEXITED 0)
@@ -599,25 +607,8 @@ let test_client_hangup () =
     in
     Unix._exit code
   | pid ->
-    let deadline = Unix.gettimeofday () +. 10. in
-    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.02
-    done;
-    let connect () =
-      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect sock (Unix.ADDR_UNIX path);
-      (sock, Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock)
-    in
-    let ask (_, ic, oc) line =
-      output_string oc (line ^ "\n");
-      flush oc;
-      try input_line ic with End_of_file -> "<server gone>"
-    in
-    let starts prefix reply =
-      Alcotest.(check string) reply prefix
-        (String.sub reply 0 (min (String.length prefix) (String.length reply)))
-    in
-    let ((sock, _, oc) as first) = connect () in
+    await_socket path;
+    let ((sock, _, oc) as first) = connect path in
     starts "ok stream 1" (ask first "stream t");
     starts "ok" (ask first "alarm 1 b p1");
     (* many reports queued, then hang up without reading one reply *)
@@ -627,7 +618,7 @@ let test_client_hangup () =
     flush oc;
     Unix.close sock;
     let ((sock, _, _) as second) =
-      try connect ()
+      try connect path
       with Unix.Unix_error (e, _, _) ->
         Alcotest.failf "server gone after the hang-up: %s" (Unix.error_message e)
     in
@@ -642,6 +633,39 @@ let test_client_hangup () =
     | l ->
       Alcotest.fail (Printf.sprintf "expected one flushed snapshot, found %d" (List.length l)));
     rm_rf dir
+
+(* a net the coordinator cannot binarize (a transition with three preset
+   places) is refused with [err] by the [tenant] request, and the server
+   goes on answering *)
+let test_unbinarizable_tenant () =
+  let net = "tmp_tri.net" and path = "tmp_serve_tri.sock" in
+  let oc = open_out net in
+  output_string oc
+    "place 1 @p1 marked\nplace 2 @p1 marked\nplace 3 @p1 marked\nplace 4 @p1\n\
+     trans t @p1 alarm a pre 1 2 3 post 4\n";
+  close_out oc;
+  (try Sys.remove path with Sys_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Serve.socket (Coordinator.create ()) ~path ~once:true;
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    await_socket path;
+    let ((sock, _, _) as client) = connect path in
+    let reply = ask client ("tenant a " ^ net) in
+    starts "err tenant a: " reply;
+    Alcotest.(check bool) "names the transition" true (contains reply "transition t");
+    starts "ok stats tenants=0" (ask client "stats");
+    starts "ok bye" (ask client "quit");
+    Unix.close sock;
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
+    Sys.remove net
 
 (* SIGTERM while [Serve.socket] blocks in accept: the child must flush its
    live stream to the store, unlink the socket, and exit cleanly *)
@@ -665,10 +689,7 @@ let test_graceful_shutdown () =
     (* skip the inherited Alcotest at_exit machinery *)
     Unix._exit 0
   | pid ->
-    let deadline = Unix.gettimeofday () +. 10. in
-    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.02
-    done;
+    await_socket path;
     Alcotest.(check bool) "server came up" true (Sys.file_exists path);
     (* let the child reach accept before the signal lands *)
     Unix.sleepf 0.05;
@@ -711,7 +732,9 @@ let () =
             test_checkpoint_write_failure;
           Alcotest.test_case "graceful shutdown flushes" `Quick
             test_graceful_shutdown;
-          Alcotest.test_case "client hang-up keeps serving" `Quick test_client_hangup ] );
+          Alcotest.test_case "client hang-up keeps serving" `Quick test_client_hangup;
+          Alcotest.test_case "unbinarizable tenant keeps serving" `Quick
+            test_unbinarizable_tenant ] );
       (* this group MUST run after "durability": once a domain has been
          spawned anywhere in the process, OCaml 5 permanently forbids
          Unix.fork (even after Domain.join) — and the graceful-shutdown
