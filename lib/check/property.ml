@@ -282,10 +282,11 @@ let parallel_eq_sequential i =
 
 (* ------------- the service path == the in-memory path ----------- *)
 
-(* The coordinator runs the same scenario through the full service stack:
-   every protocol message crosses the Wire codec with verification on
-   (decode must return physically identical terms — Roundtrip_mismatch is
-   caught by the guard as a Fail). The diagnosis must survive its
+(* The coordinator runs the same scenario through the full service stack.
+   Every protocol message crosses the network as a Wire frame and the
+   receiver computes with the decoded copy, so a decoder that loses or
+   garbles anything changes the report below (a malformed frame raises
+   Wire.Corrupt, caught by the guard as a Fail). The diagnosis must survive its
    configuration-set frame: the render of the decoded copy is
    byte-identical to Report.to_string on the direct diagnosis, which is
    what lets the service render without decoding its own report frame.

@@ -50,37 +50,3 @@ let rec is_fact = function
   | Activate _ | Subscribe _ | Delegate _ -> false
 
 let is_control m = not (is_fact m)
-
-let literal_equal l1 l2 =
-  match (l1, l2) with
-  | Drule.Pos a, Drule.Pos b -> Datom.equal a b
-  | Drule.Neq (x1, y1), Drule.Neq (x2, y2) -> Term.equal x1 x2 && Term.equal y1 y2
-  | Drule.Pos _, Drule.Neq _ | Drule.Neq _, Drule.Pos _ -> false
-
-let delegation_equal d1 d2 =
-  String.equal d1.d_key d2.d_key
-  && String.equal d1.d_origin_rel d2.d_origin_rel
-  && String.equal d1.d_origin_ad d2.d_origin_ad
-  && d1.d_rule_index = d2.d_rule_index
-  && d1.d_pos = d2.d_pos
-  && d1.d_lit_index = d2.d_lit_index
-  && Atom.equal d1.d_prev_sup d2.d_prev_sup
-  && String.equal d1.d_prev_owner d2.d_prev_owner
-  && List.equal literal_equal d1.d_remaining d2.d_remaining
-  && List.equal
-       (fun (x1, y1) (x2, y2) -> Term.equal x1 x2 && Term.equal y1 y2)
-       d1.d_pending d2.d_pending
-  && List.equal String.equal d1.d_bound d2.d_bound
-  && Datom.equal d1.d_head d2.d_head
-
-(** Equality with terms compared physically — with hash-consing this is
-    full structural equality, and it is what the codec-roundtrip checks
-    demand of decode-after-encode. *)
-let rec equal m1 m2 =
-  match (m1, m2) with
-  | Activate r1, Activate r2 -> String.equal r1 r2
-  | Subscribe s1, Subscribe s2 -> Symbol.equal s1 s2
-  | Fact a1, Fact a2 -> Atom.equal a1 a2
-  | Delegate d1, Delegate d2 -> delegation_equal d1 d2
-  | Batch ms1, Batch ms2 -> List.equal equal ms1 ms2
-  | (Activate _ | Subscribe _ | Fact _ | Delegate _ | Batch _), _ -> false

@@ -31,11 +31,6 @@ type t =
       (** one envelope: everything a peer flushes to one destination in a
           single handler activation (batched fragment answers) *)
 
-val equal : t -> t -> bool
-(** Structural equality with terms compared physically (sound and complete
-    under hash-consing) — what decode-after-encode must satisfy. Byte
-    accounting now lives in {!Wire}; the old symbol-count [size] is gone. *)
-
 val describe : t -> string
 
 val is_fact : t -> bool

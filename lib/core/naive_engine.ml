@@ -17,19 +17,22 @@ type peer_state = {
   activated : (string, unit) Hashtbl.t;
 }
 
+(* The network carries the same frames as dQSQ's: every message is a
+   [Work] envelope, which encodes byte-identically to the bare message. *)
 type t = {
   program : Dprogram.t;
-  sim : Message.t Network.Sim.t;
+  sim : Message.t Network.Termination.wrapped Network.Sim.t;
   states : (string, peer_state) Hashtbl.t;
   query_peer : string;
 }
 
 let state t p = Hashtbl.find t.states p
+let send t ~src ~dst m = Network.Sim.send t.sim ~src ~dst (Network.Termination.Work m)
 
 let forward t ~src outputs =
   List.iter
     (fun (fact, subs) ->
-      List.iter (fun dst -> Network.Sim.send t.sim ~src ~dst (Message.Fact fact)) subs)
+      List.iter (fun dst -> send t ~src ~dst (Message.Fact fact)) subs)
     outputs
 
 (* Activate relation [rel] at peer [p]: install its rules, activate local
@@ -48,8 +51,8 @@ let rec activate t p rel =
           (fun (a : Datom.t) ->
             if String.equal a.Datom.peer p then activate t p a.Datom.rel
             else begin
-              Network.Sim.send t.sim ~src:p ~dst:a.Datom.peer (Message.Activate a.Datom.rel);
-              Network.Sim.send t.sim ~src:p ~dst:a.Datom.peer
+              send t ~src:p ~dst:a.Datom.peer (Message.Activate a.Datom.rel);
+              send t ~src:p ~dst:a.Datom.peer
                 (Message.Subscribe (Datom.mangle_rel ~rel:a.Datom.rel ~peer:a.Datom.peer))
             end)
           (Drule.body_atoms r))
@@ -63,22 +66,23 @@ let handle t p ~src msg =
   | Message.Activate rel -> activate t p rel
   | Message.Subscribe rel ->
     let snapshot = Runtime.subscribe st.rt rel ~dst:src in
-    List.iter (fun fact -> Network.Sim.send t.sim ~src:p ~dst:src (Message.Fact fact)) snapshot
+    List.iter (fun fact -> send t ~src:p ~dst:src (Message.Fact fact)) snapshot
   | Message.Fact fact ->
     if Runtime.add_fact st.rt fact then
       forward t ~src:p (Runtime.evaluate ~delta:[ fact ] st.rt)
   | Message.Delegate _ -> invalid_arg "Naive_engine: unexpected delegation"
   | Message.Batch _ -> invalid_arg "Naive_engine: unexpected envelope"
 
+let unwrap = function
+  | Network.Termination.Work m -> m
+  | Network.Termination.Ack -> invalid_arg "Naive_engine: unexpected ack"
+
 (** Set up the network for [program]: one simulated peer per dDatalog peer,
     EDB facts preloaded into their owners' stores. *)
 let create ?(seed = 0) ?(policy = Network.Sim.Random_interleaving)
     ?(eval_options = Eval.default_options) (program : Dprogram.t)
     ~(edb : Datom.t list) ~(query : Datom.t) : t =
-  let sim =
-    Network.Sim.create ~seed ~policy ~size_of:(Wire.message_sizer (Wire.channels ()))
-      ~describe:Message.describe ()
-  in
+  let sim = Network.Sim.create ~seed ~policy ~codec:(Wire.codec (Wire.channels ())) () in
   let peers =
     List.sort_uniq String.compare
       (Dprogram.peers program
@@ -100,7 +104,7 @@ let create ?(seed = 0) ?(policy = Network.Sim.Random_interleaving)
             (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) @ [ r ]))
         (Dprogram.rules_at program p);
       Hashtbl.add states p st;
-      Network.Sim.add_peer sim p (fun _ ~src msg -> handle t p ~src msg))
+      Network.Sim.add_peer sim p (fun _ ~src msg -> handle t p ~src (unwrap msg)))
     peers;
   List.iter
     (fun (a : Datom.t) ->

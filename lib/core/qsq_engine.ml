@@ -67,7 +67,7 @@ type peer_state = {
 type t = {
   mutable program : Dprogram.t;
   sim : Message.t Ds.wrapped Sim.t;
-  channels : Wire.channels;  (* the sizer's per-channel codec state *)
+  channels : Wire.channels;  (* the network's per-channel codec state *)
   states : (string, peer_state) Hashtbl.t;
   mutable query : Datom.t;
   mutable query_peer : string;
@@ -500,15 +500,13 @@ let ds_root = "#root"
 
 let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
     ?(eval_options = Eval.default_options) ?(termination = God_view)
-    ?(wire_verify = false) ?(batching = true) (program : Dprogram.t)
+    ?wire_verify:_ ?(batching = true) (program : Dprogram.t)
     ~(edb : Datom.t list) ~(query : Datom.t) : t =
-  (* byte accounting runs every message through the real codec, with one
-     connection per channel; [wire_verify] additionally decodes each
-     message and insists on physical equality *)
+  (* every message crosses the network as a frame of the real codec, with
+     one connection per channel *)
   let channels = Wire.channels () in
-  let size_of = Wire.wrapped_sizer ~verify:wire_verify channels in
   let describe = function Ds.Work m -> Message.describe m | Ds.Ack -> "ack" in
-  let sim = Sim.create ~seed ~policy ~loss ~size_of ~describe () in
+  let sim = Sim.create ~seed ~policy ~loss ~codec:(Wire.codec channels) ~describe () in
   let peers =
     List.sort_uniq String.compare
       (Dprogram.peers program

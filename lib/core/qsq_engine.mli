@@ -34,12 +34,13 @@ val create :
   edb:Datom.t list ->
   query:Datom.t ->
   t
-(** Byte accounting runs every message through the {!Wire} codec with one
+(** Every message crosses the network as a {!Wire} frame, with one
     connection per directed channel (first occurrence of a symbol or term
-    spine costs its definition, later ones a varint id). [wire_verify]
-    additionally decodes each message on the spot and raises
-    {!Wire.Roundtrip_mismatch} unless the result is physically identical —
-    the service keeps this on. With [batching] (the default), {e all}
+    spine costs its definition, later ones a varint id): the sender
+    encodes it, the receiver decodes it, and byte accounting is the frame
+    length. [wire_verify] is ignored; it is kept for callers written when
+    a second decode checked each frame, which the decode at delivery now
+    does on every run. With [batching] (the default), {e all}
     protocol messages a handler activation produces — delegations,
     subscriptions and answer facts alike — are flushed as one
     {!Message.Batch} envelope per destination when the activation ends, in

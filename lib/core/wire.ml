@@ -13,10 +13,11 @@
     that was encoded ([Term.equal], which IS pointer equality).
 
     Process-wide counters [wire.bytes_sent] / [wire.bytes_recv] /
-    [wire.frames] account every frame; the network simulator's byte
-    accounting is fed by {!wrapped_sizer}, which encodes each message with
-    the sending channel's connection state — real codec bytes, not
-    estimates. *)
+    [wire.frames] account every frame. {!codec} is the network
+    simulator's channel codec: each simulated channel encodes its messages
+    with its own connection state and its receiver decodes the frames, so
+    the simulator's byte totals are the lengths of the frames that cross
+    it. *)
 
 open Datalog
 module Ds = Network.Termination
@@ -35,20 +36,34 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 (* Connection state                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A channel encoder ([e_pin]) holds every term it has defined in
+   [e_live], by wire id, as its decoder does. A term's id is keyed by its
+   hash-cons tag, and a term nothing else holds could be collected while
+   its frame is in flight: re-interned at the receiver it would take a new
+   tag, and the next send would define it again. Holding it keeps the tag,
+   and so the bytes, independent of GC timing. A one-frame encoder (a
+   report or a snapshot) encodes from terms its caller holds, and pins
+   nothing. *)
 type encoder = {
   e_syms : (Symbol.t, int) Hashtbl.t;
   mutable e_nsyms : int;
   mutable e_terms : int Term.Tag_tbl.t;  (* Term.tag -> wire id *)
+  e_pin : bool;
+  mutable e_live : Term.t array;  (* wire id -> term, when [e_pin] *)
   mutable e_nterms : int;
   e_buf : Buffer.t;  (* scratch: the body of the frame being built *)
 }
 
-let encoder () =
+(* [Term.var "_"] and the empty symbol are placeholders for unused slots
+   of the id -> value arrays, never read. *)
+let make_encoder ~pin =
   { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Term.Tag_tbl.create 256;
+    e_pin = pin; e_live = (if pin then Array.make 256 (Term.var "_") else [||]);
     e_nterms = 0; e_buf = Buffer.create 256 }
 
-(* Dynamic arrays for the id -> value direction; [Term.var "_"] and the
-   empty symbol are placeholders for unused slots, never read. *)
+let encoder () = make_encoder ~pin:false
+
+(* Dynamic arrays for the id -> value direction. *)
 type decoder = {
   mutable d_syms : Symbol.t array;
   mutable d_nsyms : int;
@@ -74,6 +89,9 @@ let push slot n arr v =
 
 let push_sym d s = d.d_nsyms <- push (fun a -> d.d_syms <- a) d.d_nsyms d.d_syms s
 let push_term d t = d.d_nterms <- push (fun a -> d.d_terms <- a) d.d_nterms d.d_terms t
+let define_term e t =
+  if e.e_pin then e.e_nterms <- push (fun a -> e.e_live <- a) e.e_nterms e.e_live t
+  else e.e_nterms <- e.e_nterms + 1
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                          *)
@@ -175,7 +193,7 @@ let rec put_term e buf t =
       put_uvarint buf (List.length args);
       List.iter (put_term e buf) args);
     Term.Tag_tbl.add e.e_terms (Term.tag t) e.e_nterms;
-    e.e_nterms <- e.e_nterms + 1
+    define_term e t
 
 let rec get_term d r =
   let k = get_uvarint r in
@@ -385,62 +403,24 @@ let decode_wrapped d (s : string) : Message.t Ds.wrapped =
   else Ds.Work (decode_message d s)
 
 (* ------------------------------------------------------------------ *)
-(* Simulator sizers                                                    *)
+(* Simulator channels                                                  *)
 (* ------------------------------------------------------------------ *)
 
-exception Roundtrip_mismatch of string
+(* Every (encoder, decoder) pair {!codec} has built, for [table_entries].
+   The simulator builds a channel's pair once, under its channel lock, and
+   then runs the encoder only in the source's activations and the decoder
+   only in the destination's — so neither this list nor the codec state
+   needs a lock of its own. *)
+type channels = { mutable conns : (encoder * decoder) list }
 
-(* One (encoder, decoder) pair per directed channel, created on first
-   send. The table is shared across domains in parallel runs; the lock is
-   held across the encode so each channel's codec state sees its sends in
-   order. Per-channel call order equals send order even though peers
-   migrate between domains: a peer box runs on at most one domain at a
-   time (Sim's scheduled flag), so a given src's sends on any channel are
-   serialized by its activations, wherever those activations execute. *)
-type channels = {
-  conns : (string * string, encoder * decoder) Hashtbl.t;
-  mu : Mutex.t;
-}
+let channels () = { conns = [] }
 
-let channels () = { conns = Hashtbl.create 16; mu = Mutex.create () }
-
-let with_conn ch ~src ~dst f =
-  Mutex.protect ch.mu @@ fun () ->
-  let conn =
-    match Hashtbl.find_opt ch.conns (src, dst) with
-    | Some c -> c
-    | None ->
-      let c = (encoder (), decoder ()) in
-      Hashtbl.add ch.conns (src, dst) c;
-      c
-  in
-  f conn
+let codec ch ~src:_ ~dst:_ =
+  let e = make_encoder ~pin:true and d = decoder () in
+  ch.conns <- (e, d) :: ch.conns;
+  (encode_wrapped e, decode_wrapped d)
 
 let table_entries ch =
-  Mutex.protect ch.mu @@ fun () ->
-  Hashtbl.fold
-    (fun _ (e, d) (syms, terms) ->
-      (syms + e.e_nsyms + d.d_nsyms, terms + e.e_nterms + d.d_nterms))
-    ch.conns (0, 0)
-
-let check ok m =
-  if not ok then
-    raise (Roundtrip_mismatch (Printf.sprintf "decode(encode(%s)) differs" m))
-
-let wrapped_sizer ?(verify = false) ch ~src ~dst (w : Message.t Ds.wrapped) =
-  with_conn ch ~src ~dst @@ fun (e, d) ->
-  let fr = encode_wrapped e w in
-  if verify then begin
-    match (w, decode_wrapped d fr) with
-    | Ds.Ack, Ds.Ack -> ()
-    | Ds.Work m, Ds.Work m' -> check (Message.equal m m') (Message.describe m)
-    | Ds.Work m, Ds.Ack -> check false (Message.describe m)
-    | Ds.Ack, Ds.Work _ -> check false "ack"
-  end;
-  String.length fr
-
-let message_sizer ?(verify = false) ch ~src ~dst (m : Message.t) =
-  with_conn ch ~src ~dst @@ fun (e, d) ->
-  let fr = encode_message e m in
-  if verify then check (Message.equal m (decode_message d fr)) (Message.describe m);
-  String.length fr
+  List.fold_left
+    (fun (syms, terms) (e, d) -> (syms + e.e_nsyms + d.d_nsyms, terms + e.e_nterms + d.d_nterms))
+    (0, 0) ch.conns

@@ -11,6 +11,12 @@
     hash-consing constructors, so decoded terms are {e physically} equal
     to the encoded ones.
 
+    These frames are the messages of the simulated network: {!codec} gives
+    each directed channel its own connection, the sender's encoder makes
+    the frame at send and the receiver's decoder turns it back into the
+    message at delivery, so every dQSQ, naive and service run exercises
+    the codec.
+
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
     the default {!Obs.Metrics} registry account every frame, and
     {!table_entries} counts the codec-table entries of a set of channels,
@@ -25,13 +31,9 @@ exception Corrupt of string
 (** Raised by decoders on malformed input (truncation, bad tags, version
     or kind mismatch, out-of-range table ids, trailing bytes). *)
 
-exception Roundtrip_mismatch of string
-(** Raised by verifying sizers when a decoded message is not physically
-    identical to the one encoded. *)
-
 type encoder
 (** Sending half of a connection: symbol/term tables plus scratch buffer.
-    Not thread-safe; the sizers serialize access per channel. *)
+    Not thread-safe; one sender uses it at a time. *)
 
 type decoder
 (** Receiving half: the id -> symbol/term tables. *)
@@ -79,25 +81,25 @@ val decode_snapshot : decoder -> string -> (reader -> 'a) -> 'a
     (terms via [get_term d]). Raises {!Corrupt} on malformed input. *)
 
 type channels
-(** One (encoder, decoder) pair per directed channel, created on first
-    send. Thread-safe. *)
+(** The codec factory of one simulated network: it builds one (encoder,
+    decoder) pair per directed channel and remembers them all for
+    {!table_entries}. *)
 
 val channels : unit -> channels
+
+val codec :
+  channels ->
+  src:string ->
+  dst:string ->
+  (Message.t Network.Termination.wrapped -> string)
+  * (string -> Message.t Network.Termination.wrapped)
+(** The codec maker for [Network.Sim.create]: a fresh connection for the
+    channel [src -> dst]. [Work m] encodes to exactly the frame of [m]
+    ({!encode_message}); [Ack] is a frame of its own kind. Decoding
+    re-interns every term, so the receiver's terms are physically the
+    sender's. *)
 
 val table_entries : channels -> int * int
 (** (symbols, terms) held by the tables of every channel half, encoders
     and decoders alike. The tables are append-only and live as long as
     their channels. *)
-
-val wrapped_sizer :
-  ?verify:bool -> channels -> src:string -> dst:string -> Message.t Network.Termination.wrapped -> int
-(** A [Sim.size_of] implementation: encodes each message with its
-    channel's connection state and reports the actual frame length,
-    so byte totals reflect the codec's history-dependent compression
-    (definitions first, references after). With [verify], every message
-    is also decoded through the channel's receiving half and checked
-    physically identical to the original ({!Roundtrip_mismatch}
-    otherwise) — the service runs with this on. *)
-
-val message_sizer : ?verify:bool -> channels -> src:string -> dst:string -> Message.t -> int
-(** Same for unwrapped messages (the distributed naive engine). *)

@@ -13,6 +13,11 @@
     every channel is empty; [run] drives the simulation there and returns
     delivery statistics.
 
+    A channel carries frames, not values: the channel's encoder turns a
+    message into a string at [send], and its decoder turns the string back
+    into a value at delivery, so a receiver never shares the sender's
+    value. Byte accounting is the length of the frames.
+
     Accounting lives in an {!Obs.Metrics} registry owned by the instance
     ([sim.sent], [sim.delivered], [sim.dropped], [sim.bytes]); the {!stats}
     record is a thin view over it. Every update is mirrored into the
@@ -37,11 +42,28 @@ let g_mailbox_depth = Obs.Metrics.gauge "sim.mailbox_depth"
 let g_batches = Obs.Metrics.counter "sim.batches"
 let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
 
+(* One directed channel: its frames in send order, the codec pair the
+   channel maker built for it, and its message and byte book. [encode] and
+   the book are only touched by sends from [src], [decode] only by
+   deliveries to [dst]; under {!run_parallel} the activations of one peer
+   never overlap, so neither half needs a lock. The global mirror counter
+   is cached here so a send pays no per-name registry probe. *)
+type 'msg channel = {
+  src : peer_id;
+  dst : peer_id;
+  frames : string Queue.t;  (* the sequential scheduler's queue *)
+  encode : 'msg -> string;
+  decode : string -> 'msg;
+  mutable ch_msgs : int;
+  mutable ch_bytes : int;
+  bytes_g : Obs.Metrics.counter;  (* sim.channel_bytes.<src>-><dst> *)
+}
+
 (* ------------------------------------------------------------------ *)
 (* Parallel scheduler state                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One box per PEER: a mutex-guarded message queue plus a [scheduled]
+(* One box per PEER: a mutex-guarded frame queue plus a [scheduled]
    flag. The flag makes peer activations mutually exclusive — a box enters
    the run queue exactly once per nonempty episode, so at most one worker
    runs a given peer's handler at a time. Combined with the happens-before
@@ -49,11 +71,12 @@ let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
    worker), per-peer mutable state in the engines and in the
    Dijkstra–Scholten detector needs no locks of its own, even though any
    idle worker may take the next activation of any peer: a peer runs on at
-   most one domain at a time, with ordered hand-offs. *)
+   most one domain at a time, with ordered hand-offs. The same holds for
+   each channel's encoder (run in the source's activations) and decoder
+   (run in the destination's). *)
 type 'msg peer_box = {
-  pb_id : peer_id;
   pb_mu : Mutex.t;
-  pb_q : (peer_id * 'msg) Queue.t;  (* (src, payload) *)
+  pb_q : ('msg channel * string) Queue.t;  (* (channel, frame) *)
   mutable pb_scheduled : bool;  (* guarded by pb_mu *)
   pb_handler : 'msg t -> src:peer_id -> 'msg -> unit;
 }
@@ -75,15 +98,7 @@ and 'msg parallel = {
   par_deliveries : int Atomic.t;
   par_budget : int;
   par_error : exn option Atomic.t;  (* first handler exception / budget *)
-  book_mu : Mutex.t;  (* guards per_channel, trace and loss_rng *)
-}
-
-(* Per-channel totals. The global mirror counter is cached here so the hot
-   path pays one Hashtbl lookup per send, not one per-name registry probe. *)
-and channel_book = {
-  mutable pc_msgs : int;
-  mutable pc_bytes : int;
-  pc_global : Obs.Metrics.counter;  (* sim.channel_bytes.<src>-><dst> *)
+  book_mu : Mutex.t;  (* guards the channel table, trace and loss_rng *)
 }
 
 and 'msg t = {
@@ -91,24 +106,22 @@ and 'msg t = {
   loss_rng : Random.State.t;
   loss : float;  (* probability that a sent message is silently dropped *)
   policy : policy;
-  size_of : src:peer_id -> dst:peer_id -> 'msg -> int;
-      (** on-the-wire size in bytes, from the channel's codec; the default
-          reports 0 (no codec, no bytes) *)
+  codec : src:peer_id -> dst:peer_id -> ('msg -> string) * (string -> 'msg);
+      (** builds a new channel's encoder and decoder *)
   handlers : (peer_id, 'msg t -> src:peer_id -> 'msg -> unit) Hashtbl.t;
-  channels : (peer_id * peer_id, 'msg Queue.t) Hashtbl.t;
+  channels : (peer_id * peer_id, 'msg channel) Hashtbl.t;
   (* channels in creation order, as a growable array: registering the N-th
      channel is O(1) amortized (the former list-append made it O(N)) *)
-  mutable channel_order : (peer_id * peer_id) array;
+  mutable channel_order : 'msg channel array;
   mutable channel_count : int;
   mutable rr_cursor : int;
-  pending : (peer_id * peer_id) Queue.t;
+  pending : 'msg channel Queue.t;
       (** channels in message send order, kept under [Global_fifo] only *)
   metrics : Obs.Metrics.registry;  (** per-instance accounting *)
   c_sent : Obs.Metrics.counter;
   c_delivered : Obs.Metrics.counter;
   c_dropped : Obs.Metrics.counter;
   c_bytes : Obs.Metrics.counter;
-  per_channel : (peer_id * peer_id, channel_book) Hashtbl.t;
   mutable trace : (peer_id * peer_id * string) list;  (** reverse delivery log *)
   mutable tracing : bool;
   describe : 'msg -> string;
@@ -116,8 +129,8 @@ and 'msg t = {
       (** [Some _] only while {!run_parallel} is driving the network *)
 }
 
-let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
-    ?(size_of = fun ~src:_ ~dst:_ _ -> 0) ?(describe = fun _ -> "<msg>") () =
+let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0) ~codec
+    ?(describe = fun _ -> "<msg>") () =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Sim.create: loss must be in [0, 1)";
   let metrics = Obs.Metrics.create_registry () in
   {
@@ -125,7 +138,7 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
     loss_rng = Random.State.make [| seed + 7919 |];
     loss;
     policy;
-    size_of;
+    codec;
     handlers = Hashtbl.create 16;
     channels = Hashtbl.create 16;
     channel_order = [||];
@@ -137,7 +150,6 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0)
     c_delivered = Obs.Metrics.counter ~registry:metrics "sim.delivered";
     c_dropped = Obs.Metrics.counter ~registry:metrics "sim.dropped";
     c_bytes = Obs.Metrics.counter ~registry:metrics "sim.bytes";
-    per_channel = Hashtbl.create 16;
     trace = [];
     tracing = false;
     describe;
@@ -157,44 +169,47 @@ let add_peer t id handler =
 let has_peer t id = Hashtbl.mem t.handlers id
 let peers t = Hashtbl.fold (fun id _ acc -> id :: acc) t.handlers []
 
-let push_channel t key =
+let push_channel t ch =
   let n = Array.length t.channel_order in
   if t.channel_count = n then begin
-    let grown = Array.make (max 8 (2 * n)) key in
+    let grown = Array.make (max 8 (2 * n)) ch in
     Array.blit t.channel_order 0 grown 0 n;
     t.channel_order <- grown
   end;
-  t.channel_order.(t.channel_count) <- key;
+  t.channel_order.(t.channel_count) <- ch;
   t.channel_count <- t.channel_count + 1
 
-let channel t key =
-  match Hashtbl.find_opt t.channels key with
-  | Some q -> q
+(* Find or open the channel [src -> dst]; opening one builds its codec. *)
+let channel t src dst =
+  match Hashtbl.find_opt t.channels (src, dst) with
+  | Some ch -> ch
   | None ->
-    let q = Queue.create () in
-    Hashtbl.add t.channels key q;
-    push_channel t key;
-    q
+    let encode, decode = t.codec ~src ~dst in
+    let ch =
+      { src; dst; frames = Queue.create (); encode; decode; ch_msgs = 0; ch_bytes = 0;
+        bytes_g = Obs.Metrics.counter (Printf.sprintf "sim.channel_bytes.%s->%s" src dst) }
+    in
+    Hashtbl.add t.channels (src, dst) ch;
+    push_channel t ch;
+    ch
 
 let tick local global = Obs.Metrics.incr local; Obs.Metrics.incr global
 let tick_by n local global = Obs.Metrics.incr ~by:n local; Obs.Metrics.incr ~by:n global
 
-let bump_per_channel t ((src, dst) as key) bytes =
-  let book =
-    match Hashtbl.find_opt t.per_channel key with
-    | Some b -> b
-    | None ->
-      let b =
-        { pc_msgs = 0; pc_bytes = 0;
-          pc_global =
-            Obs.Metrics.counter (Printf.sprintf "sim.channel_bytes.%s->%s" src dst) }
-      in
-      Hashtbl.add t.per_channel key b;
-      b
-  in
-  book.pc_msgs <- book.pc_msgs + 1;
-  book.pc_bytes <- book.pc_bytes + bytes;
-  Obs.Metrics.incr ~by:bytes book.pc_global
+(* Frame [msg] with the channel's encoder and book it. *)
+let encode t ch msg =
+  let frame = ch.encode msg in
+  let n = String.length frame in
+  ch.ch_msgs <- ch.ch_msgs + 1;
+  ch.ch_bytes <- ch.ch_bytes + n;
+  Obs.Metrics.incr ~by:n ch.bytes_g;
+  tick t.c_sent g_sent;
+  tick_by n t.c_bytes g_bytes;
+  frame
+
+let drop t =
+  tick t.c_dropped g_dropped;
+  tick t.c_sent g_sent
 
 (* A box that just became runnable joins the shared run queue and wakes
    one idle worker. *)
@@ -204,81 +219,58 @@ let schedule p b =
   Condition.signal p.sched_cond;
   Mutex.unlock p.sched_mu
 
-(* Parallel route: the message goes into the destination peer's box; if the
+(* Parallel route: the frame goes into the destination peer's box; if the
    box was idle it becomes runnable. in_flight is incremented before the
    enqueue (see the [parallel] type) so quiescence detection never
-   under-counts. *)
+   under-counts. Only the channel lookup takes the book lock: the encode
+   runs in the source's activation, which the scheduled flag serializes, so
+   a channel's frames are encoded in send order whichever domain runs the
+   source. *)
 let send_parallel t p ~src ~dst msg =
-  let lost =
-    t.loss > 0.0
-    && begin
-         (* the loss rng is shared state; serialize draws. Drop decisions
-            depend on arrival order at the rng, so lossy parallel runs are
-            not reproducible — deterministic replay stays with the
-            sequential scheduler. *)
-         Mutex.lock p.book_mu;
-         let r = Random.State.float t.loss_rng 1.0 in
-         Mutex.unlock p.book_mu;
-         r < t.loss
-       end
-  in
-  if lost then begin
-    tick t.c_dropped g_dropped;
-    tick t.c_sent g_sent
-  end
-  else begin
-    (* The sizer may thread per-channel codec state; all sends on one
-       channel happen inside activations of the source peer, which the
-       scheduled flag serializes — so per-channel sizer call order is
-       still the send order, whichever domain runs the source. *)
-    let sz = t.size_of ~src ~dst msg in
+  Mutex.lock p.book_mu;
+  (* the loss rng is shared state; draws are serialized here. Drop
+     decisions depend on arrival order at the rng, so lossy parallel runs
+     are not reproducible — deterministic replay stays with the sequential
+     scheduler. *)
+  let lost = t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss in
+  let ch = if lost then None else Some (channel t src dst) in
+  Mutex.unlock p.book_mu;
+  match ch with
+  | None -> drop t
+  | Some ch ->
+    let frame = encode t ch msg in
     let b = Hashtbl.find p.boxes dst in
     Atomic.incr p.in_flight;
     Mutex.lock b.pb_mu;
-    Queue.add (src, msg) b.pb_q;
+    Queue.add (ch, frame) b.pb_q;
     let depth = Queue.length b.pb_q in
     let newly_runnable = not b.pb_scheduled in
     if newly_runnable then b.pb_scheduled <- true;
     Mutex.unlock b.pb_mu;
     Obs.Metrics.set_max g_mailbox_depth depth;
-    if newly_runnable then schedule p b;
-    tick t.c_sent g_sent;
-    tick_by sz t.c_bytes g_bytes;
-    Mutex.lock p.book_mu;
-    bump_per_channel t (src, dst) sz;
-    Mutex.unlock p.book_mu
-  end
+    if newly_runnable then schedule p b
 
-(** Send a message; it is queued, not delivered synchronously — even a peer
-    sending to itself goes through its own channel. *)
+(** Send a message; it is framed and queued, not delivered synchronously —
+    even a peer sending to itself goes through its own channel. *)
 let send t ~src ~dst msg =
   if not (Hashtbl.mem t.handlers dst) then raise (Unknown_peer dst);
   match t.par with
   | Some p -> send_parallel t p ~src ~dst msg
   | None ->
-    if t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss then begin
-      (* failure injection: the channel silently loses the message *)
-      tick t.c_dropped g_dropped;
-      tick t.c_sent g_sent
-    end
+    (* failure injection: the channel silently loses the message *)
+    if t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss then drop t
     else begin
-      let key = (src, dst) in
-      let sz = t.size_of ~src ~dst msg in
-      Queue.add msg (channel t key);
+      let ch = channel t src dst in
+      Queue.add (encode t ch msg) ch.frames;
       (* only [Global_fifo] ever pops the send order *)
-      if t.policy = Global_fifo then Queue.add key t.pending;
-      tick t.c_sent g_sent;
-      tick_by sz t.c_bytes g_bytes;
-      bump_per_channel t key sz
+      if t.policy = Global_fifo then Queue.add ch t.pending
     end
 
 let nonempty_channels t =
   let out = ref [] in
   for i = t.channel_count - 1 downto 0 do
-    let key = t.channel_order.(i) in
-    match Hashtbl.find_opt t.channels key with
-    | Some q when not (Queue.is_empty q) -> out := key :: !out
-    | Some _ | None -> ()
+    let ch = t.channel_order.(i) in
+    if not (Queue.is_empty ch.frames) then out := ch :: !out
   done;
   !out
 
@@ -291,10 +283,8 @@ let pick_channel t =
     let rec go () =
       if Queue.is_empty t.pending then None
       else
-        let key = Queue.pop t.pending in
-        match Hashtbl.find_opt t.channels key with
-        | Some q when not (Queue.is_empty q) -> Some key
-        | Some _ | None -> go ()
+        let ch = Queue.pop t.pending in
+        if Queue.is_empty ch.frames then go () else Some ch
     in
     go ()
   | Random_interleaving -> (
@@ -309,17 +299,21 @@ let pick_channel t =
       t.rr_cursor <- (t.rr_cursor + 1) mod n;
       Some (List.nth chans t.rr_cursor))
 
+(* Decode a frame at its destination and account the delivery. *)
+let receive t ch frame =
+  let msg = ch.decode frame in
+  tick t.c_delivered g_delivered;
+  msg
+
 (** Deliver one message if any is pending; returns [false] at quiescence. *)
 let step t =
   match pick_channel t with
   | None -> false
-  | Some ((src, dst) as key) ->
-    let q = channel t key in
-    let msg = Queue.pop q in
-    tick t.c_delivered g_delivered;
-    if t.tracing then t.trace <- (src, dst, t.describe msg) :: t.trace;
-    let handler = Hashtbl.find t.handlers dst in
-    handler t ~src msg;
+  | Some ch ->
+    let msg = receive t ch (Queue.pop ch.frames) in
+    if t.tracing then t.trace <- (ch.src, ch.dst, t.describe msg) :: t.trace;
+    let handler = Hashtbl.find t.handlers ch.dst in
+    handler t ~src:ch.src msg;
     true
 
 exception Budget_exhausted of int
@@ -384,15 +378,15 @@ let process_box t p b =
   let handled = ref 0 in
   (try
      while (not (Queue.is_empty local)) && not (Atomic.get p.stop) do
-       let src, msg = Queue.pop local in
+       let ch, frame = Queue.pop local in
        incr handled;
-       tick t.c_delivered g_delivered;
+       let msg = receive t ch frame in
        if t.tracing then begin
          Mutex.lock p.book_mu;
-         t.trace <- (src, b.pb_id, t.describe msg) :: t.trace;
+         t.trace <- (ch.src, ch.dst, t.describe msg) :: t.trace;
          Mutex.unlock p.book_mu
        end;
-       b.pb_handler t ~src msg;
+       b.pb_handler t ~src:ch.src msg;
        let delivered = 1 + Atomic.fetch_and_add p.par_deliveries 1 in
        if delivered > p.par_budget then begin
          record_error p (Budget_exhausted p.par_budget);
@@ -488,8 +482,8 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs t =
   Hashtbl.iter
     (fun id handler ->
       Hashtbl.add boxes id
-        { pb_id = id; pb_mu = Mutex.create (); pb_q = Queue.create ();
-          pb_scheduled = false; pb_handler = handler })
+        { pb_mu = Mutex.create (); pb_q = Queue.create (); pb_scheduled = false;
+          pb_handler = handler })
     t.handlers;
   let p =
     {
@@ -505,25 +499,21 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs t =
       book_mu = Mutex.create ();
     }
   in
-  (* Migrate messages already queued under the sequential scheduler (e.g.
+  (* Migrate frames already queued under the sequential scheduler (e.g.
      the initial query injected before [run_parallel]) into the peer
      boxes. Iterating channels in creation order preserves per-channel
      FIFO. Domains are not up yet, so no locking is needed here. *)
   for i = 0 to t.channel_count - 1 do
-    let (src, dst) as key = t.channel_order.(i) in
-    match Hashtbl.find_opt t.channels key with
-    | Some q ->
-      let b = Hashtbl.find boxes dst in
-      while not (Queue.is_empty q) do
-        let msg = Queue.pop q in
-        Atomic.incr p.in_flight;
-        Queue.add (src, msg) b.pb_q
-      done;
-      if (not (Queue.is_empty b.pb_q)) && not b.pb_scheduled then begin
-        b.pb_scheduled <- true;
-        Queue.add b p.runq
-      end
-    | None -> ()
+    let ch = t.channel_order.(i) in
+    let b = Hashtbl.find boxes ch.dst in
+    while not (Queue.is_empty ch.frames) do
+      Atomic.incr p.in_flight;
+      Queue.add (ch, Queue.pop ch.frames) b.pb_q
+    done;
+    if (not (Queue.is_empty b.pb_q)) && not b.pb_scheduled then begin
+      b.pb_scheduled <- true;
+      Queue.add b p.runq
+    end
   done;
   Queue.clear t.pending;
   if Atomic.get p.in_flight = 0 then Atomic.set p.stop true;
@@ -547,7 +537,7 @@ type stats = {
   dropped : int;  (** lost to failure injection *)
   bytes : int;
   channels : ((peer_id * peer_id) * channel_stats) list;
-      (** per-channel messages and codec bytes *)
+      (** per-channel messages and frame bytes *)
 }
 
 (* The record is read off the instance registry — the registry is the
@@ -561,8 +551,8 @@ let stats (t : _ t) =
     channels =
       List.sort compare
         (Hashtbl.fold
-           (fun k b acc -> (k, { msgs = b.pc_msgs; bytes = b.pc_bytes }) :: acc)
-           t.per_channel []);
+           (fun k ch acc -> (k, { msgs = ch.ch_msgs; bytes = ch.ch_bytes }) :: acc)
+           t.channels []);
   }
 
 let delivery_trace t = List.rev t.trace

@@ -3,7 +3,14 @@
     One FIFO queue per (source, destination) pair; a seeded scheduler picks
     which nonempty channel delivers next — per-channel FIFO with arbitrary
     cross-channel interleaving, exactly what the paper assumes of its
-    communication layer. Same seed and policy: same run. *)
+    communication layer. Same seed and policy: same run.
+
+    Channels carry frames, not values. Each channel has its own encoder and
+    decoder, built by the codec maker given to {!create} when the channel
+    first carries a message: [send] encodes the message into a string
+    frame, and delivery decodes the frame back into the value the handler
+    receives. Peers share nothing through the network but frames, and
+    every byte total is a sum of frame lengths. *)
 
 type peer_id = string
 
@@ -18,19 +25,20 @@ val create :
   ?seed:int ->
   ?policy:policy ->
   ?loss:float ->
-  ?size_of:(src:peer_id -> dst:peer_id -> 'msg -> int) ->
+  codec:(src:peer_id -> dst:peer_id -> ('msg -> string) * (string -> 'msg)) ->
   ?describe:('msg -> string) ->
   unit ->
   'msg t
-(** [size_of] reports the on-the-wire size of a message in bytes and feeds
-    all byte accounting; it receives the channel endpoints so a caller can
-    thread per-channel codec state (e.g. a symbol table that makes the
-    first occurrence of a symbol cost its name and later ones a small id).
-    The default reports 0: without a codec there are no bytes, only
-    message counts. [describe] feeds the delivery trace. [loss] in [0, 1)
-    injects failures: each sent message is silently dropped with that
-    probability (the paper assumes reliable channels — the injection shows
-    the assumption is load-bearing).
+(** [codec ~src ~dst] builds the (encode, decode) pair of the channel
+    [src -> dst], once, when that channel first carries a message. A
+    channel's encoder sees its messages in send order and its decoder sees
+    their frames in the same order, so the pair may keep connection state
+    (e.g. a symbol table that makes the first occurrence of a symbol cost
+    its name and later ones a small id). [describe] feeds the delivery
+    trace. [loss] in [0, 1) injects failures: each sent message is
+    silently dropped, before it is encoded, with that probability (the
+    paper assumes reliable channels — the injection shows the assumption
+    is load-bearing).
     @raise Invalid_argument on a loss outside [0, 1). *)
 
 val set_tracing : 'msg t -> bool -> unit
@@ -44,7 +52,9 @@ val has_peer : 'msg t -> peer_id -> bool
 val peers : 'msg t -> peer_id list
 
 val send : 'msg t -> src:peer_id -> dst:peer_id -> 'msg -> unit
-(** Queue a message; delivery is always asynchronous, even to self.
+(** Encode a message and queue its frame; delivery is always
+    asynchronous, even to self. Under {!run_parallel} a handler sends only
+    as its own peer ([src] is the peer it was registered for).
     @raise Unknown_peer on an unregistered destination. *)
 
 val is_quiescent : 'msg t -> bool
@@ -69,7 +79,9 @@ val run_parallel : ?max_steps:int -> ?jobs:int -> 'msg t -> int
     ([sim.batches]/[sim.batch_size]), running every handler without
     holding any lock. A scheduled flag makes peer activations mutually
     exclusive, so per-peer mutable state needs no locks even though
-    peers migrate between domains from one claim to the next. Messages
+    peers migrate between domains from one claim to the next; a
+    channel's encoder runs in its source's activations and its decoder in
+    its destination's, so codec state needs none either. Messages
     already queued under the sequential scheduler are migrated in
     (per-channel FIFO preserved). Termination uses an atomic in-flight
     count at drained-segment granularity: a segment's units are released
@@ -86,7 +98,7 @@ type stats = {
   sent : int;
   delivered : int;
   dropped : int;  (** lost to failure injection *)
-  bytes : int;  (** sum of [size_of] over sent messages — real codec bytes *)
+  bytes : int;  (** sum of the frame lengths of sent messages *)
   channels : ((peer_id * peer_id) * channel_stats) list;
       (** per-channel message and byte totals, sorted by endpoint pair *)
 }

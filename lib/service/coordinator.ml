@@ -6,9 +6,8 @@
    supervisor rules. Each tenant owns a pool of warm engines, cleared as
    they return to it; a session checks one out, streams alarms, and is
    stepped a quantum of deliveries at a time in round-robin with every
-   other running session. All engine traffic runs
-   through the {!Dqsq.Wire} codec with verification on, and the finished
-   report is encoded as a configuration-set frame, whose length is billed
+   other running session. All engine traffic crosses the simulated
+   network as {!Dqsq.Wire} frames, and the finished report is encoded as a configuration-set frame, whose length is billed
    to the session. *)
 
 open Datalog
@@ -271,7 +270,7 @@ let start (t : t) sid =
            Obs.Metrics.add_gauge pooled_g (-1);
            Qsq_engine.recycle e program ~edb ~query;
            e
-         | [] -> Qsq_engine.create ~seed:s.id ~wire_verify:true program ~edb ~query
+         | [] -> Qsq_engine.create ~seed:s.id program ~edb ~query
        in
        Qsq_engine.start engine;
        s.phase <-

@@ -6,10 +6,9 @@
     [petriNet] base facts (streams never need them). A session belongs to
     one tenant: it is opened, receives a stream of alarms, is started —
     checking a warm engine out of the tenant's pool
-    ({!Dqsq.Qsq_engine.recycle}) or creating one with the wire codec in
-    verifying mode — and then advances a quantum of message deliveries at
-    a time, round-robin with every other running session, until
-    quiescent. Delegations route between peer shards exactly as dQSQ
+    ({!Dqsq.Qsq_engine.recycle}) or creating one — and then advances a
+    quantum of message deliveries at a time, round-robin with every other
+    running session, until quiescent. Delegations route between peer shards exactly as dQSQ
     prescribes (by the located atom's peer); answer facts batch into one
     envelope per destination.
 

@@ -222,11 +222,25 @@ let test_ring_parallel_eq_sequential () =
    queued and handlers that send while running in worker domains: every
    channel must still deliver in send order, and every message exactly
    once. Peers a and b each queue [n] numbers to c; c forwards each one to
-   d, so c -> d interleaves two streams produced under the parallel run. *)
+   d, so c -> d interleaves two streams produced under the parallel run.
+   Each channel's codec is stateful (a frame carries the difference to the
+   channel's previous number), so its encoder and decoder must also see
+   the channel's messages in send order, whichever domain runs them. *)
 let test_parallel_keeps_channel_fifo () =
   let module Sim = Network.Sim in
   let n = 200 in
-  let net : (string * int) Sim.t = Sim.create ~seed:3 () in
+  let codec ~src:_ ~dst:_ =
+    let sent = ref 0 and received = ref 0 in
+    ( (fun (origin, i) ->
+        let d = i - !sent in
+        sent := i;
+        Printf.sprintf "%s %d" origin d),
+      fun frame ->
+        Scanf.sscanf frame "%s %d" (fun origin d ->
+            received := !received + d;
+            (origin, !received)) )
+  in
+  let net : (string * int) Sim.t = Sim.create ~seed:3 ~codec () in
   let at_c = ref [] and at_d = ref [] in
   Sim.add_peer net "a" (fun _ ~src:_ _ -> ());
   Sim.add_peer net "b" (fun _ ~src:_ _ -> ());

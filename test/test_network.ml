@@ -5,10 +5,24 @@ open Network
 
 type msg = Ping of int | Token of int
 
+(* Test messages cross the network as text frames, "P<n>" or "T<n>". *)
+let encode = function Ping i -> Printf.sprintf "P%d" i | Token i -> Printf.sprintf "T%d" i
+
+let decode frame =
+  let n = int_of_string (String.sub frame 1 (String.length frame - 1)) in
+  if frame.[0] = 'P' then Ping n else Token n
+
+let codec ~src:_ ~dst:_ = (encode, decode)
+
+(* The Dijkstra–Scholten tests send [int] work wrapped with acks. *)
+let ds_codec ~src:_ ~dst:_ =
+  ( (function Termination.Work n -> string_of_int n | Termination.Ack -> "ack"),
+    function "ack" -> Termination.Ack | n -> Termination.Work (int_of_string n) )
+
 let test_fifo_per_channel () =
   (* messages on one channel arrive in order, whatever the policy *)
   let received = ref [] in
-  let sim = Sim.create ~seed:3 () in
+  let sim = Sim.create ~seed:3 ~codec () in
   Sim.add_peer sim "a" (fun _ ~src:_ _ -> ());
   Sim.add_peer sim "b" (fun _ ~src:_ m ->
       match m with Ping i -> received := i :: !received | Token _ -> ());
@@ -22,7 +36,7 @@ let test_interleaving_differs_across_channels () =
   (* with two source channels, random interleaving mixes them but preserves
      each source's order *)
   let received = ref [] in
-  let sim = Sim.create ~seed:7 () in
+  let sim = Sim.create ~seed:7 ~codec () in
   Sim.add_peer sim "a" (fun _ ~src:_ _ -> ());
   Sim.add_peer sim "b" (fun _ ~src:_ _ -> ());
   Sim.add_peer sim "c" (fun _ ~src m ->
@@ -41,7 +55,7 @@ let test_interleaving_differs_across_channels () =
 let test_handlers_can_send () =
   (* a token passes around a ring 3 times *)
   let hops = ref 0 in
-  let sim = Sim.create ~seed:1 () in
+  let sim = Sim.create ~seed:1 ~codec () in
   let peers = [ "p0"; "p1"; "p2" ] in
   List.iteri
     (fun k id ->
@@ -58,25 +72,52 @@ let test_handlers_can_send () =
   Alcotest.(check int) "9 hops" 9 !hops;
   Alcotest.(check bool) "quiescent" true (Sim.is_quiescent sim)
 
+(* bytes are the lengths of the frames that crossed, per channel and in
+   total *)
 let test_stats () =
-  let sim = Sim.create ~seed:1 ~size_of:(fun ~src:_ ~dst:_ (Ping i | Token i) -> i) () in
+  let sim = Sim.create ~seed:1 ~codec () in
   Sim.add_peer sim "x" (fun _ ~src:_ _ -> ());
-  Sim.send sim ~src:"e" ~dst:"x" (Ping 5);
-  Sim.send sim ~src:"e" ~dst:"x" (Ping 7);
+  Sim.add_peer sim "y" (fun _ ~src:_ _ -> ());
+  let to_x = [ Ping 5; Ping 12345 ] and to_y = [ Token 7 ] in
+  List.iter (Sim.send sim ~src:"e" ~dst:"x") to_x;
+  List.iter (Sim.send sim ~src:"e" ~dst:"y") to_y;
   ignore (Sim.run sim);
+  let frame_bytes ms = List.fold_left (fun n m -> n + String.length (encode m)) 0 ms in
   let s = Sim.stats sim in
-  Alcotest.(check int) "sent" 2 s.Sim.sent;
-  Alcotest.(check int) "delivered" 2 s.Sim.delivered;
-  Alcotest.(check int) "bytes" 12 s.Sim.bytes;
+  Alcotest.(check int) "sent" 3 s.Sim.sent;
+  Alcotest.(check int) "delivered" 3 s.Sim.delivered;
+  Alcotest.(check int) "bytes" (frame_bytes (to_x @ to_y)) s.Sim.bytes;
   match s.Sim.channels with
-  | [ (("e", "x"), ch) ] ->
-    Alcotest.(check int) "channel msgs" 2 ch.Sim.msgs;
-    Alcotest.(check int) "channel bytes" 12 ch.Sim.bytes
-  | _ -> Alcotest.fail "expected exactly the e->x channel"
+  | [ (("e", "x"), x); (("e", "y"), y) ] ->
+    Alcotest.(check int) "e->x msgs" 2 x.Sim.msgs;
+    Alcotest.(check int) "e->x bytes" (frame_bytes to_x) x.Sim.bytes;
+    Alcotest.(check int) "e->y msgs" 1 y.Sim.msgs;
+    Alcotest.(check int) "e->y bytes" (frame_bytes to_y) y.Sim.bytes
+  | _ -> Alcotest.fail "expected exactly the e->x and e->y channels"
+
+(* the receiver gets the message as it was framed at send: a sender that
+   mutates its payload afterwards changes nothing in flight *)
+let test_frames_not_references () =
+  let sim =
+    Sim.create ~seed:1
+      ~codec:(fun ~src:_ ~dst:_ ->
+        ((fun (b : Bytes.t) -> Bytes.to_string b), Bytes.of_string))
+      ()
+  in
+  let received = ref [] in
+  Sim.add_peer sim "x" (fun _ ~src:_ b -> received := Bytes.to_string b :: !received);
+  let payload = Bytes.of_string "sent" in
+  Sim.send sim ~src:"e" ~dst:"x" payload;
+  Bytes.blit_string "MUTD" 0 payload 0 4;
+  Sim.send sim ~src:"e" ~dst:"x" payload;
+  Bytes.blit_string "gone" 0 payload 0 4;
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "values as at send time" [ "sent"; "MUTD" ]
+    (List.rev !received)
 
 let test_budget () =
   (* two peers ping-pong forever; the step budget stops the run *)
-  let sim = Sim.create ~seed:1 () in
+  let sim = Sim.create ~seed:1 ~codec () in
   Sim.add_peer sim "a" (fun sim ~src:_ m -> Sim.send sim ~src:"a" ~dst:"b" m);
   Sim.add_peer sim "b" (fun sim ~src:_ m -> Sim.send sim ~src:"b" ~dst:"a" m);
   Sim.send sim ~src:"e" ~dst:"a" (Ping 0);
@@ -85,7 +126,7 @@ let test_budget () =
   | _ -> Alcotest.fail "should not terminate"
 
 let test_unknown_peer () =
-  let sim = Sim.create () in
+  let sim = Sim.create ~codec () in
   match Sim.send sim ~src:"a" ~dst:"ghost" (Ping 1) with
   | exception Sim.Unknown_peer "ghost" -> ()
   | _ -> Alcotest.fail "should reject unknown destination"
@@ -93,7 +134,7 @@ let test_unknown_peer () =
 let test_unknown_peer_among_registered () =
   (* registration of other peers does not make an unregistered destination
      reachable, and the exception names the missing peer *)
-  let sim = Sim.create () in
+  let sim = Sim.create ~codec () in
   Sim.add_peer sim "a" (fun _ ~src:_ _ -> ());
   Sim.add_peer sim "b" (fun _ ~src:_ _ -> ());
   Alcotest.(check bool) "has a" true (Sim.has_peer sim "a");
@@ -107,7 +148,7 @@ let test_unknown_peer_among_registered () =
 
 let test_budget_carries_value () =
   (* the exception payload is the exhausted budget itself *)
-  let sim = Sim.create ~seed:1 () in
+  let sim = Sim.create ~seed:1 ~codec () in
   Sim.add_peer sim "a" (fun sim ~src:_ m -> Sim.send sim ~src:"a" ~dst:"b" m);
   Sim.add_peer sim "b" (fun sim ~src:_ m -> Sim.send sim ~src:"b" ~dst:"a" m);
   Sim.send sim ~src:"e" ~dst:"a" (Ping 0);
@@ -120,7 +161,7 @@ let test_loss_injection_drops () =
      bookkeeping stays consistent: sent = delivered + dropped, and only
      delivered messages reach the handler *)
   let received = ref 0 in
-  let sim = Sim.create ~seed:5 ~loss:0.5 () in
+  let sim = Sim.create ~seed:5 ~loss:0.5 ~codec () in
   Sim.add_peer sim "x" (fun _ ~src:_ _ -> incr received);
   let n = 200 in
   for i = 1 to n do
@@ -135,7 +176,7 @@ let test_loss_injection_drops () =
   Alcotest.(check int) "handler saw exactly the delivered" s.Sim.delivered !received
 
 let test_loss_zero_drops_nothing () =
-  let sim = Sim.create ~seed:5 ~loss:0.0 () in
+  let sim = Sim.create ~seed:5 ~loss:0.0 ~codec () in
   Sim.add_peer sim "x" (fun _ ~src:_ _ -> ());
   for i = 1 to 50 do
     Sim.send sim ~src:"e" ~dst:"x" (Ping i)
@@ -146,10 +187,10 @@ let test_loss_zero_drops_nothing () =
   Alcotest.(check int) "all delivered" 50 s.Sim.delivered
 
 let test_loss_validated () =
-  (match Sim.create ~loss:1.0 () with
+  (match Sim.create ~loss:1.0 ~codec () with
   | exception Invalid_argument _ -> ()
   | (_ : msg Sim.t) -> Alcotest.fail "loss = 1.0 should be rejected");
-  match Sim.create ~loss:(-0.1) () with
+  match Sim.create ~loss:(-0.1) ~codec () with
   | exception Invalid_argument _ -> ()
   | (_ : msg Sim.t) -> Alcotest.fail "negative loss should be rejected"
 
@@ -159,7 +200,7 @@ let test_loss_validated () =
    few random-ish neighbours while n > 0. Work happens asynchronously; the
    detector must fire exactly when everything (including acks) settles. *)
 let run_diffusion ~peers ~fanout ~depth ~seed =
-  let sim = Sim.create ~seed () in
+  let sim = Sim.create ~seed ~codec:ds_codec () in
   let det = Termination.create ~root:"#root" () in
   let work_done = ref 0 in
   let terminated_at = ref (-1) in
@@ -211,6 +252,7 @@ let suite =
           test_interleaving_differs_across_channels;
         Alcotest.test_case "handlers can send" `Quick test_handlers_can_send;
         Alcotest.test_case "stats" `Quick test_stats;
+        Alcotest.test_case "frames, not references" `Quick test_frames_not_references;
         Alcotest.test_case "budget" `Quick test_budget;
         Alcotest.test_case "budget carries value" `Quick test_budget_carries_value;
         Alcotest.test_case "unknown peer" `Quick test_unknown_peer;
