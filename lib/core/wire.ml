@@ -36,34 +36,28 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 (* Connection state                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A channel encoder ([e_pin]) holds every term it has defined in
-   [e_live], by wire id, as its decoder does. A term's id is keyed by its
-   hash-cons tag, and a term nothing else holds could be collected while
-   its frame is in flight: re-interned at the receiver it would take a new
-   tag, and the next send would define it again. Holding it keeps the tag,
-   and so the bytes, independent of GC timing. A one-frame encoder (a
-   report or a snapshot) encodes from terms its caller holds, and pins
-   nothing. *)
+(* Keyed by the term itself, so the table holds every term it has defined:
+   a term's tag, and with it the byte count, cannot depend on GC timing. *)
+module Term_tbl = Hashtbl.Make (struct
+  type t = Term.t
+  let equal = ( == )
+  let hash = Term.tag
+end)
+
 type encoder = {
   e_syms : (Symbol.t, int) Hashtbl.t;
   mutable e_nsyms : int;
-  mutable e_terms : int Term.Tag_tbl.t;  (* Term.tag -> wire id *)
-  e_pin : bool;
-  mutable e_live : Term.t array;  (* wire id -> term, when [e_pin] *)
+  mutable e_terms : int Term_tbl.t;  (* term -> wire id *)
   mutable e_nterms : int;
   e_buf : Buffer.t;  (* scratch: the body of the frame being built *)
 }
 
-(* [Term.var "_"] and the empty symbol are placeholders for unused slots
-   of the id -> value arrays, never read. *)
-let make_encoder ~pin =
-  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Term.Tag_tbl.create 256;
-    e_pin = pin; e_live = (if pin then Array.make 256 (Term.var "_") else [||]);
+let encoder () =
+  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Term_tbl.create 256;
     e_nterms = 0; e_buf = Buffer.create 256 }
 
-let encoder () = make_encoder ~pin:false
-
-(* Dynamic arrays for the id -> value direction. *)
+(* Dynamic arrays for the id -> value direction; [Term.var "_"] and the
+   empty symbol are placeholders for unused slots, never read. *)
 type decoder = {
   mutable d_syms : Symbol.t array;
   mutable d_nsyms : int;
@@ -89,9 +83,6 @@ let push slot n arr v =
 
 let push_sym d s = d.d_nsyms <- push (fun a -> d.d_syms <- a) d.d_nsyms d.d_syms s
 let push_term d t = d.d_nterms <- push (fun a -> d.d_terms <- a) d.d_nterms d.d_terms t
-let define_term e t =
-  if e.e_pin then e.e_nterms <- push (fun a -> e.e_live <- a) e.e_nterms e.e_live t
-  else e.e_nterms <- e.e_nterms + 1
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                          *)
@@ -176,7 +167,7 @@ let get_symbol d r =
   end
 
 let rec put_term e buf t =
-  match Term.Tag_tbl.find_opt e.e_terms (Term.tag t) with
+  match Term_tbl.find_opt e.e_terms t with
   | Some id -> put_uvarint buf (id + 1)
   | None ->
     put_uvarint buf 0;
@@ -192,8 +183,8 @@ let rec put_term e buf t =
       put_symbol e buf f;
       put_uvarint buf (List.length args);
       List.iter (put_term e buf) args);
-    Term.Tag_tbl.add e.e_terms (Term.tag t) e.e_nterms;
-    define_term e t
+    Term_tbl.add e.e_terms t e.e_nterms;
+    e.e_nterms <- e.e_nterms + 1
 
 let rec get_term d r =
   let k = get_uvarint r in
@@ -379,7 +370,7 @@ let encode_configs e (configs : Term.t list list) =
      conditions, shared constants), and a table of n buckets grows past 2n
      entries: size a fresh encoder's table once for the whole frame *)
   if e.e_nterms = 0 then
-    e.e_terms <- Term.Tag_tbl.create (2 * List.fold_left (fun n c -> n + List.length c) 0 configs);
+    e.e_terms <- Term_tbl.create (2 * List.fold_left (fun n c -> n + List.length c) 0 configs);
   frame e k_configs (fun buf ->
       put_uvarint buf (List.length configs);
       List.iter (put_terms e buf) configs)
@@ -415,8 +406,8 @@ type channels = { mutable conns : (encoder * decoder) list }
 
 let channels () = { conns = [] }
 
-let codec ch ~src:_ ~dst:_ =
-  let e = make_encoder ~pin:true and d = decoder () in
+let codec ch () =
+  let e = encoder () and d = decoder () in
   ch.conns <- (e, d) :: ch.conns;
   (encode_wrapped e, decode_wrapped d)
 

@@ -89,12 +89,11 @@ val channels : unit -> channels
 
 val codec :
   channels ->
-  src:string ->
-  dst:string ->
+  unit ->
   (Message.t Network.Termination.wrapped -> string)
   * (string -> Message.t Network.Termination.wrapped)
-(** The codec maker for [Network.Sim.create]: a fresh connection for the
-    channel [src -> dst]. [Work m] encodes to exactly the frame of [m]
+(** The codec maker for [Network.Sim.create]: a fresh connection for one
+    channel. [Work m] encodes to exactly the frame of [m]
     ({!encode_message}); [Ack] is a frame of its own kind. Decoding
     re-interns every term, so the receiver's terms are physically the
     sender's. *)

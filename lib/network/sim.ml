@@ -106,7 +106,7 @@ and 'msg t = {
   loss_rng : Random.State.t;
   loss : float;  (* probability that a sent message is silently dropped *)
   policy : policy;
-  codec : src:peer_id -> dst:peer_id -> ('msg -> string) * (string -> 'msg);
+  codec : unit -> ('msg -> string) * (string -> 'msg);
       (** builds a new channel's encoder and decoder *)
   handlers : (peer_id, 'msg t -> src:peer_id -> 'msg -> unit) Hashtbl.t;
   channels : (peer_id * peer_id, 'msg channel) Hashtbl.t;
@@ -184,7 +184,7 @@ let channel t src dst =
   match Hashtbl.find_opt t.channels (src, dst) with
   | Some ch -> ch
   | None ->
-    let encode, decode = t.codec ~src ~dst in
+    let encode, decode = t.codec () in
     let ch =
       { src; dst; frames = Queue.create (); encode; decode; ch_msgs = 0; ch_bytes = 0;
         bytes_g = Obs.Metrics.counter (Printf.sprintf "sim.channel_bytes.%s->%s" src dst) }

@@ -25,12 +25,12 @@ val create :
   ?seed:int ->
   ?policy:policy ->
   ?loss:float ->
-  codec:(src:peer_id -> dst:peer_id -> ('msg -> string) * (string -> 'msg)) ->
+  codec:(unit -> ('msg -> string) * (string -> 'msg)) ->
   ?describe:('msg -> string) ->
   unit ->
   'msg t
-(** [codec ~src ~dst] builds the (encode, decode) pair of the channel
-    [src -> dst], once, when that channel first carries a message. A
+(** [codec ()] builds the (encode, decode) pair of one channel, once,
+    when that channel first carries a message. A
     channel's encoder sees its messages in send order and its decoder sees
     their frames in the same order, so the pair may keep connection state
     (e.g. a symbol table that makes the first occurrence of a symbol cost

@@ -12,10 +12,10 @@ let decode frame =
   let n = int_of_string (String.sub frame 1 (String.length frame - 1)) in
   if frame.[0] = 'P' then Ping n else Token n
 
-let codec ~src:_ ~dst:_ = (encode, decode)
+let codec () = (encode, decode)
 
 (* The Dijkstra–Scholten tests send [int] work wrapped with acks. *)
-let ds_codec ~src:_ ~dst:_ =
+let ds_codec () =
   ( (function Termination.Work n -> string_of_int n | Termination.Ack -> "ack"),
     function "ack" -> Termination.Ack | n -> Termination.Work (int_of_string n) )
 
@@ -100,7 +100,7 @@ let test_stats () =
 let test_frames_not_references () =
   let sim =
     Sim.create ~seed:1
-      ~codec:(fun ~src:_ ~dst:_ ->
+      ~codec:(fun () ->
         ((fun (b : Bytes.t) -> Bytes.to_string b), Bytes.of_string))
       ()
   in

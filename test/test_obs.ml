@@ -164,7 +164,7 @@ let test_distributed_registers () =
 (* ---------------- wiring: Sim.stats is the registry view ------------- *)
 
 (* string messages travel as themselves: the frame is the string *)
-let text_codec ~src:_ ~dst:_ = (Fun.id, Fun.id)
+let text_codec () = (Fun.id, Fun.id)
 
 let test_sim_stats_registry_view () =
   let sim = Network.Sim.create ~seed:9 ~codec:text_codec () in
@@ -188,7 +188,7 @@ let test_sim_stats_registry_view () =
 (* many channels: registration stays linear (a smoke test for the O(N)
    channel registry — quadratic behavior here would time the suite out) *)
 let test_many_channels () =
-  let sim = Network.Sim.create ~seed:1 ~codec:(fun ~src:_ ~dst:_ -> (Fun.const "", ignore)) () in
+  let sim = Network.Sim.create ~seed:1 ~codec:(fun () -> (Fun.const "", ignore)) () in
   let n = 300 in
   for i = 0 to n - 1 do
     Network.Sim.add_peer sim (Printf.sprintf "p%d" i) (fun _ ~src:_ _ -> ())
