@@ -6,6 +6,17 @@
    the expensive part — enumerating transition firings against a cut — runs
    once per (node, peer slot) no matter how many configurations explain it.
 
+   The net is safe, so a cut holds at most one condition per place and is
+   stored as an array over dense place ids ([empty] where a place is
+   unmarked). A firing reads one slot per preset place, and the node key
+   is one flat int array (positions, then the cut's tags in place order)
+   with an allocation-free hash and equality. Safety is load-bearing
+   here: a firing that would mark a marked place raises [Unsafe_net]
+   rather than build a cut the array cannot hold. A cut slot is the
+   engine's record of the condition ([cond]): it carries the condition's
+   live-cut refcount and the firings it heads, so a firing already built
+   from the same preset is reused instead of hash-consed again.
+
    Invariants:
    - A node's extension at peer slot [p] is computed exactly once, at the
      first moment slot [p] has an unconsumed alarm: either at node creation
@@ -32,17 +43,18 @@
      (positions, cut) would lag everywhere at birth, contradicting the
      cu >= 1 creation invariant — so GC on/off build identical tables
      modulo the inert nodes, and diagnoses are byte-identical.
-   - Refcounts: event terms are counted once per live edge, condition
-     terms once per live cut; [events_materialized]/[conds_materialized]
-     remain monotone views of everything ever built.
+   - Refcounts: event terms are counted once per live edge (by tag),
+     conditions once per live cut (in their [cond] record);
+     [events_materialized]/[conds_materialized] remain monotone views of
+     everything ever built.
    - A configuration is causally closed, so its maximal events (tips)
      determine it: each Skolem event term f(t, g(parent, p), ...) names
      the events that produced its preset, recursively down to the root.
      A config payload is therefore its tip set. Extending it by [ev]
      removes [ev]'s parents and adds [ev] — O(preset), whatever the
      prefix — and the closure is walked only at the [diagnosis] boundary.
-   - Every per-alarm structure (cuts, config payloads, materialized views,
-     refcounts, node keys) is keyed by hash-cons tags, never by structural
+   - Every per-alarm structure (node keys, config payloads, materialized
+     views, refcounts) is keyed by hash-cons tags, never by structural
      term order: two same-transition events from different rounds diverge
      only at the bottom of their causal spine, so a structural compare is
      O(prefix) and would make each alarm degrade linearly with history.
@@ -53,6 +65,7 @@ open Datalog
 module Wire = Dqsq.Wire
 
 exception State_budget_exceeded of { states : int; alarms_consumed : int }
+exception Unsafe_net of { transition : string; place : string; alarms_consumed : int }
 
 let live_states_gauge = Obs.Metrics.gauge "online.live_states"
 let live_events_gauge = Obs.Metrics.gauge "online.live_events"
@@ -77,7 +90,6 @@ let word_push w s =
 
 let word_get w i = w.syms.(i - w.base)
 
-module Int_map = Map.Make (Int)
 module Tag_tbl = Term.Tag_tbl
 
 (* Little-endian Patricia trie over event tags (Okasaki & Gill), the set
@@ -150,34 +162,64 @@ module Tag_set = struct
     | Branch (_, _, l, r) -> fold f r (fold f l acc)
 end
 
-type node = {
-  positions : int array;  (** alarms consumed per peer slot *)
-  total : int;  (** sum of positions: complete iff = alarms seen *)
-  cut : Term.t Int_map.t;  (** condition tag -> condition term *)
-  key : int list;  (** positions ++ cut tags — the node's table key *)
-  mutable configs : Tag_set.t list;  (** each config's maximal event tags *)
-  mutable succs : (Term.t * node) list;  (** (firing event, child) edges *)
-  mutable cu : int;  (** slots where caught up; 0 after a drain = inert *)
-}
-
-module Key = struct
-  type t = int list
-
-  let equal = List.equal Int.equal
-  let hash k = List.fold_left (fun h i -> (h * 31) + i + 1) 17 k
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 (* What firing one transition builds, interned once per engine at [start]
    / [restore] — never at module init, where an interned symbol would
    shift every later symbol id (DESIGN.md §4b item 11) — so [extend]
    builds events and conditions with [Term.capp] alone. *)
 type firing = {
+  name : string;  (** the transition's id, for {!Unsafe_net} *)
   tid : Term.t;  (** the transition's id constant *)
-  pre : Symbol.t list;  (** preset places, in [t_pre] order *)
-  post : Term.t list;  (** postset place constants, in [t_post] order *)
+  pre : int list;  (** preset place ids, in [t_pre] order *)
+  post : (int * Term.t) list;  (** postset (place id, place constant), in [t_post] order *)
 }
+
+(* A condition as one engine holds it: its term, the number of live cuts
+   holding it, and the firings it heads the preset of. A firing's event
+   and postset are a function of its transition and preset, so each is
+   built (hash-consed) once and looked up on this list when another node
+   fires the same transition from the same conditions. The list is
+   dropped with the last live-cut reference. *)
+type cond = { term : Term.t; mutable refs : int; mutable fired : fired list }
+
+and fired = {
+  fr : firing;
+  rest : cond list;  (** the preset after its head *)
+  event : Term.t;
+  post : cond list;  (** in [fr.post] order *)
+}
+
+type node = {
+  key : int array;
+      (** the node's table key: alarms consumed per peer slot, then the
+          cut's condition tag per place id ([empty]'s tag if unmarked) *)
+  total : int;  (** sum of positions: complete iff = alarms seen *)
+  cut : cond array;  (** place id -> its condition, or [empty] *)
+  mutable configs : Tag_set.t list;  (** each config's maximal event tags *)
+  mutable succs : (Term.t * node) list;  (** (firing event, child) edges *)
+  mutable cu : int;  (** slots where caught up; 0 after a drain = inert *)
+}
+
+(* the root is never a condition, so it marks an unmarked place *)
+let empty = { term = Canon.root_term; refs = 0; fired = [] }
+let marked c = c != empty
+
+module Key = struct
+  type t = int array
+
+  let rec equal_from (a : t) (b : t) i =
+    i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+  let equal a b = Array.length a = Array.length b && equal_from a b 0
+
+  let hash (k : t) =
+    let h = ref 17 in
+    for i = 0 to Array.length k - 1 do
+      h := (!h * 31) + k.(i)
+    done;
+    !h land max_int
+end
+
+module Tbl = Hashtbl.Make (Key)
 
 type work =
   | Extend of node * int  (** compute the extension of a node at a peer slot *)
@@ -190,13 +232,16 @@ type t = {
       (** peer slot -> alarm symbol -> transitions emitting it *)
   f : Symbol.t;  (** the event Skolem function *)
   g : Symbol.t;  (** the condition Skolem function *)
+  places : string array;  (** place id -> place name *)
   words : word array;
   table : node Tbl.t;  (** live nodes (plus dead ones when GC is off) *)
+  probe_key : int array;  (** scratch key, built per firing for the lookup *)
+  probe_cut : cond array;  (** scratch cut, copied only into a new node *)
   caught_up : node list array;
   ref_events : int Tag_tbl.t;  (** event tag -> live edge count *)
-  ref_conds : int Tag_tbl.t;  (** cond tag -> live cut count *)
   events_tbl : Term.t Tag_tbl.t;  (** every event ever built, by tag *)
   conds_tbl : Term.t Tag_tbl.t;  (** every condition ever built, by tag *)
+  held : cond Tag_tbl.t;  (** conditions some live cut holds, by tag *)
   mutable live_count : int;
   mutable reclaimed : int;
   mutable states_explored : int;
@@ -207,12 +252,6 @@ type t = {
   gc_enabled : bool;
   net_digest : string;  (** fingerprint of the supervised net, for {!restore} *)
 }
-
-let key_of positions cut =
-  Array.fold_right
-    (fun i acc -> i :: acc)
-    positions
-    (Int_map.fold (fun tag _ acc -> tag :: acc) cut [])
 
 let ref_incr tbl gauge tag =
   match Tag_tbl.find_opt tbl tag with
@@ -248,25 +287,56 @@ let fold_parents f ev acc =
 let extend_config c ev =
   Tag_set.add (Term.tag ev) (fold_parents (fun p c -> Tag_set.remove (Term.tag p) c) ev c)
 
-let new_node t queue ~positions ~total ~cut ~key =
+let iter_cut f cut = Array.iter (fun c -> if marked c then f c) cut
+
+(* the engine's record of condition [cd] as a firing builds it: the held
+   one if a live cut holds [cd], so one record per condition is ever in
+   the cuts (a firing's postset is built by its only [fired] entry, and
+   an entry dropped with its head is rebuilt through here) *)
+let cond_of t cd =
+  match Tag_tbl.find_opt t.held (Term.tag cd) with
+  | Some c -> c
+  | None ->
+    Tag_tbl.replace t.conds_tbl (Term.tag cd) cd;
+    { term = cd; refs = 0; fired = [] }
+
+(* a live cut takes or drops its reference to [c] *)
+let hold t c =
+  c.refs <- c.refs + 1;
+  if c.refs = 1 then begin
+    Tag_tbl.add t.held (Term.tag c.term) c;
+    Obs.Metrics.add_gauge live_conds_gauge 1
+  end
+
+(* a condition no live cut holds heads no firing until a firing marks it
+   again, so its firings are dropped with its last reference: they are
+   rebuilt on demand, and memory stays bounded by the live cuts *)
+let drop t c =
+  c.refs <- c.refs - 1;
+  if c.refs = 0 then begin
+    Tag_tbl.remove t.held (Term.tag c.term);
+    c.fired <- [];
+    Obs.Metrics.add_gauge live_conds_gauge (-1)
+  end
+
+let new_node t queue ~total ~cut ~key =
   if t.states_explored >= t.max_states then
     raise
       (State_budget_exceeded
          { states = t.states_explored; alarms_consumed = t.alarms_seen + t.unknown_alarms });
-  let n = { positions; total; cut; key; configs = []; succs = []; cu = 0 } in
+  let n = { key; total; cut; configs = []; succs = []; cu = 0 } in
   Tbl.add t.table key n;
   t.states_explored <- t.states_explored + 1;
   t.live_count <- t.live_count + 1;
   Obs.Metrics.add_gauge live_states_gauge 1;
-  Int_map.iter (fun tag _ -> ref_incr t.ref_conds live_conds_gauge tag) cut;
-  Array.iteri
-    (fun pi pos ->
-      if pos = t.words.(pi).len then begin
-        t.caught_up.(pi) <- n :: t.caught_up.(pi);
-        n.cu <- n.cu + 1
-      end
-      else Queue.add (Extend (n, pi)) queue)
-    positions;
+  iter_cut (hold t) cut;
+  for pi = 0 to Array.length t.words - 1 do
+    if key.(pi) = t.words.(pi).len then begin
+      t.caught_up.(pi) <- n :: t.caught_up.(pi);
+      n.cu <- n.cu + 1
+    end
+    else Queue.add (Extend (n, pi)) queue
+  done;
   n
 
 let add_config queue n c =
@@ -275,64 +345,78 @@ let add_config queue n c =
     List.iter (fun (ev, succ) -> Queue.add (Add_config (succ, extend_config c ev)) queue) n.succs
   end
 
+(* the probe's slot for place [p] holds [c] *)
+let set_slot t p c =
+  t.probe_cut.(p) <- c;
+  t.probe_key.(Array.length t.words + p) <- Term.tag c.term
+
+(* presets compare by term: a condition that left every live cut may come
+   back as a new record *)
+let same_term a b = Term.equal a.term b.term
+
+let rec find_fired fr rest = function
+  | [] -> None
+  | f :: more ->
+    if f.fr == fr && List.equal same_term f.rest rest then Some f else find_fired fr rest more
+
+(* firing [fr] from the preset [pre]: its event and postset conditions,
+   built on the first such firing and reused after it *)
+let fire t fr pre =
+  match pre with
+  | [] -> assert false (* [Petri.Net.make]: every transition has a parent *)
+  | first :: rest -> (
+    match find_fired fr rest first.fired with
+    | Some f -> f
+    | None ->
+      let event = Term.capp t.f (fr.tid :: List.map (fun c -> c.term) pre) in
+      Tag_tbl.replace t.events_tbl (Term.tag event) event;
+      let post = List.map (fun (_, pl) -> cond_of t (Term.capp t.g [ event; pl ])) fr.post in
+      let f = { fr; rest; event; post } in
+      first.fired <- f :: first.fired;
+      f)
+
 (* fire every transition of slot [pi]'s next unconsumed alarm against
-   [n.cut]; called exactly once per (node, slot) with an unconsumed alarm *)
+   [n.cut]; called exactly once per (node, slot) with an unconsumed alarm.
+   A safe cut holds at most one condition per place, so a transition is
+   enabled iff each of its preset slots is marked, and fires at most once;
+   the emitted event's arguments follow [t_pre] order *)
 let extend t queue n pi =
   let w = t.words.(pi) in
-  let i = n.positions.(pi) in
+  let i = n.key.(pi) in
   if i < w.len then begin
-    let alarm = word_get w i in
-    match Hashtbl.find_opt t.by_label.(pi) alarm with
+    match Hashtbl.find_opt t.by_label.(pi) (word_get w i) with
     | None -> ()
     | Some transitions ->
       List.iter
         (fun fr ->
-          let emit pre_conds =
-            let event = Term.capp t.f (fr.tid :: pre_conds) in
-            let children = List.map (fun pl -> Term.capp t.g [ event; pl ]) fr.post in
-            Tag_tbl.replace t.events_tbl (Term.tag event) event;
-            List.iter (fun cd -> Tag_tbl.replace t.conds_tbl (Term.tag cd) cd) children;
-            let cut =
-              List.fold_left
-                (fun acc cd -> Int_map.add (Term.tag cd) cd acc)
-                (List.fold_left
-                   (fun acc cd -> Int_map.remove (Term.tag cd) acc)
-                   n.cut pre_conds)
-                children
-            in
-            let positions = Array.copy n.positions in
-            positions.(pi) <- i + 1;
-            let key = key_of positions cut in
-            let child =
-              match Tbl.find_opt t.table key with
-              | Some c -> c
-              | None -> new_node t queue ~positions ~total:(n.total + 1) ~cut ~key
-            in
-            n.succs <- (event, child) :: n.succs;
-            ref_incr t.ref_events live_events_gauge (Term.tag event);
+          if List.for_all (fun p -> marked n.cut.(p)) fr.pre then begin
+            Array.blit n.key 0 t.probe_key 0 (Array.length n.key);
+            Array.blit n.cut 0 t.probe_cut 0 (Array.length n.cut);
+            t.probe_key.(pi) <- i + 1;
+            List.iter (fun p -> set_slot t p empty) fr.pre;
             List.iter
-              (fun c -> Queue.add (Add_config (child, extend_config c event)) queue)
+              (fun (p, _) ->
+                if marked t.probe_cut.(p) then
+                  raise
+                    (Unsafe_net
+                       { transition = fr.name; place = t.places.(p);
+                         alarms_consumed = t.alarms_seen + t.unknown_alarms }))
+              fr.post;
+            let f = fire t fr (List.map (fun p -> n.cut.(p)) fr.pre) in
+            List.iter2 (fun (p, _) c -> set_slot t p c) fr.post f.post;
+            let child =
+              match Tbl.find_opt t.table t.probe_key with
+              | Some c -> c
+              | None ->
+                new_node t queue ~total:(n.total + 1) ~cut:(Array.copy t.probe_cut)
+                  ~key:(Array.copy t.probe_key)
+            in
+            n.succs <- (f.event, child) :: n.succs;
+            ref_incr t.ref_events live_events_gauge (Term.tag f.event);
+            List.iter
+              (fun c -> Queue.add (Add_config (child, extend_config c f.event)) queue)
               n.configs
-          in
-          (* one cut condition per parent place, pairwise distinct; the
-             emitted event's argument order follows [t_pre], so the cut's
-             iteration order never leaks into term identity *)
-          let rec choose chosen = function
-            | [] -> emit (List.rev chosen)
-            | place :: rest ->
-              Int_map.iter
-                (fun _ cond ->
-                  match Term.view cond with
-                  | Term.App (_, [ _; pl ])
-                    when (match Term.view pl with
-                         | Term.Const p -> Symbol.equal p place
-                         | Term.Var _ | Term.App _ -> false)
-                         && not (List.exists (Term.equal cond) chosen) ->
-                    choose (cond :: chosen) rest
-                  | _ -> ())
-                n.cut
-          in
-          choose [] fr.pre)
+          end)
         transitions
   end
 
@@ -353,7 +437,7 @@ let reclaim t n =
   t.reclaimed <- t.reclaimed + 1;
   Obs.Metrics.add_gauge live_states_gauge (-1);
   Obs.Metrics.incr gc_reclaimed_counter;
-  Int_map.iter (fun tag _ -> ref_decr t.ref_conds live_conds_gauge tag) n.cut;
+  iter_cut (drop t) n.cut;
   List.iter (fun (ev, _) -> ref_decr t.ref_events live_events_gauge (Term.tag ev)) n.succs;
   n.succs <- []
 
@@ -383,7 +467,16 @@ let net_fingerprint (net : Petri.Net.t) =
   Petri.Net.String_set.iter str (Petri.Net.marking net);
   Digest.string (Buffer.contents b)
 
-let peer_tables (net : Petri.Net.t) =
+(* dense place ids, in the net's place order *)
+let place_index (net : Petri.Net.t) =
+  let places =
+    Array.of_list (List.map (fun (p : Petri.Net.place) -> p.Petri.Net.p_id) (Petri.Net.places net))
+  in
+  let index = Hashtbl.create (Array.length places) in
+  Array.iteri (fun i p -> Hashtbl.replace index p i) places;
+  (places, index)
+
+let peer_tables (net : Petri.Net.t) index =
   let peers = Array.of_list (Petri.Net.peers net) in
   let peer_index = Hashtbl.create 8 in
   Array.iteri (fun i p -> Hashtbl.replace peer_index p i) peers;
@@ -394,9 +487,10 @@ let peer_tables (net : Petri.Net.t) =
       | None -> ()
       | Some pi ->
         let fr =
-          { tid = Term.const tr.Petri.Net.t_id;
-            pre = List.map Symbol.intern tr.Petri.Net.t_pre;
-            post = List.map Term.const tr.Petri.Net.t_post }
+          { name = tr.Petri.Net.t_id;
+            tid = Term.const tr.Petri.Net.t_id;
+            pre = List.map (Hashtbl.find index) tr.Petri.Net.t_pre;
+            post = List.map (fun pl -> (Hashtbl.find index pl, Term.const pl)) tr.Petri.Net.t_post }
         in
         let a = tr.Petri.Net.t_alarm in
         let prev = Option.value ~default:[] (Hashtbl.find_opt by_label.(pi) a) in
@@ -404,16 +498,19 @@ let peer_tables (net : Petri.Net.t) =
     (Petri.Net.transitions net);
   (peers, peer_index, by_label)
 
+(* a node's key from its positions and cut *)
+let make_key positions cut = Array.append positions (Array.map (fun c -> Term.tag c.term) cut)
+
 let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
   let g = Symbol.intern "g" in
-  let initial_cut =
-    Petri.Net.String_set.fold
-      (fun place acc ->
-        let cd = Term.capp g [ Canon.root_term; Term.const place ] in
-        Int_map.add (Term.tag cd) cd acc)
-      (Petri.Net.marking net) Int_map.empty
+  let places, index = place_index net in
+  let initial =
+    List.map
+      (fun place -> (Hashtbl.find index place, Term.capp g [ Canon.root_term; Term.const place ]))
+      (Petri.Net.String_set.elements (Petri.Net.marking net))
   in
-  let peers, peer_index, by_label = peer_tables net in
+  let peers, peer_index, by_label = peer_tables net index in
+  let npeers = Array.length peers in
   let t =
     {
       peers;
@@ -421,13 +518,16 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       by_label;
       f = Symbol.intern "f";
       g;
-      words = Array.init (Array.length peers) (fun _ -> { syms = [||]; base = 0; len = 0 });
+      places;
+      words = Array.init npeers (fun _ -> { syms = [||]; base = 0; len = 0 });
       table = Tbl.create 256;
-      caught_up = Array.make (max 1 (Array.length peers)) [];
+      probe_key = Array.make (npeers + Array.length places) 0;
+      probe_cut = Array.make (Array.length places) empty;
+      caught_up = Array.make (max 1 npeers) [];
       ref_events = Tag_tbl.create 256;
-      ref_conds = Tag_tbl.create 256;
       events_tbl = Tag_tbl.create 256;
       conds_tbl = Tag_tbl.create 256;
+      held = Tag_tbl.create 256;
       live_count = 0;
       reclaimed = 0;
       states_explored = 0;
@@ -439,11 +539,12 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       net_digest = net_fingerprint net;
     }
   in
-  Int_map.iter (fun tag cd -> Tag_tbl.replace t.conds_tbl tag cd) initial_cut;
-  let positions = Array.make (Array.length peers) 0 in
+  let initial_cut = Array.make (Array.length places) empty in
+  List.iter (fun (p, cd) -> initial_cut.(p) <- cond_of t cd) initial;
   let queue = Queue.create () in
   let root =
-    new_node t queue ~positions ~total:0 ~cut:initial_cut ~key:(key_of positions initial_cut)
+    new_node t queue ~total:0 ~cut:initial_cut
+      ~key:(make_key (Array.make npeers 0) initial_cut)
   in
   root.configs <- [ Tag_set.empty ];
   assert (Queue.is_empty queue);
@@ -515,7 +616,7 @@ let release t =
     t.released <- true;
     Obs.Metrics.add_gauge live_states_gauge (-t.live_count);
     Obs.Metrics.add_gauge live_events_gauge (-(Tag_tbl.length t.ref_events));
-    Obs.Metrics.add_gauge live_conds_gauge (-(Tag_tbl.length t.ref_conds))
+    Obs.Metrics.add_gauge live_conds_gauge (-(Tag_tbl.length t.held))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -569,7 +670,7 @@ let checkpoint (t : t) : string =
   let npeers = Array.length t.peers in
   let bases =
     Array.init npeers (fun pi ->
-        Array.fold_left (fun acc n -> min acc n.positions.(pi)) t.words.(pi).len nodes)
+        Array.fold_left (fun acc n -> min acc n.key.(pi)) t.words.(pi).len nodes)
   in
   let e = Wire.encoder () in
   Wire.encode_snapshot e (fun buf ->
@@ -595,9 +696,12 @@ let checkpoint (t : t) : string =
       (* pass 1: node cores (positions, cut, config tips as terms) *)
       Array.iter
         (fun n ->
-          Array.iter (Wire.put_uvarint buf) n.positions;
-          Wire.put_uvarint buf (Int_map.cardinal n.cut);
-          Int_map.iter (fun _ cd -> Wire.put_term e buf cd) n.cut;
+          for pi = 0 to npeers - 1 do
+            Wire.put_uvarint buf n.key.(pi)
+          done;
+          let cut = Array.fold_right (fun c acc -> if marked c then c.term :: acc else acc) n.cut [] in
+          Wire.put_uvarint buf (List.length cut);
+          List.iter (Wire.put_term e buf) (List.sort Term.compare cut);
           Wire.put_uvarint buf (List.length n.configs);
           List.iter
             (fun c ->
@@ -619,6 +723,20 @@ let checkpoint (t : t) : string =
             n.succs)
         nodes)
 
+(* the place id of a restored cut condition g(_, pl) *)
+let cond_place t index cd =
+  let place =
+    match Term.view cd with
+    | Term.App (g, [ _; pl ]) when Symbol.equal g t.g -> (
+      match Term.view pl with
+      | Term.Const s -> Hashtbl.find_opt index (Symbol.name s)
+      | Term.Var _ | Term.App _ -> None)
+    | Term.Const _ | Term.Var _ | Term.App _ -> None
+  in
+  match place with
+  | Some p -> p
+  | None -> raise (Wire.Corrupt "snapshot cut holds a condition on no place of the net")
+
 let read_list n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
@@ -632,7 +750,8 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
   let digest = Wire.get_string r in
   if not (String.equal digest (net_fingerprint net)) then
     raise (Wire.Corrupt "snapshot was taken against a different net");
-  let peers, peer_index, by_label = peer_tables net in
+  let places, index = place_index net in
+  let peers, peer_index, by_label = peer_tables net index in
   let npeers = Wire.get_uvarint r in
   if npeers <> Array.length peers then raise (Wire.Corrupt "snapshot peer count mismatch");
   List.iteri
@@ -663,13 +782,16 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
       by_label;
       f = Symbol.intern "f";
       g = Symbol.intern "g";
+      places;
       words;
       table = Tbl.create 256;
+      probe_key = Array.make (npeers + Array.length places) 0;
+      probe_cut = Array.make (Array.length places) empty;
       caught_up = Array.make (max 1 npeers) [];
       ref_events = Tag_tbl.create 256;
-      ref_conds = Tag_tbl.create 256;
       events_tbl = Tag_tbl.create 256;
       conds_tbl = Tag_tbl.create 256;
+      held = Tag_tbl.create 256;
       live_count = 0;
       reclaimed;
       states_explored;
@@ -682,6 +804,17 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
     }
   in
   let nnodes = Wire.get_uvarint r in
+  (* one record per condition across the frame's cuts: none is held
+     before every node has been read *)
+  let restored = Tag_tbl.create 64 in
+  let restored_cond cd =
+    match Tag_tbl.find_opt restored (Term.tag cd) with
+    | Some c -> c
+    | None ->
+      let c = cond_of t cd in
+      Tag_tbl.add restored (Term.tag cd) c;
+      c
+  in
   let nodes =
     Array.of_list
       (read_list nnodes (fun () ->
@@ -693,14 +826,14 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
              positions.(pi) <- p
            done;
            let ncut = Wire.get_uvarint r in
-           let cut =
-             List.fold_left
-               (fun acc cd ->
-                 Tag_tbl.replace t.conds_tbl (Term.tag cd) cd;
-                 Int_map.add (Term.tag cd) cd acc)
-               Int_map.empty
-               (read_list ncut (fun () -> Wire.get_term d r))
-           in
+           let cut = Array.make (Array.length places) empty in
+           List.iter
+             (fun cd ->
+               let p = cond_place t index cd in
+               if marked cut.(p) then
+                 raise (Wire.Corrupt "snapshot cut puts two conditions on one place");
+               cut.(p) <- restored_cond cd)
+             (read_list ncut (fun () -> Wire.get_term d r));
            let nconfigs = Wire.get_uvarint r in
            let configs =
              read_list nconfigs (fun () ->
@@ -713,7 +846,7 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
                    (read_list ntips (fun () -> Wire.get_term d r)))
            in
            let total = Array.fold_left ( + ) 0 positions in
-           { positions; total; cut; key = key_of positions cut; configs; succs = []; cu = 0 }))
+           { key = make_key positions cut; total; cut; configs; succs = []; cu = 0 }))
   in
   Array.iter
     (fun n ->
@@ -733,15 +866,14 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
     (fun n ->
       if Tbl.mem t.table n.key then raise (Wire.Corrupt "snapshot has duplicate node keys");
       Tbl.add t.table n.key n;
-      Array.iteri
-        (fun pi pos ->
-          if pos = words.(pi).len then begin
-            t.caught_up.(pi) <- n :: t.caught_up.(pi);
-            n.cu <- n.cu + 1
-          end)
-        n.positions;
+      for pi = 0 to npeers - 1 do
+        if n.key.(pi) = words.(pi).len then begin
+          t.caught_up.(pi) <- n :: t.caught_up.(pi);
+          n.cu <- n.cu + 1
+        end
+      done;
       if n.cu = 0 then raise (Wire.Corrupt "snapshot node lags at every peer");
-      Int_map.iter (fun tag _ -> ref_incr t.ref_conds live_conds_gauge tag) n.cut;
+      iter_cut (hold t) n.cut;
       List.iter
         (fun (ev, _) -> ref_incr t.ref_events live_events_gauge (Term.tag ev))
         n.succs)

@@ -7,8 +7,15 @@
     the transition nodes that emit the i-th alarm". This module keeps the
     search frontier alive between alarms as a {e delta-driven} fixpoint:
 
-    - Nodes are keyed by (per-peer positions, cut) using hash-consed term
-      tags; configurations explaining the same (positions, cut) pair are
+    - The supervised net must be safe (the paper's setting): a cut, a
+      reachable marking, then holds at most one condition per place. A
+      cut is stored as an array indexed by a dense per-engine place id,
+      so firing a transition reads one slot per preset place. A firing
+      that would put a second condition on a marked place raises
+      {!Unsafe_net}.
+    - Nodes are keyed by one flat int array: the per-peer positions, then
+      the cut's hash-consed condition tags in place order.
+      Configurations explaining the same (positions, cut) pair are
       merged into one node, so each extension is computed once per node
       and peer slot, never per configuration.
     - Each [observe] only touches the frontier delta: nodes whose position
@@ -42,6 +49,13 @@ exception State_budget_exceeded of { states : int; alarms_consumed : int }
     tripped; [alarms_consumed] counts alarms accepted so far (including
     the one being processed). The instance is unusable afterwards. *)
 
+exception Unsafe_net of { transition : string; place : string; alarms_consumed : int }
+(** Raised by {!observe} when firing [transition] would put a second
+    condition on the marked [place]: the net is not safe, and this engine
+    supports safe nets only. [alarms_consumed] counts alarms accepted so
+    far (including the one being processed). The instance is unusable
+    afterwards. *)
+
 val start : ?max_states:int -> ?gc:bool -> Petri.Net.t -> t
 (** Begin supervising (nothing observed yet: the empty configuration is
     the only explanation). [gc] (default [true]) controls prefix garbage
@@ -49,7 +63,8 @@ val start : ?max_states:int -> ?gc:bool -> Petri.Net.t -> t
 
 val observe : t -> string * string -> unit
 (** One alarm [(symbol, peer)] arrives.
-    @raise State_budget_exceeded when [max_states] is exceeded. *)
+    @raise State_budget_exceeded when [max_states] is exceeded.
+    @raise Unsafe_net when a firing breaks the safety of the net. *)
 
 val diagnosis : t -> Canon.diagnosis
 (** Explanations of everything observed so far. *)
@@ -107,6 +122,8 @@ val restore : ?max_states:int -> Petri.Net.t -> string -> t
     live frontier's events (tips and edges), not the prefix's.
     [max_states] overrides the snapshot's saved budget (the cumulative
     [states_explored] carries over). The net must be structurally
-    identical to the one the checkpoint was taken against. Memory is
-    allocated by what the frame carries, never by a length it claims.
+    identical to the one the checkpoint was taken against, and each cut
+    must hold at most one condition per place of that net. Memory is
+    allocated by what the frame carries (and the net's size), never by a
+    length it claims.
     @raise Dqsq.Wire.Corrupt on malformed input or a net mismatch. *)

@@ -214,6 +214,14 @@ let add_alarm t sid ~symbol ~peer =
     else errorf "session %d: tenant %s has no peer %s" sid s.s_tenant.t_name peer
   | Streaming st ->
     if known then begin
+      (* degrade, don't crash: the stream is marked failed and its live
+         tables are released; the coordinator and every other session
+         keep going *)
+      let fail m =
+        Online.release st.online;
+        s.phase <- Failed m;
+        errorf "session %d failed: %s" sid m
+      in
       let t0 = Obs.Clock.now_s () in
       match Online.observe st.online (symbol, peer) with
       | () ->
@@ -223,16 +231,13 @@ let add_alarm t sid ~symbol ~peer =
           st.s_peak_live <- Online.live_states st.online;
         Ok ()
       | exception Online.State_budget_exceeded { states; alarms_consumed } ->
-        (* degrade, don't crash: the stream is marked failed and its live
-           tables are released; the coordinator and every other session
-           keep going *)
-        Online.release st.online;
-        s.phase <-
-          Failed
-            (Printf.sprintf "state budget exceeded (%d states after %d alarms)"
-               states alarms_consumed);
-        errorf "session %d failed: state budget exceeded (%d states after %d alarms)"
-          sid states alarms_consumed
+        fail
+          (Printf.sprintf "state budget exceeded (%d states after %d alarms)" states
+             alarms_consumed)
+      | exception Online.Unsafe_net { transition; place; alarms_consumed } ->
+        fail
+          (Printf.sprintf "net is not safe: %s puts a second token on place %s (after %d alarms)"
+             transition place alarms_consumed)
     end
     else errorf "session %d: tenant %s has no peer %s" sid s.s_tenant.t_name peer
   | Failed m -> errorf "session %d failed: %s" sid m

@@ -23,9 +23,10 @@
     (an O(delta) frontier extension with prefix GC), and {!report} reads
     the live diagnosis at any prefix, framed through the same wire codec
     as the batch path so the body is byte-identical to the direct
-    [Online.diagnosis] rendering. A stream whose state budget trips is
-    marked failed and its live tables released — the coordinator and every
-    other session keep running.
+    [Online.diagnosis] rendering. A stream whose state budget trips, or
+    whose net turns out not to be safe, is marked failed and its live
+    tables released — the coordinator and every other session keep
+    running.
 
     Metrics: counters [service.sessions_started] /
     [service.sessions_completed] / [service.streams_started], gauges
@@ -90,8 +91,9 @@ val open_stream : ?max_states:int -> t -> tenant:string -> (int, string) result
 
 val add_alarm : t -> int -> symbol:string -> peer:string -> (unit, string) result
 (** Batch sessions buffer the alarm; streaming sessions explain it on the
-    spot (the O(delta) extension). When a stream's state budget trips, the
-    session moves to a failed state, its engine is released, and every
+    spot (the O(delta) extension). When a stream's state budget trips, or
+    a firing would break the safety of the tenant's net
+    ({!Diagnosis.Online.Unsafe_net}), the session moves to a failed state, its engine is released, and every
     subsequent command on it reports the failure — the coordinator itself
     is unaffected. *)
 

@@ -8,8 +8,9 @@
       stream TENANT [BUDGET]   -> ok stream SID (incremental session;
                                BUDGET overrides the stream state budget)
       alarm SID SYMBOL PEER    append one observed alarm (streams explain
-                               it immediately; a tripped state budget
-                               fails the session, not the server)
+                               it immediately; a tripped state budget or
+                               an unsafe net fails the session, not the
+                               server)
       run SID                  start + drive to quiescence -> ok done ...
       report SID               -> ok report SID, indented body, end
                                (streams: the diagnosis at this prefix;

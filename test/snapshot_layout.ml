@@ -5,9 +5,23 @@
 
 module W = Dqsq.Wire
 
-type node = { positions : int array; tips : Datalog.Term.t list list }
+type node = {
+  positions : int array;
+  cut : Datalog.Term.t list;  (** in frame order *)
+  tips : Datalog.Term.t list list;
+  succs : (Datalog.Term.t * int) list;  (** (event, target node index) *)
+}
 
-type t = { digest : string; peers : string list; nodes : node list }
+type word = { len : int; base : int; syms : string list }
+
+type t = {
+  digest : string;
+  peers : string list;
+  scalars : int list;
+      (** gc flag, state budget, alarms seen, unknown alarms, states, reclaimed *)
+  words : word list;
+  nodes : node list;
+}
 
 let loop n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
@@ -20,30 +34,68 @@ let read snap =
   let digest = W.get_string r in
   let npeers = W.get_uvarint r in
   let peers = loop npeers (fun () -> W.get_string r) in
-  (* gc flag, state budget, alarms seen, unknown alarms, states, reclaimed *)
-  ignore (loop 6 (fun () -> W.get_uvarint r));
-  for _ = 1 to npeers do
-    let len = W.get_uvarint r in
-    let base = W.get_uvarint r in
-    ignore (loop (len - base) (fun () -> W.get_string r))
-  done;
-  let nodes =
+  let scalars = loop 6 (fun () -> W.get_uvarint r) in
+  let words =
+    loop npeers (fun () ->
+        let len = W.get_uvarint r in
+        let base = W.get_uvarint r in
+        { len; base; syms = loop (len - base) (fun () -> W.get_string r) })
+  in
+  let cores =
     loop (W.get_uvarint r) (fun () ->
         let positions = Array.of_list (loop npeers (fun () -> W.get_uvarint r)) in
-        ignore (loop (W.get_uvarint r) (fun () -> W.get_term d r));
+        let cut = loop (W.get_uvarint r) (fun () -> W.get_term d r) in
         let tips =
           loop (W.get_uvarint r) (fun () -> loop (W.get_uvarint r) (fun () -> W.get_term d r))
         in
-        { positions; tips })
+        (positions, cut, tips))
   in
-  List.iter
-    (fun _ ->
-      ignore
-        (loop (W.get_uvarint r) (fun () ->
-             ignore (W.get_term d r);
-             W.get_uvarint r)))
-    nodes;
-  { digest; peers; nodes }
+  let nodes =
+    List.map
+      (fun (positions, cut, tips) ->
+        let succs =
+          loop (W.get_uvarint r) (fun () ->
+              let ev = W.get_term d r in
+              (ev, W.get_uvarint r))
+        in
+        { positions; cut; tips; succs })
+      cores
+  in
+  { digest; peers; scalars; words; nodes }
+
+(* the inverse of [read]: a checkpoint's own bytes come back *)
+let write s =
+  let e = W.encoder () in
+  W.encode_snapshot e (fun buf ->
+      let uv = W.put_uvarint buf and term = W.put_term e buf in
+      let list f l =
+        uv (List.length l);
+        List.iter f l
+      in
+      uv 0;
+      W.put_string buf s.digest;
+      list (W.put_string buf) s.peers;
+      List.iter uv s.scalars;
+      List.iter
+        (fun w ->
+          uv w.len;
+          uv w.base;
+          List.iter (W.put_string buf) w.syms)
+        s.words;
+      list
+        (fun n ->
+          Array.iter uv n.positions;
+          list term n.cut;
+          list (list term) n.tips)
+        s.nodes;
+      List.iter
+        (fun n ->
+          list
+            (fun (ev, i) ->
+              term ev;
+              uv i)
+            n.succs)
+        s.nodes)
 
 (* A frame valid for [net] up to its first word, which claims [len]
    symbols and carries none. *)

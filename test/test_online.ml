@@ -95,6 +95,35 @@ let test_online_budget_exception () =
     Alcotest.(check int) "states at the trip" 1 states;
     Alcotest.(check int) "alarms consumed at the trip" 1 alarms_consumed
 
+(* t1 and t2 both mark place 3: after [a] on p1, [b] on p2 would put a
+   second token there, so the net is not safe *)
+let unsafe_net () =
+  Petri.Net.binarize
+    (Petri.Net.make
+       ~places:
+         [ Petri.Net.mk_place ~peer:"p1" "1"; Petri.Net.mk_place ~peer:"p2" "2";
+           Petri.Net.mk_place ~peer:"p1" "3" ]
+       ~transitions:
+         [ Petri.Net.mk_transition ~peer:"p1" ~alarm:"a" ~pre:[ "1" ] ~post:[ "3" ] "t1";
+           Petri.Net.mk_transition ~peer:"p2" ~alarm:"b" ~pre:[ "2" ] ~post:[ "3" ] "t2" ]
+       ~marking:[ "1"; "2" ])
+
+let test_online_unsafe_net () =
+  let t = Online.start (unsafe_net ()) in
+  Online.observe t ("a", "p1");
+  (match Online.observe t ("b", "p2") with
+  | exception Online.Unsafe_net { transition; place; alarms_consumed } ->
+    Alcotest.(check string) "the firing transition" "t2" transition;
+    Alcotest.(check string) "the doubly marked place" "3" place;
+    Alcotest.(check int) "alarms consumed at the trip" 2 alarms_consumed
+  | () -> Alcotest.fail "a second token on a marked place accepted");
+  Online.release t;
+  (* either alarm alone keeps the net safe *)
+  let t = Online.start (unsafe_net ()) in
+  Online.observe t ("b", "p2");
+  Alcotest.(check int) "one explanation" 1 (List.length (Online.diagnosis t));
+  Online.release t
+
 (* one peer, one token: alarm [a] has three candidate firings, two of which
    strand the token (no [b] possible) — after observing [b] those branches
    are provably conflict-dead and the GC must reclaim them *)
@@ -276,6 +305,40 @@ let test_tips_sync_event () =
     (Product.diagnose net (alarms (cycles_alarms 6))).Product.diagnosis (Online.diagnosis t);
   Online.release t
 
+(* Node identity: a node is keyed by its positions and its place-indexed
+   cut. These cardinals were measured with the earlier key (positions,
+   then the cut's tags in tag order, over an [Int_map] cut), so they
+   prove the two keys merge exactly the same nodes. The engine's
+   [online.live_conds] share counts each condition of a live cut once. *)
+let test_node_identity_pinned () =
+  let net = cycles_net () in
+  let live_conds = Obs.Metrics.gauge "online.live_conds" in
+  let g0 = Obs.Metrics.gauge_value live_conds in
+  let t = Online.start net in
+  let expect prefix (states, reclaimed, live, events) =
+    let at what = Printf.sprintf "%s after %d alarms" what prefix in
+    Alcotest.(check int) (at "states explored") states (Online.states_explored t);
+    Alcotest.(check int) (at "gc reclaimed") reclaimed (Online.gc_reclaimed t);
+    Alcotest.(check int) (at "live states") live (Online.live_states t);
+    Alcotest.(check int) (at "events materialized") events
+      (Term.Set.cardinal (Online.events_materialized t));
+    let cut_conds =
+      List.fold_left
+        (fun acc (n : Snapshot_layout.node) -> List.fold_right Term.Set.add n.cut acc)
+        Term.Set.empty (Snapshot_layout.read (Online.checkpoint t)).nodes
+    in
+    Alcotest.(check int) (at "live conditions") (Term.Set.cardinal cut_conds)
+      (Obs.Metrics.gauge_value live_conds - g0)
+  in
+  List.iteri
+    (fun k alarm ->
+      Online.observe t alarm;
+      if k + 1 = 1_000 then expect 1_000 (5_328, 5_317, 11, 1_334))
+    (cycles_alarms 5_000);
+  expect 5_000 (26_648, 26_640, 8, 6_667);
+  Online.release t;
+  Alcotest.(check int) "live conditions returned" g0 (Obs.Metrics.gauge_value live_conds)
+
 (* a restored engine holds the same frontier, so checkpointing it again
    gives the donor's bytes *)
 let test_checkpoint_restore_checkpoint () =
@@ -349,6 +412,34 @@ let test_restore_forged_lengths () =
         true
         (Gc.allocated_bytes () -. before < 1e6))
     [ 1 lsl 60; 1 lsl 22 ]
+
+(* a cut is a safe marking: a frame whose cut puts two conditions on one
+   place, or names a place the net does not have, is corrupt *)
+let test_restore_impossible_cut () =
+  let net = cycles_net () in
+  let t = Online.start net in
+  List.iter (Online.observe t) (cycles_alarms 100);
+  let snap = Online.checkpoint t in
+  Online.release t;
+  let s = Snapshot_layout.read snap in
+  Alcotest.(check string) "the layout writes the checkpoint's bytes" snap
+    (Snapshot_layout.write s);
+  let forge extra =
+    match s.nodes with
+    | n :: rest -> Snapshot_layout.write { s with nodes = { n with cut = extra :: n.cut } :: rest }
+    | [] -> Alcotest.fail "no live node"
+  in
+  let cd = List.hd (List.hd s.nodes).cut in
+  let place = match Term.view cd with Term.App (_, [ _; pl ]) -> pl | _ -> assert false in
+  List.iter
+    (fun (what, extra) ->
+      match Online.restore net (forge extra) with
+      | exception Dqsq.Wire.Corrupt _ -> ()
+      | r ->
+        Online.release r;
+        Alcotest.failf "a cut with %s restored" what)
+    [ ("a second condition on one place", Term.app "g" [ cd; place ]);
+      ("a place the net does not have", Term.app "g" [ Canon.root_term; Term.const "nowhere" ]) ]
 
 let prop_online_eq_batch =
   QCheck.Test.make ~count:25
@@ -497,6 +588,7 @@ let suite =
         Alcotest.test_case "materialization monotone" `Quick
           test_online_materialization_monotone;
         Alcotest.test_case "state budget exception" `Quick test_online_budget_exception;
+        Alcotest.test_case "unsafe net exception" `Quick test_online_unsafe_net;
         Alcotest.test_case "gc reclaims conflict-dead branches" `Quick
           test_online_gc_shrinks;
         Alcotest.test_case "gc on == gc off" `Quick test_online_gc_equivalent;
@@ -508,11 +600,14 @@ let suite =
         Alcotest.test_case "refuses a different net" `Quick test_restore_wrong_net;
         Alcotest.test_case "carries the state budget" `Quick test_restore_budget_carry;
         Alcotest.test_case "forged lengths are corrupt" `Quick
-          test_restore_forged_lengths ] );
+          test_restore_forged_lengths;
+        Alcotest.test_case "an impossible cut is corrupt" `Quick test_restore_impossible_cut ] );
     ( "tips",
       [ Alcotest.test_case "sync event drops both parents" `Quick test_tips_sync_event;
         Alcotest.test_case "checkpoint (restore (checkpoint o)) == checkpoint o" `Quick
           test_checkpoint_restore_checkpoint;
+        Alcotest.test_case "node identity pinned on sync_cycles" `Quick
+          test_node_identity_pinned;
         Alcotest.test_case "restore materializes the frontier only" `Quick
           test_restore_materializes_frontier ] );
     ( "report",

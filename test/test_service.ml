@@ -667,6 +667,41 @@ let test_unbinarizable_tenant () =
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
     Sys.remove net
 
+(* a stream over the unsafe fixture fails at the firing that would put a
+   second token on a marked place: the alarm answers [err], the stream
+   stays failed, and the server goes on serving other sessions *)
+let test_unsafe_net_stream () =
+  let path = "tmp_serve_unsafe.sock" in
+  (try Sys.remove path with Sys_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Serve.socket (Coordinator.create ()) ~path ~once:true;
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    await_socket path;
+    let ((sock, _, _) as client) = connect path in
+    starts "ok tenant u " (ask client "tenant u ../examples/nets/unsafe.net");
+    starts "ok stream 1" (ask client "stream u");
+    starts "ok" (ask client "alarm 1 a p1");
+    let reply = ask client "alarm 1 b p2" in
+    starts "err session 1 failed: net is not safe" reply;
+    Alcotest.(check bool) "names the transition and the place" true
+      (contains reply "t2" && contains reply "place 3");
+    starts "err session 1 failed: net is not safe" (ask client "alarm 1 a p1");
+    starts "err session 1 failed: net is not safe" (ask client "report 1");
+    starts "ok stream 2" (ask client "stream u");
+    starts "ok" (ask client "alarm 2 b p2");
+    starts "ok stats tenants=1 active=2 running=0 streaming=1" (ask client "stats");
+    starts "ok bye" (ask client "quit");
+    Unix.close sock;
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
 (* SIGTERM while [Serve.socket] blocks in accept: the child must flush its
    live stream to the store, unlink the socket, and exit cleanly *)
 let test_graceful_shutdown () =
@@ -733,6 +768,8 @@ let () =
           Alcotest.test_case "graceful shutdown flushes" `Quick
             test_graceful_shutdown;
           Alcotest.test_case "client hang-up keeps serving" `Quick test_client_hangup;
+          Alcotest.test_case "unsafe net fails the stream, not the server" `Quick
+            test_unsafe_net_stream;
           Alcotest.test_case "unbinarizable tenant keeps serving" `Quick
             test_unbinarizable_tenant ] );
       (* this group MUST run after "durability": once a domain has been
