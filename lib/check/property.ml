@@ -498,6 +498,111 @@ let checkpoint_restore_eq i =
   in
   match check_gc true with Fail _ as f -> f | Pass -> check_gc false
 
+(* ------- a checkpoint chain restores like a full checkpoint ------ *)
+
+(* A stream checkpointed as a chain — a base frame, then segments written
+   through the base's encoder, restarted at random points and taken at a
+   random cadence — must restore to the engine the live one was at each
+   checkpoint, as a full [Online.checkpoint] does: the same diagnosis,
+   report frame and full checkpoint bytes. The chains also go through a
+   store: its scan returns the last one, and with any one file of the
+   store's chain deleted, the chain up to the file before it (nothing
+   when the base is gone) — never later frames spliced onto a gap. *)
+let chain_restore_eq i =
+  let net = bnet i in
+  let pairs = Petri.Alarm.to_pairs i.alarms in
+  let rng = Random.State.make [| 0xc4a1; i.sim_seed |] in
+  let gc = Random.State.bool rng and every = 1 + Random.State.int rng 3 in
+  let o = Online.start ~gc net in
+  let dir = Filename.temp_dir "chain-restore-eq" "" in
+  let store = Snapshot.open_store dir in
+  let cleanup () =
+    Online.release o;
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let state e = (Canon.diagnosis_to_string (Online.diagnosis e), report_frame e, Online.checkpoint e) in
+  let encoder = ref (Wire.encoder ()) and frames = ref [] in
+  (* newest first: (store name, starts a chain, image, live state) *)
+  let taken = ref [] in
+  let take k =
+    if !frames = [] || Random.State.int rng 4 = 0 then begin
+      encoder := Wire.encoder ();
+      frames := []
+    end;
+    let base = !frames = [] in
+    frames := Online.checkpoint ~encoder:!encoder o :: !frames;
+    let img =
+      { Snapshot.tenant = "fuzz"; session = 1; alarms = k; reports = 0; wire_bytes = 0;
+        peak_live = 0; engine = String.concat "" (List.rev !frames) }
+    in
+    taken := (Snapshot.write store img, base, img, state o) :: !taken
+  in
+  take 0;
+  List.iteri
+    (fun k a ->
+      Online.observe o a;
+      if (k + 1) mod every = 0 then take (k + 1))
+    pairs;
+  let restores_as (img : Snapshot.stream_image) (d, f, full) =
+    let from blob what =
+      let r = Online.restore net blob in
+      let d', f', full' = state r in
+      Online.release r;
+      if d' <> d then Some (failf "%s at %d alarms: diagnosis differs:\n%s\nvs\n%s" what img.alarms d' d)
+      else if f' <> f then Some (failf "%s at %d alarms: report frame differs" what img.alarms)
+      else if full' <> full then
+        Some (failf "%s at %d alarms: full checkpoint bytes differ" what img.alarms)
+      else None
+    in
+    match from img.Snapshot.engine "chain restore" with
+    | Some _ as f -> f
+    | None -> from full "full restore"
+  in
+  let scan_is what expected =
+    match (Snapshot.scan store, expected) with
+    | [], None -> None
+    | [ (name, img) ], Some (name', _, img', _)
+      when name = name' && img.Snapshot.alarms = img'.Snapshot.alarms
+           && img.Snapshot.engine = img'.Snapshot.engine ->
+      None
+    | found, _ ->
+      Some
+        (failf "%s: scan found %s" what
+           (String.concat ","
+              (List.map (fun (n, (img : Snapshot.stream_image)) ->
+                   Printf.sprintf "%s (%d frames)" n
+                     (List.length (Wire.frames img.Snapshot.engine))) found)))
+  in
+  match List.find_map (fun (_, _, img, st) -> restores_as img st) !taken with
+  | Some f -> f
+  | None -> (
+    match scan_is "intact store" (Some (List.hd !taken)) with
+    | Some f -> f
+    | None ->
+      (* the store's chain: the files written since its base, newest first *)
+      let rec chain = function
+        | ((_, true, _, _) as t) :: _ -> [ t ]
+        | t :: rest -> t :: chain rest
+        | [] -> []
+      in
+      let files = Array.of_list (chain !taken) in
+      let without gone =
+        let name, _, _, _ = files.(gone) in
+        let path = Filename.concat dir name in
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        let expected = if gone + 1 < Array.length files then Some files.(gone + 1) else None in
+        let r =
+          scan_is (Printf.sprintf "%s deleted from a %d-file chain" name (Array.length files)) expected
+        in
+        Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+        r
+      in
+      Option.value ~default:Pass
+        (List.find_map without (List.init (Array.length files) Fun.id)))
+
 (* --------------- seed determinism (sim.mli contract) ------------ *)
 
 let dqsq_run i =
@@ -561,6 +666,9 @@ let all =
     mk "checkpoint-restore-eq"
       "durability (checkpoint -> restore resumes byte-identically)"
       checkpoint_restore_eq;
+    mk "chain-restore-eq"
+      "durability (a checkpoint chain restores like a full checkpoint)"
+      chain_restore_eq;
     mk "codec-roundtrip" "wire codec: service reports == in-memory reports"
       codec_roundtrip;
     mk "seed-determinism" "sim.mli: same seed and policy, same run" seed_determinism;

@@ -365,6 +365,22 @@ let decode_message d s = unframe d k_message get_message s
 let encode_snapshot e put_body = frame e k_snapshot put_body
 let decode_snapshot d s get_body = unframe d k_snapshot (fun _ r -> get_body r) s
 
+(* A frame is its own length prefix plus that many bytes, so frames
+   written back to back split without decoding their bodies. *)
+let frames s =
+  let r = { src = s; pos = 0 } in
+  let rec go acc =
+    if r.pos = String.length s then List.rev acc
+    else begin
+      let start = r.pos in
+      let n = get_uvarint r in
+      if n > String.length s - r.pos then corrupt "truncated frame in a chain";
+      r.pos <- r.pos + n;
+      go (String.sub s start (r.pos - start) :: acc)
+    end
+  in
+  go []
+
 let encode_configs e (configs : Term.t list list) =
   (* a frame defines about three terms per event (the event, its preset
      conditions, shared constants), and a table of n buckets grows past 2n

@@ -80,6 +80,13 @@ val decode_snapshot : decoder -> string -> (reader -> 'a) -> 'a
     version, kind, exact consumption) and hands the body to [get_body]
     (terms via [get_term d]). Raises {!Corrupt} on malformed input. *)
 
+val frames : string -> string list
+(** Split frames written back to back (a snapshot chain) at their length
+    prefixes, without decoding them; [""] is the empty list. A chain
+    encoded through one encoder must be decoded, in order, through one
+    decoder: a later frame refers to the terms an earlier one defined.
+    Raises {!Corrupt} when the last frame is cut short. *)
+
 type channels
 (** The codec factory of one simulated network: it builds one (encoder,
     decoder) pair per directed channel and remembers them all for

@@ -72,24 +72,6 @@ let live_events_gauge = Obs.Metrics.gauge "online.live_events"
 let live_conds_gauge = Obs.Metrics.gauge "online.live_conds"
 let gc_reclaimed_counter = Obs.Metrics.counter "online.gc_reclaimed"
 
-(* growable per-peer alarm word: O(1) amortized push, O(1) random access.
-   Symbols below [base] are never read again (a restored word starts at
-   the snapshot's base), so only the suffix is stored: [syms.(i - base)]
-   is symbol [i], for [base <= i < len]. *)
-type word = { mutable syms : string array; base : int; mutable len : int }
-
-let word_push w s =
-  let n = w.len - w.base in
-  if n = Array.length w.syms then begin
-    let a = Array.make (max 8 (2 * n)) "" in
-    Array.blit w.syms 0 a 0 n;
-    w.syms <- a
-  end;
-  w.syms.(n) <- s;
-  w.len <- w.len + 1
-
-let word_get w i = w.syms.(i - w.base)
-
 module Tag_tbl = Term.Tag_tbl
 
 (* Little-endian Patricia trie over event tags (Okasaki & Gill), the set
@@ -172,6 +154,35 @@ type firing = {
   pre : int list;  (** preset place ids, in [t_pre] order *)
   post : (int * Term.t) list;  (** postset (place id, place constant), in [t_post] order *)
 }
+
+(* growable per-peer alarm word: O(1) amortized push, O(1) random access.
+   Symbols below [base] are never read again (a restored word starts at
+   the snapshot's base), so only the suffix is stored: [syms.(i - base)]
+   is symbol [i], for [base <= i < len]. Beside each symbol sits the list
+   of transitions emitting it at this peer, resolved once when the symbol
+   is pushed, so an extension reads it without hashing the symbol. *)
+type word = {
+  mutable syms : string array;
+  mutable fires : firing list array;
+  base : int;
+  mutable len : int;
+}
+
+let word_push w s fires =
+  let n = w.len - w.base in
+  if n = Array.length w.syms then begin
+    let size = max 8 (2 * n) in
+    let syms = Array.make size "" and fs = Array.make size [] in
+    Array.blit w.syms 0 syms 0 n;
+    Array.blit w.fires 0 fs 0 n;
+    w.syms <- syms;
+    w.fires <- fs
+  end;
+  w.syms.(n) <- s;
+  w.fires.(n) <- fires;
+  w.len <- w.len + 1
+
+let word_get w i = w.syms.(i - w.base)
 
 (* A condition as one engine holds it: its term, the number of live cuts
    holding it, and the firings it heads the preset of. A firing's event
@@ -383,42 +394,38 @@ let fire t fr pre =
 let extend t queue n pi =
   let w = t.words.(pi) in
   let i = n.key.(pi) in
-  if i < w.len then begin
-    match Hashtbl.find_opt t.by_label.(pi) (word_get w i) with
-    | None -> ()
-    | Some transitions ->
-      List.iter
-        (fun fr ->
-          if List.for_all (fun p -> marked n.cut.(p)) fr.pre then begin
-            Array.blit n.key 0 t.probe_key 0 (Array.length n.key);
-            Array.blit n.cut 0 t.probe_cut 0 (Array.length n.cut);
-            t.probe_key.(pi) <- i + 1;
-            List.iter (fun p -> set_slot t p empty) fr.pre;
-            List.iter
-              (fun (p, _) ->
-                if marked t.probe_cut.(p) then
-                  raise
-                    (Unsafe_net
-                       { transition = fr.name; place = t.places.(p);
-                         alarms_consumed = t.alarms_seen + t.unknown_alarms }))
-              fr.post;
-            let f = fire t fr (List.map (fun p -> n.cut.(p)) fr.pre) in
-            List.iter2 (fun (p, _) c -> set_slot t p c) fr.post f.post;
-            let child =
-              match Tbl.find_opt t.table t.probe_key with
-              | Some c -> c
-              | None ->
-                new_node t queue ~total:(n.total + 1) ~cut:(Array.copy t.probe_cut)
-                  ~key:(Array.copy t.probe_key)
-            in
-            n.succs <- (f.event, child) :: n.succs;
-            ref_incr t.ref_events live_events_gauge (Term.tag f.event);
-            List.iter
-              (fun c -> Queue.add (Add_config (child, extend_config c f.event)) queue)
-              n.configs
-          end)
-        transitions
-  end
+  if i < w.len then
+    List.iter
+      (fun fr ->
+        if List.for_all (fun p -> marked n.cut.(p)) fr.pre then begin
+          Array.blit n.key 0 t.probe_key 0 (Array.length n.key);
+          Array.blit n.cut 0 t.probe_cut 0 (Array.length n.cut);
+          t.probe_key.(pi) <- i + 1;
+          List.iter (fun p -> set_slot t p empty) fr.pre;
+          List.iter
+            (fun (p, _) ->
+              if marked t.probe_cut.(p) then
+                raise
+                  (Unsafe_net
+                     { transition = fr.name; place = t.places.(p);
+                       alarms_consumed = t.alarms_seen + t.unknown_alarms }))
+            fr.post;
+          let f = fire t fr (List.map (fun p -> n.cut.(p)) fr.pre) in
+          List.iter2 (fun (p, _) c -> set_slot t p c) fr.post f.post;
+          let child =
+            match Tbl.find_opt t.table t.probe_key with
+            | Some c -> c
+            | None ->
+              new_node t queue ~total:(n.total + 1) ~cut:(Array.copy t.probe_cut)
+                ~key:(Array.copy t.probe_key)
+          in
+          n.succs <- (f.event, child) :: n.succs;
+          ref_incr t.ref_events live_events_gauge (Term.tag f.event);
+          List.iter
+            (fun c -> Queue.add (Add_config (child, extend_config c f.event)) queue)
+            n.configs
+        end)
+      w.fires.(i - w.base)
 
 let drain t queue =
   while not (Queue.is_empty queue) do
@@ -519,7 +526,7 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       f = Symbol.intern "f";
       g;
       places;
-      words = Array.init npeers (fun _ -> { syms = [||]; base = 0; len = 0 });
+      words = Array.init npeers (fun _ -> { syms = [||]; fires = [||]; base = 0; len = 0 });
       table = Tbl.create 256;
       probe_key = Array.make (npeers + Array.length places) 0;
       probe_cut = Array.make (Array.length places) empty;
@@ -550,6 +557,9 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
   assert (Queue.is_empty queue);
   t
 
+(* the transitions of peer slot [pi] emitting [symbol] *)
+let emitting t pi symbol = Option.value ~default:[] (Hashtbl.find_opt t.by_label.(pi) symbol)
+
 let observe (t : t) ((symbol, peer) : string * string) : unit =
   if t.released then invalid_arg "Online.observe: released instance";
   match Hashtbl.find_opt t.peer_index peer with
@@ -560,7 +570,7 @@ let observe (t : t) ((symbol, peer) : string * string) : unit =
     t.unknown_alarms <- t.unknown_alarms + 1
   | Some pi ->
     t.alarms_seen <- t.alarms_seen + 1;
-    word_push t.words.(pi) symbol;
+    word_push t.words.(pi) symbol (emitting t pi symbol);
     let frontier = t.caught_up.(pi) in
     t.caught_up.(pi) <- [];
     let queue = Queue.create () in
@@ -635,16 +645,23 @@ let release t =
 
    Cross-process identity: hash-cons tags are process-local, so the
    snapshot never stores a tag. Terms cross through the wire codec's
-   definition-or-backref tables (shared spines once per frame) and are
-   re-interned on restore; tag-keyed structures — cuts, node keys,
-   Tag_set payloads, refcounts — are rebuilt from the re-interned terms.
-   A config crosses as its tips, which is what the node already holds:
-   checkpoint writes each tip set as it stands and restore reads it back,
-   with no closure walk either way. The term codec defines the shared
-   spine below the tips once per frame. Tips, nodes and cut conditions
-   are written in tag order, so the frame's bytes can differ between two
-   processes holding the same frontier, while its decoded content does
-   not.
+   definition-or-backref tables and are re-interned on restore; tag-keyed
+   structures — cuts, node keys, Tag_set payloads, refcounts — are rebuilt
+   from the re-interned terms. A config crosses as its tips, which is what
+   the node already holds: checkpoint writes each tip set as it stands and
+   restore reads it back, with no closure walk either way. Nodes are
+   written in key order, tips and cut conditions in tag order, so an
+   engine restored in the same process checkpoints to the same bytes; a
+   different process can write different bytes (tags depend on process
+   history) for the same decoded content.
+
+   Chains: the tips are Skolem spines that reach back to the root, so a
+   frame from a fresh encoder defines the whole causal history of the
+   frontier. A frame written through the encoder of the previous one
+   defines only the terms new since then and refers to the rest, and a
+   chain of such frames is restored through one decoder: every frame is
+   decoded in order, for its definitions, and the last one becomes the
+   engine.
 
    Nothing else is pending between alarms: after [observe]'s drain the
    work queue is empty, every lagging slot's extension has already run
@@ -659,11 +676,12 @@ let release t =
 
 let snapshot_sub_engine = 0
 
-let checkpoint (t : t) : string =
+let checkpoint ?(encoder = Wire.encoder ()) (t : t) : string =
   if t.released then invalid_arg "Online.checkpoint: released instance";
   let live = ref [] in
   Tbl.iter (fun _ n -> if n.cu > 0 then live := n :: !live) t.table;
   let nodes = Array.of_list !live in
+  Array.sort (fun a b -> compare a.key b.key) nodes;
   let nnodes = Array.length nodes in
   let index = Tbl.create (max 16 nnodes) in
   Array.iteri (fun i n -> Tbl.add index n.key i) nodes;
@@ -672,7 +690,7 @@ let checkpoint (t : t) : string =
     Array.init npeers (fun pi ->
         Array.fold_left (fun acc n -> min acc n.key.(pi)) t.words.(pi).len nodes)
   in
-  let e = Wire.encoder () in
+  let e = encoder in
   Wire.encode_snapshot e (fun buf ->
       Wire.put_uvarint buf snapshot_sub_engine;
       Wire.put_string buf t.net_digest;
@@ -741,49 +759,113 @@ let read_list n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
 
-let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
-  let d = Wire.decoder () in
+(* A checkpoint frame as decoded, before it becomes an engine: terms are
+   interned, nothing else is built. *)
+type frame_node = {
+  positions : int array;
+  cut_terms : Term.t list;
+  tips : Term.t list list;  (** per config *)
+}
+
+type frame = {
+  f_gc : bool;
+  f_max_states : int;
+  f_alarms_seen : int;
+  f_unknown_alarms : int;
+  f_states_explored : int;
+  f_reclaimed : int;
+  f_words : word array;  (** [fires] still empty *)
+  f_nodes : frame_node array;
+  f_edges : (Term.t * int) list array;  (** per node: (event, target node index) *)
+}
+
+(* Decode one frame of a chain through the chain's decoder [d]. Every
+   length is checked against what the frame carries, so a forged length
+   runs into the end of the frame ([Wire.Corrupt]) instead of allocating
+   what it claims. *)
+let read_frame ~digest ~peers d blob =
   Wire.decode_snapshot d blob @@ fun r ->
   (match Wire.get_uvarint r with
   | 0 -> ()
   | k -> raise (Wire.Corrupt (Printf.sprintf "unknown snapshot sub-kind %d" k)));
-  let digest = Wire.get_string r in
-  if not (String.equal digest (net_fingerprint net)) then
+  if not (String.equal (Wire.get_string r) digest) then
     raise (Wire.Corrupt "snapshot was taken against a different net");
-  let places, index = place_index net in
-  let peers, peer_index, by_label = peer_tables net index in
   let npeers = Wire.get_uvarint r in
   if npeers <> Array.length peers then raise (Wire.Corrupt "snapshot peer count mismatch");
   List.iteri
     (fun i p ->
       if not (String.equal p peers.(i)) then raise (Wire.Corrupt "snapshot peer mismatch"))
     (read_list npeers (fun () -> Wire.get_string r));
-  let gc_enabled = Wire.get_uvarint r <> 0 in
-  let saved_max_states = Wire.get_uvarint r in
-  let alarms_seen = Wire.get_uvarint r in
-  let unknown_alarms = Wire.get_uvarint r in
-  let states_explored = Wire.get_uvarint r in
-  let reclaimed = Wire.get_uvarint r in
-  (* sized by the symbols actually read, never by a length field: a
-     forged length runs into the end of the frame ([Wire.Corrupt]) *)
-  let words =
+  let f_gc = Wire.get_uvarint r <> 0 in
+  let f_max_states = Wire.get_uvarint r in
+  let f_alarms_seen = Wire.get_uvarint r in
+  let f_unknown_alarms = Wire.get_uvarint r in
+  let f_states_explored = Wire.get_uvarint r in
+  let f_reclaimed = Wire.get_uvarint r in
+  let f_words =
     Array.of_list
       (read_list npeers (fun () ->
            let len = Wire.get_uvarint r in
            let base = Wire.get_uvarint r in
            if base > len then raise (Wire.Corrupt "snapshot word base exceeds length");
            let syms = Array.of_list (read_list (len - base) (fun () -> Wire.get_string r)) in
-           { syms; base; len }))
+           { syms; fires = [||]; base; len }))
   in
+  let nnodes = Wire.get_uvarint r in
+  let f_nodes =
+    Array.of_list
+      (read_list nnodes (fun () ->
+           let positions = Array.make npeers 0 in
+           for pi = 0 to npeers - 1 do
+             let p = Wire.get_uvarint r in
+             if p < f_words.(pi).base || p > f_words.(pi).len then
+               raise (Wire.Corrupt "snapshot position outside the stored word");
+             positions.(pi) <- p
+           done;
+           let cut_terms = read_list (Wire.get_uvarint r) (fun () -> Wire.get_term d r) in
+           let tips =
+             read_list (Wire.get_uvarint r) (fun () ->
+                 read_list (Wire.get_uvarint r) (fun () -> Wire.get_term d r))
+           in
+           { positions; cut_terms; tips }))
+  in
+  let f_edges =
+    Array.of_list
+      (read_list nnodes (fun () ->
+           read_list (Wire.get_uvarint r) (fun () ->
+               let ev = Wire.get_term d r in
+               let i = Wire.get_uvarint r in
+               if i >= nnodes then raise (Wire.Corrupt "snapshot edge target out of range");
+               (ev, i))))
+  in
+  { f_gc; f_max_states; f_alarms_seen; f_unknown_alarms; f_states_explored; f_reclaimed;
+    f_words; f_nodes; f_edges }
+
+let restore ?max_states (net : Petri.Net.t) (chain : string) : t =
+  let digest = net_fingerprint net in
+  let places, index = place_index net in
+  let peers, peer_index, by_label = peer_tables net index in
+  let f = Symbol.intern "f" and g = Symbol.intern "g" in
+  (* every frame is decoded for its definitions; the last is the engine *)
+  let d = Wire.decoder () in
+  let last =
+    match Wire.frames chain with
+    | [] -> raise (Wire.Corrupt "empty snapshot chain")
+    | first :: rest ->
+      List.fold_left
+        (fun _ blob -> read_frame ~digest ~peers d blob)
+        (read_frame ~digest ~peers d first) rest
+  in
+  let npeers = Array.length peers in
   let t =
     {
       peers;
       peer_index;
       by_label;
-      f = Symbol.intern "f";
-      g = Symbol.intern "g";
+      f;
+      g;
       places;
-      words;
+      words = last.f_words;
       table = Tbl.create 256;
       probe_key = Array.make (npeers + Array.length places) 0;
       probe_cut = Array.make (Array.length places) empty;
@@ -793,17 +875,17 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
       conds_tbl = Tag_tbl.create 256;
       held = Tag_tbl.create 256;
       live_count = 0;
-      reclaimed;
-      states_explored;
-      alarms_seen;
-      unknown_alarms;
+      reclaimed = last.f_reclaimed;
+      states_explored = last.f_states_explored;
+      alarms_seen = last.f_alarms_seen;
+      unknown_alarms = last.f_unknown_alarms;
       released = false;
-      max_states = Option.value ~default:saved_max_states max_states;
-      gc_enabled;
+      max_states = Option.value ~default:last.f_max_states max_states;
+      gc_enabled = last.f_gc;
       net_digest = digest;
     }
   in
-  let nnodes = Wire.get_uvarint r in
+  Array.iteri (fun pi w -> w.fires <- Array.map (emitting t pi) w.syms) t.words;
   (* one record per condition across the frame's cuts: none is held
      before every node has been read *)
   let restored = Tag_tbl.create 64 in
@@ -815,50 +897,33 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
       Tag_tbl.add restored (Term.tag cd) c;
       c
   in
-  let nodes =
-    Array.of_list
-      (read_list nnodes (fun () ->
-           let positions = Array.make npeers 0 in
-           for pi = 0 to npeers - 1 do
-             let p = Wire.get_uvarint r in
-             if p < words.(pi).base || p > words.(pi).len then
-               raise (Wire.Corrupt "snapshot position outside the stored word");
-             positions.(pi) <- p
-           done;
-           let ncut = Wire.get_uvarint r in
-           let cut = Array.make (Array.length places) empty in
-           List.iter
-             (fun cd ->
-               let p = cond_place t index cd in
-               if marked cut.(p) then
-                 raise (Wire.Corrupt "snapshot cut puts two conditions on one place");
-               cut.(p) <- restored_cond cd)
-             (read_list ncut (fun () -> Wire.get_term d r));
-           let nconfigs = Wire.get_uvarint r in
-           let configs =
-             read_list nconfigs (fun () ->
-                 let ntips = Wire.get_uvarint r in
-                 List.fold_left
-                   (fun c ev ->
-                     Tag_tbl.replace t.events_tbl (Term.tag ev) ev;
-                     Tag_set.add (Term.tag ev) c)
-                   Tag_set.empty
-                   (read_list ntips (fun () -> Wire.get_term d r)))
-           in
-           let total = Array.fold_left ( + ) 0 positions in
-           { key = make_key positions cut; total; cut; configs; succs = []; cu = 0 }))
+  let event ev =
+    Tag_tbl.replace t.events_tbl (Term.tag ev) ev;
+    ev
   in
-  Array.iter
-    (fun n ->
-      let nsuccs = Wire.get_uvarint r in
-      n.succs <-
-        read_list nsuccs (fun () ->
-            let ev = Wire.get_term d r in
-            let i = Wire.get_uvarint r in
-            if i >= nnodes then raise (Wire.Corrupt "snapshot edge target out of range");
-            Tag_tbl.replace t.events_tbl (Term.tag ev) ev;
-            (ev, nodes.(i))))
-    nodes;
+  let nodes =
+    Array.map
+      (fun fn ->
+        let cut = Array.make (Array.length places) empty in
+        List.iter
+          (fun cd ->
+            let p = cond_place t index cd in
+            if marked cut.(p) then
+              raise (Wire.Corrupt "snapshot cut puts two conditions on one place");
+            cut.(p) <- restored_cond cd)
+          fn.cut_terms;
+        let configs =
+          List.map
+            (List.fold_left (fun c ev -> Tag_set.add (Term.tag (event ev)) c) Tag_set.empty)
+            fn.tips
+        in
+        let total = Array.fold_left ( + ) 0 fn.positions in
+        { key = make_key fn.positions cut; total; cut; configs; succs = []; cu = 0 })
+      last.f_nodes
+  in
+  Array.iteri
+    (fun i edges -> nodes.(i).succs <- List.map (fun (ev, j) -> (event ev, nodes.(j))) edges)
+    last.f_edges;
   (* rebuild the derived state: table, caught-up lists (a node is caught
      up at [pi] iff positions.(pi) = word length — membership is set at
      birth and only consumed when the word grows), refcounts, gauges *)
@@ -867,7 +932,7 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
       if Tbl.mem t.table n.key then raise (Wire.Corrupt "snapshot has duplicate node keys");
       Tbl.add t.table n.key n;
       for pi = 0 to npeers - 1 do
-        if n.key.(pi) = words.(pi).len then begin
+        if n.key.(pi) = t.words.(pi).len then begin
           t.caught_up.(pi) <- n :: t.caught_up.(pi);
           n.cu <- n.cu + 1
         end
@@ -878,6 +943,6 @@ let restore ?max_states (net : Petri.Net.t) (blob : string) : t =
         (fun (ev, _) -> ref_incr t.ref_events live_events_gauge (Term.tag ev))
         n.succs)
     nodes;
-  t.live_count <- nnodes;
-  Obs.Metrics.add_gauge live_states_gauge nnodes;
+  t.live_count <- Array.length nodes;
+  Obs.Metrics.add_gauge live_states_gauge t.live_count;
   t

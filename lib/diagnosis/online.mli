@@ -94,25 +94,36 @@ val release : t -> unit
     [Invalid_argument]; idempotent. The service calls this when a
     streaming session closes or fails. *)
 
-val checkpoint : t -> string
+val checkpoint : ?encoder:Dqsq.Wire.encoder -> t -> string
 (** Serialize the live frontier as one wire [snapshot] frame: nodes with
     their cuts, configurations (each as its maximal events) and successor
-    edges, the word
-    suffixes still reachable by future extensions, and the engine
-    counters. Terms cross through the codec's definition-or-backref
-    tables, so shared Skolem spines are written once per frame. Only
-    {e live} state is written — inert nodes retained when GC is off, and
-    the events/conditions only they reference, are dropped (compaction):
-    snapshot size is bounded by the live frontier, not the alarm prefix.
-    The instance is untouched and keeps running. Raises
+    edges, the word suffixes still reachable by future extensions, and
+    the engine counters. Terms cross through [encoder]'s
+    definition-or-backref tables, so shared Skolem spines are written
+    once. Only {e live} state is written — inert nodes retained when GC
+    is off, and the events/conditions only they reference, are dropped
+    (compaction). The instance is untouched and keeps running. Raises
     [Invalid_argument] on a released instance.
 
-    Tips, nodes and cut conditions are written in hash-cons tag order, so
-    two processes holding the same frontier can write different bytes
-    (tags depend on process history); the decoded content is the same. *)
+    [encoder] defaults to a fresh one: the frame is then self-contained,
+    and since the frontier's tips reach back to the root through their
+    Skolem spines, its size grows with the alarm prefix. Passing the
+    encoder of the previous frame makes a {e segment}: it defines only
+    the terms new since that frame and refers to the rest, so its size
+    follows the alarms in between. Frames written through one encoder,
+    concatenated in order, form a {e chain} that {!restore} accepts.
+
+    Nodes are written in key order, tips and cut conditions in hash-cons
+    tag order, so an engine restored in the same process checkpoints to
+    the same bytes; two processes holding the same frontier can write
+    different bytes (tags depend on process history), while the decoded
+    content is the same. *)
 
 val restore : ?max_states:int -> Petri.Net.t -> string -> t
-(** Rebuild an engine from a {!checkpoint} frame. Terms are re-interned
+(** Rebuild an engine from a chain: one {!checkpoint} frame, or frames
+    written in order through one encoder and concatenated. Every frame is
+    decoded, in order and through one decoder, for the terms it defines;
+    only the last one's frontier becomes the engine. Terms are re-interned
     through the hash-consing constructors and every tag-keyed structure
     (cuts, node keys, config tip sets, refcounts) is rebuilt from the
     re-interned terms, so the result behaves identically in a different
@@ -122,8 +133,13 @@ val restore : ?max_states:int -> Petri.Net.t -> string -> t
     live frontier's events (tips and edges), not the prefix's.
     [max_states] overrides the snapshot's saved budget (the cumulative
     [states_explored] carries over). The net must be structurally
-    identical to the one the checkpoint was taken against, and each cut
+    identical to the one every frame was taken against, and each cut
     must hold at most one condition per place of that net. Memory is
-    allocated by what the frame carries (and the net's size), never by a
-    length it claims.
-    @raise Dqsq.Wire.Corrupt on malformed input or a net mismatch. *)
+    allocated by what the frames carry (and the net's size), never by a
+    length they claim.
+    A chain with a frame left out can decode without error into a wrong
+    engine: its later frames refer to terms by table position, so the
+    chain's integrity is the caller's to keep ([Snapshot] links every
+    stored frame to its predecessor's bytes).
+    @raise Dqsq.Wire.Corrupt on malformed input, an empty chain or a net
+    mismatch. *)

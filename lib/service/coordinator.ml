@@ -52,12 +52,23 @@ type running = {
   mutable deliveries : int;
 }
 
+(* A stream's checkpoint chain: a base frame from a fresh encoder, then
+   segments through the same encoder, each defining only the terms new
+   since the frame before. *)
+type chain = {
+  encoder : Wire.encoder;
+  mutable frames : string list;  (* newest first *)
+  base_bytes : int;
+  mutable segment_bytes : int;
+}
+
 (* A streaming session holds an incremental [Online] engine instead of a
    dQSQ engine: every alarm is explained on arrival (O(delta) frontier
    extension), and [report] is a read of the live diagnosis pushed through
    the same codec framing as the batch path. *)
 type stream = {
   online : Online.t;
+  mutable s_chain : chain option;  (* none before the first checkpoint *)
   s_opened_at : float;
   mutable s_reports : int;
   mutable s_wire_bytes : int;  (* report frames emitted so far *)
@@ -189,6 +200,7 @@ let open_stream ?max_states t ~tenant:name =
     let stream =
       {
         online;
+        s_chain = None;
         s_opened_at = Obs.Clock.now_s ();
         s_reports = 0;
         s_wire_bytes = 0;
@@ -416,12 +428,32 @@ let stream_info t sid =
   | Failed m -> errorf "session %d failed: %s" sid m
   | Open | Running _ | Done _ -> errorf "session %d is not a stream" sid
 
-(* Freeze a streaming session: its metadata plus the engine's own
-   checkpoint frame. The stream keeps running — a checkpoint is a read. *)
+(* The stream's chain after one more frame. The chain restarts from a
+   fresh encoder once its segments hold as many bytes as its base: a
+   restore then decodes at most about twice the base, and the base
+   itself holds only what the live frontier still reaches. *)
+let extend_chain st =
+  match st.s_chain with
+  | Some c when c.segment_bytes < c.base_bytes ->
+    let frame = Online.checkpoint ~encoder:c.encoder st.online in
+    c.frames <- frame :: c.frames;
+    c.segment_bytes <- c.segment_bytes + String.length frame;
+    c
+  | Some _ | None ->
+    let encoder = Wire.encoder () in
+    let frame = Online.checkpoint ~encoder st.online in
+    let c = { encoder; frames = [ frame ]; base_bytes = String.length frame; segment_bytes = 0 } in
+    st.s_chain <- Some c;
+    c
+
+(* Freeze a streaming session: its metadata plus the engine's checkpoint
+   chain, which is self-contained. The stream keeps running — a
+   checkpoint is a read of the engine. *)
 let checkpoint_stream t sid =
   let* s = session t sid in
   match s.phase with
   | Streaming st ->
+    let chain = extend_chain st in
     Ok
       {
         Snapshot.tenant = s.s_tenant.t_name;
@@ -430,7 +462,7 @@ let checkpoint_stream t sid =
         reports = st.s_reports;
         wire_bytes = st.s_wire_bytes;
         peak_live = st.s_peak_live;
-        engine = Online.checkpoint st.online;
+        engine = String.concat "" (List.rev chain.frames);
       }
   | Failed m -> errorf "session %d failed: %s" sid m
   | Open | Running _ | Done _ -> errorf "session %d is not a stream" sid
@@ -448,6 +480,7 @@ let restore_stream t (img : Snapshot.stream_image) =
     let stream =
       {
         online;
+        s_chain = None;
         s_opened_at = Obs.Clock.now_s ();
         s_reports = img.Snapshot.reports;
         s_wire_bytes = img.Snapshot.wire_bytes;

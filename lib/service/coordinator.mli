@@ -122,15 +122,27 @@ val stream_info : t -> int -> (stream_info, string) result
 (** Live gauges of a streaming session (errors on non-stream sessions). *)
 
 val checkpoint_stream : t -> int -> (Snapshot.stream_image, string) result
-(** Freeze a streaming session: session metadata plus the engine's
-    {!Diagnosis.Online.checkpoint} frame. The stream keeps running —
-    checkpointing is a read, not a close. *)
+(** Freeze a streaming session: session metadata plus the stream's
+    checkpoint chain. The stream keeps running — checkpointing is a read
+    of the engine, not a close.
+
+    The chain lives with the session: a base frame
+    ({!Diagnosis.Online.checkpoint} from a fresh encoder), then one
+    segment per later checkpoint, written through the same encoder, so
+    a segment costs the alarms since the previous frame rather than the
+    whole prefix. The image's engine is the whole chain, so it is
+    self-contained (migration takes it as is), and a one-frame chain is
+    exactly the full checkpoint frame. Once the segments hold as many
+    bytes as the base, the next checkpoint starts a new chain from a
+    fresh encoder. A restored stream starts a new chain; [close] drops
+    the chain with the session. *)
 
 val restore_stream : t -> Snapshot.stream_image -> (int, string) result
 (** Thaw an image into a fresh streaming session and return its (new)
     session id. Works on any coordinator holding the image's tenant with
     a structurally identical net — the migration and crash-recovery
-    entrypoint. The restored engine produces byte-identical reports to
+    entrypoint. The image's engine may be a whole chain; it is decoded
+    frame by frame and its last frontier becomes the engine. The restored engine produces byte-identical reports to
     the uninterrupted stream for all future alarms; its state budget is
     the one saved in the image. Fails on unknown tenants and corrupt or
     mismatched snapshots (counted by [service.streams_restored] on

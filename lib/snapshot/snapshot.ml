@@ -17,25 +17,21 @@ type stream_image = {
 }
 
 (* Snapshot-frame sub-kinds: 0 is the engine frame (owned by Online),
-   1 the stream envelope around it. *)
+   1 the stream envelope around a whole chain, 2 the envelope of a
+   segment file: the frames a store file adds to its predecessor's. *)
 let sub_stream = 1
+let sub_segment = 2
 
-let encode_stream img =
-  Wire.encode_snapshot (Wire.encoder ()) (fun buf ->
-      Wire.put_uvarint buf sub_stream;
-      Wire.put_string buf img.tenant;
-      Wire.put_uvarint buf img.session;
-      Wire.put_uvarint buf img.alarms;
-      Wire.put_uvarint buf img.reports;
-      Wire.put_uvarint buf img.wire_bytes;
-      Wire.put_uvarint buf img.peak_live;
-      Wire.put_string buf img.engine)
+let put_image buf img =
+  Wire.put_string buf img.tenant;
+  Wire.put_uvarint buf img.session;
+  Wire.put_uvarint buf img.alarms;
+  Wire.put_uvarint buf img.reports;
+  Wire.put_uvarint buf img.wire_bytes;
+  Wire.put_uvarint buf img.peak_live;
+  Wire.put_string buf img.engine
 
-let decode_stream s =
-  Wire.decode_snapshot (Wire.decoder ()) s @@ fun r ->
-  (match Wire.get_uvarint r with
-  | k when k = sub_stream -> ()
-  | k -> raise (Wire.Corrupt (Printf.sprintf "expected stream snapshot, got sub-kind %d" k)));
+let get_image r =
   let tenant = Wire.get_string r in
   let session = Wire.get_uvarint r in
   let alarms = Wire.get_uvarint r in
@@ -45,11 +41,59 @@ let decode_stream s =
   let engine = Wire.get_string r in
   { tenant; session; alarms; reports; wire_bytes; peak_live; engine }
 
+let encode_stream img =
+  Wire.encode_snapshot (Wire.encoder ()) (fun buf ->
+      Wire.put_uvarint buf sub_stream;
+      put_image buf img)
+
+(* A store file: a whole image (a base), or a segment — the image's
+   metadata and the frames it adds, linked to the file it extends by that
+   file's alarm count and the digest of its bytes. *)
+type file =
+  | Base of stream_image
+  | Segment of { seg : stream_image;  (** [engine] holds the added frames *)
+                 prev_alarms : int; prev_digest : string }
+
+let meta = function Base img -> img | Segment { seg; _ } -> seg
+
+let encode_segment seg ~prev_alarms ~prev_digest =
+  Wire.encode_snapshot (Wire.encoder ()) (fun buf ->
+      Wire.put_uvarint buf sub_segment;
+      Wire.put_uvarint buf prev_alarms;
+      Wire.put_string buf prev_digest;
+      put_image buf seg)
+
+let decode_file s =
+  Wire.decode_snapshot (Wire.decoder ()) s @@ fun r ->
+  match Wire.get_uvarint r with
+  | k when k = sub_stream -> Base (get_image r)
+  | k when k = sub_segment ->
+    let prev_alarms = Wire.get_uvarint r in
+    let prev_digest = Wire.get_string r in
+    Segment { seg = get_image r; prev_alarms; prev_digest }
+  | k -> raise (Wire.Corrupt (Printf.sprintf "expected a stream snapshot, got sub-kind %d" k))
+
+let decode_stream s =
+  match decode_file s with
+  | Base img -> img
+  | Segment _ -> raise (Wire.Corrupt "a chain segment is not a self-contained image")
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type store = { dir : string }
+(* What one handle wrote of a session's chain, base first: each file
+   completes the first [upto] bytes of the engine chain, whose digest is
+   [chain_digest]. *)
+type link = {
+  name : string;
+  l_alarms : int;
+  upto : int;
+  chain_digest : Digest.t;
+  file_digest : Digest.t;
+}
+
+type store = { dir : string; chains : (int, link list) Hashtbl.t }
 
 let rec mkdirs dir =
   if not (String.equal dir "" || String.equal dir "." || String.equal dir "/")
@@ -61,7 +105,7 @@ let rec mkdirs dir =
 
 let open_store dir =
   mkdirs dir;
-  { dir }
+  { dir; chains = Hashtbl.create 8 }
 
 let dir s = s.dir
 
@@ -84,48 +128,123 @@ let read_file path =
 
 let write store img =
   let name = basename_of ~session:img.session ~alarms:img.alarms in
-  let frame = encode_stream img in
+  let path n = Filename.concat store.dir n in
+  let len = String.length img.engine in
+  (* the files of this session's chain that are still on disk and that
+     the image's chain extends by at least one byte: a link's digest
+     matching means every earlier one does *)
+  let rec on_disk = function
+    | l :: rest when (not (String.equal l.name name)) && Sys.file_exists (path l.name) ->
+      l :: on_disk rest
+    | _ -> []
+  in
+  let rec extended = function
+    | l :: rest
+      when not (l.upto < len && String.equal l.chain_digest (Digest.substring img.engine 0 l.upto))
+      ->
+      extended rest
+    | kept -> kept
+  in
+  let kept =
+    extended (List.rev (on_disk (Option.value ~default:[] (Hashtbl.find_opt store.chains img.session))))
+  in
+  let content =
+    match kept with
+    | [] -> encode_stream img
+    | prev :: _ ->
+      encode_segment
+        { img with engine = String.sub img.engine prev.upto (len - prev.upto) }
+        ~prev_alarms:prev.l_alarms ~prev_digest:prev.file_digest
+  in
   (* temp + rename: a crash mid-write leaves at worst a [.tmp-] file the
      scan ignores, never a torn [.snap] *)
-  let tmp = Filename.concat store.dir (Printf.sprintf ".tmp-%s" name) in
-  write_file tmp frame;
-  Sys.rename tmp (Filename.concat store.dir name);
+  let tmp = path (Printf.sprintf ".tmp-%s" name) in
+  write_file tmp content;
+  Sys.rename tmp (path name);
+  let chain =
+    List.rev_append kept
+      [ { name; l_alarms = img.alarms; upto = len; chain_digest = Digest.string img.engine;
+          file_digest = Digest.string content } ]
+  in
+  Hashtbl.replace store.chains img.session chain;
+  (* the session's files outside its chain: an older chain, or files cut
+     off by a missing link *)
   Array.iter
     (fun other ->
       match parse_basename other with
-      | Some (s, a) when s = img.session && a <> img.alarms ->
-        (try Sys.remove (Filename.concat store.dir other) with Sys_error _ -> ())
+      | Some (s, _) when s = img.session && not (List.exists (fun l -> String.equal l.name other) chain)
+        ->
+        (try Sys.remove (path other) with Sys_error _ -> ())
       | _ -> ())
     (Sys.readdir store.dir);
   Obs.Metrics.incr checkpoints_c;
-  Obs.Metrics.incr ~by:(String.length frame) bytes_written_c;
+  Obs.Metrics.incr ~by:(String.length content) bytes_written_c;
   name
+
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt m)) fmt
+
+(* a file's bytes and content, which must be what its name says *)
+let load_file store name =
+  let bytes = read_file (Filename.concat store.dir name) in
+  let file = decode_file bytes in
+  let m = meta file in
+  if not (String.equal name (basename_of ~session:m.session ~alarms:m.alarms)) then
+    corrupt "%s holds the snapshot of session %d at %d alarms" name m.session m.alarms;
+  (bytes, file)
+
+(* The image of the chain up to file [name]: its own metadata, and the
+   engine frames of every file back to a base. Each segment must name an
+   earlier file of the same session and tenant whose bytes have the
+   digest it recorded, so a missing, torn or foreign link stops the
+   walk ([Wire.Corrupt]) rather than splice two chains. *)
+let chain_of load name =
+  let rec back name file frames =
+    match file with
+    | Base img -> img.engine :: frames
+    | Segment { seg; prev_alarms; prev_digest } ->
+      if prev_alarms >= seg.alarms then corrupt "segment %s links forward" name;
+      let prev = basename_of ~session:seg.session ~alarms:prev_alarms in
+      let pbytes, pfile =
+        try load prev with Sys_error _ -> corrupt "segment %s: its predecessor %s is missing" name prev
+      in
+      if not (String.equal (Digest.string pbytes) prev_digest && String.equal (meta pfile).tenant seg.tenant)
+      then corrupt "segment %s does not extend %s: another chain" name prev;
+      back prev pfile (seg.engine :: frames)
+  in
+  let _, file = load name in
+  { (meta file) with engine = String.concat "" (back name file []) }
 
 (* only names [write] could have produced: a client-supplied [../x], an
    absolute path or a foreign file never resolves outside the store *)
 let read store name =
   if Option.is_none (parse_basename name) then
     raise (Sys_error (Printf.sprintf "%s: not a snapshot name (stream-SID-ALARMS.snap)" name));
-  let img = decode_stream (read_file (Filename.concat store.dir name)) in
+  let img = chain_of (load_file store) name in
   Obs.Metrics.incr restores_c;
   img
 
 let scan store =
-  let latest = Hashtbl.create 8 in
+  let files = Hashtbl.create 16 in
   Array.iter
     (fun name ->
-      match parse_basename name with
-      | None -> ()
-      | Some (session, alarms) -> (
-        match
-          try Some (decode_stream (read_file (Filename.concat store.dir name)))
-          with Wire.Corrupt _ | Sys_error _ -> None
-        with
-        | None -> ()
-        | Some img -> (
-          match Hashtbl.find_opt latest session with
-          | Some (a, _, _) when a >= alarms -> ()
-          | _ -> Hashtbl.replace latest session (alarms, name, img))))
+      if Option.is_some (parse_basename name) then
+        match load_file store name with
+        | loaded -> Hashtbl.replace files name loaded
+        | exception (Wire.Corrupt _ | Sys_error _) -> ())
     (Sys.readdir store.dir);
-  Hashtbl.fold (fun _ (_, name, img) acc -> (name, img) :: acc) latest []
+  let load name =
+    match Hashtbl.find_opt files name with
+    | Some loaded -> loaded
+    | None -> raise (Sys_error (name ^ ": not a readable snapshot"))
+  in
+  (* per session, the latest file whose chain holds *)
+  let latest = Hashtbl.create 8 in
+  Hashtbl.fold (fun name (_, file) acc -> (meta file, name) :: acc) files []
+  |> List.sort (fun (a, _) (b, _) -> compare (a.session, -a.alarms) (b.session, -b.alarms))
+  |> List.iter (fun (m, name) ->
+         if not (Hashtbl.mem latest m.session) then
+           match chain_of load name with
+           | img -> Hashtbl.replace latest m.session (name, img)
+           | exception Wire.Corrupt _ -> ());
+  Hashtbl.fold (fun _ entry acc -> entry :: acc) latest []
   |> List.sort (fun (_, a) (_, b) -> Int.compare a.session b.session)

@@ -510,11 +510,17 @@ let test_snapshot_store () =
       Filename.concat (Sys.getcwd ()) (Filename.concat outside "secret.bin");
       "secret.bin" ];
   rm_rf outside;
-  (* a later checkpoint of the same session prunes the earlier file *)
+  (* a later checkpoint of the same session adds a segment to its chain;
+     a new base prunes the old chain *)
   feed coord sid [ ("a", "p2") ];
-  let n2 = Snapshot.write store (ok (Coordinator.checkpoint_stream coord sid)) in
-  Alcotest.(check bool) "old snapshot pruned" false
+  let n_seg = Snapshot.write store (ok (Coordinator.checkpoint_stream coord sid)) in
+  Alcotest.(check bool) "the base stays under its segment" true
     (Sys.file_exists (Filename.concat dir n1));
+  feed coord sid [ ("c", "p1") ];
+  (* a handle that knows no chain of the session writes a base *)
+  let n2 = Snapshot.write (Snapshot.open_store dir) (ok (Coordinator.checkpoint_stream coord sid)) in
+  Alcotest.(check (list bool)) "old chain pruned" [ false; false ]
+    (List.map (fun n -> Sys.file_exists (Filename.concat dir n)) [ n1; n_seg ]);
   (* scan returns the surviving image and skips torn files *)
   let garbage = open_out (Filename.concat dir "stream-7-3.snap") in
   output_string garbage "not a snapshot";
@@ -522,9 +528,165 @@ let test_snapshot_store () =
   (match Snapshot.scan store with
   | [ (name, img) ] ->
     Alcotest.(check string) "scan finds the live snapshot" n2 name;
-    Alcotest.(check int) "at the latest prefix" 2 img.Snapshot.alarms
+    Alcotest.(check int) "at the latest prefix" 3 img.Snapshot.alarms
   | l -> Alcotest.fail (Printf.sprintf "scan returned %d entries" (List.length l)));
   ok (Coordinator.close coord sid);
+  rm_rf dir
+
+(* A store chain of one cycle stream: a base at 1000 alarms, then
+   segments at 1100, 1200 and 1300 (each far below the base, so the
+   coordinator does not compact). Returns the store, the names, and per
+   name the live report body at that prefix. *)
+let chain_in_store ?(reports_before = 0) dir =
+  rm_rf dir;
+  let store = Snapshot.open_store dir in
+  let coord = cycle_coordinator () in
+  let sid = ok (Coordinator.open_stream coord ~tenant:"cycle") in
+  for _ = 1 to reports_before do
+    ignore (ok (Coordinator.report coord sid))
+  done;
+  let taken =
+    List.map
+      (fun upto ->
+        feed_cycles coord sid (Coordinator.stream_info coord sid |> ok).Coordinator.si_alarms upto;
+        let img = ok (Coordinator.checkpoint_stream coord sid) in
+        let name = Snapshot.write store img in
+        (name, img))
+      [ 1000; 1100; 1200; 1300 ]
+  in
+  ok (Coordinator.close coord sid);
+  (store, taken)
+
+let file_size dir name = (Unix.stat (Filename.concat dir name)).Unix.st_size
+
+(* what a recovery finds: the one session's latest name and alarms *)
+let scanned store =
+  List.map (fun (name, (img : Snapshot.stream_image)) -> (name, img.Snapshot.alarms)) (Snapshot.scan store)
+
+(* the scanned image restores, and its chain is the one taken there *)
+let check_recovers msg store (name, (img : Snapshot.stream_image)) =
+  Alcotest.(check (list (pair string int))) msg [ (name, img.Snapshot.alarms) ] (scanned store);
+  (match Snapshot.scan store with
+  | [ (_, found) ] ->
+    Alcotest.(check bool) (msg ^ ": the chain taken there") true
+      (String.equal found.Snapshot.engine img.Snapshot.engine);
+    let coord = cycle_coordinator () in
+    let sid = ok (Coordinator.restore_stream coord found) in
+    Alcotest.(check int) (msg ^ ": restores") img.Snapshot.alarms
+      (ok (Coordinator.stream_info coord sid)).Coordinator.si_alarms;
+    ok (Coordinator.close coord sid)
+  | _ -> ())
+
+let corrupt_read store name =
+  match Snapshot.read store name with
+  | exception Dqsq.Wire.Corrupt _ -> ()
+  | _ -> Alcotest.fail (Printf.sprintf "read %s past a broken link" name)
+
+(* A store chain that lost or gained a file recovers to its longest valid
+   prefix, and reading past a broken link is a typed error, never an
+   exception of another kind or a spliced chain. *)
+let test_chain_store_robustness () =
+  let dir = "tmp_snap_chain_test" in
+  let nth taken i = List.nth taken i in
+  (* intact: every segment name reads back its own chain *)
+  let store, taken = chain_in_store dir in
+  Alcotest.(check (list int)) "a base, then segments" [ 1; 2; 3; 4 ]
+    (List.map (fun (_, img) -> List.length (Dqsq.Wire.frames img.Snapshot.engine)) taken);
+  List.iter
+    (fun (name, (img : Snapshot.stream_image)) ->
+      Alcotest.(check bool) (name ^ " reads its chain") true
+        (String.equal img.Snapshot.engine (Snapshot.read store name).Snapshot.engine))
+    taken;
+  check_recovers "intact chain" store (nth taken 3);
+  (* a torn last segment *)
+  let name3 = fst (nth taken 3) in
+  let bytes = In_channel.with_open_bin (Filename.concat dir name3) In_channel.input_all in
+  Out_channel.with_open_bin (Filename.concat dir name3) (fun oc ->
+      output_string oc (String.sub bytes 0 (String.length bytes / 2)));
+  check_recovers "torn last segment" store (nth taken 2);
+  (* a deleted middle segment *)
+  let store, taken = chain_in_store dir in
+  Sys.remove (Filename.concat dir (fst (nth taken 2)));
+  check_recovers "deleted middle segment" store (nth taken 1);
+  corrupt_read store (fst (nth taken 3));
+  (* a segment whose base belongs to another chain: the same session and
+     alarm counts, but a base taken after a report *)
+  let other = dir ^ "_other" in
+  let _, foreign = chain_in_store ~reports_before:1 other in
+  let store, taken = chain_in_store dir in
+  let seg3 = fst (nth taken 3) in
+  Sys.remove (Filename.concat dir seg3);
+  Sys.remove (Filename.concat dir (fst (nth taken 2)));
+  Sys.rename (Filename.concat other (fst (nth foreign 2))) (Filename.concat dir (fst (nth foreign 2)));
+  check_recovers "foreign segment" store (nth taken 1);
+  corrupt_read store (fst (nth foreign 2));
+  rm_rf other;
+  (* restore of a segment name whose base is gone *)
+  let store, taken = chain_in_store dir in
+  Sys.remove (Filename.concat dir (fst (nth taken 0)));
+  corrupt_read store (fst (nth taken 2));
+  Alcotest.(check (list (pair string int))) "no chain without its base" [] (scanned store);
+  (* a segment write into a removed store directory fails, and the next
+     write heals the chain *)
+  rm_rf dir;
+  let store = Snapshot.open_store dir in
+  let coord = cycle_coordinator () in
+  let sid = ok (Coordinator.open_stream coord ~tenant:"cycle") in
+  let checkpoint_at upto =
+    feed_cycles coord sid (ok (Coordinator.stream_info coord sid)).Coordinator.si_alarms upto;
+    ok (Coordinator.checkpoint_stream coord sid)
+  in
+  ignore (Snapshot.write store (checkpoint_at 1000));
+  ignore (Snapshot.write store (checkpoint_at 1100));
+  rm_rf dir;
+  (match Snapshot.write store (checkpoint_at 1200) with
+  | exception Sys_error _ -> ()
+  | name -> Alcotest.fail ("wrote " ^ name ^ " into a removed directory"));
+  ignore (Snapshot.open_store dir);
+  let img = checkpoint_at 1300 in
+  let name = Snapshot.write store img in
+  check_recovers "healed after a failed write" store (name, img);
+  ok (Coordinator.close coord sid);
+  rm_rf dir
+
+(* Checkpointing a 5k-alarm stream every 500 alarms into a store writes
+   what is new since the last checkpoint: every segment at most twice
+   the first, whatever the prefix, and all of it at most three times one
+   full snapshot of the final frontier (a full snapshot per checkpoint
+   would write about 5.5 times). *)
+let test_chain_bytes_scale () =
+  let dir = "tmp_snap_scale_test" in
+  rm_rf dir;
+  let store = Snapshot.open_store dir in
+  let coord = cycle_coordinator () in
+  let sid = ok (Coordinator.open_stream coord ~tenant:"cycle") in
+  let writes =
+    List.init 10 (fun k ->
+        feed_cycles coord sid (500 * k) (500 * (k + 1));
+        let img = ok (Coordinator.checkpoint_stream coord sid) in
+        let name = Snapshot.write store img in
+        (List.length (Dqsq.Wire.frames img.Snapshot.engine) > 1, file_size dir name, img))
+  in
+  let segments = List.filter_map (fun (seg, bytes, _) -> if seg then Some bytes else None) writes in
+  let total = List.fold_left (fun acc (_, bytes, _) -> acc + bytes) 0 writes in
+  (* a restored stream starts a new chain: its first checkpoint is one
+     full frame *)
+  let _, _, last = List.nth writes 9 in
+  let fresh = cycle_coordinator () in
+  let restored = ok (Coordinator.restore_stream fresh last) in
+  let full = String.length (Snapshot.encode_stream (ok (Coordinator.checkpoint_stream fresh restored))) in
+  Alcotest.(check bool) "segments are written" true (List.length segments >= 5);
+  let first = List.hd segments in
+  List.iter
+    (fun bytes ->
+      Alcotest.(check bool)
+        (Printf.sprintf "segment %dB <= 2x the first (%dB)" bytes first)
+        true (bytes <= 2 * first))
+    segments;
+  Alcotest.(check bool)
+    (Printf.sprintf "%dB written <= 3x the final full snapshot (%dB)" total full)
+    true (total <= 3 * full);
+  List.iter (fun (c, sid) -> ok (Coordinator.close c sid)) [ (coord, sid); (fresh, restored) ];
   rm_rf dir
 
 (* Client side of the socket tests: wait for the server's socket file,
@@ -763,6 +925,9 @@ let () =
           Alcotest.test_case "reports and checkpoints leave wire stats" `Quick
             test_wire_stats_steady;
           Alcotest.test_case "snapshot store" `Quick test_snapshot_store;
+          Alcotest.test_case "chain store robustness" `Quick test_chain_store_robustness;
+          Alcotest.test_case "checkpoint bytes scale with the delta" `Quick
+            test_chain_bytes_scale;
           Alcotest.test_case "failed checkpoint write keeps serving" `Quick
             test_checkpoint_write_failure;
           Alcotest.test_case "graceful shutdown flushes" `Quick
