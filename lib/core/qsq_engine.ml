@@ -41,8 +41,8 @@ let terms_vars terms =
 (* Parallel safety: a peer's state is only ever touched from inside that
    peer's message handler (plus setup on the main domain before the run),
    and {!Sim.run_parallel} runs a peer's activations on at most one domain
-   at a time, with happens-before hand-offs through the peer's mailbox
-   mutex — so none of these hashtables or the runtime need locks, even
+   at a time, with happens-before hand-offs through the scheduler's lock —
+   so none of these hashtables or the runtime need locks, even
    though peers migrate between domains. Engine-wide
    counters shared by all handlers are [Atomic.t]. *)
 type peer_state = {
@@ -71,10 +71,6 @@ type t = {
   states : (string, peer_state) Hashtbl.t;
   mutable query : Datom.t;
   mutable query_peer : string;
-  batching : bool;
-      (* coalesce each activation's outgoing messages into one
-         {!Message.Batch} envelope per destination (default). Off = the
-         historical eager path, kept for byte-accounting comparisons. *)
   detector : Message.t Ds.t option;
       (* Dijkstra-Scholten termination detection, when requested *)
   delegations : int Atomic.t;
@@ -104,24 +100,21 @@ let send_now t ~src ~dst m =
   | None -> Sim.send t.sim ~src ~dst (Ds.Work m)
   | Some det -> Ds.send_work det t.sim ~src ~dst m
 
-(* Batching mode buffers every protocol message of the current activation
-   in the sender's outbox; {!flush_outbox} coalesces them into one
-   {!Message.Batch} envelope per destination. The flush happens *inside*
-   the activation — before the handler returns to the scheduler — which
-   keeps both fixpoint signals sound: the simulator's in-flight count sees
-   the envelope before the activation's unit is released, and the
+(* Every protocol message of the current activation waits in the sender's
+   outbox; {!flush_outbox} coalesces them into one {!Message.Batch}
+   envelope per destination. The flush happens *inside* the activation —
+   before the handler returns to the scheduler — which keeps both fixpoint
+   signals sound: the envelope is queued while the sender is still busy,
+   so the simulator cannot see quiescence before it, and the
    Dijkstra-Scholten deficit is bumped before the wrapper's disengage
    check runs. *)
 let buffer t ~src ~dst m =
-  if not t.batching then send_now t ~src ~dst m
-  else begin
-    let st = state t src in
-    match Hashtbl.find_opt st.out_tbl dst with
-    | Some l -> l := m :: !l
-    | None ->
-      Hashtbl.add st.out_tbl dst (ref [ m ]);
-      st.out_order <- dst :: st.out_order
-  end
+  let st = state t src in
+  match Hashtbl.find_opt st.out_tbl dst with
+  | Some l -> l := m :: !l
+  | None ->
+    Hashtbl.add st.out_tbl dst (ref [ m ]);
+    st.out_order <- dst :: st.out_order
 
 let flush_outbox t p =
   let st = state t p in
@@ -144,24 +137,15 @@ let flush_outbox t p =
 (* Ship [facts] to [dst]. [fact_messages] counts individual facts — the
    envelope only changes what crosses the wire (one frame, shared spines)
    and how the receiver evaluates (one semi-naive pass over the whole
-   delta). In batching mode the facts join the activation's outbox and
-   coalesce with any control messages bound for the same destination; in
-   eager mode several facts still share one {!Message.Batch} per flush
-   (the historical behavior). *)
+   delta). The facts join the activation's outbox and coalesce with any
+   control messages bound for the same destination. *)
 let send_facts t ~src ~dst = function
   | [] -> ()
   | facts ->
     let n = List.length facts in
     Atomic.fetch_and_add t.fact_messages n |> ignore;
     Obs.Metrics.incr ~by:n fact_messages_c;
-    if t.batching then
-      List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
-    else (
-      match facts with
-      | [ fact ] -> send_now t ~src ~dst (Message.Fact fact)
-      | facts ->
-        Obs.Metrics.incr envelopes_c;
-        send_now t ~src ~dst (Message.Batch (List.map (fun f -> Message.Fact f) facts)))
+    List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
 
 (* Group a flush's outputs by destination, preserving first-touch order of
    destinations and the per-destination fact order (determinism: the
@@ -500,7 +484,7 @@ let ds_root = "#root"
 
 let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
     ?(eval_options = Eval.default_options) ?(termination = God_view)
-    ?wire_verify:_ ?(batching = true) (program : Dprogram.t)
+    ?wire_verify:_ (program : Dprogram.t)
     ~(edb : Datom.t list) ~(query : Datom.t) : t =
   (* every message crosses the network as a frame of the real codec, with
      one connection per channel *)
@@ -522,7 +506,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   in
   let states = Hashtbl.create 16 in
   let t =
-    { program; sim; channels; states; query; query_peer = query.Datom.peer; batching;
+    { program; sim; channels; states; query; query_peer = query.Datom.peer;
       detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
       fact_messages = Atomic.make 0; fresh = Atomic.make 0; released = false }
   in
@@ -710,11 +694,9 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
       ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
     edb
 
-let solve ?seed ?policy ?loss ?eval_options ?termination ?batching ?max_steps ?jobs
-    program ~edb ~query =
-  let t =
-    create ?seed ?policy ?loss ?eval_options ?termination ?batching program ~edb ~query
-  in
+let solve ?seed ?policy ?loss ?eval_options ?termination ?max_steps ?jobs program ~edb
+    ~query =
+  let t = create ?seed ?policy ?loss ?eval_options ?termination program ~edb ~query in
   run ?max_steps ?jobs t ~query
 
 let peer_store t p = Runtime.store (state t p).rt

@@ -29,7 +29,6 @@ val create :
   ?eval_options:Eval.options ->
   ?termination:termination_mode ->
   ?wire_verify:bool ->
-  ?batching:bool ->
   Dprogram.t ->
   edb:Datom.t list ->
   query:Datom.t ->
@@ -40,14 +39,12 @@ val create :
     encodes it, the receiver decodes it, and byte accounting is the frame
     length. [wire_verify] is ignored; it is kept for callers written when
     a second decode checked each frame, which the decode at delivery now
-    does on every run. With [batching] (the default), {e all}
-    protocol messages a handler activation produces — delegations,
-    subscriptions and answer facts alike — are flushed as one
-    {!Message.Batch} envelope per destination when the activation ends, in
-    both the sequential and the parallel scheduler; the receiver coalesces
-    the whole delta into a single semi-naive pass (sound: monotone
-    Datalog, confluent protocol). [~batching:false] restores the eager
-    per-message path, for byte-accounting comparisons. *)
+    does on every run. {e All} protocol messages a handler activation
+    produces — delegations, subscriptions and answer facts alike — are
+    flushed as one {!Message.Batch} envelope per destination when the
+    activation ends, in both the sequential and the parallel scheduler;
+    the receiver coalesces the whole delta into a single semi-naive pass
+    (sound: monotone Datalog, confluent protocol). *)
 
 type outcome = {
   answers : Atom.t list;
@@ -84,7 +81,6 @@ val solve :
   ?loss:float ->
   ?eval_options:Eval.options ->
   ?termination:termination_mode ->
-  ?batching:bool ->
   ?max_steps:int ->
   ?jobs:int ->
   Dprogram.t ->

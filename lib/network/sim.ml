@@ -37,10 +37,6 @@ let g_sent = Obs.Metrics.counter "sim.sent"
 let g_delivered = Obs.Metrics.counter "sim.delivered"
 let g_dropped = Obs.Metrics.counter "sim.dropped"
 let g_bytes = Obs.Metrics.counter "sim.bytes"
-let g_domains = Obs.Metrics.gauge "sim.domains"
-let g_mailbox_depth = Obs.Metrics.gauge "sim.mailbox_depth"
-let g_batches = Obs.Metrics.counter "sim.batches"
-let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
 
 (* One directed channel: its frames in send order, the codec pair the
    channel maker built for it, and its message and byte book. [encode] and
@@ -51,7 +47,7 @@ let g_batch_size = Obs.Metrics.histogram "sim.batch_size"
 type 'msg channel = {
   src : peer_id;
   dst : peer_id;
-  frames : string Queue.t;  (* the sequential scheduler's queue *)
+  frames : string Queue.t;  (* both schedulers deliver from it *)
   encode : 'msg -> string;
   decode : string -> 'msg;
   mutable ch_msgs : int;
@@ -59,49 +55,19 @@ type 'msg channel = {
   bytes_g : Obs.Metrics.counter;  (* sim.channel_bytes.<src>-><dst> *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel scheduler state                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One box per PEER: a mutex-guarded frame queue plus a [scheduled]
-   flag. The flag makes peer activations mutually exclusive — a box enters
-   the run queue exactly once per nonempty episode, so at most one worker
-   runs a given peer's handler at a time. Combined with the happens-before
-   edges of the box mutex (locked by every enqueuer and by the draining
-   worker), per-peer mutable state in the engines and in the
-   Dijkstra–Scholten detector needs no locks of its own, even though any
-   idle worker may take the next activation of any peer: a peer runs on at
-   most one domain at a time, with ordered hand-offs. The same holds for
-   each channel's encoder (run in the source's activations) and decoder
-   (run in the destination's). *)
-type 'msg peer_box = {
-  pb_mu : Mutex.t;
-  pb_q : ('msg channel * string) Queue.t;  (* (channel, frame) *)
-  mutable pb_scheduled : bool;  (* guarded by pb_mu *)
-  pb_handler : 'msg t -> src:peer_id -> 'msg -> unit;
+(* The state of a {!run_parallel} run. One mutex guards everything its
+   workers share: the channel table and queues, the trace, the loss rng,
+   [busy], the delivery count and the first error. *)
+type parallel = {
+  mu : Mutex.t;
+  cond : Condition.t;  (* a frame was queued, a handler returned, or the run ended *)
+  busy : (peer_id, unit) Hashtbl.t;  (* peers whose handler is running *)
+  mutable deliveries : int;
+  budget : int;
+  mutable error : exn option;  (* first handler exception, or the budget *)
 }
 
-and 'msg parallel = {
-  boxes : (peer_id, 'msg peer_box) Hashtbl.t;
-      (* read-only once domains are up *)
-  sched_mu : Mutex.t;  (* guards runq *)
-  sched_cond : Condition.t;
-  runq : 'msg peer_box Queue.t;  (* runnable peers, shared by all workers *)
-  in_flight : int Atomic.t;
-      (* queued + currently-being-handled messages. Incremented BEFORE a
-         message is enqueued and decremented only AFTER its handler
-         returns — batch drains decrement once per drained segment, after
-         the last handler of the segment — so a handler's own sends are
-         counted before its unit is released: [in_flight = 0] is a stable
-         quiescence signal. *)
-  stop : bool Atomic.t;
-  par_deliveries : int Atomic.t;
-  par_budget : int;
-  par_error : exn option Atomic.t;  (* first handler exception / budget *)
-  book_mu : Mutex.t;  (* guards the channel table, trace and loss_rng *)
-}
-
-and 'msg t = {
+type 'msg t = {
   rng : Random.State.t;
   loss_rng : Random.State.t;
   loss : float;  (* probability that a sent message is silently dropped *)
@@ -125,7 +91,7 @@ and 'msg t = {
   mutable trace : (peer_id * peer_id * string) list;  (** reverse delivery log *)
   mutable tracing : bool;
   describe : 'msg -> string;
-  mutable par : 'msg parallel option;
+  mutable par : parallel option;
       (** [Some _] only while {!run_parallel} is driving the network *)
 }
 
@@ -211,60 +177,37 @@ let drop t =
   tick t.c_dropped g_dropped;
   tick t.c_sent g_sent
 
-(* A box that just became runnable joins the shared run queue and wakes
-   one idle worker. *)
-let schedule p b =
-  Mutex.lock p.sched_mu;
-  Queue.add b p.runq;
-  Condition.signal p.sched_cond;
-  Mutex.unlock p.sched_mu
-
-(* Parallel route: the frame goes into the destination peer's box; if the
-   box was idle it becomes runnable. in_flight is incremented before the
-   enqueue (see the [parallel] type) so quiescence detection never
-   under-counts. Only the channel lookup takes the book lock: the encode
-   runs in the source's activation, which the scheduled flag serializes, so
-   a channel's frames are encoded in send order whichever domain runs the
-   source. *)
-let send_parallel t p ~src ~dst msg =
-  Mutex.lock p.book_mu;
-  (* the loss rng is shared state; draws are serialized here. Drop
-     decisions depend on arrival order at the rng, so lossy parallel runs
-     are not reproducible — deterministic replay stays with the sequential
-     scheduler. *)
-  let lost = t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss in
-  let ch = if lost then None else Some (channel t src dst) in
-  Mutex.unlock p.book_mu;
-  match ch with
-  | None -> drop t
-  | Some ch ->
-    let frame = encode t ch msg in
-    let b = Hashtbl.find p.boxes dst in
-    Atomic.incr p.in_flight;
-    Mutex.lock b.pb_mu;
-    Queue.add (ch, frame) b.pb_q;
-    let depth = Queue.length b.pb_q in
-    let newly_runnable = not b.pb_scheduled in
-    if newly_runnable then b.pb_scheduled <- true;
-    Mutex.unlock b.pb_mu;
-    Obs.Metrics.set_max g_mailbox_depth depth;
-    if newly_runnable then schedule p b
+let lost t = t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss
 
 (** Send a message; it is framed and queued, not delivered synchronously —
     even a peer sending to itself goes through its own channel. *)
 let send t ~src ~dst msg =
   if not (Hashtbl.mem t.handlers dst) then raise (Unknown_peer dst);
   match t.par with
-  | Some p -> send_parallel t p ~src ~dst msg
   | None ->
     (* failure injection: the channel silently loses the message *)
-    if t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss then drop t
+    if lost t then drop t
     else begin
       let ch = channel t src dst in
       Queue.add (encode t ch msg) ch.frames;
       (* only [Global_fifo] ever pops the send order *)
       if t.policy = Global_fifo then Queue.add ch t.pending
     end
+  | Some p -> (
+    (* The loss draw and the channel lookup take the lock; the encode does
+       not, since it runs in the source's activation, which [busy] makes
+       exclusive: a channel's frames are still encoded in send order. Drop
+       decisions follow arrival order at the rng, so lossy parallel runs are
+       not reproducible; deterministic replay stays with the sequential
+       scheduler. *)
+    let kept () = if lost t then None else Some (channel t src dst) in
+    match Mutex.protect p.mu kept with
+    | None -> drop t
+    | Some ch ->
+      let frame = encode t ch msg in
+      Mutex.protect p.mu (fun () ->
+          Queue.add frame ch.frames;
+          Condition.signal p.cond))
 
 let nonempty_channels t =
   let out = ref [] in
@@ -333,84 +276,6 @@ let run ?(max_steps = 10_000_000) t =
 (* Parallel run                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let record_error p e =
-  (* first error wins; losers just see stop and drain out *)
-  ignore (Atomic.compare_and_set p.par_error None (Some e))
-
-let wake_all p =
-  Mutex.lock p.sched_mu;
-  Condition.broadcast p.sched_cond;
-  Mutex.unlock p.sched_mu
-
-let stop_all p =
-  Atomic.set p.stop true;
-  wake_all p
-
-(* Claim the next runnable peer, blocking on the scheduler condition while
-   none is runnable. Returns [None] on stop. *)
-let take_box p =
-  Mutex.protect p.sched_mu @@ fun () ->
-  while (not (Atomic.get p.stop)) && Queue.is_empty p.runq do
-    Condition.wait p.sched_cond p.sched_mu
-  done;
-  if Atomic.get p.stop then None else Some (Queue.pop p.runq)
-
-(* Run one peer activation: drain the box's whole queue into a local
-   segment under one lock acquisition, then deliver every message with no
-   lock held. The segment's in_flight units are released together, after
-   its last handler returned — handler sends increment in_flight before
-   the release, so a transition to 0 still means every queue is empty and
-   every handler has returned: stable quiescence, now at drained-segment
-   granularity. Finally the box either reschedules itself (messages
-   arrived while it ran) or goes idle; both arms hold pb_mu, so the
-   hand-off to the next enqueuer is race-free. *)
-let process_box t p b =
-  let local = Queue.create () in
-  Mutex.lock b.pb_mu;
-  Obs.Metrics.set_max g_mailbox_depth (Queue.length b.pb_q);
-  Queue.transfer b.pb_q local;
-  Mutex.unlock b.pb_mu;
-  let n = Queue.length local in
-  if n > 0 then begin
-    Obs.Metrics.incr g_batches;
-    Obs.Metrics.observe_int g_batch_size n
-  end;
-  let handled = ref 0 in
-  (try
-     while (not (Queue.is_empty local)) && not (Atomic.get p.stop) do
-       let ch, frame = Queue.pop local in
-       incr handled;
-       let msg = receive t ch frame in
-       if t.tracing then begin
-         Mutex.lock p.book_mu;
-         t.trace <- (ch.src, ch.dst, t.describe msg) :: t.trace;
-         Mutex.unlock p.book_mu
-       end;
-       b.pb_handler t ~src:ch.src msg;
-       let delivered = 1 + Atomic.fetch_and_add p.par_deliveries 1 in
-       if delivered > p.par_budget then begin
-         record_error p (Budget_exhausted p.par_budget);
-         stop_all p
-       end
-     done
-   with e ->
-     record_error p e;
-     stop_all p);
-  (* stop with undelivered messages only happens on error/budget, where
-     dropping in-flight work is intended (the exception is re-raised by
-     [run_parallel]); the quiescence count only releases what ran. *)
-  if !handled > 0 && Atomic.fetch_and_add p.in_flight (- !handled) = !handled then
-    stop_all p;
-  Mutex.lock b.pb_mu;
-  if Queue.is_empty b.pb_q then begin
-    b.pb_scheduled <- false;
-    Mutex.unlock b.pb_mu
-  end
-  else begin
-    Mutex.unlock b.pb_mu;
-    schedule p b
-  end
-
 (* Worker domains live as long as the process: [run_parallel] hands its
    workers to idle pool domains instead of spawning and joining fresh ones
    per run. A domain that exits orphans its weak arrays (the buckets of
@@ -453,21 +318,60 @@ let pool_run tasks =
         Condition.wait all_done pool_mu
       done)
 
-let worker t p =
-  let rec loop () =
-    match take_box p with
-    | None -> ()
-    | Some b ->
-      process_box t p b;
-      loop ()
+(* The first channel with a frame for an idle peer; under [p.mu]. *)
+let deliverable t p =
+  let rec go i =
+    if i = t.channel_count then None
+    else
+      let ch = t.channel_order.(i) in
+      if Queue.is_empty ch.frames || Hashtbl.mem p.busy ch.dst then go (i + 1) else Some ch
   in
-  loop ()
+  go 0
 
-(** Run to quiescence with [jobs] worker domains. Each peer has its own
-    box; runnable boxes wait in one shared run queue, and any idle worker
-    takes the next. Returns the number of deliveries performed by this
-    call. Delivery order is whatever the domain scheduler produces — for
-    confluent protocols (dQSQ) the final fact sets still match the
+let fail p e =
+  if Option.is_none p.error then p.error <- Some e;
+  Condition.broadcast p.cond
+
+(* Decode a frame and run its destination's handler, with no lock held. *)
+let deliver t p ch frame =
+  let msg = receive t ch frame in
+  if t.tracing then
+    Mutex.protect p.mu (fun () -> t.trace <- (ch.src, ch.dst, t.describe msg) :: t.trace);
+  (Hashtbl.find t.handlers ch.dst) t ~src:ch.src msg
+
+(* Take a frame for an idle peer, mark the peer busy and deliver; wait
+   while every queued frame is for a busy peer. The network is quiescent
+   when no frame is deliverable and no peer is busy: then every channel is
+   empty, and only a handler could refill one. *)
+let worker t p =
+  Mutex.lock p.mu;
+  let rec loop () =
+    if Option.is_none p.error then
+      match deliverable t p with
+      | Some _ when p.deliveries >= p.budget -> fail p (Budget_exhausted p.budget)
+      | Some ch ->
+        let frame = Queue.pop ch.frames in
+        Hashtbl.replace p.busy ch.dst ();
+        p.deliveries <- p.deliveries + 1;
+        Mutex.unlock p.mu;
+        let raised = match deliver t p ch frame with () -> None | exception e -> Some e in
+        Mutex.lock p.mu;
+        Hashtbl.remove p.busy ch.dst;
+        Option.iter (fail p) raised;
+        Condition.broadcast p.cond;
+        loop ()
+      | None when Hashtbl.length p.busy = 0 -> Condition.broadcast p.cond
+      | None ->
+        Condition.wait p.cond p.mu;
+        loop ()
+  in
+  loop ();
+  Mutex.unlock p.mu
+
+(** Run to quiescence with [jobs] worker domains, which deliver straight
+    from the channel queues. Returns the number of deliveries performed by
+    this call. Delivery order is whatever the domain scheduler produces —
+    for confluent protocols (dQSQ) the final fact sets still match the
     sequential scheduler exactly. *)
 let run_parallel ?(max_steps = 10_000_000) ?jobs t =
   let jobs =
@@ -478,56 +382,17 @@ let run_parallel ?(max_steps = 10_000_000) ?jobs t =
   in
   Obs.Trace.with_span "sim.run_parallel" ~attrs:[ ("jobs", string_of_int jobs) ]
   @@ fun () ->
-  let boxes = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun id handler ->
-      Hashtbl.add boxes id
-        { pb_mu = Mutex.create (); pb_q = Queue.create (); pb_scheduled = false;
-          pb_handler = handler })
-    t.handlers;
   let p =
-    {
-      boxes;
-      sched_mu = Mutex.create ();
-      sched_cond = Condition.create ();
-      runq = Queue.create ();
-      in_flight = Atomic.make 0;
-      stop = Atomic.make false;
-      par_deliveries = Atomic.make 0;
-      par_budget = max_steps;
-      par_error = Atomic.make None;
-      book_mu = Mutex.create ();
-    }
+    { mu = Mutex.create (); cond = Condition.create (); busy = Hashtbl.create 16;
+      deliveries = 0; budget = max_steps; error = None }
   in
-  (* Migrate frames already queued under the sequential scheduler (e.g.
-     the initial query injected before [run_parallel]) into the peer
-     boxes. Iterating channels in creation order preserves per-channel
-     FIFO. Domains are not up yet, so no locking is needed here. *)
-  for i = 0 to t.channel_count - 1 do
-    let ch = t.channel_order.(i) in
-    let b = Hashtbl.find boxes ch.dst in
-    while not (Queue.is_empty ch.frames) do
-      Atomic.incr p.in_flight;
-      Queue.add (ch, Queue.pop ch.frames) b.pb_q
-    done;
-    if (not (Queue.is_empty b.pb_q)) && not b.pb_scheduled then begin
-      b.pb_scheduled <- true;
-      Queue.add b p.runq
-    end
-  done;
+  (* workers pick channels, not the send order *)
   Queue.clear t.pending;
-  if Atomic.get p.in_flight = 0 then Atomic.set p.stop true;
   t.par <- Some p;
-  Obs.Metrics.set g_domains jobs;
-  pool_run
-    (Array.init jobs (fun _ () ->
-         try worker t p
-         with e ->
-           record_error p e;
-           stop_all p));
+  pool_run (Array.make jobs (fun () -> worker t p));
   t.par <- None;
-  (match Atomic.get p.par_error with Some e -> raise e | None -> ());
-  Atomic.get p.par_deliveries
+  Option.iter raise p.error;
+  p.deliveries
 
 type channel_stats = { msgs : int; bytes : int }
 

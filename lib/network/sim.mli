@@ -73,22 +73,18 @@ val run_parallel : ?max_steps:int -> ?jobs:int -> 'msg t -> int
 (** Deliver until quiescent using [jobs] worker domains (default
     {!Domain.recommended_domain_count}). Worker domains are pooled for the
     life of the process: a run reuses idle ones and spawns only the
-    missing, and none is ever joined. Each peer owns a mailbox box;
-    runnable boxes wait in one shared run queue, and an idle worker claims
-    the next one and drains the peer's entire mailbox per claim
-    ([sim.batches]/[sim.batch_size]), running every handler without
-    holding any lock. A scheduled flag makes peer activations mutually
-    exclusive, so per-peer mutable state needs no locks even though
-    peers migrate between domains from one claim to the next; a
-    channel's encoder runs in its source's activations and its decoder in
-    its destination's, so codec state needs none either. Messages
-    already queued under the sequential scheduler are migrated in
-    (per-channel FIFO preserved). Termination uses an atomic in-flight
-    count at drained-segment granularity: a segment's units are released
-    only after its last handler returns, so the count reaching zero is a
-    stable global-quiescence signal. Delivery order across channels is
-    nondeterministic; for confluent protocols (dQSQ) final fact sets
-    equal the sequential scheduler's.
+    missing, and none is ever joined. Workers deliver straight from the
+    channel queues under one lock: a worker takes a frame for a peer whose
+    handler is not running, marks the peer busy, and decodes the frame and
+    runs the handler with the lock released. So a peer's activations never
+    overlap, and per-peer mutable state needs no locks even though peers
+    migrate between domains; a channel's encoder runs in its source's
+    activations and its decoder in its destination's, so codec state needs
+    none either. The run ends when every channel is empty and no peer is
+    busy. Delivery order across channels is nondeterministic; for
+    confluent protocols (dQSQ) final fact sets equal the sequential
+    scheduler's. This scheduler is a confluence oracle, not tuned for
+    speed.
     @raise Budget_exhausted after [max_steps] total deliveries.
     @raise Invalid_argument when [jobs < 1]. *)
 

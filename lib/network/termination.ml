@@ -20,8 +20,8 @@
     {e sender}'s deficit and is only called from inside the sender's
     handler, or from the main domain before the run starts). A peer's
     activations may migrate between domains, but the sim runs each peer
-    box on at most one domain at a time and hands it off through the box
-    mutex, so the fields are never written concurrently and every write
+    on at most one domain at a time and hands it off through its one
+    lock, so the fields are never written concurrently and every write
     is visible to the next activation. [terminated] is written by the
     root's domain and read by the main domain after the run returns; the
     worker pool's completion handshake (a mutex) orders the accesses. *)

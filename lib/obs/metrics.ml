@@ -84,12 +84,6 @@ let set (g : gauge) v = Atomic.set g v
 let gauge_value (g : gauge) = Atomic.get g
 let add_gauge (g : gauge) d = ignore (Atomic.fetch_and_add g d)
 
-(* Lock-free high-water mark: retry the CAS until either we published v or
-   somebody else published something at least as large. *)
-let rec set_max (g : gauge) v =
-  let cur = Atomic.get g in
-  if v > cur && not (Atomic.compare_and_set g cur v) then set_max g v
-
 (* Log-scale (base 2) bucketing: an observation v > 0 lands in the bucket
    whose upper bound is the smallest power of two >= v. *)
 let bucket_exponent v =

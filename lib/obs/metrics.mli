@@ -36,10 +36,6 @@ val add_gauge : gauge -> int -> unit
     population (live fact stores, active sessions) rather than a level
     sampled from elsewhere. *)
 
-val set_max : gauge -> int -> unit
-(** Raise the gauge to [v] if [v] exceeds its current value (atomic
-    high-water mark); no-op otherwise. Used for e.g. peak mailbox depth. *)
-
 val observe : histogram -> float -> unit
 val observe_int : histogram -> int -> unit
 

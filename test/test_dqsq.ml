@@ -225,7 +225,9 @@ let test_ring_parallel_eq_sequential () =
    d, so c -> d interleaves two streams produced under the parallel run.
    Each channel's codec is stateful (a frame carries the difference to the
    channel's previous number), so its encoder and decoder must also see
-   the channel's messages in send order, whichever domain runs them. *)
+   the channel's messages in send order, whichever domain runs them. A
+   guard per peer fails the run if a handler is entered while it is
+   still running elsewhere. *)
 let test_parallel_keeps_channel_fifo () =
   let module Sim = Network.Sim in
   let n = 200 in
@@ -242,12 +244,21 @@ let test_parallel_keeps_channel_fifo () =
   in
   let net : (string * int) Sim.t = Sim.create ~seed:3 ~codec () in
   let at_c = ref [] and at_d = ref [] in
+  let exclusive peer handler =
+    let running = Atomic.make false in
+    fun net ~src msg ->
+      if not (Atomic.compare_and_set running false true) then
+        Alcotest.failf "%s entered while its handler runs" peer;
+      handler net ~src msg;
+      Atomic.set running false
+  in
   Sim.add_peer net "a" (fun _ ~src:_ _ -> ());
   Sim.add_peer net "b" (fun _ ~src:_ _ -> ());
-  Sim.add_peer net "c" (fun net ~src msg ->
-      at_c := (src, msg) :: !at_c;
-      Sim.send net ~src:"c" ~dst:"d" msg);
-  Sim.add_peer net "d" (fun _ ~src:_ msg -> at_d := msg :: !at_d);
+  Sim.add_peer net "c"
+    (exclusive "c" (fun net ~src msg ->
+         at_c := (src, msg) :: !at_c;
+         Sim.send net ~src:"c" ~dst:"d" msg));
+  Sim.add_peer net "d" (exclusive "d" (fun _ ~src:_ msg -> at_d := msg :: !at_d));
   for i = 0 to n - 1 do
     Sim.send net ~src:"a" ~dst:"c" ("a", i);
     Sim.send net ~src:"b" ~dst:"c" ("b", i)
@@ -256,7 +267,7 @@ let test_parallel_keeps_channel_fifo () =
   for _ = 1 to 25 do
     if Sim.step net then incr early
   done;
-  let late = Sim.run_parallel ~jobs:2 net in
+  let late = Sim.run_parallel ~jobs:4 net in
   Alcotest.(check int) "every message delivered once" (4 * n) (!early + late);
   let stream from l =
     List.filter_map (fun (origin, i) -> if origin = from then Some i else None) (List.rev l)

@@ -147,14 +147,42 @@ let test_unknown_peer_among_registered () =
   Alcotest.(check bool) "still quiescent" true (Sim.is_quiescent sim)
 
 let test_budget_carries_value () =
-  (* the exception payload is the exhausted budget itself *)
-  let sim = Sim.create ~seed:1 ~codec () in
-  Sim.add_peer sim "a" (fun sim ~src:_ m -> Sim.send sim ~src:"a" ~dst:"b" m);
-  Sim.add_peer sim "b" (fun sim ~src:_ m -> Sim.send sim ~src:"b" ~dst:"a" m);
-  Sim.send sim ~src:"e" ~dst:"a" (Ping 0);
-  match Sim.run ~max_steps:37 sim with
-  | exception Sim.Budget_exhausted n -> Alcotest.(check int) "budget in payload" 37 n
-  | _ -> Alcotest.fail "should not terminate"
+  (* the exception payload is the exhausted budget itself, under either
+     scheduler *)
+  List.iter
+    (fun (name, run) ->
+      let sim = Sim.create ~seed:1 ~codec () in
+      Sim.add_peer sim "a" (fun sim ~src:_ m -> Sim.send sim ~src:"a" ~dst:"b" m);
+      Sim.add_peer sim "b" (fun sim ~src:_ m -> Sim.send sim ~src:"b" ~dst:"a" m);
+      Sim.send sim ~src:"e" ~dst:"a" (Ping 0);
+      match run sim with
+      | exception Sim.Budget_exhausted n ->
+        Alcotest.(check int) (name ^ ": budget in payload") 37 n
+      | _ -> Alcotest.failf "%s: should not terminate" name)
+    [ ("sequential", Sim.run ~max_steps:37);
+      ("parallel", Sim.run_parallel ~jobs:2 ~max_steps:37) ]
+
+exception Handler_failed
+
+let test_parallel_handler_error () =
+  (* a handler that raises on a worker domain fails the run with its
+     exception, and leaves the worker pool able to run the next network *)
+  let rally ~fail_at =
+    let sim = Sim.create ~codec () in
+    Sim.add_peer sim "a" (fun sim ~src:_ m ->
+        match m with
+        | Ping i when i = fail_at -> raise Handler_failed
+        | Ping i when i < 20 -> Sim.send sim ~src:"a" ~dst:"b" (Ping (i + 1))
+        | _ -> ());
+    Sim.add_peer sim "b" (fun sim ~src:_ m -> Sim.send sim ~src:"b" ~dst:"a" m);
+    Sim.send sim ~src:"e" ~dst:"a" (Ping 0);
+    sim
+  in
+  (match Sim.run_parallel ~jobs:2 (rally ~fail_at:10) with
+  | exception Handler_failed -> ()
+  | _ -> Alcotest.fail "the handler's exception should reach the caller");
+  Alcotest.(check int) "next run completes" 41
+    (Sim.run_parallel ~jobs:2 (rally ~fail_at:(-1)))
 
 let test_loss_injection_drops () =
   (* with loss injected, drops actually happen, are accounted, and the
@@ -255,6 +283,7 @@ let suite =
         Alcotest.test_case "frames, not references" `Quick test_frames_not_references;
         Alcotest.test_case "budget" `Quick test_budget;
         Alcotest.test_case "budget carries value" `Quick test_budget_carries_value;
+        Alcotest.test_case "parallel handler error" `Quick test_parallel_handler_error;
         Alcotest.test_case "unknown peer" `Quick test_unknown_peer;
         Alcotest.test_case "unknown peer among registered" `Quick
           test_unknown_peer_among_registered;
