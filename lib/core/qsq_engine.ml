@@ -13,30 +13,16 @@
     asynchronous network, so results may start flowing before the rewriting
     is complete (Remark 2).
 
-    The generated relation names deliberately match the centralized
-    {!Datalog.Qsq} rewriting up to the peer suffix: stripping ["@peer"]
-    realizes the surjection zeta of Theorem 1, which the test suite checks
-    as a set equality of facts. *)
+    Every rule a peer installs is built by {!Datalog.Qsq}'s own steps over
+    located names, so stripping ["@peer"] realizes the surjection zeta of
+    Theorem 1 (the tests check it on facts and on rules). This module
+    keeps what is distributed: delegation, subscriptions, per-peer dedup,
+    the per-engine ["~n"] freshening and the located [sup] origins. *)
 
 open Datalog
 module Sim = Network.Sim
 module Ds = Network.Termination
 module Var_set = Adornment.Var_set
-
-(* Variables of a list of terms, in order of first occurrence (shared with
-   the centralized rewriting — must stay aligned for Theorem 1). Set-based
-   membership and reverse accumulation: this runs for every rule/adornment
-   pair of the distributed rewriting. *)
-let terms_vars terms =
-  let seen = ref Var_set.empty in
-  let add acc x =
-    if Var_set.mem x !seen then acc
-    else begin
-      seen := Var_set.add x !seen;
-      x :: acc
-    end
-  in
-  List.rev (List.fold_left (Term.vars_fold add) [] terms)
 
 (* Parallel safety: a peer's state is only ever touched from inside that
    peer's message handler (plus setup on the main domain before the run),
@@ -134,55 +120,45 @@ let flush_outbox t p =
           send_now t ~src:p ~dst (Message.Batch ms))
       (List.rev order)
 
-(* Ship [facts] to [dst]. [fact_messages] counts individual facts — the
+(* Ship [fact] to [dst]. [fact_messages] counts individual facts — the
    envelope only changes what crosses the wire (one frame, shared spines)
    and how the receiver evaluates (one semi-naive pass over the whole
-   delta). The facts join the activation's outbox and coalesce with any
-   control messages bound for the same destination. *)
-let send_facts t ~src ~dst = function
-  | [] -> ()
-  | facts ->
-    let n = List.length facts in
-    Atomic.fetch_and_add t.fact_messages n |> ignore;
-    Obs.Metrics.incr ~by:n fact_messages_c;
-    List.iter (fun f -> buffer t ~src ~dst (Message.Fact f)) facts
+   delta). The fact joins the activation's outbox, which keeps the
+   first-touch order of destinations and the per-destination order
+   (determinism: the seeded scheduler sees the same send sequence on every
+   run), and coalesces with any control messages bound for the same
+   destination. *)
+let send_fact t ~src ~dst fact =
+  Atomic.incr t.fact_messages;
+  Obs.Metrics.incr fact_messages_c;
+  buffer t ~src ~dst (Message.Fact fact)
 
-(* Group a flush's outputs by destination, preserving first-touch order of
-   destinations and the per-destination fact order (determinism: the
-   seeded scheduler sees the same send sequence on every run). *)
+(* Ship each derived fact to its relation's subscribers. *)
 let forward t ~src outputs =
-  let by_dst : (string, Atom.t list ref) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (fact, subs) ->
-      List.iter
-        (fun dst ->
-          match Hashtbl.find_opt by_dst dst with
-          | Some l -> l := fact :: !l
-          | None ->
-            Hashtbl.add by_dst dst (ref [ fact ]);
-            order := dst :: !order)
-        subs)
-    outputs;
-  List.iter
-    (fun dst -> send_facts t ~src ~dst (List.rev !(Hashtbl.find by_dst dst)))
-    (List.rev !order)
+  List.iter (fun (fact, subs) -> List.iter (fun dst -> send_fact t ~src ~dst fact) subs) outputs
 
-(* Located relation symbols for the generated predicates: the base name is
-   computed on the unmangled relation (matching centralized QSQ), then
-   located at its owner peer. *)
-let adorned_at ~rel ~ad ~peer =
-  Datom.mangle_rel ~rel:(Symbol.name (Adornment.adorned_sym (Symbol.intern rel) ad)) ~peer
+(* A relation's generated names at a peer: each base name is computed on
+   the unmangled relation (matching centralized QSQ), then located. *)
+let located ~rel ~peer : Qsq.names =
+  let at make ad = Datom.mangle_rel ~rel:(Symbol.name (make (Symbol.intern rel) ad)) ~peer in
+  { Qsq.adorned = at Adornment.adorned_sym; input = at Adornment.input_sym }
 
-let input_at ~rel ~ad ~peer =
-  Datom.mangle_rel ~rel:(Symbol.name (Adornment.input_sym (Symbol.intern rel) ad)) ~peer
-
+(* [rel] is the located origin relation ["R@p"], which keeps the
+   supplementary relations of same-named relations at different peers
+   apart. *)
 let sup_at ~rel ~ad ~rule_index ~pos ~peer =
   Datom.mangle_rel
     ~rel:(Symbol.name (Adornment.sup_sym (Symbol.intern rel) ad ~rule_index ~pos))
     ~peer
 
-let var_atom sym vars = Atom.cmake sym (List.map (fun x -> Term.var x) vars)
+(* The variables a supplementary relation keeps: those of [head] and of
+   the literals still to walk. *)
+let need (head : Datom.t) lits =
+  Var_set.of_list (Datom.vars head @ List.concat_map Drule.literal_vars lits)
+
+let walk_of (d : Message.delegation) : Qsq.walk =
+  { Qsq.bound = Var_set.of_list d.Message.d_bound; prev = d.Message.d_prev_sup;
+    pending = d.Message.d_pending }
 
 (* The per-engine [t.fresh] counter is atomic so concurrent [demand]s on
    different domains still draw unique suffixes. The drawn values then
@@ -212,102 +188,64 @@ let install_and_eval t p rules =
 (* The distributed rewriting walk                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Continue the left-to-right rewriting of one rule at peer [p]. The state
-   mirrors the centralized walk in {!Qsq.rewrite}; [d] carries it across
-   peers. Invariant: every positive literal is processed at the peer that
-   owns its relation. *)
+(* Continue the left-to-right rewriting of one rule at peer [p] with
+   {!Qsq.step}; [d] carries the walk across peers. Invariant: every
+   positive literal is processed at the peer that owns its relation. *)
 let rec walk t p (d : Message.delegation) =
   let rules_to_install = ref [] in
-  let emit r = rules_to_install := !rules_to_install @ [ r ] in
   let head = d.Message.d_head in
-  let head_vars = Datom.vars head in
-  let rec go pos lit_index bound (prev_sup : Atom.t) prev_owner pending lits =
-    let needed_from remaining =
-      Var_set.of_list (head_vars @ List.concat_map Drule.literal_vars remaining)
-    in
-    let attrs bound remaining =
-      let need = needed_from remaining in
-      List.filter (fun x -> Var_set.mem x need) (Var_set.elements bound)
+  let delegate ~dst d' =
+    Atomic.incr t.delegations;
+    Obs.Metrics.incr delegations_c;
+    buffer t ~src:p ~dst (Message.Delegate d')
+  in
+  let rec go pos lit_index (w : Qsq.walk) prev_owner lits =
+    let here key remaining =
+      { d with Message.d_key = key; d_pos = pos; d_lit_index = lit_index;
+               d_prev_sup = w.Qsq.prev; d_prev_owner = prev_owner;
+               d_remaining = remaining; d_pending = w.Qsq.pending;
+               d_bound = Var_set.elements w.Qsq.bound }
     in
     match lits with
     | [] ->
       (* Install the answer rule at the head's peer. *)
-      let finish = { d with Message.d_key = answer_key d; d_pos = pos; d_lit_index = lit_index;
-                     d_prev_sup = prev_sup; d_prev_owner = prev_owner;
-                     d_remaining = []; d_pending = pending;
-                     d_bound = Var_set.elements bound }
-      in
+      let finish = here (answer_key d) [] in
       if String.equal head.Datom.peer p then install_answer t p finish
-      else begin
-        Atomic.incr t.delegations;
-        Obs.Metrics.incr delegations_c;
-        buffer t ~src:p ~dst:head.Datom.peer (Message.Delegate finish)
-      end
-    | Drule.Neq (x, y) :: rest -> go pos (lit_index + 1) bound prev_sup prev_owner (pending @ [ (x, y) ]) rest
-    | Drule.Pos a :: _rest when not (String.equal a.Datom.peer p) ->
+      else delegate ~dst:head.Datom.peer finish
+    | Drule.Neq (x, y) :: rest ->
+      go pos (lit_index + 1) { w with Qsq.pending = w.Qsq.pending @ [ (x, y) ] } prev_owner rest
+    | Drule.Pos a :: _ when not (String.equal a.Datom.peer p) ->
       (* Remote relation: delegate the remainder — rule (†). *)
-      let d' =
-        { d with
-          Message.d_key = Printf.sprintf "%s^%s/%d@%d" d.Message.d_origin_rel d.Message.d_origin_ad
-              d.Message.d_rule_index lit_index;
-          d_pos = pos; d_lit_index = lit_index;
-          d_prev_sup = prev_sup; d_prev_owner = prev_owner;
-          d_remaining = lits; d_pending = pending;
-          d_bound = Var_set.elements bound }
-      in
-      Atomic.incr t.delegations;
-      Obs.Metrics.incr delegations_c;
-      buffer t ~src:p ~dst:a.Datom.peer (Message.Delegate d')
+      delegate ~dst:a.Datom.peer
+        (here
+           (Printf.sprintf "%s^%s/%d@%d" d.Message.d_origin_rel d.Message.d_origin_ad
+              d.Message.d_rule_index lit_index)
+           lits)
     | Drule.Pos a :: rest ->
-      (* Local relation: one centralized-QSQ step. *)
-      let pre_ground, pending =
-        List.partition
-          (fun (x, y) ->
-            List.for_all (fun v -> Var_set.mem v bound) (Term.vars x @ Term.vars y))
-          pending
+      (* Local relation: one centralized-QSQ step; an IDB relation here is
+         demanded, which recursively rewrites its rules. *)
+      let callee =
+        if Hashtbl.mem (state t p).my_rules a.Datom.rel then
+          Some (located ~rel:a.Datom.rel ~peer:p)
+        else None
       in
-      let pre_neqs = List.map (fun (x, y) -> Rule.Neq (x, y)) pre_ground in
-      let local_atom = Atom.cmake (Datom.mangled_sym a) a.Datom.args in
-      let a_ad = Adornment.of_atom bound local_atom in
-      let st = state t p in
-      let body_atom =
-        if Hashtbl.mem st.my_rules a.Datom.rel then begin
-          (* IDB here: demand in-S^ad and recursively rewrite S's rules. *)
-          let in_s =
-            Atom.cmake (input_at ~rel:a.Datom.rel ~ad:a_ad ~peer:p)
-              (Adornment.bound_args a_ad a.Datom.args)
-          in
-          emit (Rule.make in_s (Rule.Pos prev_sup :: pre_neqs));
-          demand t p ~rel:a.Datom.rel ~ad:a_ad;
-          Atom.cmake (adorned_at ~rel:a.Datom.rel ~ad:a_ad ~peer:p) a.Datom.args
-        end
-        else local_atom
+      let w, rules =
+        Qsq.step w callee
+          (Atom.cmake (Datom.mangled_sym a) a.Datom.args)
+          ~need:(need head rest)
+          ~sup:(fun () ->
+            sup_at ~rel:d.Message.d_origin_rel ~ad:(ad_of_string d.Message.d_origin_ad)
+              ~rule_index:d.Message.d_rule_index ~pos:(pos + 1) ~peer:p)
+          ~demand:(fun ad -> demand t p ~rel:a.Datom.rel ~ad)
       in
-      let bound' = Var_set.union bound (Var_set.of_list (Datom.vars a)) in
-      let post_ground, pending =
-        List.partition
-          (fun (x, y) ->
-            List.for_all (fun v -> Var_set.mem v bound') (Term.vars x @ Term.vars y))
-          pending
-      in
-      let post_neqs = List.map (fun (x, y) -> Rule.Neq (x, y)) post_ground in
-      let sup_j =
-        var_atom
-          (sup_at ~rel:d.Message.d_origin_rel
-             ~ad:(ad_of_string d.Message.d_origin_ad)
-             ~rule_index:d.Message.d_rule_index ~pos:(pos + 1) ~peer:p)
-          (attrs bound' rest)
-      in
-      emit
-        (Rule.make sup_j ((Rule.Pos prev_sup :: pre_neqs) @ (Rule.Pos body_atom :: post_neqs)));
-      go (pos + 1) (lit_index + 1) bound' sup_j p pending rest
+      rules_to_install := !rules_to_install @ rules;
+      go (pos + 1) (lit_index + 1) w p rest
   in
   (* The walk consumes facts of the previous supplementary relation; make
      sure they reach this peer. *)
   ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:d.Message.d_prev_sup.Atom.rel;
-  go d.Message.d_pos d.Message.d_lit_index
-    (Var_set.of_list d.Message.d_bound)
-    d.Message.d_prev_sup d.Message.d_prev_owner d.Message.d_pending d.Message.d_remaining;
+  go d.Message.d_pos d.Message.d_lit_index (walk_of d) d.Message.d_prev_owner
+    d.Message.d_remaining;
   install_and_eval t p !rules_to_install
 
 and answer_key d =
@@ -322,12 +260,10 @@ and install_answer t p (d : Message.delegation) =
     Hashtbl.add st.delegations_seen d.Message.d_key ();
     ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:d.Message.d_prev_sup.Atom.rel;
     let head = d.Message.d_head in
-    let ad = ad_of_string d.Message.d_origin_ad in
-    let answer =
-      Atom.cmake (adorned_at ~rel:head.Datom.rel ~ad ~peer:p) head.Datom.args
-    in
-    let extra = List.map (fun (x, y) -> Rule.Neq (x, y)) d.Message.d_pending in
-    install_and_eval t p [ Rule.make answer (Rule.Pos d.Message.d_prev_sup :: extra) ]
+    install_and_eval t p
+      [ Qsq.answer (walk_of d)
+          (located ~rel:head.Datom.rel ~peer:p)
+          (ad_of_string d.Message.d_origin_ad) head.Datom.args ]
   end
 
 (* Demand the adorned relation (rel, ad) at peer p: rewrite each local rule
@@ -337,19 +273,9 @@ and demand t p ~rel ~ad =
   let key = (rel, Adornment.to_string ad) in
   if not (Hashtbl.mem st.demanded key) then begin
     Hashtbl.add st.demanded key ();
-    (* Bridge rule for extensionally stored facts of this relation (aligned
-       with the centralized rewriting). *)
-    let xs = List.init (Array.length ad) (fun k -> Printf.sprintf "X%d" k) in
-    let bridge =
-      Rule.make
-        (var_atom (adorned_at ~rel ~ad ~peer:p) xs)
-        [ Rule.Pos
-            (Atom.cmake (input_at ~rel ~ad ~peer:p)
-               (Adornment.bound_args ad (List.map (fun x -> Term.var x) xs)));
-          Rule.Pos (var_atom (Datom.mangle_rel ~rel ~peer:p) xs) ]
-    in
-    install_and_eval t p [ bridge ];
-    let rules = Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) in
+    let n = located ~rel ~peer:p in
+    install_and_eval t p [ Qsq.bridge n ~stored:(Datom.mangle_rel ~rel ~peer:p) ad ];
+    let origin = Printf.sprintf "%s@%s" rel p in
     List.iteri
       (fun i r0 ->
         (* Freshen the rule's variables with a uniform "~n" suffix. The
@@ -373,42 +299,28 @@ and demand t p ~rel ~ad =
               | Drule.Neq (x, y) -> Drule.Neq (Subst.apply s x, Subst.apply s y))
             r0.Drule.body
         in
-        let bound_head_terms = Adornment.bound_args ad head.Datom.args in
-        let bound0 = Var_set.of_list (terms_vars bound_head_terms) in
-        let head_vars = Datom.vars head in
-        let attrs0 =
-          let need =
-            Var_set.of_list (head_vars @ List.concat_map Drule.literal_vars body)
-          in
-          List.filter (fun x -> Var_set.mem x need) (Var_set.elements bound0)
+        let w, sup0_rule =
+          Qsq.start n ad
+            ~sup:(sup_at ~rel:origin ~ad ~rule_index:i ~pos:0 ~peer:p)
+            ~need:(need head body) head.Datom.args
         in
-        let sup0 =
-          var_atom
-            (sup_at ~rel:(Printf.sprintf "%s@%s" rel p) ~ad ~rule_index:i ~pos:0 ~peer:p)
-            attrs0
-        in
-        let in_atom = Atom.cmake (input_at ~rel ~ad ~peer:p) bound_head_terms in
-        install_and_eval t p [ Rule.make sup0 [ Rule.Pos in_atom ] ];
-        let d : Message.delegation =
+        install_and_eval t p [ sup0_rule ];
+        walk t p
           {
-            (* the located origin name keeps the supplementary relations of
-               same-named relations at different peers apart *)
-            Message.d_key = Printf.sprintf "%s@%s^%s/%d@start" rel p (Adornment.to_string ad) i;
-            d_origin_rel = Printf.sprintf "%s@%s" rel p;
+            Message.d_key = Printf.sprintf "%s^%s/%d@start" origin (Adornment.to_string ad) i;
+            d_origin_rel = origin;
             d_origin_ad = Adornment.to_string ad;
             d_rule_index = i;
             d_pos = 0;
             d_lit_index = 0;
-            d_prev_sup = sup0;
+            d_prev_sup = w.Qsq.prev;
             d_prev_owner = p;
             d_remaining = body;
             d_pending = [];
-            d_bound = Var_set.elements bound0;
+            d_bound = Var_set.elements w.Qsq.bound;
             d_head = head;
-          }
-        in
-        walk t p d)
-      rules
+          })
+      (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -420,7 +332,7 @@ let rec handle_msg t p ~src msg =
   Obs.Metrics.incr st.steps_c;
   match msg with
   | Message.Subscribe rel ->
-    send_facts t ~src:p ~dst:src (Runtime.subscribe st.rt rel ~dst:src)
+    List.iter (send_fact t ~src:p ~dst:src) (Runtime.subscribe st.rt rel ~dst:src)
   | Message.Fact fact ->
     if Runtime.add_fact st.rt fact then
       forward t ~src:p (Runtime.evaluate ~delta:[ fact ] st.rt)
@@ -464,10 +376,7 @@ and start_query t =
   let q_local = Datom.to_local_atom query in
   let ad = Adornment.of_query q_local in
   let st = state t p0 in
-  let seed_fact =
-    Atom.cmake (input_at ~rel:query.Datom.rel ~ad ~peer:p0)
-      (Adornment.bound_args ad query.Datom.args)
-  in
+  let seed_fact = Qsq.subquery (located ~rel:query.Datom.rel ~peer:p0) ad query.Datom.args in
   ignore (Runtime.add_fact st.rt seed_fact);
   demand t p0 ~rel:query.Datom.rel ~ad;
   forward t ~src:p0 (Runtime.evaluate st.rt)
@@ -482,6 +391,32 @@ type termination_mode =
 
 let ds_root = "#root"
 
+(* Point [t] at a scenario: [peer] sees each of the scenario's peers
+   first; then each peer's rules are indexed by head relation and the EDB
+   is loaded. *)
+let load t program ~edb ~(query : Datom.t) ~peer =
+  List.iter peer
+    (List.sort_uniq String.compare
+       (Dprogram.peers program
+       @ List.map (fun (a : Datom.t) -> a.Datom.peer) edb
+       @ [ query.Datom.peer ]));
+  t.program <- program;
+  t.query <- query;
+  t.query_peer <- query.Datom.peer;
+  Hashtbl.iter
+    (fun p st ->
+      List.iter
+        (fun r ->
+          let rel = r.Drule.head.Datom.rel in
+          Hashtbl.replace st.my_rules rel
+            (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) @ [ r ]))
+        (Dprogram.rules_at program p))
+    t.states;
+  List.iter
+    (fun (a : Datom.t) ->
+      ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
+    edb
+
 let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
     ?(eval_options = Eval.default_options) ?(termination = God_view)
     ?wire_verify:_ (program : Dprogram.t)
@@ -491,18 +426,10 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   let channels = Wire.channels () in
   let describe = function Ds.Work m -> Message.describe m | Ds.Ack -> "ack" in
   let sim = Sim.create ~seed ~policy ~loss ~codec:(Wire.codec channels) ~describe () in
-  let peers =
-    List.sort_uniq String.compare
-      (Dprogram.peers program
-      @ List.map (fun (a : Datom.t) -> a.Datom.peer) edb
-      @ [ query.Datom.peer ])
-  in
   let detector =
     match termination with
     | God_view -> None
-    | Dijkstra_scholten ->
-      if List.mem ds_root peers then invalid_arg "Qsq_engine: peer name #root is reserved";
-      Some (Ds.create ~root:ds_root ())
+    | Dijkstra_scholten -> Some (Ds.create ~root:ds_root ())
   in
   let states = Hashtbl.create 16 in
   let t =
@@ -510,8 +437,9 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
       detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
       fact_messages = Atomic.make 0; fresh = Atomic.make 0; released = false }
   in
-  List.iter
-    (fun p ->
+  load t program ~edb ~query ~peer:(fun p ->
+      if detector <> None && String.equal p ds_root then
+        invalid_arg "Qsq_engine: peer name #root is reserved";
       let st =
         { rt = Runtime.create ~eval_options p;
           my_rules = Hashtbl.create 16;
@@ -522,12 +450,6 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
           out_order = [];
           steps_c = Obs.Metrics.counter ("peer.steps." ^ p) }
       in
-      List.iter
-        (fun r ->
-          let rel = r.Drule.head.Datom.rel in
-          Hashtbl.replace st.my_rules rel
-            (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) @ [ r ]))
-        (Dprogram.rules_at program p);
       Hashtbl.add states p st;
       match detector with
       | None ->
@@ -536,15 +458,10 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
             | Ds.Work m -> handle t p ~src m
             | Ds.Ack -> ())
       | Some det ->
-        Ds.add_peer det sim p ~handler:(fun ~send:_ ~src m -> handle t p ~src m))
-    peers;
+        Ds.add_peer det sim p ~handler:(fun ~send:_ ~src m -> handle t p ~src m));
   (match detector with
   | Some det -> Ds.add_root det sim ~handler:(fun ~send:_ ~src:_ _ -> ())
   | None -> ());
-  List.iter
-    (fun (a : Datom.t) ->
-      ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
-    edb;
   t
 
 let set_tracing (t : t) b = Sim.set_tracing t.sim b
@@ -589,7 +506,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
   let ad = Adornment.of_query q_local in
   let st = state t p0 in
   let answer_pattern =
-    Atom.cmake (adorned_at ~rel:query.Datom.rel ~ad ~peer:p0) query.Datom.args
+    Atom.cmake ((located ~rel:query.Datom.rel ~peer:p0).Qsq.adorned ad) query.Datom.args
   in
   let answers =
     List.map
@@ -663,36 +580,12 @@ let recycle (t : t) (program : Dprogram.t) ~(edb : Datom.t list) ~(query : Datom
     invalid_arg "Qsq_engine.recycle: Dijkstra-Scholten engines are one-shot";
   if not (Sim.is_quiescent t.sim) then
     invalid_arg "Qsq_engine.recycle: network not quiescent";
-  let peers =
-    List.sort_uniq String.compare
-      (Dprogram.peers program
-      @ List.map (fun (a : Datom.t) -> a.Datom.peer) edb
-      @ [ query.Datom.peer ])
-  in
-  List.iter
-    (fun p ->
+  if not t.released then release t;
+  load t program ~edb ~query ~peer:(fun p ->
       if not (Hashtbl.mem t.states p) then
         invalid_arg
-          (Printf.sprintf "Qsq_engine.recycle: peer %s not in the warm engine" p))
-    peers;
-  if not t.released then release t;
-  t.released <- false;
-  t.program <- program;
-  t.query <- query;
-  t.query_peer <- query.Datom.peer;
-  Hashtbl.iter
-    (fun p st ->
-      List.iter
-        (fun r ->
-          let rel = r.Drule.head.Datom.rel in
-          Hashtbl.replace st.my_rules rel
-            (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) @ [ r ]))
-        (Dprogram.rules_at program p))
-    t.states;
-  List.iter
-    (fun (a : Datom.t) ->
-      ignore (Runtime.add_fact (state t a.Datom.peer).rt (Datom.to_atom a)))
-    edb
+          (Printf.sprintf "Qsq_engine.recycle: peer %s not in the warm engine" p));
+  t.released <- false
 
 let solve ?seed ?policy ?loss ?eval_options ?termination ?max_steps ?jobs program ~edb
     ~query =
@@ -702,35 +595,36 @@ let solve ?seed ?policy ?loss ?eval_options ?termination ?max_steps ?jobs progra
 let peer_store t p = Runtime.store (state t p).rt
 let peer_rules t p = Runtime.rules (state t p).rt
 
-(** Union of all peer stores with every ["@peer"] segment stripped from the
-    relation names — the zeta mapping of Theorem 1, for comparison against
-    the centralized QSQ evaluation of the localized program. Generated names
-    may locate a peer twice (e.g. [sup1,2^R@r^bf@s]: origin relation [R@r],
-    stored at [s]); both are dropped. *)
-let zeta_facts (t : t) : string list =
-  let strip_name name =
-    let buf = Buffer.create (String.length name) in
-    let n = String.length name in
-    let rec go i =
-      if i < n then
-        if name.[i] = '@' then skip (i + 1)
-        else begin
-          Buffer.add_char buf name.[i];
-          go (i + 1)
-        end
-    and skip i =
-      if i < n then
-        match name.[i] with
-        | '^' | ',' ->
-          Buffer.add_char buf name.[i];
-          go (i + 1)
-        | _ -> skip (i + 1)
-    in
-    go 0;
-    Buffer.contents buf
+(* The zeta mapping of Theorem 1 on a relation name. Generated names may
+   locate a peer twice (e.g. [sup1,2^R@r^bf@s]: origin relation [R@r],
+   stored at [s]); both are dropped. *)
+let zeta name =
+  let buf = Buffer.create (String.length name) in
+  let n = String.length name in
+  let rec go i =
+    if i < n then
+      if name.[i] = '@' then skip (i + 1)
+      else begin
+        Buffer.add_char buf name.[i];
+        go (i + 1)
+      end
+  and skip i =
+    if i < n then
+      match name.[i] with
+      | '^' | ',' ->
+        Buffer.add_char buf name.[i];
+        go (i + 1)
+      | _ -> skip (i + 1)
   in
+  go 0;
+  Buffer.contents buf
+
+(** Union of all peer stores with every relation name mapped by {!zeta},
+    for comparison against the centralized QSQ evaluation of the localized
+    program. *)
+let zeta_facts (t : t) : string list =
   let strip (a : Atom.t) =
-    Atom.to_string (Atom.make (strip_name (Symbol.name a.Atom.rel)) a.Atom.args)
+    Atom.to_string (Atom.make (zeta (Symbol.name a.Atom.rel)) a.Atom.args)
   in
   Hashtbl.fold
     (fun _ st acc ->

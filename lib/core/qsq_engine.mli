@@ -123,8 +123,8 @@ val recycle : t -> Dprogram.t -> edb:Datom.t list -> query:Datom.t -> unit
     program's rules and EDB. An engine not {!release}d since its last
     session is released first. Every peer of the new scenario must already
     exist in the engine.
-    @raise Invalid_argument on unknown peers, a non-quiescent network, or
-    a Dijkstra-Scholten engine. *)
+    @raise Invalid_argument on a non-quiescent network or a
+    Dijkstra-Scholten engine, or on unknown peers (after the release). *)
 
 val peer_store : t -> string -> Fact_store.t
 
@@ -150,7 +150,11 @@ val wire_tables : t -> int * int
 (** (symbols, terms) in the engine's per-channel codec tables
     ({!Wire.table_entries}); they survive {!release}. *)
 
+val zeta : string -> string
+(** The zeta mapping of Theorem 1 on a relation name: every ["@peer"]
+    segment stripped ([sup1,2^R@r^bf@s] becomes [sup1,2^R^bf]). *)
+
 val zeta_facts : t -> string list
-(** Union of all peer stores with every ["@peer"] segment stripped from the
-    relation names — the zeta mapping of Theorem 1, comparable to the
-    centralized QSQ evaluation of the localized program. Sorted, distinct. *)
+(** Union of all peer stores with every relation name mapped by {!zeta},
+    comparable to the centralized QSQ evaluation of the localized program.
+    Sorted, distinct. *)

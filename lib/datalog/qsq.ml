@@ -28,11 +28,16 @@ type t = {
   answer_pattern : Atom.t;  (** [Q^ad(query args)], to read answers back *)
 }
 
+type names = { adorned : Adornment.t -> Symbol.t; input : Adornment.t -> Symbol.t }
+type walk = { bound : Var_set.t; prev : Atom.t; pending : (Term.t * Term.t) list }
+
+let names rel = { adorned = Adornment.adorned_sym rel; input = Adornment.input_sym rel }
+
 let var_atom sym vars = Atom.cmake sym (List.map (fun x -> Term.var x) vars)
 
-(* Variables of a list of terms, in order of first occurrence. Runs inside
-   the rewriting loop for every rule/adornment pair, so membership is a set
-   test and the order list is reverse-accumulated, not appended to. *)
+(* Variables of a list of terms, in order of first occurrence. Runs for
+   every rule/adornment pair, so membership is a set test and the order
+   list is reverse-accumulated, not appended to. *)
 let terms_vars terms =
   let seen = ref Var_set.empty in
   let add acc x =
@@ -43,6 +48,61 @@ let terms_vars terms =
     end
   in
   List.rev (List.fold_left (Term.vars_fold add) [] terms)
+
+let subquery n ad args = Atom.cmake (n.input ad) (Adornment.bound_args ad args)
+
+(* The attributes of a supplementary relation: the bound variables that
+   later literals or the head still need, in name order. *)
+let attrs bound need = List.filter (fun x -> Var_set.mem x need) (Var_set.elements bound)
+
+(* The disequalities of [pending] that [bound] grounds, as literals, and
+   the rest. *)
+let ground bound pending =
+  let now, later =
+    List.partition
+      (fun (x, y) -> List.for_all (fun v -> Var_set.mem v bound) (Term.vars x @ Term.vars y))
+      pending
+  in
+  (List.map (fun (x, y) -> Rule.Neq (x, y)) now, later)
+
+let bridge n ~stored ad =
+  let xs = List.init (Array.length ad) (fun k -> Printf.sprintf "X%d" k) in
+  let stored = var_atom stored xs in
+  let input = subquery n ad stored.Atom.args in
+  Rule.make (var_atom (n.adorned ad) xs) [ Rule.Pos input; Rule.Pos stored ]
+
+let start n ad ~sup ~need head_args =
+  let bound_terms = Adornment.bound_args ad head_args in
+  let bound = Var_set.of_list (terms_vars bound_terms) in
+  let sup0 = var_atom sup (attrs bound need) in
+  ( { bound; prev = sup0; pending = [] },
+    Rule.make sup0 [ Rule.Pos (Atom.cmake (n.input ad) bound_terms) ] )
+
+(* The builders intern in the order the rewriting always has, since
+   symbol ids order the fact-store tables: a literal's own names before the
+   next supplementary symbol, hence [sup] is a thunk. *)
+let step w callee (a : Atom.t) ~need ~sup ~demand =
+  let pre, pending = ground w.bound w.pending in
+  let guard = Rule.Pos w.prev :: pre in
+  let in_rules, body_atom =
+    match callee with
+    | None -> ([], a)
+    | Some n ->
+      let ad = Adornment.of_atom w.bound a in
+      let in_rule = Rule.make (subquery n ad a.Atom.args) guard in
+      demand ad;
+      ([ in_rule ], Atom.cmake (n.adorned ad) a.Atom.args)
+  in
+  let bound = Var_set.union w.bound (Var_set.of_list (Atom.vars a)) in
+  let post, pending = ground bound pending in
+  let sup_j = var_atom (sup ()) (attrs bound need) in
+  ( { bound; prev = sup_j; pending },
+    in_rules @ [ Rule.make sup_j (guard @ (Rule.Pos body_atom :: post)) ] )
+
+let answer w n ad head_args =
+  Rule.make
+    (Atom.cmake (n.adorned ad) head_args)
+    (Rule.Pos w.prev :: List.map (fun (x, y) -> Rule.Neq (x, y)) w.pending)
 
 let rewrite (program : Program.t) (query : Atom.t) : t =
   let idb = Program.idb_relations program in
@@ -62,48 +122,25 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
   demand query.Atom.rel q_ad;
   while not (Queue.is_empty queue) do
     let rel, ad = Queue.pop queue in
-    (* Bridge rule: facts of an IDB relation stored extensionally (rather
-       than as body-less program rules) are answers to any subquery that
-       matches them. *)
-    let xs = List.init (Array.length ad) (fun k -> Printf.sprintf "X%d" k) in
-    let plain = var_atom rel xs in
-    let in_bridge =
-      Atom.cmake (Adornment.input_sym rel ad)
-        (Adornment.bound_args ad (List.map (fun x -> Term.var x) xs))
-    in
-    emit
-      (Rule.make
-         (var_atom (Adornment.adorned_sym rel ad) xs)
-         [ Rule.Pos in_bridge; Rule.Pos plain ]);
-    let rules = Program.rules_for program rel in
+    let n = names rel in
+    emit (bridge n ~stored:rel ad);
     List.iteri
       (fun i r0 ->
         let r = Rule.freshen r0 in
         let head = r.Rule.head in
         let head_vars = Atom.vars head in
-        let bound_head_terms = Adornment.bound_args ad head.Atom.args in
-        let bound0 = Var_set.of_list (terms_vars bound_head_terms) in
-        (* Variables needed by the literals at positions >= j, or by the head. *)
+        (* Variables needed by the literals at positions >= j, or by the
+           head. [j] does not advance past a disequality, so after one the
+           set keeps the next atom's variables too. *)
         let needed_from j =
           let later = List.filteri (fun k _ -> k >= j) r.Rule.body in
           Var_set.of_list (head_vars @ List.concat_map Rule.literal_vars later)
         in
-        let attrs bound j =
-          let need = needed_from j in
-          List.filter (fun x -> Var_set.mem x need) (Var_set.elements bound)
-        in
-        let in_atom = Atom.cmake (Adornment.input_sym rel ad) bound_head_terms in
-        let sup_atom ~pos vars = var_atom (Adornment.sup_sym rel ad ~rule_index:i ~pos) vars in
-        let sup0 = sup_atom ~pos:0 (attrs bound0 0) in
-        emit (Rule.make sup0 [ Rule.Pos in_atom ]);
-        (* Walk the body left to right. [pending] holds disequalities whose
-           variables are not yet all bound. *)
-        let rec walk j pos_count bound prev_sup pending lits =
-          match lits with
-          | [] ->
-            let answer = Atom.cmake (Adornment.adorned_sym rel ad) head.Atom.args in
-            let extra = List.map (fun (x, y) -> Rule.Neq (x, y)) pending in
-            emit (Rule.make answer (Rule.Pos prev_sup :: extra))
+        let sup pos = Adornment.sup_sym rel ad ~rule_index:i ~pos in
+        let w, sup0_rule = start n ad ~sup:(sup 0) ~need:(needed_from 0) head.Atom.args in
+        emit sup0_rule;
+        let rec walk j pos w = function
+          | [] -> emit (answer w n ad head.Atom.args)
           | Rule.Neg _ :: _ ->
             (* "Extensions of Magic Sets for Datalog with negation were
                studied, e.g. in [29, 15]" — out of scope here (Remark 4);
@@ -112,62 +149,30 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
           | Rule.Neq (x, y) :: rest ->
             (* Disequalities are folded into the next rule whose bindings
                ground them (or into the final answer rule). *)
-            walk j pos_count bound prev_sup (pending @ [ (x, y) ]) rest
+            walk j pos { w with pending = w.pending @ [ (x, y) ] } rest
           | Rule.Pos a :: rest ->
-            let pre_ground, pending =
-              List.partition
-                (fun (x, y) ->
-                  List.for_all (fun v -> Var_set.mem v bound) (Term.vars x @ Term.vars y))
-                pending
+            let callee = if is_idb a.Atom.rel then Some (names a.Atom.rel) else None in
+            let w, rules =
+              step w callee a ~need:(needed_from (j + 1))
+                ~sup:(fun () -> sup (pos + 1))
+                ~demand:(demand a.Atom.rel)
             in
-            let pre_neqs = List.map (fun (x, y) -> Rule.Neq (x, y)) pre_ground in
-            let a_ad = Adornment.of_atom bound a in
-            let body_atom =
-              if is_idb a.Atom.rel then begin
-                (* Demand: in-S^ad(bound args) :- sup_{i,j-1}, <ground neqs>. *)
-                let in_s =
-                  Atom.cmake
-                    (Adornment.input_sym a.Atom.rel a_ad)
-                    (Adornment.bound_args a_ad a.Atom.args)
-                in
-                emit (Rule.make in_s (Rule.Pos prev_sup :: pre_neqs));
-                demand a.Atom.rel a_ad;
-                Atom.cmake (Adornment.adorned_sym a.Atom.rel a_ad) a.Atom.args
-              end
-              else a
-            in
-            let bound' = Var_set.union bound (Var_set.of_list (Atom.vars a)) in
-            let post_ground, pending =
-              List.partition
-                (fun (x, y) ->
-                  List.for_all (fun v -> Var_set.mem v bound') (Term.vars x @ Term.vars y))
-                pending
-            in
-            let post_neqs = List.map (fun (x, y) -> Rule.Neq (x, y)) post_ground in
-            let sup_j = sup_atom ~pos:(pos_count + 1) (attrs bound' (j + 1)) in
-            emit
-              (Rule.make sup_j
-                 ((Rule.Pos prev_sup :: pre_neqs) @ (Rule.Pos body_atom :: post_neqs)));
-            walk (j + 1) (pos_count + 1) bound' sup_j pending rest
+            List.iter emit rules;
+            walk (j + 1) (pos + 1) w rest
         in
-        walk 0 0 bound0 sup0 [] r.Rule.body)
-      rules
+        walk 0 0 w r.Rule.body)
+      (Program.rules_for program rel)
   done;
-  let seed =
-    Atom.cmake (Adornment.input_sym query.Atom.rel q_ad)
-      (Adornment.bound_args q_ad query.Atom.args)
-  in
-  let answer_pattern =
-    Atom.cmake (Adornment.adorned_sym query.Atom.rel q_ad) query.Atom.args
-  in
+  let n = names query.Atom.rel in
   {
     program = Program.make (List.rev !out);
-    seed;
+    seed = subquery n q_ad query.Atom.args;
     query;
     query_rel = query.Atom.rel;
     query_ad = q_ad;
-    answer_pattern;
+    answer_pattern = Atom.cmake (n.adorned q_ad) query.Atom.args;
   }
+
 
 (** Materialization report: how many facts of each kind the evaluation of a
     rewritten program produced. [answers_by_base] strips adornments and

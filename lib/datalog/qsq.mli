@@ -26,6 +26,47 @@ val rewrite : Program.t -> Atom.t -> t
     adornments are generated; rule indices follow
     {!Program.rules_for} order. *)
 
+(** {2 The steps of Fig. 4}
+
+    {!rewrite} is a demand worklist over these builders, and dQSQ's walk
+    builds its rules with them too (Theorem 1). Symbol ids order the
+    fact-store tables, so each builder interns in a fixed order: a
+    literal's own names, then the next supplementary symbol ([sup]). *)
+
+type names = { adorned : Adornment.t -> Symbol.t; input : Adornment.t -> Symbol.t }
+(** A relation's [R^ad] and [in-R^ad] makers. *)
+
+val names : Symbol.t -> names
+(** The centralized names; dQSQ locates the same names at a peer. *)
+
+type walk = { bound : Adornment.Var_set.t; prev : Atom.t; pending : (Term.t * Term.t) list }
+(** A rule body's walk so far: the bound variables, the last [sup_{i,j}]
+    atom, and the disequalities not yet ground. *)
+
+val subquery : names -> Adornment.t -> Term.t list -> Atom.t
+(** [in-R^ad(bound arguments)]: the fact that poses a query. *)
+
+val bridge : names -> stored:Symbol.t -> Adornment.t -> Rule.t
+(** [R^ad(X..) :- in-R^ad(bound X..), stored(X..)]: stored facts answer
+    the subqueries they match. *)
+
+val start :
+  names -> Adornment.t -> sup:Symbol.t -> need:Adornment.Var_set.t -> Term.t list ->
+  walk * Rule.t
+(** [sup_{i,0} :- in-R^ad(bound head arguments)], over the bound variables
+    in [need]. *)
+
+val step :
+  walk -> names option -> Atom.t -> need:Adornment.Var_set.t -> sup:(unit -> Symbol.t) ->
+  demand:(Adornment.t -> unit) -> walk * Rule.t list
+(** Pass a positive literal. Given its relation's names (an IDB relation),
+    emit [in-S^ad :- sup_{i,j-1}, ...], call [demand ad] and read [S^ad].
+    Then emit [sup_{i,j} :- sup_{i,j-1}, ..., literal, ...] over the bound
+    variables in [need], with each disequality once it is ground. *)
+
+val answer : walk -> names -> Adornment.t -> Term.t list -> Rule.t
+(** [R^ad(head arguments) :- sup_{i,last}, pending disequalities]. *)
+
 type materialization = {
   total : int;
   answer_facts : int;

@@ -156,6 +156,8 @@ let add_tenant t ~name net =
   else
     match if Petri.Net.is_binary net then net else Petri.Net.binarize net with
     | exception Petri.Net.Ill_formed m -> errorf "tenant %s: %s" name m
+    | net when Petri.Net.transitions net = [] ->
+      errorf "tenant %s: the net has no transitions" name
     | net when List.mem supervisor (Petri.Net.peers net) ->
       errorf "tenant %s: a net peer is named %S" name supervisor
     | net ->

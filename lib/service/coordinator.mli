@@ -79,8 +79,9 @@ val create : ?quantum:int -> ?stream_max_states:int -> unit -> t
 val add_tenant : t -> name:string -> Petri.Net.t -> (string list, string) result
 (** Register a tenant; the net is binarized if needed. Returns the peer
     placement (net peers + supervisor).
-    Fails on duplicate names, a peer named ["supervisor"], or a net that
-    cannot be binarized (a transition with more than two preset places). *)
+    Fails on duplicate names, a peer named ["supervisor"], a net with no
+    transitions, or a net that cannot be binarized (a transition with more
+    than two preset places). *)
 
 val open_session : t -> tenant:string -> (int, string) result
 

@@ -340,6 +340,55 @@ let ring_edb ?(domain = 8) ~rng k ~edges () =
       let c () = Term.const (Printf.sprintf "n%d" (Random.State.int rng domain)) in
       Datom.make ~rel:(Printf.sprintf "E%d" i) ~peer:(Printf.sprintf "p%d" i) [ c (); c () ])
 
+(* Theorem 1 at the rule level: the rules all peers install, with names
+   mapped by zeta and variables renamed by first occurrence, are the
+   centralized rewriting of the localized program. This needs each
+   relation to live at one peer: on the diagnosis program [sup] rule
+   indices are per peer (DESIGN.md §4b). *)
+let canonical_rules rules =
+  List.map
+    (fun (r : Rule.t) ->
+      let s =
+        Subst.of_list (List.mapi (fun i x -> (x, Term.var (Printf.sprintf "?%d" i))) (Rule.vars r))
+      in
+      let atom (a : Atom.t) =
+        Atom.make (Qsq_engine.zeta (Symbol.name a.Atom.rel)) (List.map (Subst.apply s) a.Atom.args)
+      in
+      Rule.to_string
+        (Rule.make (atom r.Rule.head)
+           (List.map
+              (function
+                | Rule.Pos a -> Rule.Pos (atom a)
+                | Rule.Neg a -> Rule.Neg (atom a)
+                | Rule.Neq (x, y) -> Rule.Neq (Subst.apply s x, Subst.apply s y))
+              r.Rule.body)))
+    rules
+  |> sorted_strings
+
+let check_theorem1_rules name program edb (query : Datom.t) =
+  let t = Qsq_engine.create program ~edb ~query in
+  ignore (Qsq_engine.run t ~query);
+  let peers = List.sort_uniq compare (query.Datom.peer :: Dprogram.peers program) in
+  let qsq = Qsq.rewrite (Dprogram.localize program) (Datom.to_local_atom query) in
+  Alcotest.(check (list string))
+    (name ^ ": same rules modulo zeta")
+    (canonical_rules (Program.rules qsq.Qsq.program))
+    (canonical_rules (List.concat_map (Qsq_engine.peer_rules t) peers))
+
+let test_theorem1_rules () =
+  check_theorem1_rules "Fig. 3" (Dprogram.figure3 ()) (fig3_edb ()) (fig3_query ());
+  for k = 2 to 5 do
+    let rng = Random.State.make [| k |] in
+    let edb = ring_edb ~rng k ~edges:12 () in
+    List.iter
+      (fun (kind, x) ->
+        check_theorem1_rules
+          (Printf.sprintf "ring %d, %s query" k kind)
+          (ring_program k) edb
+          (Datom.make ~rel:"R0" ~peer:"p0" [ x; Term.var "Y" ]))
+      [ ("bound", Term.const "n0"); ("free", Term.var "X") ]
+  done
+
 let arb_ring =
   QCheck.make
     ~print:(fun (k, e, seed) -> Printf.sprintf "peers=%d edges=%d seed=%d" k e seed)
@@ -562,7 +611,8 @@ let suite =
           test_cross_domain_intern;
         Alcotest.test_case "parallel keeps channel FIFO" `Quick
           test_parallel_keeps_channel_fifo;
-        Alcotest.test_case "Theorem 1 on Fig. 3" `Quick test_theorem1_fig3 ] );
+        Alcotest.test_case "Theorem 1 on Fig. 3" `Quick test_theorem1_fig3;
+        Alcotest.test_case "Theorem 1 on rules" `Quick test_theorem1_rules ] );
     ( "random",
       qcheck [ prop_theorem1_random; prop_dqsq_answers_random; prop_dnaive_answers_random ] );
     ( "communication",

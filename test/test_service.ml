@@ -140,6 +140,16 @@ let test_lifecycle_errors () =
   (match Coordinator.add_tenant coord ~name:"t" (running_net ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate tenant accepted");
+  (* a net with no transitions explains nothing: it is not a tenant *)
+  List.iter
+    (fun text ->
+      Alcotest.(check (result (list string) string))
+        "net without transitions" (Error "tenant e: the net has no transitions")
+        (Coordinator.add_tenant coord ~name:"e" (Petri.Parse.parse text).Petri.Parse.net))
+    [ ""; "place 1 @p1 marked\n" ];
+  (match Coordinator.open_session coord ~tenant:"e" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "refused tenant registered");
   let sid = ok (Coordinator.open_session coord ~tenant:"t") in
   (match Coordinator.add_alarm coord sid ~symbol:"b" ~peer:"nope" with
   | Error _ -> ()
