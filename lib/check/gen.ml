@@ -25,6 +25,7 @@ let no_pins =
   { pin_spec = None; pin_steps = None; pin_policy = None; pin_loss = None;
     pin_jobs = None }
 
+(* all three delivery policies, in the order they are cycled through *)
 let policies =
   [ Network.Sim.Random_interleaving; Network.Sim.Round_robin; Network.Sim.Global_fifo ]
 

@@ -41,9 +41,6 @@ val case : ?pins:pins -> seed:int -> unit -> case
     firing keeps the observation explainable; unambiguous observations
     are never cut. *)
 
-val policies : Network.Sim.policy list
-(** All three delivery policies, in the order they are cycled through. *)
-
 val policy_name : Network.Sim.policy -> string
 val policy_of_string : string -> (Network.Sim.policy, string) result
 

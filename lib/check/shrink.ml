@@ -97,6 +97,8 @@ let truncate_alarms (i : Property.instance) (k : int) : Property.instance option
   if k >= List.length pairs then None
   else Some { i with alarms = Petri.Alarm.make (List.filteri (fun j _ -> j < k) pairs) }
 
+(* structurally smaller variants, most aggressive first; every returned
+   net is well-formed, and none is left when the instance is minimal *)
 let candidates (i : Property.instance) : Property.instance list =
   let comps = components i.net in
   let drop_components =

@@ -13,16 +13,6 @@ type result = {
   checks : int;  (** property evaluations spent *)
 }
 
-val components : Petri.Net.t -> string list list
-(** The one-token components of a generated net, as place-id groups:
-    connected components of places under "transition moves a token from
-    pre[i] to post[i]" (transitions with mismatched pre/post arities
-    conservatively merge everything they touch). *)
-
-val candidates : Property.instance -> Property.instance list
-(** Structurally smaller variants, most aggressive first; every returned
-    net is well-formed. Empty when the instance is minimal. *)
-
 val shrink :
   ?max_checks:int -> check:(Property.instance -> Property.outcome) -> Property.instance ->
   result

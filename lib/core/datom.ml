@@ -10,27 +10,15 @@ open Datalog
 type t = { rel : string; peer : string; args : Term.t list }
 
 let make ~rel ~peer args = { rel; peer; args }
-let arity a = List.length a.args
 
 let equal a b =
   String.equal a.rel b.rel && String.equal a.peer b.peer
   && List.length a.args = List.length b.args
   && List.for_all2 Term.equal a.args b.args
 
-let compare a b =
-  let c = String.compare a.rel b.rel in
-  if c <> 0 then c
-  else
-    let c = String.compare a.peer b.peer in
-    (* structural term order: [compare] must stay stable across runs *)
-    if c <> 0 then c else List.compare Term.compare_structural a.args b.args
-
 let vars a =
   let add acc x = if List.mem x acc then acc else x :: acc in
   List.rev (List.fold_left (Term.vars_fold add) [] a.args)
-
-let is_ground a = List.for_all Term.is_ground a.args
-let apply s a = { a with args = List.map (Subst.apply s) a.args }
 
 (** The located relation as an interned symbol ["R@p"]. The ['@'] separator
     cannot occur in parsed relation names, so mangled names never collide.

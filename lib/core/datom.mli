@@ -9,12 +9,8 @@ open Datalog
 type t = { rel : string; peer : string; args : Term.t list }
 
 val make : rel:string -> peer:string -> Term.t list -> t
-val arity : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val vars : t -> string list
-val is_ground : t -> bool
-val apply : Subst.t -> t -> t
 
 val mangle_rel : rel:string -> peer:string -> Symbol.t
 (** The located relation as the interned symbol ["R@p"]; lets each peer

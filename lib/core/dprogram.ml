@@ -28,10 +28,6 @@ let body_relations t =
        (fun r -> List.map (fun a -> (a.Datom.rel, a.Datom.peer)) (Drule.body_atoms r))
        t.rules)
 
-let edb_relations t =
-  let idb = idb_relations t in
-  List.filter (fun r -> not (List.mem r idb)) (body_relations t)
-
 (** Check the well-formedness condition of Theorem 1: relation names of
     distinct peers are distinct (otherwise the localized comparison program
     is meaningless; "otherwise rename the relations"). *)

@@ -15,10 +15,6 @@ val peers : t -> string list
 val rules_at : t -> string -> Drule.t list
 (** The rules peer [p] holds, in program order. *)
 
-val idb_relations : t -> (string * string) list
-val body_relations : t -> (string * string) list
-val edb_relations : t -> (string * string) list
-
 val names_distinct_across_peers : t -> bool
 (** The w.l.o.g. hypothesis of Theorem 1 (rename otherwise). *)
 
@@ -41,7 +37,6 @@ val parse : string -> t
 (** Parse dDatalog: every atom carries [@peer]; body atoms without one
     default to the head's peer. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val figure3 : unit -> t

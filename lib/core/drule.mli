@@ -34,6 +34,5 @@ val to_local_rule : t -> Rule.t
 val to_global_rule : t -> Rule.t
 (** The P^g translation (peer column added). *)
 
-val pp_literal : Format.formatter -> literal -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

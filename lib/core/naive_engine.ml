@@ -146,5 +146,3 @@ let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
 let solve ?seed ?policy ?eval_options ?max_steps program ~edb ~query =
   let t = create ?seed ?policy ?eval_options program ~edb ~query in
   run ?max_steps t ~query
-
-let peer_store t p = Runtime.store (state t p).rt

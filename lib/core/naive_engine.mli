@@ -10,17 +10,6 @@ open Datalog
 
 type t
 
-val create :
-  ?seed:int ->
-  ?policy:Network.Sim.policy ->
-  ?eval_options:Eval.options ->
-  Dprogram.t ->
-  edb:Datom.t list ->
-  query:Datom.t ->
-  t
-(** One simulated peer per dDatalog peer; EDB facts preloaded into their
-    owners' stores. *)
-
 type outcome = {
   answers : Atom.t list;  (** instantiations of the query's mangled atom *)
   deliveries : int;
@@ -28,9 +17,6 @@ type outcome = {
   total_facts : int;  (** over all peer stores, replicas included *)
   facts_per_peer : (string * int) list;
 }
-
-val run : ?max_steps:int -> t -> query:Datom.t -> outcome
-(** Pose the query and run the network to quiescence. *)
 
 val solve :
   ?seed:int ->
@@ -41,5 +27,3 @@ val solve :
   edb:Datom.t list ->
   query:Datom.t ->
   outcome
-
-val peer_store : t -> string -> Fact_store.t

@@ -25,8 +25,6 @@
 
 open Datalog
 
-val version : int
-
 exception Corrupt of string
 (** Raised by decoders on malformed input (truncation, bad tags, version
     or kind mismatch, out-of-range table ids, trailing bytes). *)

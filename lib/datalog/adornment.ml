@@ -12,8 +12,6 @@ type t = bool array
 let to_string (ad : t) =
   String.init (Array.length ad) (fun i -> if ad.(i) then 'b' else 'f')
 
-let pp ppf ad = Format.pp_print_string ppf (to_string ad)
-let equal (a : t) (b : t) = a = b
 let bound_count (ad : t) = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 ad
 
 module Var_set = Set.Make (String)

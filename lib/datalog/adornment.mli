@@ -10,8 +10,6 @@ type t = bool array
 module Var_set : Set.S with type elt = string
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 val bound_count : t -> int
 
 val of_atom : Var_set.t -> Atom.t -> t

@@ -4,16 +4,11 @@ type t = { rel : Symbol.t; args : Term.t list }
 
 let make rel args = { rel = Symbol.intern rel; args }
 let cmake rel args = { rel; args }
-let arity a = List.length a.args
 
 let equal a b =
   Symbol.equal a.rel b.rel
   && List.length a.args = List.length b.args
   && List.for_all2 Term.equal a.args b.args
-
-let compare a b =
-  let c = Symbol.compare a.rel b.rel in
-  if c <> 0 then c else List.compare Term.compare a.args b.args
 
 let hash a =
   List.fold_left (fun acc t -> (acc * 65599) + Term.hash t) (Symbol.hash a.rel) a.args

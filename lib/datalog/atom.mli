@@ -6,9 +6,7 @@ val make : string -> Term.t list -> t
 (** [make rel args] interns [rel] and builds the atom. *)
 
 val cmake : Symbol.t -> Term.t list -> t
-val arity : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 val is_ground : t -> bool
 

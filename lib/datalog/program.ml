@@ -10,7 +10,6 @@ type t = { rules : Rule.t list }
 let make rules = { rules }
 let rules t = t.rules
 let size t = List.length t.rules
-let append a b = { rules = a.rules @ b.rules }
 
 let head_relations t =
   List.sort_uniq Symbol.compare (List.map (fun r -> r.Rule.head.Atom.rel) t.rules)
@@ -24,8 +23,6 @@ let body_relations t =
 let edb_relations t =
   let idb = idb_relations t in
   List.filter (fun r -> not (List.mem r idb)) (body_relations t)
-
-let is_idb t rel = List.mem rel (idb_relations t)
 
 let rules_for t rel =
   List.filter (fun r -> Symbol.equal r.Rule.head.Atom.rel rel) t.rules

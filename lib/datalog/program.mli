@@ -9,16 +9,11 @@ type t
 val make : Rule.t list -> t
 val rules : t -> Rule.t list
 val size : t -> int
-val append : t -> t -> t
 
-val head_relations : t -> Symbol.t list
 val idb_relations : t -> Symbol.t list
-val body_relations : t -> Symbol.t list
 
 val edb_relations : t -> Symbol.t list
 (** Relations appearing in bodies but defined by no rule. *)
-
-val is_idb : t -> Symbol.t -> bool
 
 val rules_for : t -> Symbol.t -> Rule.t list
 (** The rules whose head relation is the given one, in program order (the
@@ -28,5 +23,4 @@ val partition_facts : t -> Atom.t list * t
 (** Split the ground body-less rules off as initial facts. *)
 
 val check_range_restricted : t -> (unit, Rule.t * string) result
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -95,6 +95,13 @@ let step w callee (a : Atom.t) ~need ~sup ~demand =
   in
   let bound = Var_set.union w.bound (Var_set.of_list (Atom.vars a)) in
   let post, pending = ground bound pending in
+  (* a disequality still pending keeps its variables for the literal
+     that grounds it *)
+  let need =
+    List.fold_left
+      (fun need (x, y) -> Var_set.union need (Var_set.of_list (Term.vars x @ Term.vars y)))
+      need pending
+  in
   let sup_j = var_atom (sup ()) (attrs bound need) in
   ( { bound; prev = sup_j; pending },
     in_rules @ [ Rule.make sup_j (guard @ (Rule.Pos body_atom :: post)) ] )
@@ -129,17 +136,12 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
         let r = Rule.freshen r0 in
         let head = r.Rule.head in
         let head_vars = Atom.vars head in
-        (* Variables needed by the literals at positions >= j, or by the
-           head. [j] does not advance past a disequality, so after one the
-           set keeps the next atom's variables too. *)
-        let needed_from j =
-          let later = List.filteri (fun k _ -> k >= j) r.Rule.body in
-          Var_set.of_list (head_vars @ List.concat_map Rule.literal_vars later)
-        in
+        (* the variables of the head and of the literals still to walk *)
+        let need lits = Var_set.of_list (head_vars @ List.concat_map Rule.literal_vars lits) in
         let sup pos = Adornment.sup_sym rel ad ~rule_index:i ~pos in
-        let w, sup0_rule = start n ad ~sup:(sup 0) ~need:(needed_from 0) head.Atom.args in
+        let w, sup0_rule = start n ad ~sup:(sup 0) ~need:(need r.Rule.body) head.Atom.args in
         emit sup0_rule;
-        let rec walk j pos w = function
+        let rec walk pos w = function
           | [] -> emit (answer w n ad head.Atom.args)
           | Rule.Neg _ :: _ ->
             (* "Extensions of Magic Sets for Datalog with negation were
@@ -149,18 +151,18 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
           | Rule.Neq (x, y) :: rest ->
             (* Disequalities are folded into the next rule whose bindings
                ground them (or into the final answer rule). *)
-            walk j pos { w with pending = w.pending @ [ (x, y) ] } rest
+            walk pos { w with pending = w.pending @ [ (x, y) ] } rest
           | Rule.Pos a :: rest ->
             let callee = if is_idb a.Atom.rel then Some (names a.Atom.rel) else None in
             let w, rules =
-              step w callee a ~need:(needed_from (j + 1))
+              step w callee a ~need:(need rest)
                 ~sup:(fun () -> sup (pos + 1))
                 ~demand:(demand a.Atom.rel)
             in
             List.iter emit rules;
-            walk (j + 1) (pos + 1) w rest
+            walk (pos + 1) w rest
         in
-        walk 0 0 w r.Rule.body)
+        walk 0 w r.Rule.body)
       (Program.rules_for program rel)
   done;
   let n = names query.Atom.rel in
@@ -219,18 +221,6 @@ let materialization (store : Fact_store.t) : materialization =
     sup_facts = !sups;
     answers_by_base;
   }
-
-(** Distinct base-relation tuples materialized for [base], as term lists. *)
-let materialized_tuples (store : Fact_store.t) (base : string) : Term.t list list =
-  let tbl : (Term.t list, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun rel ->
-      match Adornment.classify rel with
-      | `Answer (b, _) when String.equal b base ->
-        List.iter (fun args -> Hashtbl.replace tbl args ()) (Fact_store.tuples_of store rel)
-      | `Answer _ | `Input _ | `Sup _ | `Plain -> ())
-    (Fact_store.relations store);
-  Hashtbl.fold (fun args () acc -> args :: acc) tbl []
 
 (* Shared with the distributed engine ({!Runtime} increments the same
    names): totals across every QSQ-rewritten evaluation in the process. *)

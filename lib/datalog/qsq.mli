@@ -80,9 +80,6 @@ val materialization : Fact_store.t -> materialization
 (** Report how much a rewritten-program evaluation materialized — the
     quantity Theorem 4 compares against the dedicated algorithm. *)
 
-val materialized_tuples : Fact_store.t -> string -> Term.t list list
-(** Distinct tuples materialized for a base relation, across adornments. *)
-
 val solve :
   ?options:Eval.options ->
   Program.t ->

@@ -34,19 +34,14 @@ val check_range_restricted : t -> (unit, string) result
 (** [Error x] names an offending variable. *)
 
 val is_range_restricted : t -> bool
-val apply : Subst.t -> t -> t
 
 val freshen : t -> t
 (** Rename all variables with a fresh ["~n"] suffix, for capture-free reuse
     of the rule during rewriting. *)
 
-val pp_literal : Format.formatter -> literal -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
-
-val hash : t -> int
-(** Structural hash agreeing with {!equal}. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Tables keyed by rules up to {!equal}: the same rule rebuilt is the same

@@ -9,7 +9,6 @@ module M = Map.Make (String)
 type t = Term.t M.t
 
 let empty : t = M.empty
-let is_empty = M.is_empty
 let find x (s : t) = M.find_opt x s
 let bind x t (s : t) = M.add x t s
 let bindings (s : t) = M.bindings s
@@ -42,11 +41,3 @@ module S = Set.Make (String)
 let restrict vars (s : t) : t =
   let keep = S.of_list vars in
   M.filter (fun x _ -> S.mem x keep) s
-
-let equal (a : t) (b : t) = M.equal Term.equal a b
-
-let pp ppf (s : t) =
-  let pp_binding ppf (x, t) = Format.fprintf ppf "%s := %a" x Term.pp t in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp_binding)
-    (M.bindings s)

@@ -7,7 +7,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val find : string -> t -> Term.t option
 val bind : string -> Term.t -> t -> t
 val bindings : t -> (string * Term.t) list
@@ -24,6 +23,3 @@ val compose : t -> t -> t
 
 val restrict : string list -> t -> t
 (** Keep only the bindings of the given variables. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -7,9 +7,6 @@
 
 open Datalog
 
-val root_id : string
-(** The virtual root transition id (the paper's [r]). *)
-
 val root_term : Term.t
 
 val term_of_name : Petri.Unfolding.name -> Term.t

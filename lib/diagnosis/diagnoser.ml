@@ -1,11 +1,12 @@
 (** The paper's diagnoser: the diagnosis problem as a dDatalog query,
     evaluated with QSQ (centralized) or dQSQ (distributed) — Sections 4.1–4.3.
 
-    [prepare] assembles the full distributed program: the unfolding rules of
-    every net peer ({!Encode}), the supervisor's rules for the observed
-    alarm sequence ({!Supervisor}), the [petriNet] base facts at the net
-    peers and the [alarmSeq] base facts at the supervisor. The diagnosis is
-    the answer to [q@supervisor(?, ?)]. *)
+    Both problems are assembled by one path, net half then observation
+    half: the unfolding rules of every net peer ({!Encode}) and the
+    [petriNet] base facts at the net peers, then the supervisor's rules and
+    its [alarmSeq] base facts for the observations ({!Supervisor}); a fixed
+    alarm sequence is one word per peer. The diagnosis is the answer to
+    [q@supervisor(?, ?)]. *)
 
 open Datalog
 open Dqsq
@@ -43,19 +44,48 @@ let events_c = Obs.Metrics.counter "diagnoser.events_materialized"
 let conds_c = Obs.Metrics.counter "diagnoser.conds_materialized"
 let explanations_c = Obs.Metrics.counter "diagnoser.explanations"
 
+let binarized net = if Petri.Net.is_binary net then net else Petri.Net.binarize net
+
+(* The net half of a problem: what the net alone determines. *)
+type net_half = { rules : Dprogram.t; facts : Datom.t list }
+
+let encode encoding ~hidden net =
+  let facts = Encode.petri_net_facts ~hidden net @ Encode.hidden_net_facts ~hidden net in
+  { rules = unfolding_rules encoding net; facts }
+
+let encode_net net = encode Co ~hidden:[] net
+
+(* The one assembly: the program is the net half's unfolding rules followed
+   by the supervisor's rules for the observations, and so are the base
+   facts. The supervisor is built before [half] is forced, so a caller
+   whose net half is not built yet interns the supervisor's names first
+   (symbol ids order the fact-store tables). *)
+let assemble ~supervisor ~hidden net (half : net_half Lazy.t) observations =
+  check_supervisor_name supervisor net;
+  let sup =
+    Supervisor.build ~supervisor ~place_peers:(Petri.Net.peers net)
+      ~hidden_peers:(Encode.hidden_peers ~hidden net) observations
+  in
+  let half = Lazy.force half in
+  ( {
+      net;
+      program = Dprogram.append half.rules sup.Supervisor.program;
+      edb = half.facts @ sup.Supervisor.facts;
+      query = sup.Supervisor.query;
+      supervisor;
+    },
+    sup.Supervisor.unbounded )
+
 let prepare ?(supervisor = "supervisor") ?(encoding = Co) (net : Petri.Net.t)
     (alarms : Petri.Alarm.t) : prepared =
   Obs.Trace.with_span "diagnoser.prepare" @@ fun () ->
-  let net = if Petri.Net.is_binary net then net else Petri.Net.binarize net in
-  check_supervisor_name supervisor net;
-  let sup = Supervisor.build ~supervisor ~place_peers:(Petri.Net.peers net) alarms in
-  {
-    net;
-    program = Dprogram.append (unfolding_rules encoding net) sup.Supervisor.program;
-    edb = Encode.petri_net_facts net @ sup.Supervisor.facts;
-    query = sup.Supervisor.query;
-    supervisor;
-  }
+  let net = binarized net in
+  fst
+    (assemble ~supervisor ~hidden:[] net (lazy (encode encoding ~hidden:[] net))
+       (Supervisor.words alarms))
+
+let prepare_on ~supervisor net half alarms =
+  fst (assemble ~supervisor ~hidden:[] net (Lazy.from_val half) (Supervisor.words alarms))
 
 (** Generalized problem (Section 4.4): per-peer regular observations and
     hidden transitions (given by id). The resulting program may have an
@@ -64,23 +94,8 @@ let prepare ?(supervisor = "supervisor") ?(encoding = Co) (net : Petri.Net.t)
     [Supervisor.unbounded] flags it. *)
 let prepare_general ?(supervisor = "supervisor") ?(hidden = []) (net : Petri.Net.t)
     (observations : (string * Supervisor.observation) list) : prepared * bool =
-  let net = if Petri.Net.is_binary net then net else Petri.Net.binarize net in
-  check_supervisor_name supervisor net;
-  let sup =
-    Supervisor.build_general ~supervisor ~place_peers:(Petri.Net.peers net)
-      ~hidden_peers:(Encode.hidden_peers ~hidden net) observations
-  in
-  ( {
-      net;
-      program = Dprogram.append (Encode.unfolding_program net) sup.Supervisor.program;
-      edb =
-        Encode.petri_net_facts ~hidden net
-        @ Encode.hidden_net_facts ~hidden net
-        @ sup.Supervisor.facts;
-      query = sup.Supervisor.query;
-      supervisor;
-    },
-    sup.Supervisor.unbounded )
+  let net = binarized net in
+  assemble ~supervisor ~hidden net (lazy (encode Co ~hidden net)) observations
 
 (** A term-depth bound admitting every configuration of at most [max_config_size]
     events: configuration ids nest one [h] per event and event names two
@@ -266,24 +281,9 @@ let diagnose ?supervisor ?eval_options ?(engine = Centralized_qsq) net alarms : 
     goal-directed evaluation (Section 4.3's motivation). *)
 let full_unfolding_materialization ?(encoding = Co) ~depth (net : Petri.Net.t) :
     Term.Set.t * Term.Set.t * int =
-  let net = if Petri.Net.is_binary net then net else Petri.Net.binarize net in
+  let net = binarized net in
   let program = Dprogram.mangled (unfolding_rules encoding net) in
   let store = Fact_store.create () in
   let options = { Eval.default_options with Eval.max_depth = Some depth } in
   ignore (Eval.seminaive ~options program store);
-  (* here the facts are plain (un-adorned): count nodes directly *)
-  let events = ref Term.Set.empty and conds = ref Term.Set.empty in
-  List.iter
-    (fun rel ->
-      match Datom.unmangle rel with
-      | Some ("trans", _) ->
-        List.iter
-          (function x :: _ -> events := Term.Set.add x !events | [] -> ())
-          (Fact_store.tuples_of store rel)
-      | Some ("places", _) ->
-        List.iter
-          (function m :: _ -> conds := Term.Set.add m !conds | [] -> ())
-          (Fact_store.tuples_of store rel)
-      | Some _ | None -> ())
-    (Fact_store.relations store);
-  (!events, !conds, Fact_store.count store)
+  Encode.materialized store

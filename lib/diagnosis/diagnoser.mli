@@ -19,7 +19,20 @@ type encoding =
 
 val prepare :
   ?supervisor:string -> ?encoding:encoding -> Petri.Net.t -> Petri.Alarm.t -> prepared
-(** The basic problem. The net is binarized if needed. *)
+(** The basic problem: one word per peer ({!Supervisor.words}) over the
+    net. The net is binarized if needed. *)
+
+type net_half
+(** The part of a problem the net alone determines: its unfolding rules
+    and [petriNet] facts. A prepared program is these followed by the
+    supervisor's rules and facts. *)
+
+val encode_net : Petri.Net.t -> net_half
+(** The {!Co} net half of a binarized net, for a caller that prepares many
+    sequences over one net. *)
+
+val prepare_on : supervisor:string -> Petri.Net.t -> net_half -> Petri.Alarm.t -> prepared
+(** {!prepare} over a binarized net and its {!encode_net} half. *)
 
 val prepare_general :
   ?supervisor:string ->

@@ -210,3 +210,22 @@ let hidden_peers ~hidden (net : Petri.Net.t) : string list =
        (fun (tr : Petri.Net.transition) ->
          if List.mem tr.Petri.Net.t_id hidden then Some tr.Petri.Net.t_peer else None)
        (Petri.Net.transitions net))
+
+(** The unfolding nodes a plain (un-adorned) store holds: the first column
+    of its [trans] and [places] facts at every peer, and its fact count. *)
+let materialized (store : Fact_store.t) : Term.Set.t * Term.Set.t * int =
+  let column rel acc =
+    List.fold_left
+      (fun acc -> function x :: _ -> Term.Set.add x acc | [] -> acc)
+      acc (Fact_store.tuples_of store rel)
+  in
+  let events, conds =
+    List.fold_left
+      (fun (events, conds) rel ->
+        match Datom.unmangle rel with
+        | Some ("trans", _) -> (column rel events, conds)
+        | Some ("places", _) -> (events, column rel conds)
+        | Some _ | None -> (events, conds))
+      (Term.Set.empty, Term.Set.empty) (Fact_store.relations store)
+  in
+  (events, conds, Fact_store.count store)

@@ -32,3 +32,7 @@ val hidden_net_facts : hidden:string list -> Petri.Net.t -> Datom.t list
 (** [hiddenNet@p(t, c0, c00)] facts for unobservable transitions. *)
 
 val hidden_peers : hidden:string list -> Petri.Net.t -> string list
+
+val materialized : Datalog.Fact_store.t -> Datalog.Term.Set.t * Datalog.Term.Set.t * int
+(** The unfolding nodes a plain (un-adorned) store holds: (events from
+    [trans], conditions from [places], total facts). *)

@@ -141,18 +141,4 @@ let materialize ~depth (net : Petri.Net.t) : Term.Set.t * Term.Set.t * int =
   let store = Fact_store.create () in
   let options = { Eval.default_options with Eval.max_depth = Some depth } in
   ignore (Eval.alternating ~options program store);
-  let events = ref Term.Set.empty and conds = ref Term.Set.empty in
-  List.iter
-    (fun rel ->
-      match Dqsq.Datom.unmangle rel with
-      | Some ("trans", _) ->
-        List.iter
-          (function x :: _ -> events := Term.Set.add x !events | [] -> ())
-          (Fact_store.tuples_of store rel)
-      | Some ("places", _) ->
-        List.iter
-          (function m :: _ -> conds := Term.Set.add m !conds | [] -> ())
-          (Fact_store.tuples_of store rel)
-      | Some _ | None -> ())
-    (Fact_store.relations store);
-  (!events, !conds, Fact_store.count store)
+  Encode.materialized store

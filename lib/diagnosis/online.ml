@@ -508,6 +508,58 @@ let peer_tables (net : Petri.Net.t) index =
 (* a node's key from its positions and cut *)
 let make_key positions cut = Array.append positions (Array.map (fun c -> Term.tag c.term) cut)
 
+(* A checkpoint frame as decoded, before it becomes an engine: terms are
+   interned, nothing else is built. *)
+type frame_node = {
+  positions : int array;
+  cut_terms : Term.t list;
+  tips : Term.t list list;  (** per config *)
+}
+
+type frame = {
+  f_gc : bool;
+  f_max_states : int;
+  f_alarms_seen : int;
+  f_unknown_alarms : int;
+  f_states_explored : int;
+  f_reclaimed : int;
+  f_words : word array;  (** [fires] still empty *)
+  f_nodes : frame_node array;
+  f_edges : (Term.t * int) list array;  (** per node: (event, target node index) *)
+}
+
+(* The engine over a net's tables, with the words, counters and budget of
+   [fr]. It interns nothing: [start] and [restore] each intern in their own
+   order before calling it (DESIGN.md §4b item 11). *)
+let of_frame ~f ~g ~places (peers, peer_index, by_label) ~digest fr =
+  let npeers = Array.length peers in
+  {
+    peers;
+    peer_index;
+    by_label;
+    f;
+    g;
+    places;
+    words = fr.f_words;
+    table = Tbl.create 256;
+    probe_key = Array.make (npeers + Array.length places) 0;
+    probe_cut = Array.make (Array.length places) empty;
+    caught_up = Array.make (max 1 npeers) [];
+    ref_events = Tag_tbl.create 256;
+    events_tbl = Tag_tbl.create 256;
+    conds_tbl = Tag_tbl.create 256;
+    held = Tag_tbl.create 256;
+    live_count = 0;
+    reclaimed = fr.f_reclaimed;
+    states_explored = fr.f_states_explored;
+    alarms_seen = fr.f_alarms_seen;
+    unknown_alarms = fr.f_unknown_alarms;
+    released = false;
+    max_states = fr.f_max_states;
+    gc_enabled = fr.f_gc;
+    net_digest = digest;
+  }
+
 let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
   let g = Symbol.intern "g" in
   let places, index = place_index net in
@@ -516,35 +568,22 @@ let start ?(max_states = 2_000_000) ?(gc = true) (net : Petri.Net.t) : t =
       (fun place -> (Hashtbl.find index place, Term.capp g [ Canon.root_term; Term.const place ]))
       (Petri.Net.String_set.elements (Petri.Net.marking net))
   in
-  let peers, peer_index, by_label = peer_tables net index in
+  let ((peers, _, _) as tables) = peer_tables net index in
   let npeers = Array.length peers in
+  let f = Symbol.intern "f" in
   let t =
-    {
-      peers;
-      peer_index;
-      by_label;
-      f = Symbol.intern "f";
-      g;
-      places;
-      words = Array.init npeers (fun _ -> { syms = [||]; fires = [||]; base = 0; len = 0 });
-      table = Tbl.create 256;
-      probe_key = Array.make (npeers + Array.length places) 0;
-      probe_cut = Array.make (Array.length places) empty;
-      caught_up = Array.make (max 1 npeers) [];
-      ref_events = Tag_tbl.create 256;
-      events_tbl = Tag_tbl.create 256;
-      conds_tbl = Tag_tbl.create 256;
-      held = Tag_tbl.create 256;
-      live_count = 0;
-      reclaimed = 0;
-      states_explored = 0;
-      alarms_seen = 0;
-      unknown_alarms = 0;
-      released = false;
-      max_states;
-      gc_enabled = gc;
-      net_digest = net_fingerprint net;
-    }
+    of_frame ~f ~g ~places tables ~digest:(net_fingerprint net)
+      {
+        f_gc = gc;
+        f_max_states = max_states;
+        f_alarms_seen = 0;
+        f_unknown_alarms = 0;
+        f_states_explored = 0;
+        f_reclaimed = 0;
+        f_words = Array.init npeers (fun _ -> { syms = [||]; fires = [||]; base = 0; len = 0 });
+        f_nodes = [||];
+        f_edges = [||];
+      }
   in
   let initial_cut = Array.make (Array.length places) empty in
   List.iter (fun (p, cd) -> initial_cut.(p) <- cond_of t cd) initial;
@@ -759,26 +798,6 @@ let read_list n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
 
-(* A checkpoint frame as decoded, before it becomes an engine: terms are
-   interned, nothing else is built. *)
-type frame_node = {
-  positions : int array;
-  cut_terms : Term.t list;
-  tips : Term.t list list;  (** per config *)
-}
-
-type frame = {
-  f_gc : bool;
-  f_max_states : int;
-  f_alarms_seen : int;
-  f_unknown_alarms : int;
-  f_states_explored : int;
-  f_reclaimed : int;
-  f_words : word array;  (** [fires] still empty *)
-  f_nodes : frame_node array;
-  f_edges : (Term.t * int) list array;  (** per node: (event, target node index) *)
-}
-
 (* Decode one frame of a chain through the chain's decoder [d]. Every
    length is checked against what the frame carries, so a forged length
    runs into the end of the frame ([Wire.Corrupt]) instead of allocating
@@ -844,7 +863,7 @@ let read_frame ~digest ~peers d blob =
 let restore ?max_states (net : Petri.Net.t) (chain : string) : t =
   let digest = net_fingerprint net in
   let places, index = place_index net in
-  let peers, peer_index, by_label = peer_tables net index in
+  let ((peers, _, _) as tables) = peer_tables net index in
   let f = Symbol.intern "f" and g = Symbol.intern "g" in
   (* every frame is decoded for its definitions; the last is the engine *)
   let d = Wire.decoder () in
@@ -858,32 +877,8 @@ let restore ?max_states (net : Petri.Net.t) (chain : string) : t =
   in
   let npeers = Array.length peers in
   let t =
-    {
-      peers;
-      peer_index;
-      by_label;
-      f;
-      g;
-      places;
-      words = last.f_words;
-      table = Tbl.create 256;
-      probe_key = Array.make (npeers + Array.length places) 0;
-      probe_cut = Array.make (Array.length places) empty;
-      caught_up = Array.make (max 1 npeers) [];
-      ref_events = Tag_tbl.create 256;
-      events_tbl = Tag_tbl.create 256;
-      conds_tbl = Tag_tbl.create 256;
-      held = Tag_tbl.create 256;
-      live_count = 0;
-      reclaimed = last.f_reclaimed;
-      states_explored = last.f_states_explored;
-      alarms_seen = last.f_alarms_seen;
-      unknown_alarms = last.f_unknown_alarms;
-      released = false;
-      max_states = Option.value ~default:last.f_max_states max_states;
-      gc_enabled = last.f_gc;
-      net_digest = digest;
-    }
+    of_frame ~f ~g ~places tables ~digest
+      { last with f_max_states = Option.value ~default:last.f_max_states max_states }
   in
   Array.iteri (fun pi w -> w.fires <- Array.map (emitting t pi) w.syms) t.words;
   (* one record per condition across the frame's cuts: none is held

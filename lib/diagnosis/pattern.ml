@@ -34,7 +34,6 @@ let make ~states ~initial ~accepting ~transitions =
     transitions;
   { states; initial; accepting; transitions }
 
-let states t = t.states
 let initial t = t.initial
 let accepting t = t.accepting
 let transitions t = t.transitions
@@ -237,10 +236,3 @@ let unbounded (t : t) : bool =
       cyc
   in
   List.exists (fun q -> useful q && dfs q) (List.filter useful t.states)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>states: %s@,initial: %s@,accepting: %s@,%a@]"
-    (String.concat " " t.states) (String.concat " " t.initial)
-    (String.concat " " t.accepting)
-    (Format.pp_print_list (fun ppf (q, a, q') -> Format.fprintf ppf "%s --%s--> %s" q a q'))
-    t.transitions

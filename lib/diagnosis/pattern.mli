@@ -16,11 +16,9 @@ val make :
 (** An NFA; transitions are [(state, symbol, state')].
     @raise Invalid_argument on unknown states. *)
 
-val states : t -> string list
 val initial : t -> string list
 val accepting : t -> string list
 val transitions : t -> (string * string * string) list
-val alphabet : t -> string list
 
 val step : t -> S_set.t -> string -> S_set.t
 (** One NFA step on a symbol. *)
@@ -49,5 +47,3 @@ val contains_factor : alphabet:string list -> string list -> t
 val unbounded : t -> bool
 (** Accepts arbitrarily long words (a useful cycle exists): diagnosis then
     needs the depth gadget of Section 4.4. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,29 +1,25 @@
 (** The dedicated diagnosis algorithm of Benveniste–Fabre–Haar–Jard [8], as
-    sketched in Section 4.3 of the paper.
+    sketched in Section 4.3 of the paper, with the Section 4.4 extensions.
 
-    The alarm sequence is viewed as a product of per-peer linear Petri nets;
-    unfolding the product on the fly materializes exactly the prefix of
-    [Unfold(N, M)] relevant to the observation: "starting from the set M of
-    initially marked places and an empty alarm sequence, one adds, to the
-    net constructed for the prefix of length i-1, the transition nodes that
-    emit the i-th alarm in the sequence and can extend some configuration of
-    length i-1 already in the net. When the last alarm symbol is processed,
-    the net contains all the nodes belonging to the possible
-    configurations."
+    The observation is viewed as a product of per-peer automata with the
+    net; unfolding the product on the fly materializes exactly the prefix
+    of [Unfold(N, M)] relevant to the observation: "starting from the set M
+    of initially marked places and an empty alarm sequence, one adds, to
+    the net constructed for the prefix of length i-1, the transition nodes
+    that emit the i-th alarm in the sequence and can extend some
+    configuration of length i-1 already in the net. When the last alarm
+    symbol is processed, the net contains all the nodes belonging to the
+    possible configurations." A fixed alarm sequence is the product with
+    each peer's linear word automaton, so the basic problem is the
+    Section 4.4 search over {!Supervisor.Word} observations.
 
-    States of the search are (per-peer positions, configuration, cut); the
-    cut's conditions are pairwise concurrent by construction, so extending
-    with transition [t] means picking one cut condition per parent place.
-    Nodes carry the same canonical terms as the Datalog encoding, making
-    Theorem 4 a set comparison ({!materialized_events}). *)
+    States of the search are (per-peer automaton states, configuration,
+    cut); the cut's conditions are pairwise concurrent by construction, so
+    extending with transition [t] means picking one cut condition per
+    parent place. Nodes carry the same canonical terms as the Datalog
+    encoding, making Theorem 4 a set comparison ([events_materialized]). *)
 
 open Datalog
-
-type state = {
-  positions : (string * int) list;  (** alarms consumed per peer (sorted) *)
-  config : Term.Set.t;  (** event terms *)
-  cut : Term.Set.t;  (** condition terms available for consumption *)
-}
 
 type result = {
   diagnosis : Canon.diagnosis;
@@ -55,108 +51,12 @@ let choices_for (cut : Term.Set.t) (places : string list) : Term.t list list =
   in
   go [] places
 
-let diagnose ?(max_states = 2_000_000) (net : Petri.Net.t) (alarms : Petri.Alarm.t) : result =
-  let split = Petri.Alarm.split alarms in
-  let words =
-    List.map (fun (p, l) -> (p, Array.of_list (List.map (fun a -> a.Petri.Alarm.symbol) l))) split
-  in
-  let initial_cut =
-    Petri.Net.String_set.fold
-      (fun place acc -> Term.Set.add (Term.app "g" [ Canon.root_term; Term.const place ]) acc)
-      (Petri.Net.marking net) Term.Set.empty
-  in
-  let events_mat = ref Term.Set.empty in
-  let conds_mat = ref initial_cut in
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let state_key st =
-    String.concat "|"
-      (List.map (fun (p, i) -> Printf.sprintf "%s=%d" p i) st.positions)
-    ^ "||"
-    ^ String.concat ";" (List.map Term.to_string (Term.Set.elements st.config))
-  in
-  let queue = Queue.create () in
-  let explored = ref 0 in
-  let diagnosis = ref [] in
-  let push st =
-    let key = state_key st in
-    if not (Hashtbl.mem seen key) then begin
-      if Hashtbl.length seen >= max_states then failwith "Product.diagnose: state budget exceeded";
-      Hashtbl.add seen key ();
-      Queue.add st queue
-    end
-  in
-  push
-    {
-      positions = List.map (fun (p, _) -> (p, 0)) words |> List.sort compare;
-      config = Term.Set.empty;
-      cut = initial_cut;
-    };
-  let transitions_by (p : string) (a : string) =
-    List.filter
-      (fun tr -> String.equal tr.Petri.Net.t_peer p && String.equal tr.Petri.Net.t_alarm a)
-      (Petri.Net.transitions net)
-  in
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    incr explored;
-    let complete =
-      List.for_all (fun (p, i) -> i = Array.length (List.assoc p words)) st.positions
-    in
-    if complete then diagnosis := st.config :: !diagnosis
-    else
-      List.iter
-        (fun (p, i) ->
-          let word = List.assoc p words in
-          if i < Array.length word then begin
-            let alarm = word.(i) in
-            List.iter
-              (fun (tr : Petri.Net.transition) ->
-                List.iter
-                  (fun pre_conds ->
-                    let event = Term.app "f" (Term.const tr.Petri.Net.t_id :: pre_conds) in
-                    let children =
-                      List.map
-                        (fun c' -> Term.app "g" [ event; Term.const c' ])
-                        tr.Petri.Net.t_post
-                    in
-                    (* materialization: the nodes the algorithm constructs *)
-                    events_mat := Term.Set.add event !events_mat;
-                    List.iter (fun cd -> conds_mat := Term.Set.add cd !conds_mat) children;
-                    let cut' =
-                      List.fold_left (fun acc cd -> Term.Set.add cd acc)
-                        (List.fold_left (fun acc cd -> Term.Set.remove cd acc) st.cut pre_conds)
-                        children
-                    in
-                    push
-                      {
-                        positions =
-                          List.map (fun (q, j) -> if String.equal q p then (q, j + 1) else (q, j))
-                            st.positions;
-                        config = Term.Set.add event st.config;
-                        cut = cut';
-                      })
-                  (choices_for st.cut tr.Petri.Net.t_pre))
-              (transitions_by p alarm)
-          end)
-        st.positions
-  done;
-  {
-    diagnosis = Canon.normalize_diagnosis !diagnosis;
-    events_materialized = !events_mat;
-    conds_materialized = !conds_mat;
-    states_explored = !explored;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Extensions (Section 4.4): hidden transitions and alarm patterns     *)
-(* ------------------------------------------------------------------ *)
-
 module SS = Pattern.S_set
 
-type gstate = {
-  g_states : (string * SS.t) list;  (** NFA state set per observed peer *)
-  g_config : Term.Set.t;
-  g_cut : Term.Set.t;
+type state = {
+  states : (string * SS.t) list;  (** NFA state set per observed peer (sorted) *)
+  config : Term.Set.t;  (** event terms *)
+  cut : Term.Set.t;  (** condition terms available for consumption *)
 }
 
 (** Generalized product diagnosis: per-peer regular observations plus
@@ -178,9 +78,9 @@ let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : strin
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let key st =
     String.concat "|"
-      (List.map (fun (p, qs) -> p ^ "=" ^ String.concat "." (SS.elements qs)) st.g_states)
+      (List.map (fun (p, qs) -> p ^ "=" ^ String.concat "." (SS.elements qs)) st.states)
     ^ "||"
-    ^ String.concat ";" (List.map Term.to_string (Term.Set.elements st.g_config))
+    ^ String.concat ";" (List.map Term.to_string (Term.Set.elements st.config))
   in
   let queue = Queue.create () in
   let explored = ref 0 in
@@ -188,19 +88,18 @@ let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : strin
   let push st =
     let k = key st in
     if not (Hashtbl.mem seen k) then begin
-      if Hashtbl.length seen >= max_states then
-        failwith "Product.diagnose_general: state budget exceeded";
+      if Hashtbl.length seen >= max_states then failwith "Product: state budget exceeded";
       Hashtbl.add seen k ();
       Queue.add st queue
     end
   in
   push
     {
-      g_states =
+      states =
         List.map (fun (p, pat) -> (p, SS.of_list (Pattern.initial pat))) patterns
         |> List.sort compare;
-      g_config = Term.Set.empty;
-      g_cut = initial_cut;
+      config = Term.Set.empty;
+      cut = initial_cut;
     };
   let fire st (tr : Petri.Net.transition) next_states =
     List.iter
@@ -213,11 +112,11 @@ let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : strin
         List.iter (fun cd -> conds_mat := Term.Set.add cd !conds_mat) children;
         let cut' =
           List.fold_left (fun acc cd -> Term.Set.add cd acc)
-            (List.fold_left (fun acc cd -> Term.Set.remove cd acc) st.g_cut pre_conds)
+            (List.fold_left (fun acc cd -> Term.Set.remove cd acc) st.cut pre_conds)
             children
         in
-        push { g_states = next_states; g_config = Term.Set.add event st.g_config; g_cut = cut' })
-      (choices_for st.g_cut tr.Petri.Net.t_pre)
+        push { states = next_states; config = Term.Set.add event st.config; cut = cut' })
+      (choices_for st.cut tr.Petri.Net.t_pre)
   in
   while not (Queue.is_empty queue) do
     let st = Queue.pop queue in
@@ -227,25 +126,25 @@ let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : strin
         (fun (p, qs) ->
           let pat = List.assoc p patterns in
           List.exists (fun q -> SS.mem q qs) (Pattern.accepting pat))
-        st.g_states
+        st.states
     in
-    if all_accepting then diagnosis := st.g_config :: !diagnosis;
-    if Term.Set.cardinal st.g_config < max_config_size then
+    if all_accepting then diagnosis := st.config :: !diagnosis;
+    if Term.Set.cardinal st.config < max_config_size then
       List.iter
         (fun (tr : Petri.Net.transition) ->
-          if List.mem tr.Petri.Net.t_id hidden then fire st tr st.g_states
+          if List.mem tr.Petri.Net.t_id hidden then fire st tr st.states
           else
             match List.assoc_opt tr.Petri.Net.t_peer patterns with
             | None -> ()  (* observable event at an unobserved peer: excluded *)
             | Some pat ->
-              let qs = List.assoc tr.Petri.Net.t_peer st.g_states in
+              let qs = List.assoc tr.Petri.Net.t_peer st.states in
               let qs' = Pattern.step pat qs tr.Petri.Net.t_alarm in
               if not (SS.is_empty qs') then
                 fire st tr
                   (List.map
                      (fun (p, s) ->
                        if String.equal p tr.Petri.Net.t_peer then (p, qs') else (p, s))
-                     st.g_states))
+                     st.states))
         (Petri.Net.transitions net)
   done;
   {
@@ -254,3 +153,9 @@ let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : strin
     conds_materialized = !conds_mat;
     states_explored = !explored;
   }
+
+(** The basic problem: each peer's alarm subsequence as its word automaton,
+    nothing hidden, configurations no larger than the sequence. *)
+let diagnose ?max_states (net : Petri.Net.t) (alarms : Petri.Alarm.t) : result =
+  diagnose_general ?max_states ~max_config_size:(Petri.Alarm.length alarms) ~hidden:[] net
+    (Supervisor.words alarms)

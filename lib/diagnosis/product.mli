@@ -1,9 +1,10 @@
 (** The dedicated diagnosis algorithm of Benveniste–Fabre–Haar–Jard [8], as
-    sketched in Section 4.3: unfold the product of the net with the
-    per-peer linear alarm nets on the fly, materializing exactly the prefix
-    of the unfolding relevant to the observation. Nodes carry the same
-    canonical terms as the Datalog encoding, so Theorem 4 is a set
-    comparison. *)
+    sketched in Section 4.3: unfold the product of the net with per-peer
+    observation automata on the fly, materializing exactly the prefix of
+    the unfolding relevant to the observation. One search serves both
+    problems: a fixed alarm sequence is each peer's linear word automaton
+    (Section 4.4). Nodes carry the same canonical terms as the Datalog
+    encoding, so Theorem 4 is a set comparison. *)
 
 open Datalog
 
@@ -15,7 +16,9 @@ type result = {
 }
 
 val diagnose : ?max_states:int -> Petri.Net.t -> Petri.Alarm.t -> result
-(** The basic problem. @raise Failure when [max_states] is exceeded. *)
+(** The basic problem: {!diagnose_general} over {!Supervisor.words}, nothing
+    hidden, configurations up to the sequence's length.
+    @raise Failure when [max_states] is exceeded. *)
 
 val diagnose_general :
   ?max_states:int ->
@@ -25,4 +28,5 @@ val diagnose_general :
   (string * Supervisor.observation) list ->
   result
 (** Section 4.4: regular observations (NFA state sets as product states)
-    and hidden transitions; configurations up to [max_config_size]. *)
+    and hidden transitions; configurations up to [max_config_size].
+    @raise Failure when [max_states] is exceeded. *)

@@ -58,7 +58,7 @@ let pattern_of_observation = function
   | Word alarms -> Pattern.word (List.map (fun a -> a.Petri.Alarm.symbol) alarms)
   | Regex p -> p
 
-(** [build_general observations] generates the supervisor's program for a
+(** [build observations] generates the supervisor's program for a
     per-peer observation specification. [place_peers] is the directory of
     peers whose places events may consume; it must include every system peer
     when transitions synchronize across peers that did not alarm (a
@@ -68,14 +68,14 @@ let pattern_of_observation = function
 let builds_c = Obs.Metrics.counter "supervisor.builds"
 let observations_c = Obs.Metrics.counter "supervisor.observations_encoded"
 
-let build_general ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
+let build ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
     (observations : (string * observation) list) : t =
   Obs.Metrics.incr builds_c;
   Obs.Metrics.incr ~by:(List.length observations) observations_c;
   let p0 = supervisor in
   let peers = List.sort String.compare (List.map fst observations) in
   if List.length (List.sort_uniq String.compare peers) <> List.length peers then
-    invalid_arg "Supervisor.build_general: duplicate peer in observations";
+    invalid_arg "Supervisor.build: duplicate peer in observations";
   let patterns = List.map (fun (p, o) -> (p, pattern_of_observation o)) observations in
   let place_peers =
     match place_peers with
@@ -229,11 +229,10 @@ let build_general ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
     unbounded;
   }
 
-(** The basic problem of Section 4.2: one fixed alarm sequence. *)
-let build ?supervisor ?place_peers (alarms : Petri.Alarm.t) : t =
-  let split = Petri.Alarm.split alarms in
-  build_general ?supervisor ?place_peers
-    (List.map (fun (p, sub) -> (p, Word sub)) split)
+(** The basic problem of Section 4.2 as observations: each peer's
+    subsequence of one fixed alarm sequence, as a word. *)
+let words (alarms : Petri.Alarm.t) : (string * observation) list =
+  List.map (fun (p, sub) -> (p, Word sub)) (Petri.Alarm.split alarms)
 
 (** Group the answers [q(z, x)] into a diagnosis: one configuration (set of
     event terms) per configuration id, duplicates identified. *)

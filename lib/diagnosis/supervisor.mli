@@ -16,9 +16,6 @@ type observation =
   | Word of Petri.Alarm.alarm list  (** an exact per-peer subsequence *)
   | Regex of Pattern.t  (** a regular pattern over the peer's alarms *)
 
-val pos_const : string -> string -> Term.t
-(** Index constant for a peer in an automaton state. *)
-
 val initial_id : Term.t
 (** The empty configuration id [h(r)]. *)
 
@@ -35,7 +32,7 @@ type t = {
           exist: evaluation needs the depth gadget *)
 }
 
-val build_general :
+val build :
   ?supervisor:string ->
   ?place_peers:string list ->
   ?hidden_peers:string list ->
@@ -47,8 +44,9 @@ val build_general :
     it). [hidden_peers] may fire unobserved transitions ([hiddenNet@p]).
     @raise Invalid_argument on duplicate observation peers. *)
 
-val build : ?supervisor:string -> ?place_peers:string list -> Petri.Alarm.t -> t
-(** The basic problem of Section 4.2: one fixed alarm sequence. *)
+val words : Petri.Alarm.t -> (string * observation) list
+(** The basic problem of Section 4.2 as observations: each peer's
+    subsequence of one fixed alarm sequence, as a {!Word}. *)
 
 val diagnosis_of_answers : Atom.t list -> Canon.diagnosis
 (** Group the [q(z, x)] answers into a diagnosis (one configuration per id,

@@ -133,7 +133,6 @@ let add_peer t id handler =
   Hashtbl.add t.handlers id handler
 
 let has_peer t id = Hashtbl.mem t.handlers id
-let peers t = Hashtbl.fold (fun id _ acc -> id :: acc) t.handlers []
 
 let push_channel t ch =
   let n = Array.length t.channel_order in

@@ -49,7 +49,6 @@ val add_peer : 'msg t -> peer_id -> ('msg t -> src:peer_id -> 'msg -> unit) -> u
 (** Register a peer with its message handler. Handlers may send. *)
 
 val has_peer : 'msg t -> peer_id -> bool
-val peers : 'msg t -> peer_id list
 
 val send : 'msg t -> src:peer_id -> dst:peer_id -> 'msg -> unit
 (** Encode a message and queue its frame; delivery is always

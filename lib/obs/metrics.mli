@@ -56,8 +56,6 @@ val kind_of : instrument -> string
 val instruments : registry -> (string * instrument) list
 (** All registered instruments, sorted by name (deterministic). *)
 
-val find : ?registry:registry -> string -> instrument option
-
 val counter_value : ?registry:registry -> string -> int
 (** Value of a named counter; 0 when absent or not a counter. *)
 

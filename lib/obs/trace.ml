@@ -129,11 +129,3 @@ let with_span ?(attrs = []) name f =
       finish name (("exception", Printexc.to_string e) :: attrs) t0;
       raise e
   end
-
-(** A zero-duration span: a point event. *)
-let event ?(attrs = []) name =
-  if enabled () then begin
-    let sp = { name; attrs; start_s = Clock.now_s (); duration_s = 0.0; depth = !depth } in
-    push sp;
-    emit sp
-  end

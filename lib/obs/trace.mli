@@ -33,9 +33,6 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Time a region. Exceptions propagate; the span is still recorded, with
     an added [exception] attribute. *)
 
-val event : ?attrs:(string * string) list -> string -> unit
-(** A zero-duration span: a point event. *)
-
 val recent : unit -> span list
 (** Completed spans, oldest first (at most the ring capacity). *)
 

@@ -10,10 +10,6 @@ type t = alarm list
 val make : (string * string) list -> t
 val to_pairs : t -> (string * string) list
 val length : t -> int
-val peers : t -> string list
-
-val restrict : t -> string -> alarm list
-(** The subsequence [A_p] of one peer, in order (Section 4.2). *)
 
 val split : t -> (string * alarm list) list
 (** Per-peer subsequences, keyed by peer, sorted by peer name. *)
@@ -22,6 +18,4 @@ val equivalent : t -> t -> bool
 (** Same per-peer subsequences: the supervisor cannot distinguish them and
     diagnosis is invariant across them. *)
 
-val pp_alarm : Format.formatter -> alarm -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

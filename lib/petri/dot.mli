@@ -2,11 +2,8 @@
     diagnosis to be "represented (preferably graphically) in a compact
     form" for the human supervisor. *)
 
-val net : Format.formatter -> Net.t -> unit
 val net_to_string : Net.t -> string
 
-val unfolding : ?highlight:Unfolding.Int_set.t -> Format.formatter -> Unfolding.t -> unit
+val unfolding_to_string : ?highlight:Unfolding.Int_set.t -> Unfolding.t -> string
 (** Events in [highlight] (e.g. a diagnosis configuration, like the shading
     of Fig. 2) are filled. *)
-
-val unfolding_to_string : ?highlight:Unfolding.Int_set.t -> Unfolding.t -> string

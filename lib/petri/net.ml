@@ -27,7 +27,6 @@ type t = {
   places : place String_map.t;
   transitions : transition String_map.t;
   marking : String_set.t;  (** initially marked places *)
-  consumers : string list String_map.t;  (** place -> transitions consuming it *)
   producers : string list String_map.t;  (** place -> transitions producing it *)
 }
 
@@ -59,7 +58,6 @@ let peers t =
   let s = String_map.fold (fun _ tr acc -> add acc tr.t_peer) t.transitions s in
   String_set.elements s
 
-let consumers t pid = Option.value ~default:[] (String_map.find_opt pid t.consumers)
 let producers t pid = Option.value ~default:[] (String_map.find_opt pid t.producers)
 
 (** Build a net from explicit parts, checking well-formedness: distinct ids,
@@ -103,11 +101,6 @@ let make ~places:pls ~transitions:trs ~marking:mk : t =
       (function None -> Some [ tid ] | Some l -> Some (l @ [ tid ]))
       map
   in
-  let consumers =
-    List.fold_left
-      (fun acc tr -> List.fold_left (fun acc p -> add_arc acc p tr.t_id) acc tr.t_pre)
-      String_map.empty trs
-  in
   let producers =
     List.fold_left
       (fun acc tr -> List.fold_left (fun acc p -> add_arc acc p tr.t_id) acc tr.t_post)
@@ -117,7 +110,6 @@ let make ~places:pls ~transitions:trs ~marking:mk : t =
     places = place_map;
     transitions = trans_map;
     marking = String_set.of_list mk;
-    consumers;
     producers;
   }
 

@@ -42,9 +42,6 @@ val num_places : t -> int
 val num_transitions : t -> int
 val peers : t -> string list
 
-val consumers : t -> string -> string list
-(** Transitions with the place in their preset. *)
-
 val producers : t -> string -> string list
 (** Transitions with the place in their postset. *)
 

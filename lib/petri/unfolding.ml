@@ -26,12 +26,6 @@ type name =
 
 and parent = Root | Parent of name
 
-let rec name_to_string = function
-  | Cond_name (Root, place) -> Printf.sprintf "g(r, %s)" place
-  | Cond_name (Parent e, place) -> Printf.sprintf "g(%s, %s)" (name_to_string e) place
-  | Event_name (t, pres) ->
-    Printf.sprintf "f(%s, %s)" t (String.concat ", " (List.map name_to_string pres))
-
 let rec name_compare a b =
   match a, b with
   | Cond_name (pa, ca), Cond_name (pb, cb) ->

@@ -16,7 +16,6 @@ type name =
 
 and parent = Root | Parent of name
 
-val name_to_string : name -> string
 val name_compare : name -> name -> int
 
 val name_depth : name -> int

@@ -1,10 +1,12 @@
 (* Multi-tenant diagnosis coordinator; see the .mli for the model.
 
    A tenant caches everything derivable from its net once — the binarized
-   net, the peer directory, and (lazily, for batch sessions) the unfolding
-   rules and the [petriNet] base facts — so a session only pays for its own
-   supervisor rules. Each tenant owns a pool of warm engines, cleared as
-   they return to it; a session checks one out, streams alarms, and is
+   net, the peer directory, and (lazily, for batch sessions) Diagnoser's
+   net half, the unfolding rules and the [petriNet] base facts — so a
+   session only pays for its own supervisor rules, which
+   [Diagnoser.prepare_on] appends to that half as [Diagnoser.prepare]
+   does. Each tenant owns a pool of warm engines, cleared as they return
+   to it; a session checks one out, streams alarms, and is
    stepped a quantum of deliveries at a time in round-robin with every
    other running session. All engine traffic crosses the simulated
    network as {!Dqsq.Wire} frames, and the finished report is encoded as a configuration-set frame, whose length is billed
@@ -29,9 +31,8 @@ type tenant = {
   supervisor : string;
   peers : string list;  (* the net's peers, the only alarm sources *)
   placement : string list;  (* shard directory: [peers] + the supervisor *)
-  batch : (Dprogram.t * Datom.t list) Lazy.t;
-      (* the unfolding rules and [petriNet] facts: batch sessions only,
-         built on the first batch start *)
+  batch : Diagnoser.net_half Lazy.t;
+      (* batch sessions only, built on the first batch start *)
   mutable pool : Qsq_engine.t list;  (* warm, quiescent engines *)
 }
 
@@ -169,7 +170,7 @@ let add_tenant t ~name net =
           supervisor;
           peers;
           placement = peers @ [ supervisor ];
-          batch = lazy (Encode.unfolding_program net, Encode.petri_net_facts net);
+          batch = lazy (Diagnoser.encode_net net);
           pool = [];
         }
       in
@@ -260,17 +261,6 @@ let add_alarm t sid ~symbol ~peer =
 let engine_bytes engine =
   Obs.Metrics.counter_value ~registry:(Qsq_engine.metrics engine) "sim.bytes"
 
-(* Mirror of [Diagnoser.prepare], with the net-derived parts served from
-   the tenant cache: only the supervisor side is built per session. *)
-let prepare_session tn alarms =
-  let unfolding, net_facts = Lazy.force tn.batch in
-  let sup =
-    Supervisor.build ~supervisor:tn.supervisor ~place_peers:tn.peers alarms
-  in
-  ( Dprogram.append unfolding sup.Supervisor.program,
-    net_facts @ sup.Supervisor.facts,
-    sup.Supervisor.query )
-
 let start (t : t) sid =
   let* s = session t sid in
   match s.phase with
@@ -281,7 +271,10 @@ let start (t : t) sid =
     (match
        let tn = s.s_tenant in
        let alarms = Petri.Alarm.make (List.rev s.alarms_rev) in
-       let program, edb, query = prepare_session tn alarms in
+       let half = Lazy.force tn.batch in
+       let { Diagnoser.program; edb; query; _ } =
+         Diagnoser.prepare_on ~supervisor:tn.supervisor tn.net half alarms
+       in
        let engine =
          match tn.pool with
          | e :: rest ->

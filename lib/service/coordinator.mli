@@ -2,8 +2,9 @@
 
     Tenants register a net once; the coordinator caches the binarized net
     and the peer placement directory (net peers + the supervisor shard),
-    and, on the tenant's first batch start, its unfolding rules and
-    [petriNet] base facts (streams never need them). A session belongs to
+    and, on the tenant's first batch start, its net half
+    ({!Diagnosis.Diagnoser.encode_net}: unfolding rules and [petriNet] base
+    facts; streams never need them). A session belongs to
     one tenant: it is opened, receives a stream of alarms, is started —
     checking a warm engine out of the tenant's pool
     ({!Dqsq.Qsq_engine.recycle}) or creating one — and then advances a
@@ -99,8 +100,9 @@ val add_alarm : t -> int -> symbol:string -> peer:string -> (unit, string) resul
     is unaffected. *)
 
 val start : t -> int -> (unit, string) result
-(** Build the session's program (cached unfolding + fresh supervisor
-    rules), seed a warm or new engine, and inject the query. *)
+(** Build the session's program ({!Diagnosis.Diagnoser.prepare_on}: the
+    cached net half + fresh supervisor rules), seed a warm or new engine,
+    and inject the query. *)
 
 val step_round : t -> bool
 (** Give every running session one quantum of deliveries, finalizing the

@@ -291,7 +291,16 @@ let test_qsq_bound_query () =
   let _, _, a_yes = Qsq.solve p q_yes edb in
   let _, _, a_no = Qsq.solve p q_no edb in
   Alcotest.(check int) "yes" 1 (List.length a_yes);
-  Alcotest.(check int) "no" 0 (List.length a_no)
+  Alcotest.(check int) "no" 0 (List.length a_no);
+  (* a disequality grounded two atoms after its first side is bound: the
+     sup in between must keep that side *)
+  let p = Parser.parse_program "r(X, Z) :- e(X, W), W != Y, f(X, Z), g(Y)." in
+  let edb = Fact_store.create () in
+  List.iter
+    (fun f -> ignore (Fact_store.add edb (Parser.parse_atom f)))
+    [ "e(a, w)"; "f(a, z)"; "g(w)"; "g(y)" ];
+  let _, _, a = Qsq.solve p (Parser.parse_atom "r(a, Z)") edb in
+  Alcotest.(check (list string)) "pending neq" [ "r(a, z)" ] (sorted_answers a)
 
 let test_qsq_same_generation () =
   (* The classic non-linear same-generation program. *)

@@ -334,6 +334,17 @@ let ring_program k =
   in
   Dprogram.make rules
 
+(* [ring_program k] with [X != Y] between each recursive rule's two atoms *)
+let neq_ring_program k =
+  Dprogram.make
+    (List.map
+       (fun (r : Drule.t) ->
+         match r.Drule.body with
+         | [ e; next ] ->
+           Drule.make r.Drule.head [ e; Drule.Neq (Term.var "X", Term.var "Y"); next ]
+         | _ -> r)
+       (Dprogram.rules (ring_program k)))
+
 let ring_edb ?(domain = 8) ~rng k ~edges () =
   List.init edges (fun _ ->
       let i = Random.State.int rng k in
@@ -387,7 +398,22 @@ let test_theorem1_rules () =
           (ring_program k) edb
           (Datom.make ~rel:"R0" ~peer:"p0" [ x; Term.var "Y" ]))
       [ ("bound", Term.const "n0"); ("free", Term.var "X") ]
-  done
+  done;
+  (* a disequality between two atoms: the sup after it keeps only what
+     the head and the literals still to walk need *)
+  for k = 2 to 3 do
+    let rng = Random.State.make [| k |] in
+    check_theorem1_rules
+      (Printf.sprintf "neq ring %d" k)
+      (neq_ring_program k) (ring_edb ~rng k ~edges:12 ())
+      (Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ])
+  done;
+  (* a disequality still pending across a delegation to another peer *)
+  let d rel peer args = Datom.make ~rel ~peer (List.map Term.const args) in
+  check_theorem1_rules "pending neq"
+    (Dprogram.parse "r@p0(X, Z) :- e@p0(X, W), W != Y, f@p1(X, Z), g@p0(Y).")
+    [ d "e" "p0" [ "a"; "w" ]; d "f" "p1" [ "a"; "z" ]; d "g" "p0" [ "w" ]; d "g" "p0" [ "y" ] ]
+    (Datom.make ~rel:"r" ~peer:"p0" [ Term.const "a"; Term.var "Z" ])
 
 let arb_ring =
   QCheck.make

@@ -637,7 +637,7 @@ let test_canon_depth_agreement () =
 
 let test_supervisor_shape () =
   let a = Petri.Alarm.make [ ("x", "p1"); ("y", "p2"); ("z", "p1") ] in
-  let sup = Supervisor.build ~place_peers:[ "p1"; "p2"; "p3" ] a in
+  let sup = Supervisor.build ~place_peers:[ "p1"; "p2"; "p3" ] (Supervisor.words a) in
   Alcotest.(check (list string)) "sequence peers" [ "p1"; "p2" ]
     sup.Supervisor.sequence_peers;
   Alcotest.(check bool) "bounded" false sup.Supervisor.unbounded;
