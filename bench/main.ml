@@ -398,7 +398,7 @@ let e12 () =
   section "E12" "Extension: hidden transitions (depth-gadget bounded)";
   let net = running_net () in
   let hidden = [ "ii" ] in
-  let observations = [ ("p1", Supervisor.Word (alarms [ ("b", "p1"); ("c", "p1") ])) ] in
+  let observations = [ ("p1", Pattern.word [ "b"; "c" ]) ] in
   Printf.printf "%10s | %10s %10s %8s | %6s\n" "max-size" "datalog" "reference" "product"
     "agree";
   List.iter
@@ -429,7 +429,7 @@ let e13 () =
     Pattern.concat (Pattern.word [ "b" ]) (Pattern.star (Pattern.word [ "c" ]))
   in
   let observations =
-    [ ("p1", Supervisor.Regex p1_pattern); ("p2", Supervisor.Word (alarms [ ("a", "p2") ])) ]
+    [ ("p1", p1_pattern); ("p2", Pattern.word [ "a" ]) ]
   in
   Printf.printf "%10s | %10s %10s %8s | %6s\n" "max-size" "datalog" "reference" "product"
     "agree";
@@ -629,7 +629,7 @@ let output_digests () =
   let d = (Diagnoser.diagnose net (alarms [ ("b", "p1"); ("a", "p2"); ("c", "p1") ]))
             .Diagnoser.diagnosis
   in
-  let frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements d) in
+  let frame = Report.frame d in
   (* the same scenario under the parallel scheduler (4 domains, peers
      migrating between them): confluence + structural sorting promise a
      byte-identical report regardless of the schedule, and this digest
@@ -647,7 +647,7 @@ let output_digests () =
   done;
   let cycle_d = Online.diagnosis o in
   let stream_report = Report.to_string cycle cycle_d in
-  let cycle_frame = Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements cycle_d) in
+  let cycle_frame = Report.frame cycle_d in
   let restored = Online.restore cycle (Online.checkpoint o) in
   let restored_report = Report.to_string cycle (Online.diagnosis restored) in
   Online.release restored;

@@ -6,6 +6,8 @@
      unfold    compute a (bounded) unfolding, print stats or DOT
      encode    print the dDatalog program of a net (+ supervisor rules)
      diagnose  diagnose an alarm sequence with a chosen engine
+     verify    run every fuzz property on a net and alarm sequence
+     fuzz      differential fuzzing of the engine pairs
      rewrite   show the QSQ rewriting of a Datalog program (Fig. 4)
      generate  emit a random distributed safe net
      serve     run the multi-tenant diagnosis service (line protocol)
@@ -29,13 +31,24 @@ let load path =
     Printf.eprintf "error: %s: %s\n" path m;
     exit 2
 
-let parse_alarms_arg s =
-  (* "(b,p1) (a,p2) (c,p1)" *)
-  match Petri.Parse.parse ("alarms " ^ s) with
-  | { Petri.Parse.alarms = Some a; _ } -> a
-  | _ | (exception Petri.Parse.Parse_error _) ->
-    Printf.eprintf "error: cannot parse alarm sequence %S\n" s;
-    exit 2
+let alarms_arg =
+  Arg.(value & opt (some string) None
+       & info [ "alarms" ] ~docv:"SEQ" ~doc:"Alarm sequence, e.g. \"(b,p1) (a,p2)\".")
+
+(* The [--alarms] sequence if given, else the file's [alarms] line. *)
+let observation (f : Petri.Parse.file) = function
+  | Some s -> (
+    match Petri.Parse.parse ("alarms " ^ s) with
+    | { Petri.Parse.alarms = Some a; _ } -> a
+    | _ | (exception Petri.Parse.Parse_error _) ->
+      Printf.eprintf "error: cannot parse alarm sequence %S\n" s;
+      exit 2)
+  | None -> (
+    match f.Petri.Parse.alarms with
+    | Some a -> a
+    | None ->
+      Printf.eprintf "error: no alarm sequence (pass --alarms or add an 'alarms' line)\n";
+      exit 2)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"NET" ~doc:"Net description file.")
@@ -159,14 +172,7 @@ let diagnose_cmd =
     enable_trace trace;
     let f = load path in
     let net = Petri.Net.binarize f.Petri.Parse.net in
-    let alarms =
-      match alarms_opt, f.Petri.Parse.alarms with
-      | Some s, _ -> parse_alarms_arg s
-      | None, Some a -> a
-      | None, None ->
-        Printf.eprintf "error: no alarm sequence (pass --alarms or add an 'alarms' line)\n";
-        exit 2
-    in
+    let alarms = observation f alarms_opt in
     Printf.printf "observation: %s\n" (Petri.Alarm.to_string alarms);
     let diagnosis, extra =
       match engine with
@@ -226,10 +232,6 @@ let diagnose_cmd =
     print_endline extra;
     print_stats stats
   in
-  let alarms_opt =
-    Arg.(value & opt (some string) None
-         & info [ "alarms" ] ~docv:"SEQ" ~doc:"Alarm sequence, e.g. \"(b,p1) (a,p2)\".")
-  in
   let engine =
     Arg.(value & opt engine_conv `Qsq
          & info [ "engine" ] ~doc:"One of qsq, magic, dqsq, product, reference.")
@@ -251,7 +253,7 @@ let diagnose_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print event terms.") in
   Cmd.v
     (Cmd.info "diagnose" ~doc:"Diagnose an alarm sequence.")
-    Term.(const run $ file_arg $ alarms_opt $ engine $ seed $ parallel $ jobs $ verbose
+    Term.(const run $ file_arg $ alarms_arg $ engine $ seed $ parallel $ jobs $ verbose
           $ stats_arg $ trace_arg)
 
 (* ---------------- rewrite ---------------- *)
@@ -298,67 +300,28 @@ let verify_cmd =
       Printf.eprintf "error: the net is not safe; the theorems assume safe nets\n";
       exit 1
     end;
-    let net = Petri.Net.binarize net in
-    let alarms =
-      match alarms_opt, f.Petri.Parse.alarms with
-      | Some s, _ -> parse_alarms_arg s
-      | None, Some a -> a
-      | None, None ->
-        Printf.eprintf "error: no alarm sequence (pass --alarms or add an 'alarms' line)\n";
-        exit 2
+    let alarms = observation f alarms_opt in
+    Printf.printf "observation: %s\n\n" (Petri.Alarm.to_string alarms);
+    (* the fuzzer's properties on the file's net and alarms, under the
+       fuzzer's default schedule for the distributed and lossy ones *)
+    let instance =
+      { Check.Property.net; alarms; policy = Network.Sim.Random_interleaving;
+        loss = Check.Gen.default_loss; jobs = 2; sim_seed = seed }
     in
     let ok = ref true in
-    let report name passed detail =
-      if not passed then ok := false;
-      Printf.printf "%-58s %s%s\n" name
-        (if passed then "PASS" else "FAIL")
-        (if detail = "" then "" else "  (" ^ detail ^ ")")
-    in
-    Printf.printf "observation: %s\n\n" (Petri.Alarm.to_string alarms);
-    (* Theorem 3: the three diagnosers agree *)
-    let r_ref = (Reference.diagnose net alarms).Reference.diagnosis in
-    let r_prod = Product.diagnose net alarms in
-    let r_qsq = Diagnoser.diagnose net alarms in
-    report "Theorem 3: reference == product algorithm [8]"
-      (Canon.equal_diagnosis r_ref r_prod.Product.diagnosis)
-      (Printf.sprintf "%d explanation(s)" (List.length r_ref));
-    report "Theorem 3: reference == Datalog diagnoser (QSQ)"
-      (Canon.equal_diagnosis r_ref r_qsq.Diagnoser.diagnosis) "";
-    (* Magic sets agree too *)
-    let r_magic = Diagnoser.diagnose ~engine:Diagnoser.Centralized_magic net alarms in
-    report "           reference == Datalog diagnoser (magic sets)"
-      (Canon.equal_diagnosis r_ref r_magic.Diagnoser.diagnosis) "";
-    (* Theorem 4: materialization *)
-    report "Theorem 4: QSQ events == dedicated algorithm's events"
-      (Datalog.Term.Set.equal r_prod.Product.events_materialized
-         r_qsq.Diagnoser.events_materialized)
-      (Printf.sprintf "%d events"
-         (Datalog.Term.Set.cardinal r_prod.Product.events_materialized));
-    report "Theorem 4: QSQ conditions <= dedicated algorithm's"
-      (Datalog.Term.Set.subset r_qsq.Diagnoser.conds_materialized
-         r_prod.Product.conds_materialized)
-      "";
-    (* dQSQ: distributed run agrees, terminates, detector fires *)
-    let r_dist =
-      Diagnoser.diagnose
-        ~engine:(Diagnoser.Distributed_ds { seed; policy = Network.Sim.Random_interleaving })
-        net alarms
-    in
-    report "Theorem 1/3 + Prop. 1: dQSQ agrees and terminates"
-      (Canon.equal_diagnosis r_ref r_dist.Diagnoser.diagnosis
-      && Datalog.Term.Set.equal r_dist.Diagnoser.events_materialized
-           r_qsq.Diagnoser.events_materialized)
-      (match r_dist.Diagnoser.comm with
-      | Some c -> Printf.sprintf "%d deliveries" c.Diagnoser.deliveries
-      | None -> "");
-    (* the two positive encodings agree *)
-    let r_paper =
-      Diagnoser.run (Diagnoser.prepare ~encoding:Diagnoser.Paper net alarms)
-        Diagnoser.Centralized_qsq
-    in
-    report "Encodings: literal Section 4.1 rules == co-encoding"
-      (Canon.equal_diagnosis r_paper.Diagnoser.diagnosis r_qsq.Diagnoser.diagnosis)
-      "";
+    List.iter
+      (fun (p : Check.Property.t) ->
+        let verdict, why =
+          if not (p.applies instance) then ("SKIP", "")
+          else
+            match p.check instance with
+            | Check.Property.Pass -> ("PASS", "")
+            | Check.Property.Fail m ->
+              ok := false;
+              ("FAIL", "\n    " ^ m)
+        in
+        Printf.printf "%-31s %s  %s%s\n" p.name verdict p.theorem why)
+      Check.Property.all;
     print_newline ();
     print_stats stats;
     if !ok then print_endline "all checks passed"
@@ -367,15 +330,12 @@ let verify_cmd =
       exit 1
     end
   in
-  let alarms_opt =
-    Arg.(value & opt (some string) None
-         & info [ "alarms" ] ~docv:"SEQ" ~doc:"Alarm sequence, e.g. \"(b,p1) (a,p2)\".")
-  in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Scheduler seed (dQSQ).") in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Check the paper's theorems (1, 3, 4, Prop. 1) on a net and alarm sequence.")
-    Term.(const run $ file_arg $ alarms_opt $ seed $ stats_arg $ trace_arg)
+       ~doc:"Run every fuzz property (the paper's theorems; see `diag fuzz \
+             --list-properties`) on a net and alarm sequence.")
+    Term.(const run $ file_arg $ alarms_arg $ seed $ stats_arg $ trace_arg)
 
 (* ---------------- fuzz ---------------- *)
 

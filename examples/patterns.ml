@@ -27,9 +27,7 @@ let () =
   Printf.printf "== Hidden transitions ==\n";
   Printf.printf "Transition ii (alarm a at p2) is unobservable; we see only (b,p1)(c,p1).\n";
   let hidden = [ "ii" ] in
-  let observations =
-    [ ("p1", Supervisor.Word (Petri.Alarm.make [ ("b", "p1"); ("c", "p1") ])) ]
-  in
+  let observations = [ ("p1", Pattern.word [ "b"; "c" ]) ] in
   let prepared, unbounded = Diagnoser.prepare_general ~hidden net observations in
   Printf.printf "Program flagged as needing the depth gadget: %b\n" unbounded;
   let eval_options =
@@ -49,10 +47,7 @@ let () =
   let p1_pattern =
     Pattern.concat (Pattern.word [ "b" ]) (Pattern.star (Pattern.word [ "c" ]))
   in
-  let observations =
-    [ ("p1", Supervisor.Regex p1_pattern);
-      ("p2", Supervisor.Word (Petri.Alarm.make [ ("a", "p2") ])) ]
-  in
+  let observations = [ ("p1", p1_pattern); ("p2", Pattern.word [ "a" ]) ] in
   let prepared, unbounded = Diagnoser.prepare_general net observations in
   Printf.printf "Pattern accepts unbounded words: %b (depth gadget engaged)\n" unbounded;
   let eval_options =
@@ -73,7 +68,7 @@ let () =
   in
   let r =
     Reference.diagnose_general ~max_config_size:2 ~hidden:[] net
-      [ ("p1", Supervisor.Regex forbid) ]
+      [ ("p1", forbid) ]
   in
   print_diagnosis "Forbidden-pattern diagnosis (<= 2 events)" r.Reference.diagnosis;
   Printf.printf "The empty explanation and {i} survive; {i, iii} spells \"b c\" and is blocked.\n"

@@ -21,6 +21,8 @@ type pins = {
   pin_jobs : int option;
 }
 
+let default_loss = 0.25
+
 let no_pins =
   { pin_spec = None; pin_steps = None; pin_policy = None; pin_loss = None;
     pin_jobs = None }
@@ -117,7 +119,7 @@ let case ?(pins = no_pins) ~seed () : case =
   Petri.Generator.validate spec;
   let steps = Option.value pins.pin_steps ~default:sampled_steps in
   let policy = Option.value pins.pin_policy ~default:sampled_policy in
-  let loss = Option.value pins.pin_loss ~default:0.25 in
+  let loss = Option.value pins.pin_loss ~default:default_loss in
   (* domain count for the parallel-vs-sequential property; a stream of its
      own so pre-existing seeds keep generating the very same nets *)
   let sampled_jobs = 1 + Random.State.int (Random.State.make [| 0x5eed; seed; 3 |]) 4 in

@@ -29,6 +29,9 @@ type pins = {
 
 val no_pins : pins
 
+val default_loss : float
+(** The loss rate of every case whose loss is not pinned. *)
+
 val case : ?pins:pins -> seed:int -> unit -> case
 (** The case of a seed. Deterministic: same seed and pins, same case.
 

@@ -23,7 +23,7 @@ type outcome = Pass | Fail of string
 type t = {
   name : string;
   theorem : string;
-  applies : Gen.case -> bool;
+  applies : instance -> bool;
   check : instance -> outcome;
 }
 
@@ -58,6 +58,17 @@ let check_equal_diagnosis ~left ~right dl dr =
   else
     failf "%s %s vs %s %s" left (Canon.diagnosis_to_string dl) right
       (Canon.diagnosis_to_string dr)
+
+(* Same explanations, and the very same materialized events. *)
+let check_same_prefix ~left ~right (l : Diagnoser.result) (r : Diagnoser.result) =
+  if not (Canon.equal_diagnosis l.diagnosis r.diagnosis) then
+    check_equal_diagnosis ~left ~right l.diagnosis r.diagnosis
+  else if not (Term.Set.equal l.events_materialized r.events_materialized) then
+    failf "materialized events differ: %s %d vs %s %d" left
+      (Term.Set.cardinal l.events_materialized)
+      right
+      (Term.Set.cardinal r.events_materialized)
+  else Pass
 
 (* A hang in a buggy distributed engine must come back as a counterexample,
    not stall the fuzzer: generous delivery budget on the direct runs. *)
@@ -121,6 +132,51 @@ let magic_vs_qsq i =
   let d_magic = (Diagnoser.run p Diagnoser.Centralized_magic).Diagnoser.diagnosis in
   check_equal_diagnosis ~left:"magic" ~right:"qsq" d_magic r_qsq.Diagnoser.diagnosis
 
+(* ------ the literal Section 4.1 rules == the co encoding -------- *)
+
+(* The paper's notCausal/notConf rules and the co encoding must build the
+   same unfolding. Goal-directed, they must give the same explanations and
+   the very same event terms. The supervisor only ever asks for events
+   whose parents a configuration leaves unconsumed, so that run cannot see
+   an event-creation constraint go missing; bottom-up, the unfolding rules
+   alone must also build the same events and conditions up to a shallow
+   term depth, where such a constraint is all that keeps conflicting or
+   causally related parents apart. A fact budget guards the bottom-up
+   half, as in [naive-vs-seminaive]: a run that hits it compares
+   nothing. *)
+let unfolding_nodes rules =
+  let options =
+    { Eval.default_options with
+      Eval.max_depth = Some (Diagnoser.gadget_depth ~max_config_size:1);
+      max_facts = Some 50_000 }
+  in
+  let store = Fact_store.create () in
+  match (Eval.seminaive ~options (Dprogram.mangled rules) store).Eval.status with
+  | Eval.Budget_exhausted -> None
+  | _ ->
+    let events, conds, _ = Encode.materialized store in
+    Some (events, conds)
+
+let encodings_agree i =
+  let p, r_co = baseline i in
+  let r_paper =
+    Diagnoser.run (Diagnoser.prepare ~encoding:Diagnoser.Paper p.Diagnoser.net i.alarms)
+      Diagnoser.Centralized_qsq
+  in
+  match check_same_prefix ~left:"paper" ~right:"co" r_paper r_co with
+  | Fail _ as f -> f
+  | Pass -> (
+    match
+      ( unfolding_nodes (Encode_paper.unfolding_program p.Diagnoser.net),
+        unfolding_nodes (Encode.unfolding_program p.Diagnoser.net) )
+    with
+    | Some (ev_p, cd_p), Some (ev_c, cd_c)
+      when not (Term.Set.equal ev_p ev_c && Term.Set.equal cd_p cd_c) ->
+      failf "bottom-up unfoldings differ: paper %d events, %d conditions vs co %d, %d"
+        (Term.Set.cardinal ev_p) (Term.Set.cardinal cd_p) (Term.Set.cardinal ev_c)
+        (Term.Set.cardinal cd_c)
+    | _ -> Pass)
+
 (* ------- materialized prefix vs algorithm [8] (Theorem 4) ------- *)
 
 (* Set equality on events, subset on conditions (see DESIGN.md note 5), and
@@ -173,19 +229,7 @@ let dqsq_vs_qsq i =
   let r_dist =
     Diagnoser.run p (Diagnoser.Distributed { seed = i.sim_seed; policy = i.policy })
   in
-  if not (Canon.equal_diagnosis r_dist.Diagnoser.diagnosis r_qsq.Diagnoser.diagnosis)
-  then
-    check_equal_diagnosis ~left:"dqsq" ~right:"qsq" r_dist.Diagnoser.diagnosis
-      r_qsq.Diagnoser.diagnosis
-  else if
-    not
-      (Term.Set.equal r_dist.Diagnoser.events_materialized
-         r_qsq.Diagnoser.events_materialized)
-  then
-    failf "materialized events differ: dqsq %d vs qsq %d"
-      (Term.Set.cardinal r_dist.Diagnoser.events_materialized)
-      (Term.Set.cardinal r_qsq.Diagnoser.events_materialized)
-  else Pass
+  check_same_prefix ~left:"dqsq" ~right:"qsq" r_dist r_qsq
 
 (* -------- dQSQ under Dijkstra-Scholten (Proposition 1) ---------- *)
 
@@ -296,9 +340,7 @@ let codec_roundtrip i =
   let p, r_qsq = baseline i in
   let render = Report.to_string p.Diagnoser.net in
   let direct = render r_qsq.Diagnoser.diagnosis in
-  let frame =
-    Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements r_qsq.Diagnoser.diagnosis)
-  in
+  let frame = Report.frame r_qsq.Diagnoser.diagnosis in
   let decoded = render (List.map Term.Set.of_list (Wire.decode_configs (Wire.decoder ()) frame)) in
   if decoded <> direct then
     failf "the decoded configs frame renders differently (%d vs %d bytes)"
@@ -431,13 +473,12 @@ let online_gc_equivalence i =
 
 (* A restored engine must be indistinguishable from the uninterrupted one
    for every future alarm: same rendered diagnosis and the same report
-   frame bytes (the service's encode_configs over a fresh connection), at
+   frame bytes ({!Report.frame}, what the service bills), at
    every later prefix. Checkpointing at EVERY prefix (the empty one
    included) and replaying the remainder covers mid-diamond frontiers,
    budget carry-over, and — with GC on and off — the compaction path
    where inert nodes are dropped from the snapshot. *)
-let report_frame o =
-  Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements (Online.diagnosis o))
+let report_frame o = Report.frame (Online.diagnosis o)
 
 let rec drop k l =
   if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
@@ -625,17 +666,35 @@ let seed_determinism i =
   else if t1 <> t2 then
     failf "delivery traces differ across two identical runs (%d vs %d deliveries)"
       (List.length t1) (List.length t2)
-  else if
-    (s1.Network.Sim.sent, s1.delivered, s1.dropped, s1.bytes)
-    <> (s2.Network.Sim.sent, s2.delivered, s2.dropped, s2.bytes)
-  then failf "network stats differ across two identical runs"
+  else if s1 <> s2 then failf "network stats differ across two identical runs"
   else Pass
 
 (* ------------------------------ registry ------------------------ *)
 
 let always _ = true
-let single_component_per_peer (c : Gen.case) =
-  c.Gen.spec.Petri.Generator.components_per_peer = 1
+
+(* One token per peer: every peer starts with exactly one marked place, and
+   every transition consumes and produces the same number (at most one) of
+   each peer's places, one of them its own peer's. The token of a peer
+   then never leaves that peer's places, so each peer's events are
+   causally totally ordered — the generator's one-component-per-peer nets,
+   told from the net alone. *)
+let one_token_per_peer i =
+  let net = i.net in
+  let peer_of p = (Petri.Net.place net p).Petri.Net.p_peer in
+  let count peer places = List.length (List.filter (fun p -> peer_of p = peer) places) in
+  let marked = Petri.Net.String_set.elements (Petri.Net.marking net) in
+  List.for_all
+    (fun peer ->
+      count peer marked = 1
+      && List.for_all
+           (fun t ->
+             let pre = count peer t.Petri.Net.t_pre in
+             pre = count peer t.Petri.Net.t_post
+             && pre <= 1
+             && (pre = 1 || peer <> t.Petri.Net.t_peer))
+           (Petri.Net.transitions net))
+    (Petri.Net.peers net)
 
 let mk name theorem ?(applies = always) check =
   { name; theorem; applies; check = guard check }
@@ -646,6 +705,7 @@ let all =
     mk "qsq-vs-reference" "Theorems 2-3 (Datalog encoding == definition)"
       qsq_vs_reference;
     mk "magic-vs-qsq" "Section 4.2 (magic sets == QSQ)" magic_vs_qsq;
+    mk "encodings-agree" "Section 4.1 (literal rules == co encoding)" encodings_agree;
     mk "product-vs-qsq-materialization" "Theorem 4 (materialized prefix == [8])"
       product_vs_qsq;
     mk "dqsq-vs-qsq" "Theorem 1 (dQSQ == centralized, any interleaving)" dqsq_vs_qsq;
@@ -654,7 +714,7 @@ let all =
     mk "dqsq-loss-soundness" "reliable-channel assumption (soundness under loss)"
       dqsq_loss_soundness;
     mk "reference-vs-literal" "condition (iii), two readings"
-      ~applies:single_component_per_peer reference_vs_literal;
+      ~applies:one_token_per_peer reference_vs_literal;
     mk "parallel-eq-sequential"
       "confluence (domain-parallel == sequential dQSQ, peers migrating)"
       parallel_eq_sequential;

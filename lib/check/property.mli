@@ -25,19 +25,18 @@ type outcome =
 type t = {
   name : string;  (** stable CLI identifier, e.g. ["qsq-vs-reference"] *)
   theorem : string;  (** the paper claim it pins, e.g. ["Theorems 2-3"] *)
-  applies : Gen.case -> bool;
-      (** some properties need structural preconditions (e.g.
-          [reference-vs-literal] needs single-component-per-peer nets) *)
+  applies : instance -> bool;
+      (** a structural precondition on the instance (e.g.
+          [reference-vs-literal] needs one token per peer); the runner
+          skips the instances outside it, and the shrinker counts them as
+          passing, so a shrunk counterexample still satisfies it *)
   check : instance -> outcome;
       (** total: engine exceptions come back as [Fail], never escape *)
 }
 
 val all : t list
-(** Every property, cheapest first:
-    [naive-vs-seminaive], [qsq-vs-reference], [magic-vs-qsq],
-    [product-vs-qsq-materialization], [dqsq-vs-qsq], [dqsq-ds-termination],
-    [dqsq-loss-soundness], [reference-vs-literal],
-    [parallel-eq-sequential], [codec-roundtrip], [seed-determinism]. *)
+(** Every property, in the order the fuzzer and [diag verify] run them;
+    DESIGN.md §8b lists each with the claim it pins. *)
 
 val find : string -> t option
 val names : string list

@@ -34,6 +34,12 @@ type report = {
   failures : failure list;
 }
 
+(* The property's verdict, an instance outside its precondition passing:
+   shrinking through [holds] never leaves the precondition of the property
+   it minimizes. *)
+let holds (property : Property.t) i =
+  if property.Property.applies i then property.Property.check i else Property.Pass
+
 (* Spec-level shrinking first: regenerate the same seed from structurally
    smaller specs (the {!Petri.Generator.shrink_spec} hook) while the
    property still fails — one accepted step here can discard several
@@ -49,7 +55,7 @@ let shrink_spec_level ~budget ~pins (property : Property.t) (case : Gen.case) :
     | exception _ -> false
     | c -> (
       decr budget;
-      match property.Property.check (Property.instance_of_case c) with
+      match holds property (Property.instance_of_case c) with
       | Property.Fail _ -> true
       | Property.Pass -> false)
   in
@@ -67,11 +73,11 @@ let minimize (config : config) (property : Property.t) (case : Gen.case)
   let budget = ref config.max_shrink_checks in
   let case', spec_steps = shrink_spec_level ~budget ~pins:config.pins property case in
   let r =
-    Shrink.shrink ~max_checks:(max 0 !budget) ~check:property.Property.check
+    Shrink.shrink ~max_checks:(max 0 !budget) ~check:(holds property)
       (Property.instance_of_case case')
   in
   let shrunk_reason =
-    match property.Property.check r.Shrink.instance with
+    match holds property r.Shrink.instance with
     | Property.Fail m -> m
     | Property.Pass -> reason (* budget exhausted mid-path; keep the original *)
   in
@@ -92,7 +98,7 @@ let run ?(on_case = fun _ -> ()) (config : config) : report =
     let instance = Property.instance_of_case case in
     List.iter
       (fun (p : Property.t) ->
-        if not (p.Property.applies case) then incr skipped
+        if not (p.Property.applies instance) then incr skipped
         else begin
           incr checks;
           match p.Property.check instance with

@@ -19,7 +19,7 @@ type failure = {
   case : Gen.case;  (** the original failing case *)
   property : Property.t;
   reason : string;
-  shrunk : Property.instance;  (** minimized; still failing *)
+  shrunk : Property.instance;  (** minimized; still failing, inside [applies] *)
   shrunk_reason : string;
   shrink_steps : int;  (** accepted reductions (spec- plus net-level) *)
 }

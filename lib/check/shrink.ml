@@ -45,9 +45,21 @@ let components (net : Petri.Net.t) : string list list =
   Hashtbl.fold (fun _ g acc -> List.sort compare g :: acc) groups []
   |> List.sort compare
 
+(* The instance on a smaller net; alarms of peers that vanish go too. None
+   if the net is ill-formed. *)
+let rebuild (i : Property.instance) ~places ~transitions ~marking =
+  match Petri.Net.make ~places ~transitions ~marking with
+  | exception Petri.Net.Ill_formed _ -> None
+  | net ->
+    let peers = Petri.Net.peers net in
+    let alarms =
+      Petri.Alarm.make
+        (List.filter (fun (_, p) -> List.mem p peers) (Petri.Alarm.to_pairs i.alarms))
+    in
+    Some { i with net; alarms }
+
 (* Rebuild the instance without the given places (and every transition
-   touching them); alarms of peers that vanish go too. None if the result
-   is ill-formed or not actually smaller. *)
+   touching them). *)
 let without_places (i : Property.instance) (doomed : string list) :
     Property.instance option =
   let doomed = List.fold_left (fun s p -> Petri.Net.String_set.add p s)
@@ -64,33 +76,15 @@ let without_places (i : Property.instance) (doomed : string list) :
     Petri.Net.String_set.elements
       (Petri.Net.String_set.diff (Petri.Net.marking i.net) doomed)
   in
-  match Petri.Net.make ~places ~transitions ~marking with
-  | exception Petri.Net.Ill_formed _ -> None
-  | net ->
-    let peers = Petri.Net.peers net in
-    let alarms =
-      Petri.Alarm.make
-        (List.filter (fun (_, p) -> List.mem p peers) (Petri.Alarm.to_pairs i.alarms))
-    in
-    Some { i with net; alarms }
+  rebuild i ~places ~transitions ~marking
 
 let without_transition (i : Property.instance) (tid : string) :
     Property.instance option =
   let transitions =
     List.filter (fun t -> t.Petri.Net.t_id <> tid) (Petri.Net.transitions i.net)
   in
-  match
-    Petri.Net.make ~places:(Petri.Net.places i.net) ~transitions
-      ~marking:(Petri.Net.String_set.elements (Petri.Net.marking i.net))
-  with
-  | exception Petri.Net.Ill_formed _ -> None
-  | net ->
-    let peers = Petri.Net.peers net in
-    let alarms =
-      Petri.Alarm.make
-        (List.filter (fun (_, p) -> List.mem p peers) (Petri.Alarm.to_pairs i.alarms))
-    in
-    Some { i with net; alarms }
+  rebuild i ~places:(Petri.Net.places i.net) ~transitions
+    ~marking:(Petri.Net.String_set.elements (Petri.Net.marking i.net))
 
 let truncate_alarms (i : Property.instance) (k : int) : Property.instance option =
   let pairs = Petri.Alarm.to_pairs i.alarms in

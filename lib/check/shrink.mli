@@ -5,7 +5,9 @@
     sequence, drop a single transition — keeping the first variant on
     which the property still fails, until a fixpoint or the check budget
     runs out. All variants of a safe instance are safe (removal only ever
-    removes behavior), so properties stay applicable. *)
+    removes behavior), so the theorems' safety assumption survives; a
+    property's structural precondition may not, so [check] should pass
+    the variants outside it (as {!Runner} does). *)
 
 type result = {
   instance : Property.instance;  (** the minimized failing instance *)

@@ -466,7 +466,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
 
 let set_tracing (t : t) b = Sim.set_tracing t.sim b
 let delivery_trace (t : t) = Sim.delivery_trace t.sim
-let metrics (t : t) = Sim.metrics t.sim
+let net_stats (t : t) = Sim.stats t.sim
 let wire_tables (t : t) = Wire.table_entries t.channels
 
 type outcome = {
@@ -527,7 +527,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
   {
     answers;
     deliveries;
-    net_stats = Network.Sim.stats t.sim;
+    net_stats = net_stats t;
     delegations = Atomic.get t.delegations;
     subscriptions = Atomic.get t.subscriptions;
     fact_messages = Atomic.get t.fact_messages;

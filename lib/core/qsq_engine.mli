@@ -108,7 +108,7 @@ val finish : ?deliveries:int -> t -> outcome
 (** Collect the outcome of a stepped run at quiescence. [deliveries] is
     echoed into the outcome (the caller counted its own {!step}s);
     [net_stats] is cumulative over the engine's lifetime, so per-session
-    byte deltas come from counter differences. *)
+    byte deltas are differences of {!net_stats}. *)
 
 val release : t -> unit
 (** Clear a quiescent engine for a warm pool: every peer's facts, rules,
@@ -140,11 +140,9 @@ val delivery_trace : t -> (string * string * string) list
     ("same seed and policy: same run") lifts to this trace, which is what
     the [seed-determinism] property of [lib/check] pins down. *)
 
-val metrics : t -> Obs.Metrics.registry
-(** The underlying simulator's per-instance registry ([sim.sent],
-    [sim.delivered], [sim.dropped], [sim.bytes]) — counters only, so its
-    {!Obs.Snapshot} is byte-identical across same-seed runs (unlike the
-    process-wide registry, whose histograms record wall-clock times). *)
+val net_stats : t -> Network.Sim.stats
+(** The underlying simulator's totals over the engine's lifetime, as
+    {!outcome}'s [net_stats] carries them at the end of a run. *)
 
 val wire_tables : t -> int * int
 (** (symbols, terms) in the engine's per-channel codec tables

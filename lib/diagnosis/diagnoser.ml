@@ -93,7 +93,7 @@ let prepare_on ~supervisor net half alarms =
     depth gadget ([Eval.options.max_depth], cf. {!gadget_depth}) when
     [Supervisor.unbounded] flags it. *)
 let prepare_general ?(supervisor = "supervisor") ?(hidden = []) (net : Petri.Net.t)
-    (observations : (string * Supervisor.observation) list) : prepared * bool =
+    (observations : (string * Pattern.t) list) : prepared * bool =
   let net = binarized net in
   assemble ~supervisor ~hidden net (lazy (encode Co ~hidden net)) observations
 

@@ -38,7 +38,7 @@ val prepare_general :
   ?supervisor:string ->
   ?hidden:string list ->
   Petri.Net.t ->
-  (string * Supervisor.observation) list ->
+  (string * Pattern.t) list ->
   prepared * bool
 (** Section 4.4 extensions; the boolean flags an infinite least model
     (hidden loops, starred patterns) — evaluate with a depth gadget then. *)

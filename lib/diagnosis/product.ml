@@ -11,7 +11,7 @@
     symbol is processed, the net contains all the nodes belonging to the
     possible configurations." A fixed alarm sequence is the product with
     each peer's linear word automaton, so the basic problem is the
-    Section 4.4 search over {!Supervisor.Word} observations.
+    Section 4.4 search over {!Supervisor.words} observations.
 
     States of the search are (per-peer automaton states, configuration,
     cut); the cut's conditions are pairwise concurrent by construction, so
@@ -64,10 +64,7 @@ type state = {
     events whose per-peer observable words are accepted is reported; hidden
     transitions extend configurations without advancing any automaton. *)
 let diagnose_general ?(max_states = 2_000_000) ~max_config_size ~(hidden : string list)
-    (net : Petri.Net.t) (observations : (string * Supervisor.observation) list) : result =
-  let patterns =
-    List.map (fun (p, o) -> (p, Supervisor.pattern_of_observation o)) observations
-  in
+    (net : Petri.Net.t) (patterns : (string * Pattern.t) list) : result =
   let initial_cut =
     Petri.Net.String_set.fold
       (fun place acc -> Term.Set.add (Term.app "g" [ Canon.root_term; Term.const place ]) acc)

@@ -25,7 +25,7 @@ val diagnose_general :
   max_config_size:int ->
   hidden:string list ->
   Petri.Net.t ->
-  (string * Supervisor.observation) list ->
+  (string * Pattern.t) list ->
   result
 (** Section 4.4: regular observations (NFA state sets as product states)
     and hidden transitions; configurations up to [max_config_size].

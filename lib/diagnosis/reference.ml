@@ -160,9 +160,6 @@ let diagnose_literal ?(max_events = 20_000) (net : Petri.Net.t) (alarms : Petri.
     hidden transitions. All matching configurations of at most
     [max_config_size] events are reported. *)
 let diagnose_general ?(max_events = 50_000) ~max_config_size ~(hidden : string list)
-    (net : Petri.Net.t) (observations : (string * Supervisor.observation) list) : result =
-  let patterns =
-    List.map (fun (p, o) -> (p, Supervisor.pattern_of_observation o)) observations
-  in
+    (net : Petri.Net.t) (patterns : (string * Pattern.t) list) : result =
   enumerate ~max_events ~max_config_size ~exact_size:None net (fun u config ->
       matches_global u net config patterns hidden)

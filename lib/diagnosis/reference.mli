@@ -30,7 +30,7 @@ val diagnose_general :
   max_config_size:int ->
   hidden:string list ->
   Petri.Net.t ->
-  (string * Supervisor.observation) list ->
+  (string * Pattern.t) list ->
   result
 (** Section 4.4: per-peer regular observations and hidden transitions; all
     matching configurations of at most [max_config_size] events. *)

@@ -160,3 +160,6 @@ let dot_of_config (net : Petri.Net.t) (config : Canon.config) : string =
       Petri.Unfolding.Int_set.empty (Petri.Unfolding.events u)
   in
   Petri.Dot.unfolding_to_string ~highlight u
+
+let frame (d : Canon.diagnosis) =
+  Dqsq.Wire.encode_configs (Dqsq.Wire.encoder ()) (List.map Term.Set.elements d)

@@ -23,6 +23,12 @@ val to_string : Petri.Net.t -> Canon.diagnosis -> string
     explanation, events in causal order, each with its peer, alarm, and
     immediate causes. *)
 
+val frame : Canon.diagnosis -> string
+(** The report frame a client receives: the diagnosis as one configs frame
+    ({!Dqsq.Wire.encode_configs}) from a fresh encoder. Decoding it gives
+    back the same terms, so it renders as {!to_string} does (the
+    [codec-roundtrip] fuzz property checks that). *)
+
 val timelines : Petri.Net.t -> Canon.config -> (string * string list) list
 (** Per-peer narration: each peer's events in a causal linear order. *)
 

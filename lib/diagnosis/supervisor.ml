@@ -27,10 +27,6 @@
 open Datalog
 open Dqsq
 
-type observation =
-  | Word of Petri.Alarm.alarm list  (** an exact per-peer subsequence *)
-  | Regex of Pattern.t  (** a regular pattern over the peer's alarm symbols *)
-
 let v x = Term.var x
 let c s = Term.const s
 
@@ -54,10 +50,6 @@ type t = {
 let datom ~rel ~peer args = Datom.make ~rel ~peer args
 let pos_lit ~rel ~peer args = Drule.Pos (datom ~rel ~peer args)
 
-let pattern_of_observation = function
-  | Word alarms -> Pattern.word (List.map (fun a -> a.Petri.Alarm.symbol) alarms)
-  | Regex p -> p
-
 (** [build observations] generates the supervisor's program for a
     per-peer observation specification. [place_peers] is the directory of
     peers whose places events may consume; it must include every system peer
@@ -69,14 +61,13 @@ let builds_c = Obs.Metrics.counter "supervisor.builds"
 let observations_c = Obs.Metrics.counter "supervisor.observations_encoded"
 
 let build ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
-    (observations : (string * observation) list) : t =
+    (patterns : (string * Pattern.t) list) : t =
   Obs.Metrics.incr builds_c;
-  Obs.Metrics.incr ~by:(List.length observations) observations_c;
+  Obs.Metrics.incr ~by:(List.length patterns) observations_c;
   let p0 = supervisor in
-  let peers = List.sort String.compare (List.map fst observations) in
+  let peers = List.sort String.compare (List.map fst patterns) in
   if List.length (List.sort_uniq String.compare peers) <> List.length peers then
     invalid_arg "Supervisor.build: duplicate peer in observations";
-  let patterns = List.map (fun (p, o) -> (p, pattern_of_observation o)) observations in
   let place_peers =
     match place_peers with
     | Some l -> List.sort_uniq String.compare (l @ peers @ hidden_peers)
@@ -231,8 +222,10 @@ let build ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
 
 (** The basic problem of Section 4.2 as observations: each peer's
     subsequence of one fixed alarm sequence, as a word. *)
-let words (alarms : Petri.Alarm.t) : (string * observation) list =
-  List.map (fun (p, sub) -> (p, Word sub)) (Petri.Alarm.split alarms)
+let words (alarms : Petri.Alarm.t) : (string * Pattern.t) list =
+  List.map
+    (fun (p, sub) -> (p, Pattern.word (List.map (fun a -> a.Petri.Alarm.symbol) sub)))
+    (Petri.Alarm.split alarms)
 
 (** Group the answers [q(z, x)] into a diagnosis: one configuration (set of
     event terms) per configuration id, duplicates identified. *)

@@ -12,14 +12,8 @@
 open Datalog
 open Dqsq
 
-type observation =
-  | Word of Petri.Alarm.alarm list  (** an exact per-peer subsequence *)
-  | Regex of Pattern.t  (** a regular pattern over the peer's alarms *)
-
 val initial_id : Term.t
 (** The empty configuration id [h(r)]. *)
-
-val pattern_of_observation : observation -> Pattern.t
 
 type t = {
   program : Dprogram.t;
@@ -36,7 +30,7 @@ val build :
   ?supervisor:string ->
   ?place_peers:string list ->
   ?hidden_peers:string list ->
-  (string * observation) list ->
+  (string * Pattern.t) list ->
   t
 (** [place_peers] is the directory of peers whose places events may
     consume; it must include every system peer when transitions synchronize
@@ -44,9 +38,9 @@ val build :
     it). [hidden_peers] may fire unobserved transitions ([hiddenNet@p]).
     @raise Invalid_argument on duplicate observation peers. *)
 
-val words : Petri.Alarm.t -> (string * observation) list
+val words : Petri.Alarm.t -> (string * Pattern.t) list
 (** The basic problem of Section 4.2 as observations: each peer's
-    subsequence of one fixed alarm sequence, as a {!Word}. *)
+    subsequence of one fixed alarm sequence, as a {!Pattern.word}. *)
 
 val diagnosis_of_answers : Atom.t list -> Canon.diagnosis
 (** Group the [q(z, x)] answers into a diagnosis (one configuration per id,

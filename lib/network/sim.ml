@@ -18,11 +18,12 @@
     into a value at delivery, so a receiver never shares the sender's
     value. Byte accounting is the length of the frames.
 
-    Accounting lives in an {!Obs.Metrics} registry owned by the instance
-    ([sim.sent], [sim.delivered], [sim.dropped], [sim.bytes]); the {!stats}
-    record is a thin view over it. Every update is mirrored into the
-    process-wide default registry under the same names, so CLI snapshots
-    see network totals without holding the instance. *)
+    The instance keeps one set of books: each channel counts its messages
+    and frame bytes, and the instance counts deliveries and drops; the
+    {!stats} record sums them. Every update is mirrored into the
+    process-wide default registry ([sim.sent], [sim.delivered],
+    [sim.dropped], [sim.bytes]), so CLI snapshots see network totals
+    without holding the instance. *)
 
 type peer_id = string
 
@@ -83,11 +84,8 @@ type 'msg t = {
   mutable rr_cursor : int;
   pending : 'msg channel Queue.t;
       (** channels in message send order, kept under [Global_fifo] only *)
-  metrics : Obs.Metrics.registry;  (** per-instance accounting *)
-  c_sent : Obs.Metrics.counter;
-  c_delivered : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
-  c_bytes : Obs.Metrics.counter;
+  delivered : int Atomic.t;  (* {!run_parallel} workers count both *)
+  dropped : int Atomic.t;  (* outside the lock *)
   mutable trace : (peer_id * peer_id * string) list;  (** reverse delivery log *)
   mutable tracing : bool;
   describe : 'msg -> string;
@@ -98,7 +96,6 @@ type 'msg t = {
 let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0) ~codec
     ?(describe = fun _ -> "<msg>") () =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Sim.create: loss must be in [0, 1)";
-  let metrics = Obs.Metrics.create_registry () in
   {
     rng = Random.State.make [| seed |];
     loss_rng = Random.State.make [| seed + 7919 |];
@@ -111,18 +108,13 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0) ~codec
     channel_count = 0;
     rr_cursor = 0;
     pending = Queue.create ();
-    metrics;
-    c_sent = Obs.Metrics.counter ~registry:metrics "sim.sent";
-    c_delivered = Obs.Metrics.counter ~registry:metrics "sim.delivered";
-    c_dropped = Obs.Metrics.counter ~registry:metrics "sim.dropped";
-    c_bytes = Obs.Metrics.counter ~registry:metrics "sim.bytes";
+    delivered = Atomic.make 0;
+    dropped = Atomic.make 0;
     trace = [];
     tracing = false;
     describe;
     par = None;
   }
-
-let metrics t = t.metrics
 
 let set_tracing t b = t.tracing <- b
 
@@ -158,23 +150,21 @@ let channel t src dst =
     push_channel t ch;
     ch
 
-let tick local global = Obs.Metrics.incr local; Obs.Metrics.incr global
-let tick_by n local global = Obs.Metrics.incr ~by:n local; Obs.Metrics.incr ~by:n global
-
 (* Frame [msg] with the channel's encoder and book it. *)
-let encode t ch msg =
+let encode ch msg =
   let frame = ch.encode msg in
   let n = String.length frame in
   ch.ch_msgs <- ch.ch_msgs + 1;
   ch.ch_bytes <- ch.ch_bytes + n;
   Obs.Metrics.incr ~by:n ch.bytes_g;
-  tick t.c_sent g_sent;
-  tick_by n t.c_bytes g_bytes;
+  Obs.Metrics.incr g_sent;
+  Obs.Metrics.incr ~by:n g_bytes;
   frame
 
 let drop t =
-  tick t.c_dropped g_dropped;
-  tick t.c_sent g_sent
+  Atomic.incr t.dropped;
+  Obs.Metrics.incr g_dropped;
+  Obs.Metrics.incr g_sent
 
 let lost t = t.loss > 0.0 && Random.State.float t.loss_rng 1.0 < t.loss
 
@@ -188,7 +178,7 @@ let send t ~src ~dst msg =
     if lost t then drop t
     else begin
       let ch = channel t src dst in
-      Queue.add (encode t ch msg) ch.frames;
+      Queue.add (encode ch msg) ch.frames;
       (* only [Global_fifo] ever pops the send order *)
       if t.policy = Global_fifo then Queue.add ch t.pending
     end
@@ -203,7 +193,7 @@ let send t ~src ~dst msg =
     match Mutex.protect p.mu kept with
     | None -> drop t
     | Some ch ->
-      let frame = encode t ch msg in
+      let frame = encode ch msg in
       Mutex.protect p.mu (fun () ->
           Queue.add frame ch.frames;
           Condition.signal p.cond))
@@ -244,7 +234,8 @@ let pick_channel t =
 (* Decode a frame at its destination and account the delivery. *)
 let receive t ch frame =
   let msg = ch.decode frame in
-  tick t.c_delivered g_delivered;
+  Atomic.incr t.delivered;
+  Obs.Metrics.incr g_delivered;
   msg
 
 (** Deliver one message if any is pending; returns [false] at quiescence. *)
@@ -404,19 +395,23 @@ type stats = {
       (** per-channel messages and frame bytes *)
 }
 
-(* The record is read off the instance registry — the registry is the
-   source of truth, [stats] only a view. *)
+(* The totals are sums over the channel books: a sent message is framed on
+   its channel or dropped before it. *)
 let stats (t : _ t) =
+  let channels =
+    List.sort compare
+      (Hashtbl.fold
+         (fun k ch acc -> (k, { msgs = ch.ch_msgs; bytes = ch.ch_bytes }) :: acc)
+         t.channels [])
+  in
+  let sum f = List.fold_left (fun n (_, c) -> n + f c) 0 channels in
+  let dropped = Atomic.get t.dropped in
   {
-    sent = Obs.Metrics.value t.c_sent;
-    delivered = Obs.Metrics.value t.c_delivered;
-    dropped = Obs.Metrics.value t.c_dropped;
-    bytes = Obs.Metrics.value t.c_bytes;
-    channels =
-      List.sort compare
-        (Hashtbl.fold
-           (fun k ch acc -> (k, { msgs = ch.ch_msgs; bytes = ch.ch_bytes }) :: acc)
-           t.channels []);
+    sent = sum (fun c -> c.msgs) + dropped;
+    delivered = Atomic.get t.delivered;
+    dropped;
+    bytes = sum (fun (c : channel_stats) -> c.bytes);
+    channels;
   }
 
 let delivery_trace t = List.rev t.trace

@@ -99,13 +99,11 @@ type stats = {
 }
 
 val stats : 'msg t -> stats
-(** A thin view over the instance's metrics registry (see {!metrics}). *)
-
-val metrics : 'msg t -> Obs.Metrics.registry
-(** Per-instance accounting: counters [sim.sent], [sim.delivered],
-    [sim.dropped], [sim.bytes]. Every update is also mirrored into the
-    process-wide {!Obs.Metrics.default} registry under the same names;
-    per-channel byte totals are additionally mirrored as
+(** The instance's totals since {!create}: [sent] and [bytes] are sums
+    over the per-channel books (plus the drops, for [sent]). Every update
+    is also mirrored into the process-wide {!Obs.Metrics.default}
+    registry as the counters [sim.sent], [sim.delivered], [sim.dropped]
+    and [sim.bytes]; per-channel byte totals are mirrored as
     [sim.channel_bytes.<src>-><dst>] counters, so [--stats=json] can
     report the byte matrix without holding the instance. *)
 

@@ -12,7 +12,6 @@
    network as {!Dqsq.Wire} frames, and the finished report is encoded as a configuration-set frame, whose length is billed
    to the session. *)
 
-open Datalog
 open Dqsq
 open Diagnosis
 
@@ -258,8 +257,7 @@ let add_alarm t sid ~symbol ~peer =
   | Failed m -> errorf "session %d failed: %s" sid m
   | Running _ | Done _ -> errorf "session %d already started" sid
 
-let engine_bytes engine =
-  Obs.Metrics.counter_value ~registry:(Qsq_engine.metrics engine) "sim.bytes"
+let engine_bytes engine = (Qsq_engine.net_stats engine).Network.Sim.bytes
 
 let start (t : t) sid =
   let* s = session t sid in
@@ -299,18 +297,11 @@ let start (t : t) sid =
     | () -> Ok ()
     | exception Invalid_argument m -> errorf "session %d: %s" sid m)
 
-(* The report frame the client would receive: its bytes are billed to the
-   session. Decoding it would give back physically the same terms (the
-   [codec-roundtrip] fuzz property checks that), so the body is rendered
-   from [diagnosis] directly. *)
-let report_frame diagnosis =
-  Wire.encode_configs (Wire.encoder ()) (List.map Term.Set.elements diagnosis)
-
 (* At quiescence: collect the answers, encode the report frame, render. *)
 let finalize (t : t) (s : session) (r : running) =
   let out = Qsq_engine.finish ~deliveries:r.deliveries r.engine in
   let diagnosis = Supervisor.diagnosis_of_answers out.Qsq_engine.answers in
-  let frame = report_frame diagnosis in
+  let frame = Report.frame diagnosis in
   let body = Report.to_string s.s_tenant.net diagnosis in
   let latency_s = Obs.Clock.now_s () -. r.started_at in
   let wire_bytes = engine_bytes r.engine - r.bytes0 + String.length frame in
@@ -383,7 +374,7 @@ let drive ?only t =
    and render. The session stays open for more alarms. *)
 let stream_report (s : session) (st : stream) =
   let diagnosis = Online.diagnosis st.online in
-  let frame = report_frame diagnosis in
+  let frame = Report.frame diagnosis in
   let body = Report.to_string s.s_tenant.net diagnosis in
   st.s_reports <- st.s_reports + 1;
   st.s_wire_bytes <- st.s_wire_bytes + String.length frame;

@@ -94,17 +94,23 @@ let auto_checkpoint checkpoints coord sid =
     | Ok _ | Error _ -> ())
   | Some { every = None; _ } | None -> ()
 
-(* restore everything the store holds for [tenant] — the startup recovery
-   scan, deferred to the moment the tenant's net becomes known *)
-let recover_tenant ck coord tenant =
-  List.iter
+(* restore what the store holds, only [tenant]'s sessions when given (the
+   startup recovery scan, deferred to the moment the tenant's net becomes
+   known); the restored session ids, in scan order *)
+let recover ?tenant ck coord =
+  List.filter_map
     (fun (name, (img : Snapshot.stream_image)) ->
-      if String.equal img.Snapshot.tenant tenant then
+      match tenant with
+      | Some t when not (String.equal t img.Snapshot.tenant) -> None
+      | Some _ | None -> (
         match Coordinator.restore_stream coord img with
         | Ok sid ->
           Printf.eprintf "serve: recovered session %d (tenant %s, %d alarms) from %s\n%!"
-            sid tenant img.Snapshot.alarms name
-        | Error m -> Printf.eprintf "serve: recovery of %s failed: %s\n%!" name m)
+            sid img.Snapshot.tenant img.Snapshot.alarms name;
+          Some sid
+        | Error m ->
+          Printf.eprintf "serve: recovery of %s failed: %s\n%!" name m;
+          None))
     (Snapshot.scan ck.store)
 
 (* graceful shutdown: every live stream reaches the store before the
@@ -172,7 +178,7 @@ let handle ?checkpoints coord oc line =
        let* placement = Coordinator.add_tenant coord ~name net in
        respond oc "ok tenant %s peers %s" name (String.concat "," placement);
        (match checkpoints with
-       | Some ({ recover = true; _ } as ck) -> recover_tenant ck coord name
+       | Some ({ recover = true; _ } as ck) -> ignore (recover ~tenant:name ck coord)
        | Some _ | None -> ());
        Ok ());
     Continue
@@ -263,18 +269,11 @@ let handle ?checkpoints coord oc line =
   | [ "recover" ] ->
     reply
       (let* ck = need_checkpoints checkpoints in
-       let restored =
-         List.filter_map
-           (fun (name, img) ->
-             match Coordinator.restore_stream coord img with
-             | Ok sid -> Some (string_of_int sid)
-             | Error m ->
-               Printf.eprintf "serve: recovery of %s failed: %s\n%!" name m;
-               None)
-           (Snapshot.scan ck.store)
-       in
+       let restored = recover ck coord in
        respond oc "ok recovered %d sessions%s" (List.length restored)
-         (match restored with [] -> "" | l -> " " ^ String.concat "," l);
+         (match restored with
+         | [] -> ""
+         | l -> " " ^ String.concat "," (List.map string_of_int l));
        Ok ());
     Continue
   | [ "stats" ] ->

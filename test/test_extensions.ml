@@ -100,7 +100,7 @@ let hidden_case () =
   (* hide transition ii (alarm a at p2); observe only (b,p1)(c,p1) *)
   let net = running_net () in
   let hidden = [ "ii" ] in
-  let observations = [ ("p1", Supervisor.Word (alarms [ ("b", "p1"); ("c", "p1") ])) ] in
+  let observations = [ ("p1", Pattern.word [ "b"; "c" ]) ] in
   (net, hidden, observations)
 
 let test_hidden_reference () =
@@ -158,7 +158,7 @@ let pattern_case () =
     Pattern.concat (Pattern.word [ "b" ]) (Pattern.star (Pattern.word [ "c" ]))
   in
   let observations =
-    [ ("p1", Supervisor.Regex p1_pattern); ("p2", Supervisor.Word (alarms [ ("a", "p2") ])) ]
+    [ ("p1", p1_pattern); ("p2", Pattern.word [ "a" ]) ]
   in
   (net, observations)
 
@@ -201,7 +201,7 @@ let test_forbidden_pattern () =
   let net = running_net () in
   let alphabet = [ "b"; "c" ] in
   let forbid = Pattern.complement ~alphabet (Pattern.contains_factor ~alphabet [ "b"; "c" ]) in
-  let observations = [ ("p1", Supervisor.Regex forbid) ] in
+  let observations = [ ("p1", forbid) ] in
   let r = Reference.diagnose_general ~max_config_size:2 ~hidden:[] net observations in
   (* p1 words possible in 2 events: [], [b], [b;c] (from i;iii) — the factor
      bc is forbidden, so only the empty and singleton-b explanations stay *)
@@ -318,9 +318,7 @@ let prop_general_random =
                    (Petri.Net.transition net hidden_tid).Petri.Net.t_alarm))
           a
       in
-      let observations =
-        List.map (fun (p, sub) -> (p, Supervisor.Word sub)) (Petri.Alarm.split observed)
-      in
+      let observations = Supervisor.words observed in
       let k = List.length firing + 1 in
       let r = Reference.diagnose_general ~max_config_size:k ~hidden net observations in
       let p = Product.diagnose_general ~max_config_size:k ~hidden net observations in
