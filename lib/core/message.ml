@@ -7,25 +7,36 @@
       to the peer owning the next relation (the paper's rule (†));
     - evaluation-phase messages: {!Subscribe} asks the owner of a relation to
       push its tuples, and {!Fact} carries one tuple.
-    Distributed naive evaluation uses {!Activate} instead of delegations. *)
+    Distributed naive evaluation uses {!Activate} instead of delegations.
+
+    A delegation carries only what its receiver cannot rebuild: its dedup
+    {!key} and the relation of its previous supplementary atom are
+    functions of the other fields. *)
 
 open Datalog
 
 type delegation = {
-  d_key : string;  (** dedup key: origin rule + position; "if a peer receives
-      the same request from different peers, it reuses the same machinery" *)
   d_origin_rel : string;  (** relation of the rule being rewritten *)
   d_origin_ad : string;  (** its adornment string *)
   d_rule_index : int;  (** index of the rule among the origin's rules *)
   d_pos : int;  (** next supplementary position *)
   d_lit_index : int;  (** index of the next literal in the original body *)
-  d_prev_sup : Atom.t;  (** sup_{i,j-1} over its mangled symbol *)
-  d_prev_owner : string;  (** peer holding [d_prev_sup] *)
+  d_prev_args : Term.t list;
+      (** arguments of sup_{i,j-1}; its relation is the origin's
+          supplementary relation at [d_pos], located at [d_prev_owner] *)
+  d_prev_owner : string;  (** peer holding sup_{i,j-1} *)
   d_remaining : Drule.literal list;  (** literals still to process *)
   d_pending : (Term.t * Term.t) list;  (** disequalities not yet ground *)
   d_bound : string list;  (** variables bound so far *)
   d_head : Datom.t;  (** original rule head (unadorned, located) *)
 }
+
+(* "if a peer receives the same request from different peers, it reuses
+   the same machinery": origin rule + position, or its answer rule *)
+let key d =
+  if d.d_remaining = [] then
+    Printf.sprintf "%s^%s/%d@answer" d.d_origin_rel d.d_origin_ad d.d_rule_index
+  else Printf.sprintf "%s^%s/%d@%d" d.d_origin_rel d.d_origin_ad d.d_rule_index d.d_lit_index
 
 type t =
   | Activate of string  (** relation name to compute (distributed naive) *)
@@ -40,7 +51,7 @@ let rec describe = function
   | Activate r -> Printf.sprintf "activate %s" r
   | Subscribe s -> Printf.sprintf "subscribe %s" (Symbol.name s)
   | Fact a -> Printf.sprintf "fact %s" (Atom.to_string a)
-  | Delegate d -> Printf.sprintf "delegate %s" d.d_key
+  | Delegate d -> Printf.sprintf "delegate %s" (key d)
   | Batch [ m ] -> describe m
   | Batch ms -> Printf.sprintf "batch[%d]" (List.length ms)
 

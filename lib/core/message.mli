@@ -7,20 +7,28 @@
 
 open Datalog
 
+(** A delegation holds only what its receiver cannot rebuild. Its dedup
+    key is {!key}, and the relation of [sup_{i,j-1}] is the origin's
+    supplementary relation at [d_pos], located at [d_prev_owner]
+    ([Qsq_engine] rebuilds it), so only its arguments are carried. *)
 type delegation = {
-  d_key : string;  (** dedup key — repeated requests reuse the machinery *)
   d_origin_rel : string;  (** located name of the relation being rewritten *)
   d_origin_ad : string;
   d_rule_index : int;
   d_pos : int;  (** next supplementary position *)
   d_lit_index : int;  (** next literal in the original body *)
-  d_prev_sup : Atom.t;  (** [sup_{i,j-1}] over its mangled symbol *)
-  d_prev_owner : string;
+  d_prev_args : Term.t list;  (** the arguments of [sup_{i,j-1}] *)
+  d_prev_owner : string;  (** the peer holding [sup_{i,j-1}] *)
   d_remaining : Drule.literal list;
   d_pending : (Term.t * Term.t) list;  (** disequalities not yet ground *)
   d_bound : string list;
   d_head : Datom.t;  (** the original rule head *)
 }
+
+val key : delegation -> string
+(** The dedup key — repeated requests reuse the machinery:
+    ["R@p^ad/i@k"] for the walk resuming at literal [k] of rule [i], or
+    ["R@p^ad/i@answer"] once no literal remains. *)
 
 type t =
   | Activate of string

@@ -137,19 +137,39 @@ let send_fact t ~src ~dst fact =
 let forward t ~src outputs =
   List.iter (fun (fact, subs) -> List.iter (fun dst -> send_fact t ~src ~dst fact) subs) outputs
 
+(* Located names are memoized by their inputs ({!Symbol.memo}). *)
+let adorned_at : (string * string * Adornment.t, Symbol.t) Hashtbl.t = Hashtbl.create 64
+let input_at : (string * string * Adornment.t, Symbol.t) Hashtbl.t = Hashtbl.create 64
+let sup_tbl : (string * Adornment.t * int * int * string, Symbol.t) Hashtbl.t = Hashtbl.create 64
+
 (* A relation's generated names at a peer: each base name is computed on
    the unmangled relation (matching centralized QSQ), then located. *)
 let located ~rel ~peer : Qsq.names =
-  let at make ad = Datom.mangle_rel ~rel:(Symbol.name (make (Symbol.intern rel) ad)) ~peer in
-  { Qsq.adorned = at Adornment.adorned_sym; input = at Adornment.input_sym }
+  let at tbl make ad =
+    Symbol.memo tbl (rel, peer, ad) (fun () ->
+        Datom.mangle_rel ~rel:(Symbol.name (make (Symbol.intern rel) ad)) ~peer)
+  in
+  { Qsq.adorned = at adorned_at Adornment.adorned_sym; input = at input_at Adornment.input_sym }
 
 (* [rel] is the located origin relation ["R@p"], which keeps the
    supplementary relations of same-named relations at different peers
    apart. *)
 let sup_at ~rel ~ad ~rule_index ~pos ~peer =
-  Datom.mangle_rel
-    ~rel:(Symbol.name (Adornment.sup_sym (Symbol.intern rel) ad ~rule_index ~pos))
-    ~peer
+  Symbol.memo sup_tbl (rel, ad, rule_index, pos, peer) (fun () ->
+      Datom.mangle_rel
+        ~rel:(Symbol.name (Adornment.sup_sym (Symbol.intern rel) ad ~rule_index ~pos))
+        ~peer)
+
+let ad_of_string s = Array.init (String.length s) (fun i -> s.[i] = 'b')
+
+(* The delegation's [sup_{i,j-1}] atom. Its relation is not shipped: it is
+   the origin's supplementary relation at [d_pos], located at the peer that
+   built it. *)
+let prev_sup (d : Message.delegation) =
+  Atom.cmake
+    (sup_at ~rel:d.Message.d_origin_rel ~ad:(ad_of_string d.Message.d_origin_ad)
+       ~rule_index:d.Message.d_rule_index ~pos:d.Message.d_pos ~peer:d.Message.d_prev_owner)
+    d.Message.d_prev_args
 
 (* The variables a supplementary relation keeps: those of [head] and of
    the literals still to walk. *)
@@ -157,7 +177,7 @@ let need (head : Datom.t) lits =
   Var_set.of_list (Datom.vars head @ List.concat_map Drule.literal_vars lits)
 
 let walk_of (d : Message.delegation) : Qsq.walk =
-  { Qsq.bound = Var_set.of_list d.Message.d_bound; prev = d.Message.d_prev_sup;
+  { Qsq.bound = Var_set.of_list d.Message.d_bound; prev = prev_sup d;
     pending = d.Message.d_pending }
 
 (* The per-engine [t.fresh] counter is atomic so concurrent [demand]s on
@@ -200,27 +220,23 @@ let rec walk t p (d : Message.delegation) =
     buffer t ~src:p ~dst (Message.Delegate d')
   in
   let rec go pos lit_index (w : Qsq.walk) prev_owner lits =
-    let here key remaining =
-      { d with Message.d_key = key; d_pos = pos; d_lit_index = lit_index;
-               d_prev_sup = w.Qsq.prev; d_prev_owner = prev_owner;
+    let here remaining =
+      { d with Message.d_pos = pos; d_lit_index = lit_index;
+               d_prev_args = w.Qsq.prev.Atom.args; d_prev_owner = prev_owner;
                d_remaining = remaining; d_pending = w.Qsq.pending;
                d_bound = Var_set.elements w.Qsq.bound }
     in
     match lits with
     | [] ->
       (* Install the answer rule at the head's peer. *)
-      let finish = here (answer_key d) [] in
+      let finish = here [] in
       if String.equal head.Datom.peer p then install_answer t p finish
       else delegate ~dst:head.Datom.peer finish
     | Drule.Neq (x, y) :: rest ->
       go pos (lit_index + 1) { w with Qsq.pending = w.Qsq.pending @ [ (x, y) ] } prev_owner rest
     | Drule.Pos a :: _ when not (String.equal a.Datom.peer p) ->
       (* Remote relation: delegate the remainder — rule (†). *)
-      delegate ~dst:a.Datom.peer
-        (here
-           (Printf.sprintf "%s^%s/%d@%d" d.Message.d_origin_rel d.Message.d_origin_ad
-              d.Message.d_rule_index lit_index)
-           lits)
+      delegate ~dst:a.Datom.peer (here lits)
     | Drule.Pos a :: rest ->
       (* Local relation: one centralized-QSQ step; an IDB relation here is
          demanded, which recursively rewrites its rules. *)
@@ -243,25 +259,21 @@ let rec walk t p (d : Message.delegation) =
   in
   (* The walk consumes facts of the previous supplementary relation; make
      sure they reach this peer. *)
-  ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:d.Message.d_prev_sup.Atom.rel;
-  go d.Message.d_pos d.Message.d_lit_index (walk_of d) d.Message.d_prev_owner
-    d.Message.d_remaining;
+  let w = walk_of d in
+  ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:w.Qsq.prev.Atom.rel;
+  go d.Message.d_pos d.Message.d_lit_index w d.Message.d_prev_owner d.Message.d_remaining;
   install_and_eval t p !rules_to_install
-
-and answer_key d =
-  Printf.sprintf "%s^%s/%d@answer" d.Message.d_origin_rel d.Message.d_origin_ad
-    d.Message.d_rule_index
-
-and ad_of_string s = Array.init (String.length s) (fun i -> s.[i] = 'b')
 
 and install_answer t p (d : Message.delegation) =
   let st = state t p in
-  if not (Hashtbl.mem st.delegations_seen d.Message.d_key) then begin
-    Hashtbl.add st.delegations_seen d.Message.d_key ();
-    ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:d.Message.d_prev_sup.Atom.rel;
+  let key = Message.key d in
+  if not (Hashtbl.mem st.delegations_seen key) then begin
+    Hashtbl.add st.delegations_seen key ();
+    let w = walk_of d in
+    ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:w.Qsq.prev.Atom.rel;
     let head = d.Message.d_head in
     install_and_eval t p
-      [ Qsq.answer (walk_of d)
+      [ Qsq.answer w
           (located ~rel:head.Datom.rel ~peer:p)
           (ad_of_string d.Message.d_origin_ad) head.Datom.args ]
   end
@@ -307,13 +319,12 @@ and demand t p ~rel ~ad =
         install_and_eval t p [ sup0_rule ];
         walk t p
           {
-            Message.d_key = Printf.sprintf "%s^%s/%d@start" origin (Adornment.to_string ad) i;
-            d_origin_rel = origin;
+            Message.d_origin_rel = origin;
             d_origin_ad = Adornment.to_string ad;
             d_rule_index = i;
             d_pos = 0;
             d_lit_index = 0;
-            d_prev_sup = w.Qsq.prev;
+            d_prev_args = w.Qsq.prev.Atom.args;
             d_prev_owner = p;
             d_remaining = body;
             d_pending = [];
@@ -351,9 +362,12 @@ let rec handle_msg t p ~src msg =
     if fresh <> [] then forward t ~src:p (Runtime.evaluate ~delta:fresh st.rt)
   | Message.Delegate d ->
     if d.Message.d_remaining = [] then install_answer t p d
-    else if not (Hashtbl.mem st.delegations_seen d.Message.d_key) then begin
-      Hashtbl.add st.delegations_seen d.Message.d_key ();
-      walk t p d
+    else begin
+      let key = Message.key d in
+      if not (Hashtbl.mem st.delegations_seen key) then begin
+        Hashtbl.add st.delegations_seen key ();
+        walk t p d
+      end
     end
   | Message.Activate _ ->
     (* the supervisor's root injected the query (Dijkstra-Scholten mode) *)

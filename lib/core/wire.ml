@@ -8,9 +8,11 @@
     varint; likewise a hash-consed term spine is serialized node by node
     once and then referenced by id — the deep Skolem spines h(h(h(...)))
     the diagnosis programs share between facts cross the wire a single
-    time per connection. Decoding re-interns through the hash-consing
-    smart constructors, so a decoded term is physically equal to the term
-    that was encoded ([Term.equal], which IS pointer equality).
+    time per connection. Located names (relations, peers, adornments)
+    get a third such table, of plain strings. Decoding re-interns through
+    the hash-consing smart constructors, so a decoded term is physically
+    equal to the term that was encoded ([Term.equal], which IS pointer
+    equality).
 
     Process-wide counters [wire.bytes_sent] / [wire.bytes_recv] /
     [wire.frames] account every frame. {!codec} is the network
@@ -47,27 +49,31 @@ end)
 type encoder = {
   e_syms : (Symbol.t, int) Hashtbl.t;
   mutable e_nsyms : int;
+  e_names : (string, int) Hashtbl.t;  (* located names, kept out of [Symbol] *)
+  mutable e_nnames : int;
   mutable e_terms : int Term_tbl.t;  (* term -> wire id *)
   mutable e_nterms : int;
   e_buf : Buffer.t;  (* scratch: the body of the frame being built *)
 }
 
 let encoder () =
-  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_terms = Term_tbl.create 256;
-    e_nterms = 0; e_buf = Buffer.create 256 }
+  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_names = Hashtbl.create 16; e_nnames = 0;
+    e_terms = Term_tbl.create 256; e_nterms = 0; e_buf = Buffer.create 256 }
 
 (* Dynamic arrays for the id -> value direction; [Term.var "_"] and the
    empty symbol are placeholders for unused slots, never read. *)
 type decoder = {
   mutable d_syms : Symbol.t array;
   mutable d_nsyms : int;
+  mutable d_names : string array;
+  mutable d_nnames : int;
   mutable d_terms : Term.t array;
   mutable d_nterms : int;
 }
 
 let decoder () =
-  { d_syms = Array.make 64 (Symbol.intern ""); d_nsyms = 0;
-    d_terms = Array.make 256 (Term.var "_"); d_nterms = 0 }
+  { d_syms = Array.make 64 (Symbol.intern ""); d_nsyms = 0; d_names = Array.make 16 "";
+    d_nnames = 0; d_terms = Array.make 256 (Term.var "_"); d_nterms = 0 }
 
 let push slot n arr v =
   let arr = if n < Array.length arr then arr
@@ -82,6 +88,7 @@ let push slot n arr v =
   n + 1
 
 let push_sym d s = d.d_nsyms <- push (fun a -> d.d_syms <- a) d.d_nsyms d.d_syms s
+let push_name d s = d.d_nnames <- push (fun a -> d.d_names <- a) d.d_nnames d.d_names s
 let push_term d t = d.d_nterms <- push (fun a -> d.d_terms <- a) d.d_nterms d.d_terms t
 
 (* ------------------------------------------------------------------ *)
@@ -166,6 +173,32 @@ let get_symbol d r =
     d.d_syms.(id)
   end
 
+(* Relation, peer and adornment names of located atoms and delegations
+   get a table of their own, so decoding them interns nothing: a new
+   [Symbol] would shift every later symbol id, and with them the order
+   in which the fact stores fire rules. *)
+let put_name e buf s =
+  match Hashtbl.find_opt e.e_names s with
+  | Some id -> put_uvarint buf (id + 1)
+  | None ->
+    put_uvarint buf 0;
+    put_string buf s;
+    Hashtbl.add e.e_names s e.e_nnames;
+    e.e_nnames <- e.e_nnames + 1
+
+let get_name d r =
+  let k = get_uvarint r in
+  if k = 0 then begin
+    let s = get_string r in
+    push_name d s;
+    s
+  end
+  else begin
+    let id = k - 1 in
+    if id >= d.d_nnames then corrupt "name id %d out of range" id;
+    d.d_names.(id)
+  end
+
 let rec put_term e buf t =
   match Term_tbl.find_opt e.e_terms t with
   | Some id -> put_uvarint buf (id + 1)
@@ -227,13 +260,13 @@ let get_atom d r =
   Atom.cmake rel (get_terms d r)
 
 let put_datom e buf (a : Datom.t) =
-  put_string buf a.Datom.rel;
-  put_string buf a.Datom.peer;
+  put_name e buf a.Datom.rel;
+  put_name e buf a.Datom.peer;
   put_terms e buf a.Datom.args
 
 let get_datom d r =
-  let rel = get_string r in
-  let peer = get_string r in
+  let rel = get_name d r in
+  let peer = get_name d r in
   Datom.make ~rel ~peer (get_terms d r)
 
 let put_literal e buf = function
@@ -253,27 +286,48 @@ let get_literal d r =
     Drule.Neq (x, get_term d r)
   | b -> corrupt "bad literal tag %d" b
 
+(* A bound variable is written as its variable term: the rule's
+   variables already crossed in its literals, so it is usually a
+   backref. *)
+let get_var d r =
+  match Term.view (get_term d r) with
+  | Term.Var v -> v
+  | _ -> corrupt "bound variable is not a variable"
+
+(* Bytes by message kind; framing (length prefixes, headers, envelopes,
+   acks and the other frame kinds) is the rest of [wire.bytes_sent]. *)
+let delegate_bytes_c = Obs.Metrics.counter "wire.bytes.delegate"
+let fact_bytes_c = Obs.Metrics.counter "wire.bytes.fact"
+let subscribe_bytes_c = Obs.Metrics.counter "wire.bytes.subscribe"
+
+(* the bytes [buf] gained since [start] *)
+let bill c buf start = Obs.Metrics.incr ~by:(Buffer.length buf - start) c
+
+(* A delegation carries no dedup key and no [sup_{i,j-1}] relation: the
+   receiver rebuilds both from the fields that follow. *)
 let rec put_message e buf (m : Message.t) =
+  let start = Buffer.length buf in
   match m with
   | Message.Activate rel ->
     Buffer.add_char buf '\000';
     put_string buf rel
   | Message.Subscribe s ->
     Buffer.add_char buf '\001';
-    put_symbol e buf s
+    put_symbol e buf s;
+    bill subscribe_bytes_c buf start
   | Message.Fact a ->
     Buffer.add_char buf '\002';
-    put_atom e buf a
+    put_atom e buf a;
+    bill fact_bytes_c buf start
   | Message.Delegate d ->
     Buffer.add_char buf '\003';
-    put_string buf d.Message.d_key;
-    put_string buf d.Message.d_origin_rel;
-    put_string buf d.Message.d_origin_ad;
+    put_name e buf d.Message.d_origin_rel;
+    put_name e buf d.Message.d_origin_ad;
     put_uvarint buf d.Message.d_rule_index;
     put_uvarint buf d.Message.d_pos;
     put_uvarint buf d.Message.d_lit_index;
-    put_atom e buf d.Message.d_prev_sup;
-    put_string buf d.Message.d_prev_owner;
+    put_terms e buf d.Message.d_prev_args;
+    put_name e buf d.Message.d_prev_owner;
     put_uvarint buf (List.length d.Message.d_remaining);
     List.iter (put_literal e buf) d.Message.d_remaining;
     put_uvarint buf (List.length d.Message.d_pending);
@@ -283,8 +337,9 @@ let rec put_message e buf (m : Message.t) =
         put_term e buf y)
       d.Message.d_pending;
     put_uvarint buf (List.length d.Message.d_bound);
-    List.iter (put_string buf) d.Message.d_bound;
-    put_datom e buf d.Message.d_head
+    List.iter (fun v -> put_term e buf (Term.var v)) d.Message.d_bound;
+    put_datom e buf d.Message.d_head;
+    bill delegate_bytes_c buf start
   | Message.Batch ms ->
     Buffer.add_char buf '\004';
     put_uvarint buf (List.length ms);
@@ -296,26 +351,24 @@ let rec get_message d r : Message.t =
   | 1 -> Message.Subscribe (get_symbol d r)
   | 2 -> Message.Fact (get_atom d r)
   | 3 ->
-    let d_key = get_string r in
-    let d_origin_rel = get_string r in
-    let d_origin_ad = get_string r in
+    let d_origin_rel = get_name d r in
+    let d_origin_ad = get_name d r in
     let d_rule_index = get_uvarint r in
     let d_pos = get_uvarint r in
     let d_lit_index = get_uvarint r in
-    let d_prev_sup = get_atom d r in
-    let d_prev_owner = get_string r in
+    let d_prev_args = get_terms d r in
+    let d_prev_owner = get_name d r in
     let d_remaining = get_list (get_uvarint r) (fun () -> get_literal d r) in
     let d_pending =
       get_list (get_uvarint r) (fun () ->
           let x = get_term d r in
           (x, get_term d r))
     in
-    let d_bound = get_list (get_uvarint r) (fun () -> get_string r) in
+    let d_bound = get_list (get_uvarint r) (fun () -> get_var d r) in
     let d_head = get_datom d r in
     Message.Delegate
-      { Message.d_key; d_origin_rel; d_origin_ad; d_rule_index; d_pos;
-        d_lit_index; d_prev_sup; d_prev_owner; d_remaining; d_pending;
-        d_bound; d_head }
+      { Message.d_origin_rel; d_origin_ad; d_rule_index; d_pos; d_lit_index; d_prev_args;
+        d_prev_owner; d_remaining; d_pending; d_bound; d_head }
   | 4 -> Message.Batch (get_list (get_uvarint r) (fun () -> get_message d r))
   | b -> corrupt "bad message tag %d" b
 
@@ -429,5 +482,6 @@ let codec ch () =
 
 let table_entries ch =
   List.fold_left
-    (fun (syms, terms) (e, d) -> (syms + e.e_nsyms + d.d_nsyms, terms + e.e_nterms + d.d_nterms))
+    (fun (syms, terms) (e, d) ->
+      (syms + e.e_nsyms + e.e_nnames + d.d_nsyms + d.d_nnames, terms + e.e_nterms + d.d_nterms))
     (0, 0) ch.conns

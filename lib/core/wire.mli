@@ -17,10 +17,24 @@
     message at delivery, so every dQSQ, naive and service run exercises
     the codec.
 
+    Located names — a delegation's origin relation, adornment and owner,
+    and the relation and peer of each located atom — go through a third
+    definition-or-backref table of plain strings, so every name crosses a
+    directed channel once and decoding one interns no {!Datalog.Symbol}.
+    A delegation frame carries only what its receiver cannot rebuild: no
+    dedup key ({!Message.key}), and of its [sup_{i,j-1}] atom only the
+    arguments; its bound variables are variable terms, usually backrefs
+    to the rule's own. Message frames are never stored, so this layout
+    did not change the version byte, which stored snapshots and the
+    digested report frames carry.
+
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
     the default {!Obs.Metrics} registry account every frame, and
-    {!table_entries} counts the codec-table entries of a set of channels,
-    so unbounded channel-table growth is visible in [serve stats]
+    [wire.bytes.delegate], [wire.bytes.fact] and [wire.bytes.subscribe]
+    the bytes of each message kind; the rest of [wire.bytes_sent] is
+    framing (length prefixes, headers, envelopes, acks and the other frame
+    kinds). {!table_entries} counts the codec-table entries of a set of
+    channels, so unbounded channel-table growth is visible in [serve stats]
     instead of only in RSS. *)
 
 open Datalog
@@ -105,5 +119,5 @@ val codec :
 
 val table_entries : channels -> int * int
 (** (symbols, terms) held by the tables of every channel half, encoders
-    and decoders alike. The tables are append-only and live as long as
-    their channels. *)
+    and decoders alike; the symbols count includes the names table. The
+    tables are append-only and live as long as their channels. *)

@@ -28,16 +28,24 @@ let of_atom bound (a : Atom.t) : t =
 let of_query (a : Atom.t) : t =
   Array.of_list (List.map Term.is_ground a.Atom.args)
 
+(* The name builders are memoized by their inputs ({!Symbol.memo}). An
+   adornment is never mutated once built, so it can be part of a key. *)
+let adorned_tbl : (Symbol.t * t, Symbol.t) Hashtbl.t = Hashtbl.create 64
+let input_tbl : (Symbol.t * t, Symbol.t) Hashtbl.t = Hashtbl.create 64
+let sup_tbl : (Symbol.t * t * int * int, Symbol.t) Hashtbl.t = Hashtbl.create 64
+
 (** Name of the adorned version of a relation, e.g. [R^bf]. The separator
     cannot appear in parsed identifiers, so adorned names never collide with
     user relations. *)
 let adorned_sym (rel : Symbol.t) (ad : t) : Symbol.t =
-  Symbol.intern (Printf.sprintf "%s^%s" (Symbol.name rel) (to_string ad))
+  Symbol.memo adorned_tbl (rel, ad) (fun () ->
+      Symbol.intern (Printf.sprintf "%s^%s" (Symbol.name rel) (to_string ad)))
 
 (** Name of the input relation accumulating subquery bindings, e.g.
     [in-R^bf] (called [in-R^bf] in Fig. 4 of the paper). *)
 let input_sym (rel : Symbol.t) (ad : t) : Symbol.t =
-  Symbol.intern (Printf.sprintf "in-%s^%s" (Symbol.name rel) (to_string ad))
+  Symbol.memo input_tbl (rel, ad) (fun () ->
+      Symbol.intern (Printf.sprintf "in-%s^%s" (Symbol.name rel) (to_string ad)))
 
 (** Name of the magic predicate of the plain magic-sets rewriting, e.g.
     [m-R^bf]. *)
@@ -47,8 +55,9 @@ let magic_sym (rel : Symbol.t) (ad : t) : Symbol.t =
 (** Name of the [j]-th supplementary relation of rule number [i] defining the
     adorned relation [R^ad] ([sup_{i,j}] in Fig. 4). *)
 let sup_sym (rel : Symbol.t) (ad : t) ~rule_index ~pos : Symbol.t =
-  Symbol.intern
-    (Printf.sprintf "sup%d,%d^%s^%s" rule_index pos (Symbol.name rel) (to_string ad))
+  Symbol.memo sup_tbl (rel, ad, rule_index, pos) (fun () ->
+      Symbol.intern
+        (Printf.sprintf "sup%d,%d^%s^%s" rule_index pos (Symbol.name rel) (to_string ad)))
 
 (** Recover the original relation from an adorned / input / sup name.
     Returns [None] for names that are not generated. *)

@@ -63,6 +63,17 @@ let compare_name (a : t) (b : t) = if a = b then 0 else String.compare (name a) 
 let hash (a : t) = a
 let pp ppf id = Format.pp_print_string ppf (name id)
 
+(* A lookup holds [mu] but a build does not, so builders may intern and
+   nest memos. Two domains that miss together both build; interning is
+   idempotent, so they build the same symbol. *)
+let memo tbl key build =
+  match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
+  | Some s -> s
+  | None ->
+    let s = build () in
+    Mutex.protect mu (fun () -> Hashtbl.replace tbl key s);
+    s
+
 (* A private namespace for generated symbols (gensym), used by rewriters to
    create fresh relation names that cannot clash with user symbols. *)
 let fresh_count = ref 0 (* guarded by [mu] *)

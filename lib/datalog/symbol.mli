@@ -28,6 +28,14 @@ val compare_name : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+val memo : ('k, t) Hashtbl.t -> 'k -> (unit -> t) -> t
+(** [memo tbl key build] is the symbol [tbl] holds for [key], else
+    [build ()], which [tbl] then keeps. For generated names: a rewrite
+    asks for the same few over and over, and each costs a [Printf] and an
+    intern. A miss runs [build], so symbols are interned exactly when they
+    would be without the memo. Safe from any domain; [build] runs
+    unlocked and must give the same symbol for the same key. *)
+
 val fresh : string -> t
 (** [fresh prefix] interns a new symbol ["prefix#n"] guaranteed distinct
     from all previously created symbols; used by rewriters. *)

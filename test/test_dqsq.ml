@@ -484,6 +484,48 @@ let test_dqsq_ships_fewer_tuples () =
     (strip_answers naive.Naive_engine.answers)
     (strip_answers qsq.Qsq_engine.answers)
 
+(* A delegation ships the arguments of its [sup_{i,j-1}] atom, not its
+   relation: the receiver rebuilds the relation from the origin, the
+   adornment, the rule index, the position and the owner. Every rule a
+   receiver builds from a delegation reads that rebuilt atom as its first
+   literal, a supplementary relation located at another peer; on the
+   running example, each such atom must be exactly the head of a rule its
+   owner installed, the sender's own atom. *)
+let test_rebuilt_prev_sup () =
+  let p =
+    Diagnosis.Diagnoser.prepare
+      (Petri.Net.binarize (Petri.Examples.running_example ()))
+      (Petri.Examples.running_alarms ())
+  in
+  let open Diagnosis.Diagnoser in
+  let t = Qsq_engine.create ~seed:1 p.program ~edb:p.edb ~query:p.query in
+  let out = Qsq_engine.run t ~query:p.query in
+  let peers = List.map fst out.Qsq_engine.facts_per_peer in
+  let owner sym =
+    let name = Symbol.name sym in
+    String.sub name (String.rindex name '@' + 1) (String.length name - String.rindex name '@' - 1)
+  in
+  let rebuilt = ref 0 in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun (r : Rule.t) ->
+          match r.Rule.body with
+          | Rule.Pos a :: _
+            when (match Adornment.classify a.Atom.rel with `Sup _ -> true | _ -> false)
+                 && owner a.Atom.rel <> q ->
+            incr rebuilt;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s at %s is a head at %s" (Atom.to_string a) q (owner a.Atom.rel))
+              true
+              (List.exists
+                 (fun (r' : Rule.t) -> Atom.equal r'.Rule.head a)
+                 (Qsq_engine.peer_rules t (owner a.Atom.rel)))
+          | _ -> ())
+        (Qsq_engine.peer_rules t q))
+    peers;
+  Alcotest.(check bool) "delegations crossed" true (!rebuilt > 0)
+
 let test_dijkstra_scholten_mode () =
   (* the peers detect the fixpoint themselves; same answers, same facts,
      more messages (the acknowledgements) *)
@@ -643,6 +685,7 @@ let suite =
       qcheck [ prop_theorem1_random; prop_dqsq_answers_random; prop_dnaive_answers_random ] );
     ( "communication",
       [ Alcotest.test_case "dQSQ ships fewer tuples" `Quick test_dqsq_ships_fewer_tuples;
+        Alcotest.test_case "rebuilt sup atoms are the sender's" `Quick test_rebuilt_prev_sup;
         Alcotest.test_case "Dijkstra-Scholten termination" `Quick test_dijkstra_scholten_mode;
         Alcotest.test_case "lossy channels degrade monotonically" `Quick
           test_lossy_channels_degrade_monotonically;

@@ -161,6 +161,53 @@ let test_distributed_registers () =
     [ "fact_store.probes"; "qsq.facts_derived"; "sim.delivered";
       "diagnoser.nodes_materialized" ]
 
+(* ---------------- wiring: wire bytes by message kind ---------------- *)
+
+let kinds = [ "wire.bytes.delegate"; "wire.bytes.fact"; "wire.bytes.subscribe" ]
+
+(* Each message kind bills its own bytes, and framing is the rest of
+   [wire.bytes_sent]: one frame of a fact, a subscription and a
+   delegation adds the three kinds plus exactly its framing (length
+   prefix, version, kind, envelope tag and count); a dQSQ run adds at
+   least three framing bytes per frame. *)
+let test_wire_bytes_by_kind () =
+  let v = Obs.Metrics.counter_value in
+  let snap () = List.map v ("wire.bytes_sent" :: "wire.frames" :: kinds) in
+  let moved before = List.map2 ( - ) (snap ()) before in
+  let before = snap () in
+  let datom = Dqsq.Datom.make ~rel:"r" ~peer:"p" [ Term.var "X" ] in
+  let m =
+    Dqsq.Message.Batch
+      [ Dqsq.Message.Fact (Atom.make "r@p" [ Term.const "a" ]);
+        Dqsq.Message.Subscribe (Symbol.intern "r@p");
+        Dqsq.Message.Delegate
+          { Dqsq.Message.d_origin_rel = "q@p"; d_origin_ad = "f"; d_rule_index = 0; d_pos = 0;
+            d_lit_index = 0; d_prev_args = []; d_prev_owner = "p"; d_remaining = [];
+            d_pending = []; d_bound = []; d_head = datom } ]
+  in
+  let frame = Dqsq.Wire.encode_message (Dqsq.Wire.encoder ()) m in
+  (match moved before with
+  | [ sent; frames; delegate; fact; subscribe ] ->
+    Alcotest.(check int) "sent is the frame" (String.length frame) sent;
+    Alcotest.(check int) "one frame" 1 frames;
+    Alcotest.(check bool) "each kind billed" true (delegate > 0 && fact > 0 && subscribe > 0);
+    Alcotest.(check int) "kinds plus framing" sent (delegate + fact + subscribe + 5)
+  | _ -> assert false);
+  let before = snap () in
+  let engine =
+    Diagnosis.Diagnoser.Distributed { seed = 5; policy = Network.Sim.Random_interleaving }
+  in
+  ignore (Diagnosis.Diagnoser.diagnose ~engine (running_net ()) (seed_alarms ()));
+  match moved before with
+  | [ sent; frames; delegate; fact; subscribe ] ->
+    Alcotest.(check bool) "a delegation, a fact and a subscription crossed" true
+      (delegate > 0 && fact > 0 && subscribe > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "framing %d >= 3 x %d frames" (sent - delegate - fact - subscribe) frames)
+      true
+      (sent - delegate - fact - subscribe >= 3 * frames)
+  | _ -> assert false
+
 (* ---------------- wiring: Sim.stats is the registry view ------------- *)
 
 (* string messages travel as themselves: the frame is the string *)
@@ -221,5 +268,6 @@ let () =
         [ Alcotest.test_case "diagnoser registers activity" `Quick test_diagnoser_registers;
           Alcotest.test_case "distributed run registers network activity" `Quick
             test_distributed_registers;
+          Alcotest.test_case "wire bytes by message kind" `Quick test_wire_bytes_by_kind;
           Alcotest.test_case "Sim.stats == registry view" `Quick test_sim_stats_registry_view;
           Alcotest.test_case "many channels stay linear" `Quick test_many_channels ] ) ]

@@ -494,6 +494,108 @@ let test_message_wire () =
   | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "corrupt frame accepted")
 
+(* Delegations through one connection. A delegation carries neither its
+   dedup key nor its [sup_{i,j-1}] relation, so the decoded copy must
+   still derive the sender's key; and every name (origin, adornment,
+   owner, located relations and peers) crosses the connection once. *)
+let delegation ~lit_index remaining =
+  let v = Term.var in
+  { Message.d_origin_rel = "reach_rel@origin_peer"; d_origin_ad = "bf"; d_rule_index = 2;
+    d_pos = 1; d_lit_index = lit_index; d_prev_args = [ v "X~7"; v "Y~7" ];
+    d_prev_owner = "origin_peer"; d_remaining = remaining;
+    d_pending = [ (v "X~7", Term.const "c") ]; d_bound = [ "X~7"; "Y~7" ];
+    d_head = Datom.make ~rel:"reach_rel" ~peer:"origin_peer" [ v "X~7"; v "Z~7" ] }
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_delegation_wire () =
+  let lit rel = Drule.Pos (Datom.make ~rel ~peer:"remote_peer" [ Term.var "Y~7"; Term.var "Z~7" ]) in
+  let d1 = delegation ~lit_index:1 [ lit "edge_rel"; Drule.Neq (Term.var "Z~7", Term.const "c") ] in
+  let d2 = delegation ~lit_index:3 [ lit "edge_rel" ] in
+  let d3 = delegation ~lit_index:4 [] in
+  Alcotest.(check string) "key of a remainder" "reach_rel@origin_peer^bf/2@1" (Message.key d1);
+  Alcotest.(check string) "key of an answer" "reach_rel@origin_peer^bf/2@answer" (Message.key d3);
+  let e = Wire.encoder () and d = Wire.decoder () in
+  let frames = List.map (fun m -> Wire.encode_message e (Message.Delegate m)) [ d1; d2; d3 ] in
+  List.iter2
+    (fun (sent : Message.delegation) frame ->
+      match Wire.decode_message d frame with
+      | Message.Delegate got ->
+        Alcotest.(check string) "derived key" (Message.key sent) (Message.key got);
+        Alcotest.(check string) "origin" sent.Message.d_origin_rel got.Message.d_origin_rel;
+        Alcotest.(check string) "adornment" sent.Message.d_origin_ad got.Message.d_origin_ad;
+        Alcotest.(check string) "owner" sent.Message.d_prev_owner got.Message.d_prev_owner;
+        Alcotest.(check (list int)) "positions"
+          [ sent.Message.d_rule_index; sent.Message.d_pos; sent.Message.d_lit_index ]
+          [ got.Message.d_rule_index; got.Message.d_pos; got.Message.d_lit_index ];
+        Alcotest.(check bool) "sup arguments, physically" true
+          (List.for_all2 ( == ) sent.Message.d_prev_args got.Message.d_prev_args);
+        Alcotest.(check (list string)) "bound" sent.Message.d_bound got.Message.d_bound;
+        Alcotest.(check bool) "head" true (Datom.equal sent.Message.d_head got.Message.d_head);
+        let rest (m : Message.delegation) =
+          Drule.to_string (Drule.make m.Message.d_head m.Message.d_remaining)
+        in
+        Alcotest.(check string) "remaining" (rest sent) (rest got);
+        (* the decoded copy re-encodes to the sender's all-backref frame *)
+        Alcotest.(check string) "re-encodes alike"
+          (Wire.encode_message e (Message.Delegate sent))
+          (Wire.encode_message e (Message.Delegate got))
+      | _ -> Alcotest.fail "not a delegation")
+    [ d1; d2; d3 ] frames;
+  let f1 = List.hd frames and f2 = List.nth frames 1 in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " defined in the first frame") true (contains f1 name);
+      Alcotest.(check bool) (name ^ " a backref in the second") false (contains f2 name))
+    [ "reach_rel@origin_peer"; "origin_peer"; "remote_peer"; "edge_rel"; "X~7" ];
+  (* sent again, a delegation is one byte per field: its tag, origin and
+     adornment, three positions, the sup arguments (count, two), owner, the
+     remainder (count; a literal's tag, two names, count, two arguments),
+     the pending pair (count, two), the bound variables (count, two) and
+     the head (two names, count, two arguments) *)
+  let body = String.length (Wire.encode_message e (Message.Delegate d2)) - 3 in
+  Alcotest.(check int) "one byte per repeated name and term"
+    (1 + 2 + 3 + 3 + 1 + 7 + 3 + 3 + 5) body
+
+(* A hostile delegation frame raises [Wire.Corrupt], and only that. *)
+let test_delegation_wire_corrupt () =
+  let frame body =
+    let buf = Buffer.create 16 in
+    Wire.put_uvarint buf (String.length body + 2);
+    Buffer.add_string buf "\001\000";
+    Buffer.add_string buf body;
+    Buffer.contents buf
+  in
+  let expect_corrupt name s =
+    match Wire.decode_message (Wire.decoder ()) s with
+    | exception Wire.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: %s, not Wire.Corrupt" name (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  expect_corrupt "forged name id" (frame "\003\100");
+  expect_corrupt "name id past the table" (frame "\003\000\001R\002");
+  expect_corrupt "truncated name" (frame "\003\000\010abc");
+  (* a frame of backrefs to names its decoder never saw: a delegation
+     with no terms, sent twice on one connection, the second frame
+     decoded alone *)
+  let e = Wire.encoder () in
+  let bare =
+    Message.Delegate
+      { (delegation ~lit_index:0 []) with
+        Message.d_prev_args = []; d_pending = []; d_bound = [];
+        d_head = Datom.make ~rel:"reach_rel" ~peer:"origin_peer" [] }
+  in
+  ignore (Wire.encode_message e bare);
+  expect_corrupt "names never defined" (Wire.encode_message e bare);
+  (* origin "R@p", adornment "b", positions 0 0 0, no sup argument,
+     owner "p", no remainder or pending pair, then one bound "variable"
+     that is the constant c *)
+  expect_corrupt "bound constant"
+    (frame "\003\000\003R@p\000\001b\000\000\000\000\000\001p\000\000\001\000\000\000\001c")
+
 let test_runtime_subscribe () =
   let rt = Runtime.create "p" in
   let rel = Symbol.intern "r@p" in
@@ -751,6 +853,8 @@ let suite =
       [ Alcotest.test_case "name distinctness" `Quick test_names_not_distinct;
         Alcotest.test_case "rule peers" `Quick test_drule_peers;
         Alcotest.test_case "message wire codec" `Quick test_message_wire;
+        Alcotest.test_case "delegation wire codec" `Quick test_delegation_wire;
+        Alcotest.test_case "hostile delegation frames" `Quick test_delegation_wire_corrupt;
         Alcotest.test_case "runtime subscribe" `Quick test_runtime_subscribe;
         Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent;
         Alcotest.test_case "runtime structural dedup" `Quick test_runtime_install_structural;
