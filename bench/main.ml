@@ -371,24 +371,41 @@ let e11 () =
   section "E11" "Communication: whole-relation shipping (naive) vs bindings (dQSQ)";
   Printf.printf "%6s %6s | %12s %10s | %12s %10s\n" "peers" "edges" "naive-msgs" "bytes"
     "dqsq-msgs" "bytes";
+  let kinds = [ "wire.bytes.delegate"; "wire.bytes.fact"; "wire.bytes.subscribe" ] in
+  let splits =
+    List.map
+      (fun (k, edges, seed) ->
+        let program = ring_program k in
+        (* a guaranteed chain from n0 keeps the query productive; the random
+           bulk is what distributed naive ships and dQSQ avoids *)
+        let chain =
+          List.init k (fun i ->
+              Datom.make ~rel:(Printf.sprintf "E%d" i) ~peer:(Printf.sprintf "p%d" i)
+                [ Term.const (Printf.sprintf "n%d" i); Term.const (Printf.sprintf "n%d" (i + 1)) ])
+        in
+        let edb = chain @ ring_edb ~seed ~domain:30 k ~edges in
+        let query = Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ] in
+        let nv = Naive_engine.solve ~seed program ~edb ~query in
+        let before = List.map Obs.Metrics.counter_value kinds in
+        let dq = Qsq_engine.solve ~seed program ~edb ~query in
+        let bytes = dq.Qsq_engine.net_stats.Network.Sim.bytes in
+        Printf.printf "%6d %6d | %12d %10d | %12d %10d\n" k edges
+          nv.Naive_engine.net_stats.Network.Sim.sent nv.Naive_engine.net_stats.Network.Sim.bytes
+          dq.Qsq_engine.net_stats.Network.Sim.sent bytes;
+        let by_kind = List.map2 (fun c b -> Obs.Metrics.counter_value c - b) kinds before in
+        (k, by_kind @ [ bytes - List.fold_left ( + ) 0 by_kind ]))
+      [ (2, 40, 1); (3, 60, 2); (4, 80, 3); (5, 100, 4); (6, 120, 5) ]
+  in
+  (* the dQSQ bytes by message kind, from the [wire.bytes.<kind>]
+     counters; framing is the rest: length prefixes, headers and
+     envelopes *)
+  Printf.printf "\n%6s | %10s %10s %10s %10s\n" "peers" "delegate" "fact" "subscribe" "framing";
   List.iter
-    (fun (k, edges, seed) ->
-      let program = ring_program k in
-      (* a guaranteed chain from n0 keeps the query productive; the random
-         bulk is what distributed naive ships and dQSQ avoids *)
-      let chain =
-        List.init k (fun i ->
-            Datom.make ~rel:(Printf.sprintf "E%d" i) ~peer:(Printf.sprintf "p%d" i)
-              [ Term.const (Printf.sprintf "n%d" i); Term.const (Printf.sprintf "n%d" (i + 1)) ])
-      in
-      let edb = chain @ ring_edb ~seed ~domain:30 k ~edges in
-      let query = Datom.make ~rel:"R0" ~peer:"p0" [ Term.const "n0"; Term.var "Y" ] in
-      let nv = Naive_engine.solve ~seed program ~edb ~query in
-      let dq = Qsq_engine.solve ~seed program ~edb ~query in
-      Printf.printf "%6d %6d | %12d %10d | %12d %10d\n" k edges
-        nv.Naive_engine.net_stats.Network.Sim.sent nv.Naive_engine.net_stats.Network.Sim.bytes
-        dq.Qsq_engine.net_stats.Network.Sim.sent dq.Qsq_engine.net_stats.Network.Sim.bytes)
-    [ (2, 40, 1); (3, 60, 2); (4, 80, 3); (5, 100, 4); (6, 120, 5) ]
+    (fun (k, split) ->
+      Printf.printf "%6d |" k;
+      List.iter (Printf.printf " %10d") split;
+      print_newline ())
+    splits
 
 (* ------------------------------------------------------------------ *)
 (* E12: hidden transitions                                              *)

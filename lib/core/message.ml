@@ -11,7 +11,9 @@
 
     A delegation carries only what its receiver cannot rebuild: its dedup
     {!key} and the relation of its previous supplementary atom are
-    functions of the other fields. *)
+    functions of the other fields. A subscription or a fact carries its
+    relation's symbol; when that is a located supplementary relation, the
+    {!sup} registry gives its parts, which is what the wire writes. *)
 
 open Datalog
 
@@ -37,6 +39,29 @@ let key d =
   if d.d_remaining = [] then
     Printf.sprintf "%s^%s/%d@answer" d.d_origin_rel d.d_origin_ad d.d_rule_index
   else Printf.sprintf "%s^%s/%d@%d" d.d_origin_rel d.d_origin_ad d.d_rule_index d.d_lit_index
+
+type sup = { origin : string; ad : string; rule : int; pos : int; owner : string }
+
+(* Both directions of the registry, under one lock: builders run on any
+   domain, and every channel encoder and decoder reads it. *)
+let sup_mu = Mutex.create ()
+let sup_syms : (sup, Symbol.t) Hashtbl.t = Hashtbl.create 64
+let sup_of_sym : (Symbol.t, sup) Hashtbl.t = Hashtbl.create 64
+
+let find_sup p = Mutex.protect sup_mu (fun () -> Hashtbl.find_opt sup_syms p)
+let sup_parts s = Mutex.protect sup_mu (fun () -> Hashtbl.find_opt sup_of_sym s)
+
+(* [build] runs unlocked, since it interns; two domains that miss together
+   build the same symbol. *)
+let sup_symbol p build =
+  match find_sup p with
+  | Some s -> s
+  | None ->
+    let s = build () in
+    Mutex.protect sup_mu (fun () ->
+        Hashtbl.replace sup_syms p s;
+        Hashtbl.replace sup_of_sym s p);
+    s
 
 type t =
   | Activate of string  (** relation name to compute (distributed naive) *)

@@ -3,7 +3,12 @@
     dQSQ interleaves rewriting-phase messages ({!Delegate}, the paper's rule
     remainder (†)) and evaluation-phase messages ({!Subscribe}, {!Fact})
     over one asynchronous network (Remark 2). Distributed naive evaluation
-    uses {!Activate}. *)
+    uses {!Activate}.
+
+    A subscription and a fact name their relation by its symbol. In dQSQ
+    that relation is a located supplementary relation, whose symbol is a
+    function of its {!sup} parts: the registry below maps one to the
+    other, so the wire can carry the parts and rebuild the symbol. *)
 
 open Datalog
 
@@ -29,6 +34,23 @@ val key : delegation -> string
 (** The dedup key — repeated requests reuse the machinery:
     ["R@p^ad/i@k"] for the walk resuming at literal [k] of rule [i], or
     ["R@p^ad/i@answer"] once no literal remains. *)
+
+(** A located supplementary relation by its parts: [sup_{rule,pos}] of
+    the rewriting of [origin] (a located relation ["R@p"]) under the
+    adornment [ad], held at peer [owner]. *)
+type sup = { origin : string; ad : string; rule : int; pos : int; owner : string }
+
+val sup_symbol : sup -> (unit -> Symbol.t) -> Symbol.t
+(** [sup_symbol p build] is the symbol registered for [p], else [build ()],
+    which is then registered both ways. [build] must give the same symbol
+    for the same parts. Safe from any domain. *)
+
+val find_sup : sup -> Symbol.t option
+(** The symbol {!sup_symbol} registered for these parts, if any. Interns
+    nothing. *)
+
+val sup_parts : Symbol.t -> sup option
+(** The parts a symbol was registered with by {!sup_symbol}. *)
 
 type t =
   | Activate of string

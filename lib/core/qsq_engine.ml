@@ -137,10 +137,11 @@ let send_fact t ~src ~dst fact =
 let forward t ~src outputs =
   List.iter (fun (fact, subs) -> List.iter (fun dst -> send_fact t ~src ~dst fact) subs) outputs
 
-(* Located names are memoized by their inputs ({!Symbol.memo}). *)
+(* Located names are memoized by their inputs ({!Symbol.memo}), and
+   supplementary relations by their parts in {!Message}'s registry, which
+   the wire reads to write a relation as its parts. *)
 let adorned_at : (string * string * Adornment.t, Symbol.t) Hashtbl.t = Hashtbl.create 64
 let input_at : (string * string * Adornment.t, Symbol.t) Hashtbl.t = Hashtbl.create 64
-let sup_tbl : (string * Adornment.t * int * int * string, Symbol.t) Hashtbl.t = Hashtbl.create 64
 
 (* A relation's generated names at a peer: each base name is computed on
    the unmangled relation (matching centralized QSQ), then located. *)
@@ -151,23 +152,25 @@ let located ~rel ~peer : Qsq.names =
   in
   { Qsq.adorned = at adorned_at Adornment.adorned_sym; input = at input_at Adornment.input_sym }
 
+let ad_of_string s = Array.init (String.length s) (fun i -> s.[i] = 'b')
+
 (* [rel] is the located origin relation ["R@p"], which keeps the
    supplementary relations of same-named relations at different peers
    apart. *)
 let sup_at ~rel ~ad ~rule_index ~pos ~peer =
-  Symbol.memo sup_tbl (rel, ad, rule_index, pos, peer) (fun () ->
+  Message.sup_symbol { Message.origin = rel; ad; rule = rule_index; pos; owner = peer } (fun () ->
       Datom.mangle_rel
-        ~rel:(Symbol.name (Adornment.sup_sym (Symbol.intern rel) ad ~rule_index ~pos))
+        ~rel:
+          (Symbol.name
+             (Adornment.sup_sym (Symbol.intern rel) (ad_of_string ad) ~rule_index ~pos))
         ~peer)
-
-let ad_of_string s = Array.init (String.length s) (fun i -> s.[i] = 'b')
 
 (* The delegation's [sup_{i,j-1}] atom. Its relation is not shipped: it is
    the origin's supplementary relation at [d_pos], located at the peer that
    built it. *)
 let prev_sup (d : Message.delegation) =
   Atom.cmake
-    (sup_at ~rel:d.Message.d_origin_rel ~ad:(ad_of_string d.Message.d_origin_ad)
+    (sup_at ~rel:d.Message.d_origin_rel ~ad:d.Message.d_origin_ad
        ~rule_index:d.Message.d_rule_index ~pos:d.Message.d_pos ~peer:d.Message.d_prev_owner)
     d.Message.d_prev_args
 
@@ -250,7 +253,7 @@ let rec walk t p (d : Message.delegation) =
           (Atom.cmake (Datom.mangled_sym a) a.Datom.args)
           ~need:(need head rest)
           ~sup:(fun () ->
-            sup_at ~rel:d.Message.d_origin_rel ~ad:(ad_of_string d.Message.d_origin_ad)
+            sup_at ~rel:d.Message.d_origin_rel ~ad:d.Message.d_origin_ad
               ~rule_index:d.Message.d_rule_index ~pos:(pos + 1) ~peer:p)
           ~demand:(fun ad -> demand t p ~rel:a.Datom.rel ~ad)
       in
@@ -282,7 +285,8 @@ and install_answer t p (d : Message.delegation) =
    defining rel, in order — exactly the centralized per-relation step. *)
 and demand t p ~rel ~ad =
   let st = state t p in
-  let key = (rel, Adornment.to_string ad) in
+  let ad_name = Adornment.to_string ad in
+  let key = (rel, ad_name) in
   if not (Hashtbl.mem st.demanded key) then begin
     Hashtbl.add st.demanded key ();
     let n = located ~rel ~peer:p in
@@ -313,14 +317,14 @@ and demand t p ~rel ~ad =
         in
         let w, sup0_rule =
           Qsq.start n ad
-            ~sup:(sup_at ~rel:origin ~ad ~rule_index:i ~pos:0 ~peer:p)
+            ~sup:(sup_at ~rel:origin ~ad:ad_name ~rule_index:i ~pos:0 ~peer:p)
             ~need:(need head body) head.Datom.args
         in
         install_and_eval t p [ sup0_rule ];
         walk t p
           {
             Message.d_origin_rel = origin;
-            d_origin_ad = Adornment.to_string ad;
+            d_origin_ad = ad_name;
             d_rule_index = i;
             d_pos = 0;
             d_lit_index = 0;

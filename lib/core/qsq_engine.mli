@@ -148,6 +148,12 @@ val wire_tables : t -> int * int
 (** (symbols, terms) in the engine's per-channel codec tables
     ({!Wire.table_entries}); they survive {!release}. *)
 
+val sup_at : rel:string -> ad:string -> rule_index:int -> pos:int -> peer:string -> Symbol.t
+(** The supplementary relation [sup_{rule_index,pos}] of the rewriting of
+    the located relation [rel] (["R@p"]) under the adornment [ad] (["bf"]),
+    held at [peer]. Memoized in {!Message}'s registry, which is what lets
+    the wire write it as these parts. *)
+
 val zeta : string -> string
 (** The zeta mapping of Theorem 1 on a relation name: every ["@peer"]
     segment stripped ([sup1,2^R@r^bf@s] becomes [sup1,2^R^bf]). *)

@@ -9,10 +9,12 @@
     once and then referenced by id — the deep Skolem spines h(h(h(...)))
     the diagnosis programs share between facts cross the wire a single
     time per connection. Located names (relations, peers, adornments)
-    get a third such table, of plain strings. Decoding re-interns through
-    the hash-consing smart constructors, so a decoded term is physically
-    equal to the term that was encoded ([Term.equal], which IS pointer
-    equality).
+    get a third such table, of plain strings. A located supplementary
+    relation crosses a simulated channel as its parts (origin, adornment,
+    rule index, position), since the channel's ends give its owner.
+    Decoding re-interns through the hash-consing smart constructors, so a
+    decoded term is physically equal to the term that was encoded
+    ([Term.equal], which IS pointer equality).
 
     Process-wide counters [wire.bytes_sent] / [wire.bytes_recv] /
     [wire.frames] account every frame. {!codec} is the network
@@ -46,7 +48,11 @@ module Term_tbl = Hashtbl.Make (struct
   let hash = Term.tag
 end)
 
+(* A connection's two ends, when it is a simulated channel: they name the
+   owner of the supplementary relation a fact or a subscription carries. *)
 type encoder = {
+  e_src : string option;
+  e_dst : string option;
   e_syms : (Symbol.t, int) Hashtbl.t;
   mutable e_nsyms : int;
   e_names : (string, int) Hashtbl.t;  (* located names, kept out of [Symbol] *)
@@ -56,13 +62,16 @@ type encoder = {
   e_buf : Buffer.t;  (* scratch: the body of the frame being built *)
 }
 
-let encoder () =
-  { e_syms = Hashtbl.create 64; e_nsyms = 0; e_names = Hashtbl.create 16; e_nnames = 0;
-    e_terms = Term_tbl.create 256; e_nterms = 0; e_buf = Buffer.create 256 }
+let encoder ?src ?dst () =
+  { e_src = src; e_dst = dst; e_syms = Hashtbl.create 64; e_nsyms = 0;
+    e_names = Hashtbl.create 16; e_nnames = 0; e_terms = Term_tbl.create 256; e_nterms = 0;
+    e_buf = Buffer.create 256 }
 
 (* Dynamic arrays for the id -> value direction; [Term.var "_"] and the
    empty symbol are placeholders for unused slots, never read. *)
 type decoder = {
+  d_src : string option;
+  d_dst : string option;
   mutable d_syms : Symbol.t array;
   mutable d_nsyms : int;
   mutable d_names : string array;
@@ -71,9 +80,10 @@ type decoder = {
   mutable d_nterms : int;
 }
 
-let decoder () =
-  { d_syms = Array.make 64 (Symbol.intern ""); d_nsyms = 0; d_names = Array.make 16 "";
-    d_nnames = 0; d_terms = Array.make 256 (Term.var "_"); d_nterms = 0 }
+let decoder ?src ?dst () =
+  { d_src = src; d_dst = dst; d_syms = Array.make 64 (Symbol.intern ""); d_nsyms = 0;
+    d_names = Array.make 16 ""; d_nnames = 0; d_terms = Array.make 256 (Term.var "_");
+    d_nterms = 0 }
 
 let push slot n arr v =
   let arr = if n < Array.length arr then arr
@@ -251,13 +261,51 @@ let put_terms e buf ts =
 
 let get_terms d r = get_list (get_uvarint r) (fun () -> get_term d r)
 
-let put_atom e buf (a : Atom.t) =
-  put_symbol e buf a.Atom.rel;
-  put_terms e buf a.Atom.args
+(* The relation of a fact or a subscription: 0 and its name, 1 and the
+   parts of a located supplementary relation held at [owner], or k >= 2
+   for entry k-2 of the symbol table, which both forms append to. The
+   parts are written only when [owner] is the end of the channel that
+   owns the relation, so the decoder knows it without reading it. *)
+let put_rel e buf ~owner s =
+  match Hashtbl.find_opt e.e_syms s with
+  | Some id -> put_uvarint buf (id + 2)
+  | None ->
+    (match (owner, Message.sup_parts s) with
+    | Some o, Some p when String.equal o p.Message.owner ->
+      put_uvarint buf 1;
+      put_name e buf p.Message.origin;
+      put_name e buf p.Message.ad;
+      put_uvarint buf p.Message.rule;
+      put_uvarint buf p.Message.pos
+    | _ ->
+      put_uvarint buf 0;
+      put_string buf (Symbol.name s));
+    Hashtbl.add e.e_syms s e.e_nsyms;
+    e.e_nsyms <- e.e_nsyms + 1
 
-let get_atom d r =
-  let rel = get_symbol d r in
-  Atom.cmake rel (get_terms d r)
+(* Parts name a symbol some [Qsq_engine.sup_at] already built: looking it
+   up interns nothing. *)
+let get_rel d r ~owner =
+  match get_uvarint r with
+  | 0 ->
+    let s = Symbol.intern (get_string r) in
+    push_sym d s;
+    s
+  | 1 ->
+    let origin = get_name d r in
+    let ad = get_name d r in
+    let rule = get_uvarint r in
+    let pos = get_uvarint r in
+    let owner = match owner with Some o -> o | None -> corrupt "relation parts off a channel" in
+    (match Message.find_sup { Message.origin; ad; rule; pos; owner } with
+    | Some s ->
+      push_sym d s;
+      s
+    | None -> corrupt "no supplementary relation sup%d,%d^%s^%s@%s" rule pos origin ad owner)
+  | k ->
+    let id = k - 2 in
+    if id >= d.d_nsyms then corrupt "symbol id %d out of range" id;
+    d.d_syms.(id)
 
 let put_datom e buf (a : Datom.t) =
   put_name e buf a.Datom.rel;
@@ -312,12 +360,15 @@ let rec put_message e buf (m : Message.t) =
     Buffer.add_char buf '\000';
     put_string buf rel
   | Message.Subscribe s ->
+    (* sent to the relation's owner *)
     Buffer.add_char buf '\001';
-    put_symbol e buf s;
+    put_rel e buf ~owner:e.e_dst s;
     bill subscribe_bytes_c buf start
   | Message.Fact a ->
+    (* sent by the relation's owner *)
     Buffer.add_char buf '\002';
-    put_atom e buf a;
+    put_rel e buf ~owner:e.e_src a.Atom.rel;
+    put_terms e buf a.Atom.args;
     bill fact_bytes_c buf start
   | Message.Delegate d ->
     Buffer.add_char buf '\003';
@@ -348,8 +399,10 @@ let rec put_message e buf (m : Message.t) =
 let rec get_message d r : Message.t =
   match get_byte r with
   | 0 -> Message.Activate (get_string r)
-  | 1 -> Message.Subscribe (get_symbol d r)
-  | 2 -> Message.Fact (get_atom d r)
+  | 1 -> Message.Subscribe (get_rel d r ~owner:d.d_dst)
+  | 2 ->
+    let rel = get_rel d r ~owner:d.d_src in
+    Message.Fact (Atom.cmake rel (get_terms d r))
   | 3 ->
     let d_origin_rel = get_name d r in
     let d_origin_ad = get_name d r in
@@ -382,16 +435,22 @@ let k_configs = 1
 let k_ack = 2
 let k_snapshot = 3
 
+(* The body is built in the scratch buffer, then copied once, behind its
+   length prefix, into the frame's own bytes. *)
 let frame e kind put_body =
-  Buffer.clear e.e_buf;
-  Buffer.add_char e.e_buf (Char.chr version);
-  Buffer.add_char e.e_buf (Char.chr kind);
-  put_body e.e_buf;
-  let body = Buffer.contents e.e_buf in
-  Buffer.clear e.e_buf;
-  put_uvarint e.e_buf (String.length body);
-  Buffer.add_string e.e_buf body;
-  let fr = Buffer.contents e.e_buf in
+  let buf = e.e_buf in
+  Buffer.clear buf;
+  Buffer.add_char buf (Char.chr version);
+  Buffer.add_char buf (Char.chr kind);
+  put_body buf;
+  let n = Buffer.length buf in
+  let prefix = Buffer.create 4 in
+  put_uvarint prefix n;
+  let w = Buffer.length prefix in
+  let b = Bytes.create (w + n) in
+  Buffer.blit prefix 0 b 0 w;
+  Buffer.blit buf 0 b w n;
+  let fr = Bytes.unsafe_to_string b in
   Obs.Metrics.incr ~by:(String.length fr) bytes_sent_c;
   Obs.Metrics.incr frames_c;
   fr
@@ -475,8 +534,8 @@ type channels = { mutable conns : (encoder * decoder) list }
 
 let channels () = { conns = [] }
 
-let codec ch () =
-  let e = encoder () and d = decoder () in
+let codec ch ~src ~dst =
+  let e = encoder ~src ~dst () and d = decoder ~src ~dst () in
   ch.conns <- (e, d) :: ch.conns;
   (encode_wrapped e, decode_wrapped d)
 

@@ -24,9 +24,21 @@
     A delegation frame carries only what its receiver cannot rebuild: no
     dedup key ({!Message.key}), and of its [sup_{i,j-1}] atom only the
     arguments; its bound variables are variable terms, usually backrefs
-    to the rule's own. Message frames are never stored, so this layout
-    did not change the version byte, which stored snapshots and the
-    digested report frames carry.
+    to the rule's own.
+
+    A subscription or a fact over a located supplementary relation
+    carries, the first time that relation crosses a channel, its parts
+    rather than its name: origin and adornment through the names table,
+    then rule index and position as varints, and later a symbol backref.
+    The owner is not written: a fact is sent by its relation's owner and
+    a subscription to it, so the channel's ends ({!encoder} [~src ~dst])
+    give it. The decoder looks the symbol up in {!Message}'s registry
+    ({!Message.find_sup}) and interns nothing; parts that name no symbol
+    built in this process are {!Corrupt}. Any other relation, and every
+    relation on a connection without ends, is written by its name.
+    Message frames are never stored, so these layouts did not change the
+    version byte, which stored snapshots and the digested report frames
+    carry.
 
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
     the default {!Obs.Metrics} registry account every frame, and
@@ -50,8 +62,11 @@ type encoder
 type decoder
 (** Receiving half: the id -> symbol/term tables. *)
 
-val encoder : unit -> encoder
-val decoder : unit -> decoder
+val encoder : ?src:string -> ?dst:string -> unit -> encoder
+val decoder : ?src:string -> ?dst:string -> unit -> decoder
+(** [src] and [dst] are the peers at the two ends of a simulated channel,
+    the same on both halves; with both, a supplementary relation crosses
+    as its parts. *)
 
 val encode_message : encoder -> Message.t -> string
 val decode_message : decoder -> string -> Message.t
@@ -108,11 +123,12 @@ val channels : unit -> channels
 
 val codec :
   channels ->
-  unit ->
+  src:string ->
+  dst:string ->
   (Message.t Network.Termination.wrapped -> string)
   * (string -> Message.t Network.Termination.wrapped)
-(** The codec maker for [Network.Sim.create]: a fresh connection for one
-    channel. [Work m] encodes to exactly the frame of [m]
+(** The codec maker for [Network.Sim.create]: a fresh connection for the
+    channel [src -> dst]. [Work m] encodes to exactly the frame of [m]
     ({!encode_message}); [Ack] is a frame of its own kind. Decoding
     re-interns every term, so the receiver's terms are physically the
     sender's. *)

@@ -51,6 +51,7 @@ let name id =
   if id < 0 || id >= Atomic.get next then invalid_arg "Symbol.name: unknown symbol"
   else (Atomic.get names).(id)
 
+let count () = Atomic.get next
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 

@@ -12,6 +12,9 @@ val name : t -> string
 (** [name sym] is the string [sym] was interned from.
     @raise Invalid_argument on an id that was never interned. *)
 
+val count : unit -> int
+(** How many symbols have been interned so far. *)
+
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

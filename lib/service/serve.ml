@@ -289,6 +289,17 @@ let handle ?checkpoints coord oc line =
     respond oc "err unknown command %s" cmd;
     Continue
 
+(* A fault while serving one line is that line's [err], not the server's
+   end. [Shutdown] still ends the loop, and a [Sys_error] is the client
+   hanging up. *)
+let guarded oc serve line =
+  match serve line with
+  | outcome -> outcome
+  | exception ((Shutdown | Sys_error _) as e) -> raise e
+  | exception e ->
+    respond oc "err internal: %s" (Printexc.to_string e);
+    Continue
+
 (* Serve one client to EOF or [quit]. A client that hangs up (a read or a
    write on its channel fails) ends its session, not the server. *)
 let session_loop ?checkpoints coord ic oc =
@@ -296,7 +307,9 @@ let session_loop ?checkpoints coord ic oc =
     match input_line ic with
     | exception End_of_file -> ()
     | line -> (
-      match handle ?checkpoints coord oc line with Continue -> loop () | Quit -> ())
+      match guarded oc (handle ?checkpoints coord oc) line with
+      | Continue -> loop ()
+      | Quit -> ())
   in
   try loop () with Sys_error m -> Printf.eprintf "serve: client hung up: %s\n%!" m
 

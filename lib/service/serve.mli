@@ -52,6 +52,17 @@ type checkpoints = {
   recover : bool;  (** restore a tenant's stored streams as it registers *)
 }
 
+type outcome = Continue | Quit
+
+exception Shutdown
+(** Raised by the SIGINT/SIGTERM handlers while serving. *)
+
+val guarded : out_channel -> (string -> outcome) -> string -> outcome
+(** [guarded oc serve line] is [serve line], the session loop's guard
+    around each request: any exception but {!Shutdown} or a [Sys_error]
+    (the client hung up) is answered on [oc] as [err internal: EXN], and
+    the session goes on. *)
+
 val stdio : ?checkpoints:checkpoints -> Coordinator.t -> unit
 (** Serve stdin to EOF (or [quit]). *)
 

@@ -231,7 +231,7 @@ let test_ring_parallel_eq_sequential () =
 let test_parallel_keeps_channel_fifo () =
   let module Sim = Network.Sim in
   let n = 200 in
-  let codec () =
+  let codec ~src:_ ~dst:_ =
     let sent = ref 0 and received = ref 0 in
     ( (fun (origin, i) ->
         let d = i - !sent in

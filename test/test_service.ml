@@ -819,6 +819,34 @@ let test_unbinarizable_tenant () =
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
     Sys.remove net
 
+(* No input line is known to raise out of [Serve.handle], so the session
+   loop's per-line guard is driven directly: a line whose handler raises
+   gets [err internal: EXN] and serving goes on; [Shutdown] and a hung-up
+   client still end the loop. *)
+let test_line_guard () =
+  let file = Filename.temp_file "serve_guard" ".out" in
+  let oc = open_out file in
+  let serve = function
+    | "boom" -> failwith "boom"
+    | "missing" -> raise Not_found
+    | "quit" -> Serve.Quit
+    | _ -> Serve.Continue
+  in
+  let outcomes = List.map (Serve.guarded oc serve) [ "boom"; "ok"; "missing"; "quit" ] in
+  Alcotest.(check bool) "serving goes on" true
+    (outcomes = [ Serve.Continue; Serve.Continue; Serve.Continue; Serve.Quit ]);
+  List.iter
+    (fun (name, exn) ->
+      match Serve.guarded oc (fun _ -> raise exn) "x" with
+      | exception e when e == exn -> ()
+      | _ -> Alcotest.failf "%s did not end the loop" name)
+    [ ("Shutdown", Serve.Shutdown); ("a hung-up client", Sys_error "Broken pipe") ];
+  close_out oc;
+  let answers = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  Alcotest.(check string) "one err line per raising line"
+    "err internal: Failure(\"boom\")\nerr internal: Not_found\n" answers
+
 (* a stream over the unsafe fixture fails at the firing that would put a
    second token on a marked place: the alarm answers [err], the stream
    stays failed, and the server goes on serving other sessions *)
@@ -930,7 +958,8 @@ let () =
           Alcotest.test_case "unsafe net fails the stream, not the server" `Quick
             test_unsafe_net_stream;
           Alcotest.test_case "unbinarizable tenant keeps serving" `Quick
-            test_unbinarizable_tenant ] );
+            test_unbinarizable_tenant;
+          Alcotest.test_case "a raising line keeps serving" `Quick test_line_guard ] );
       (* this group MUST run after "durability": once a domain has been
          spawned anywhere in the process, OCaml 5 permanently forbids
          Unix.fork (even after Domain.join) — and the graceful-shutdown

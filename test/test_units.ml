@@ -596,6 +596,111 @@ let test_delegation_wire_corrupt () =
   expect_corrupt "bound constant"
     (frame "\003\000\003R@p\000\001b\000\000\000\000\000\001p\000\000\001\000\000\000\001c")
 
+(* A located supplementary relation crosses a channel as its parts. [p]
+   owns [sup]: its facts go p -> q and subscriptions to it q -> p, so the
+   channel's ends give the owner and neither frame carries the name. *)
+let sup_rel () =
+  Qsq_engine.sup_at ~rel:"reach_rel@origin_peer" ~ad:"bf" ~rule_index:1 ~pos:2 ~peer:"p"
+
+let test_sup_wire () =
+  let sup = sup_rel () in
+  let fact = Message.Fact (Atom.cmake sup [ Term.const "a" ]) in
+  let roundtrip ~src ~dst m rel_of =
+    let e = Wire.encoder ~src ~dst () and d = Wire.decoder ~src ~dst () in
+    let first = Wire.encode_message e m in
+    Alcotest.(check bool) "first use: the parts, not the name" false
+      (contains first (Symbol.name sup));
+    Alcotest.(check bool) "first use: origin through the names table" true
+      (contains first "reach_rel@origin_peer");
+    Alcotest.(check bool) "decoded relation, physically" true
+      (rel_of (Wire.decode_message d first) == sup);
+    let second = Wire.encode_message e m in
+    Alcotest.(check bool) "decoded again, physically" true
+      (rel_of (Wire.decode_message d second) == sup);
+    second
+  in
+  let fact_rel = function Message.Fact a -> a.Atom.rel | _ -> Alcotest.fail "not a fact" in
+  let sub_rel = function Message.Subscribe s -> s | _ -> Alcotest.fail "not a subscription" in
+  (* a frame is its length, version, kind and message tag, then the
+     relation: after its first use, one varint *)
+  Alcotest.(check int) "second subscription: one varint" 5
+    (String.length (roundtrip ~src:"q" ~dst:"p" (Message.Subscribe sup) sub_rel));
+  (* a fact then adds its argument count and a term backref *)
+  Alcotest.(check int) "second fact: one varint" 7
+    (String.length (roundtrip ~src:"p" ~dst:"q" fact fact_rel))
+
+(* Parts are never longer than the name they replace; a relation that is
+   not a supplementary relation of the channel's owner goes by its name. *)
+let test_sup_wire_sizes () =
+  let plain m = Wire.encode_message (Wire.encoder ()) m in
+  List.iter
+    (fun (rel, ad, rule_index, pos) ->
+      let sup = Qsq_engine.sup_at ~rel ~ad ~rule_index ~pos ~peer:"p" in
+      let m = Message.Subscribe sup in
+      let parts = Wire.encode_message (Wire.encoder ~src:"q" ~dst:"p" ()) m in
+      Alcotest.(check bool) (Symbol.name sup ^ ": parts not longer") true
+        (String.length parts <= String.length (plain m));
+      Alcotest.(check string) (Symbol.name sup ^ ": to a non-owner, by name") (plain m)
+        (Wire.encode_message (Wire.encoder ~src:"p" ~dst:"q" ()) m))
+    [ ("r@p", "b", 0, 0); ("r@p", "", 0, 1); ("r@p", "bf", 200, 300);
+      ("a_long_relation_name@a_long_peer_name", "bbffbb", 3, 1) ];
+  let r = Symbol.intern "plain_rel@p" in
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "a plain relation goes by its name" (plain m)
+        (Wire.encode_message (Wire.encoder ~src:"p" ~dst:"q" ()) m))
+    [ Message.Subscribe r; Message.Fact (Atom.cmake r [ Term.const "a" ]) ]
+
+(* Hostile parts raise [Wire.Corrupt] and intern nothing. *)
+let test_sup_wire_corrupt () =
+  ignore (sup_rel ());
+  (* a subscription q -> p whose relation is parts (tag 1, then 1) *)
+  let frame parts =
+    let body = "\001\000\001\001" ^ parts in
+    let buf = Buffer.create 16 in
+    Wire.put_uvarint buf (String.length body);
+    Buffer.add_string buf body;
+    Buffer.contents buf
+  in
+  let symbols = Symbol.count () in
+  let expect_corrupt ?(d = Wire.decoder ~src:"q" ~dst:"p" ()) name s =
+    match Wire.decode_message d s with
+    | exception Wire.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: %s, not Wire.Corrupt" name (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  let name s = "\000" ^ String.make 1 (Char.chr (String.length s)) ^ s in
+  let origin = name "reach_rel@origin_peer" and ad = name "bf" in
+  (* the well-formed record decodes *)
+  (match Wire.decode_message (Wire.decoder ~src:"q" ~dst:"p" ()) (frame (origin ^ ad ^ "\001\002")) with
+  | Message.Subscribe s -> Alcotest.(check bool) "well-formed parts" true (s == sup_rel ())
+  | _ -> Alcotest.fail "not a subscription");
+  expect_corrupt "truncated parts" (frame (origin ^ ad ^ "\001"));
+  expect_corrupt "truncated name" (frame (String.sub origin 0 5));
+  expect_corrupt "names id out of range" (frame ("\005" ^ ad ^ "\001\002"));
+  expect_corrupt "parts no sup_at built" (frame (name "never_built@nowhere" ^ ad ^ "\001\002"));
+  expect_corrupt "another position" (frame (origin ^ ad ^ "\001\003"));
+  expect_corrupt "another owner" ~d:(Wire.decoder ~src:"p" ~dst:"q" ())
+    (frame (origin ^ ad ^ "\001\002"));
+  expect_corrupt "parts off a channel" ~d:(Wire.decoder ()) (frame (origin ^ ad ^ "\001\002"));
+  Alcotest.(check int) "no symbol interned" symbols (Symbol.count ())
+
+(* Distributed naive evaluation ships plain relations, which still go by
+   their names and roundtrip: it answers as dQSQ does. *)
+let test_naive_wire () =
+  let program = Dprogram.parse "T@a(X, Y) :- E@b(X, Y). T@a(X, Z) :- E@b(X, Y), T@a(Y, Z)." in
+  let node i = Term.const (Printf.sprintf "n%d" i) in
+  let edb = List.init 4 (fun i -> Datom.make ~rel:"E" ~peer:"b" [ node i; node (i + 1) ]) in
+  let query = Datom.make ~rel:"T" ~peer:"a" [ node 0; Term.var "Y" ] in
+  let naive = Naive_engine.solve ~seed:2 program ~edb ~query in
+  let dqsq = Qsq_engine.solve ~seed:2 program ~edb ~query in
+  let answers l = List.sort compare (List.map Atom.to_string l) in
+  Alcotest.(check bool) "facts crossed" true
+    (naive.Naive_engine.net_stats.Network.Sim.sent > 0);
+  Alcotest.(check (list string)) "naive == dQSQ" (answers dqsq.Qsq_engine.answers)
+    (answers naive.Naive_engine.answers);
+  Alcotest.(check int) "four answers" 4 (List.length naive.Naive_engine.answers)
+
 let test_runtime_subscribe () =
   let rt = Runtime.create "p" in
   let rel = Symbol.intern "r@p" in
@@ -855,6 +960,10 @@ let suite =
         Alcotest.test_case "message wire codec" `Quick test_message_wire;
         Alcotest.test_case "delegation wire codec" `Quick test_delegation_wire;
         Alcotest.test_case "hostile delegation frames" `Quick test_delegation_wire_corrupt;
+        Alcotest.test_case "sup relation wire codec" `Quick test_sup_wire;
+        Alcotest.test_case "sup relation parts sizes" `Quick test_sup_wire_sizes;
+        Alcotest.test_case "hostile sup relation parts" `Quick test_sup_wire_corrupt;
+        Alcotest.test_case "naive evaluation wire codec" `Quick test_naive_wire;
         Alcotest.test_case "runtime subscribe" `Quick test_runtime_subscribe;
         Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent;
         Alcotest.test_case "runtime structural dedup" `Quick test_runtime_install_structural;
