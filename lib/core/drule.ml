@@ -20,10 +20,6 @@ let literal_vars = function
   | Pos a -> Datom.vars a
   | Neq (x, y) -> Term.vars x @ Term.vars y
 
-let vars r =
-  let add acc x = if List.mem x acc then acc else acc @ [ x ] in
-  List.fold_left (fun acc l -> List.fold_left add acc (literal_vars l)) (Datom.vars r.head) r.body
-
 (** Peers mentioned in the body: the peers this rule's site must interact
     with to evaluate it. *)
 let body_peers r =

@@ -17,7 +17,6 @@ val site : t -> string
 
 val body_atoms : t -> Datom.t list
 val literal_vars : literal -> string list
-val vars : t -> string list
 
 val body_peers : t -> string list
 (** Peers the rule's site must interact with to evaluate it. *)

@@ -125,11 +125,7 @@ let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
   activate t t.query_peer query.Datom.rel;
   let deliveries = Network.Sim.run ?max_steps t.sim in
   let st = state t t.query_peer in
-  let answers =
-    List.map
-      (fun s -> Atom.apply s (Datom.to_atom query))
-      (Fact_store.matches (Runtime.store st.rt) (Datom.to_atom query) ~init:Subst.empty)
-  in
+  let answers = Eval.answers (Runtime.store st.rt) (Datom.to_atom query) in
   let facts_per_peer =
     Hashtbl.fold (fun p st acc -> (p, Runtime.facts_count st.rt) :: acc) t.states []
     |> List.sort compare

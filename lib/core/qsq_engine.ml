@@ -300,19 +300,15 @@ and demand t p ~rel ~ad =
            supplementary relations — agrees with the centralized rewriting
            (Theorem 1 is checked as exact fact equality). *)
         let suffix = Printf.sprintf "~%d" (1 + Atomic.fetch_and_add t.fresh 1) in
-        let s =
-          Subst.of_list
-            (List.map (fun x -> (x, Term.var (x ^ suffix))) (Drule.vars r0))
-        in
         let rename_datom (a : Datom.t) =
-          { a with Datom.args = List.map (Subst.apply s) a.Datom.args }
+          { a with Datom.args = List.map (Term.rename suffix) a.Datom.args }
         in
         let head = rename_datom r0.Drule.head in
         let body =
           List.map
             (function
               | Drule.Pos a -> Drule.Pos (rename_datom a)
-              | Drule.Neq (x, y) -> Drule.Neq (Subst.apply s x, Subst.apply s y))
+              | Drule.Neq (x, y) -> Drule.Neq (Term.rename suffix x, Term.rename suffix y))
             r0.Drule.body
         in
         let w, sup0_rule =
@@ -527,9 +523,7 @@ let finish ?(deliveries = 0) (t : t) : outcome =
     Atom.cmake ((located ~rel:query.Datom.rel ~peer:p0).Qsq.adorned ad) query.Datom.args
   in
   let answers =
-    List.map
-      (fun s -> Atom.apply s (Datom.to_atom query))
-      (Fact_store.matches (Runtime.store st.rt) answer_pattern ~init:Subst.empty)
+    Eval.answers ~pattern:answer_pattern (Runtime.store st.rt) (Datom.to_atom query)
     (* structural order: store iteration order depends on the delivery
        schedule, so sort here to keep the outcome schedule-independent *)
     |> List.sort (fun (a : Atom.t) (b : Atom.t) ->

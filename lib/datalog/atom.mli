@@ -10,8 +10,8 @@ val equal : t -> t -> bool
 val hash : t -> int
 val is_ground : t -> bool
 
-val apply : Subst.t -> t -> t
-(** Apply a substitution to every argument. *)
+val rename : string -> t -> t
+(** {!Term.rename} on every argument. *)
 
 val vars : t -> string list
 (** Distinct variables in order of first occurrence. *)

@@ -269,7 +269,6 @@ let compile_plan (r : Rule.t) ~pos =
          (List.mapi (fun i -> function `Pos a -> [ (i, a) ] | _ -> []) tagged));
     if !pending <> [] then emit Never
   end;
-  Obs.Metrics.incr plans_compiled_c;
   Array.of_list (List.rev !steps)
 
 (* Delta scans count under the store's name, beside its probes. *)
@@ -358,6 +357,7 @@ let fire_rule store opts stats cell ?delta add_new =
     | None ->
       let steps = compile_plan cell.rule ~pos in
       code.plans.(pos) <- Some steps;
+      Obs.Metrics.incr plans_compiled_c;
       steps
   in
   let rel = cell.rule.Rule.head.Atom.rel in
@@ -674,20 +674,14 @@ let alternating ?(options = default_options) (program : Program.t) (store : Fact
   in
   { status; stats = merged }
 
-(** Answers to a query atom: all ground instantiations of [query] present in
-    the store. *)
-let answers store (query : Atom.t) =
-  List.map
-    (fun s -> Atom.apply s query)
-    (Fact_store.matches store query ~init:Subst.empty)
-
-(** Convenience wrapper: evaluate [program] from scratch with the given
-    strategy and return the store, the result, and the answers to [query]. *)
-let run ?(options = default_options) ~strategy program query =
-  let store = Fact_store.create () in
-  let result =
-    match strategy with
-    | `Naive -> naive ~options program store
-    | `Seminaive -> seminaive ~options program store
-  in
-  (store, result, answers store query)
+(** The heads of the one-atom rule [head :- pattern] over the store, in
+    probe order, through the compiled joins: its one step probes the index
+    over the pattern's ground positions. The rule is not fired: nothing is
+    added to the store and no firing is counted. *)
+let answers ?pattern store (head : Atom.t) =
+  let rule = Rule.make head [ Rule.Pos (Option.value pattern ~default:head) ] in
+  let code = compile_rule rule in
+  let out = ref [] in
+  exec store [] code.template (compile_plan rule ~pos:1) 0 (fun slots ->
+      out := Atom.cmake head.Atom.rel (List.map (build slots) code.head) :: !out);
+  List.rev !out

@@ -100,14 +100,12 @@ val alternating : ?options:options -> Program.t -> Fact_store.t -> result
     obligation (the unfolding program satisfies it: new nodes never add
     causality or conflict between existing nodes). *)
 
-val answers : Fact_store.t -> Atom.t -> Atom.t list
-(** Ground instantiations of the query atom present in the store. *)
-
-val run :
-  ?options:options ->
-  strategy:[ `Naive | `Seminaive ] ->
-  Program.t ->
-  Atom.t ->
-  Fact_store.t * result * Atom.t list
-(** Evaluate from an empty store and read the query's answers back. *)
+val answers : ?pattern:Atom.t -> Fact_store.t -> Atom.t -> Atom.t list
+(** [answers ~pattern store head]: [head] under every match of [pattern]
+    (default [head]) against a stored fact, in the order of
+    {!Fact_store.probe} over the pattern's ground positions — the heads the
+    rule [head :- pattern] would derive, through the same compiled join.
+    Nothing is added to the store, and [eval.rules_fired] /
+    [eval.facts_derived] do not move. This is the one way to read answers
+    back: matching is one-way (facts are ground), there is no unification. *)
 

@@ -174,30 +174,6 @@ let probe rs (mask : int list) (key : Term.t list) =
   if mask = [] then Obs.Metrics.incr ~by:n full_scans_c;
   candidates
 
-(* The ground positions of the pattern under [s] (sorted ascending, with
-   their ground values): the compound index key covering every bound
-   argument, so a lookup returns only genuinely matching candidates. *)
-let ground_positions s (args : Term.t list) =
-  let rec go i = function
-    | [] -> ([], [])
-    | a :: rest ->
-      let mask, key = go (i + 1) rest in
-      let a = Subst.apply s a in
-      if Term.is_ground a then (i :: mask, a :: key) else (mask, key)
-  in
-  go 0 args
-
-(** The substitutions [s] extending [init] such that [Subst.apply s pattern]
-    is a stored fact, newest fact first. *)
-let matches t (pattern : Atom.t) ~init =
-  match extent t pattern.Atom.rel with
-  | None -> []
-  | Some rs ->
-    let mask, key = ground_positions init pattern.Atom.args in
-    List.filter_map
-      (fun args -> Unify.match_lists ~init pattern.Atom.args args)
-      (probe rs mask key)
-
 (* Bulk copy: share the (immutable) tuples list, duplicate the membership
    table, and leave indexes to be rebuilt lazily on first bound probe —
    per-fact [add] would re-check membership and re-maintain indexes for

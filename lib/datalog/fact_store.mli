@@ -39,15 +39,13 @@ val iter_extents : t -> (Symbol.t -> Term.t list list -> unit) -> unit
 
 val all : t -> Atom.t list
 
-val matches : t -> Atom.t -> init:Subst.t -> Subst.t list
-(** The substitutions [s] extending [init] such that [apply s pattern] is
-    a stored fact, newest fact first. *)
-
 (** {2 Probes}
 
-    The primitive under {!matches} and the compiled joins of {!Eval}:
-    a probe names the bound argument positions and their values, and
-    returns the candidates; matching the other positions is the caller's. *)
+    The primitive under the compiled joins of {!Eval}, which do all the
+    matching of patterns against facts ({!Eval.answers} included): a probe
+    names the bound argument positions and their values, and returns the
+    candidates; matching the other positions is the caller's. There is no
+    unification: facts are ground, so matching is one-way. *)
 
 type extent
 (** One relation's tuples and indexes. *)
@@ -58,8 +56,10 @@ val extent : t -> Symbol.t -> extent option
 val probe : extent -> int list -> Term.t list -> Term.t list list
 (** [probe e mask key]: the tuples whose arguments at the ascending
     positions [mask] are the terms of [key] (every tuple when [mask] is
-    empty: a full scan), newest first. The compound index over [mask] is
-    built on first use and maintained from then on. Counted in
+    empty: a full scan, newest first). The compound index over [mask] is
+    built on first use and maintained from then on; it lists the tuples
+    added since it was built newest first, then those present when it was
+    built oldest first. Counted in
     [fact_store.probes], [.candidates] and [.full_scans]. *)
 
 val copy : t -> t

@@ -114,9 +114,4 @@ let solve ?(options = Eval.default_options) (program : Program.t) (query : Atom.
   let result = Eval.seminaive ~options rw.program store in
   Obs.Metrics.incr queries_c;
   Obs.Metrics.incr ~by:result.Eval.stats.Eval.new_facts facts_derived_c;
-  let answers =
-    List.map
-      (fun s -> Atom.apply s rw.query)
-      (Fact_store.matches store rw.answer_pattern ~init:Subst.empty)
-  in
-  (store, result, answers)
+  (store, result, Eval.answers ~pattern:rw.answer_pattern store rw.query)

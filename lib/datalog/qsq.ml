@@ -11,9 +11,10 @@
 
     We generalize the textbook rewriting to function terms in heads and
     bodies: the input relation for [R^ad] carries the head's bound *argument
-    terms*, so that a subquery is connected to a rule by unification (this is
-    what lets the supervisor's demand [trans(x, g(u,c), g(v,c'))] select the
-    event-creation rules of Section 4.1). *)
+    terms*, so that a subquery is connected to a rule by matching the stored
+    input facts against those terms (this is what lets the supervisor's
+    demand [trans(x, g(u,c), g(v,c'))] select the event-creation rules of
+    Section 4.1). *)
 
 module Var_set = Adornment.Var_set
 
@@ -243,9 +244,4 @@ let solve ?(options = Eval.default_options) (program : Program.t) (query : Atom.
   Obs.Metrics.incr ~by:result.Eval.stats.Eval.new_facts facts_derived_c;
   Obs.Metrics.incr ~by:result.Eval.stats.Eval.derivations rules_fired_c;
   Obs.Metrics.incr ~by:result.Eval.stats.Eval.rounds rounds_c;
-  let answers =
-    List.map
-      (fun s -> Atom.apply s rw.query)
-      (Fact_store.matches store rw.answer_pattern ~init:Subst.empty)
-  in
-  (store, result, answers)
+  (store, result, Eval.answers ~pattern:rw.answer_pattern store rw.query)

@@ -6,7 +6,8 @@
     Evaluating the rewritten program bottom-up computes exactly the query's
     answers while materializing only binding-reachable facts. Generalized to
     function terms in heads and bodies (subqueries connect to rules by
-    unification), which the diagnosis encoding relies on. *)
+    matching input facts against the head's terms), which the diagnosis
+    encoding relies on. *)
 
 exception Negation_unsupported of Rule.t
 (** Raised when a rule contains a negated atom: the goal-directed

@@ -29,18 +29,9 @@ let literal_vars = function
   | Pos a | Neg a -> Atom.vars a
   | Neq (x, y) -> Term.vars x @ Term.vars y
 
-(* variables of the whole rule, first occurrence first (head, then body);
-   set-based membership — this runs on every [freshen] *)
+(* variables of the whole rule, first occurrence first (head, then body) *)
 let vars r =
-  let module S = Set.Make (String) in
-  let seen = ref S.empty in
-  let add acc x =
-    if S.mem x !seen then acc
-    else begin
-      seen := S.add x !seen;
-      x :: acc
-    end
-  in
+  let add acc x = if List.mem x acc then acc else x :: acc in
   List.rev
     (List.fold_left
        (fun acc l -> List.fold_left add acc (literal_vars l))
@@ -70,25 +61,19 @@ let check_range_restricted r =
 
 let is_range_restricted r = Result.is_ok (check_range_restricted r)
 
-let apply s r =
-  let apply_lit = function
-    | Pos a -> Pos (Atom.apply s a)
-    | Neg a -> Neg (Atom.apply s a)
-    | Neq (x, y) -> Neq (Subst.apply s x, Subst.apply s y)
-  in
-  { head = Atom.apply s r.head; body = List.map apply_lit r.body }
-
-(** Rename all variables of [r] with a fresh suffix, for safe unification of
-    rules against subqueries that may share variable names. *)
+(** Rename all variables of [r] with a fresh suffix, so that the rewriting
+    can reuse the rule without capturing the variables of another copy. *)
 let freshen =
   let counter = ref 0 in
   fun r ->
     incr counter;
     let suffix = Printf.sprintf "~%d" !counter in
-    let s =
-      Subst.of_list (List.map (fun x -> (x, Term.var (x ^ suffix))) (vars r))
+    let rename_lit = function
+      | Pos a -> Pos (Atom.rename suffix a)
+      | Neg a -> Neg (Atom.rename suffix a)
+      | Neq (x, y) -> Neq (Term.rename suffix x, Term.rename suffix y)
     in
-    apply s r
+    { head = Atom.rename suffix r.head; body = List.map rename_lit r.body }
 
 let pp_literal ppf = function
   | Pos a -> Atom.pp ppf a

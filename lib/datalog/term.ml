@@ -6,7 +6,7 @@
     strings; rule-local scoping is the responsibility of the rule type.
 
     Every materialized diagnosis fact carries deep Skolem spines like
-    [g(t, g(u, h(...)))], and the fact store, unifier and QSQ engines probe
+    [g(t, g(u, h(...)))], and the fact store, compiled joins and QSQ engines probe
     the same spines over and over. Terms are therefore hash-consed in the
     style of Filliâtre–Conchon ("Type-safe modular hash-consing"): one
     global weak table, guarded by one mutex so that peer domains of a
@@ -159,6 +159,16 @@ let rec vars_fold f acc t =
 
 let vars t =
   List.rev (vars_fold (fun acc x -> if List.mem x acc then acc else x :: acc) [] t)
+
+(* Ground subterms (the deep Skolem spines) come back physically
+   unchanged, in O(1). *)
+let rec rename suffix t =
+  if t.ground then t
+  else
+    match t.node with
+    | Var x -> var (x ^ suffix)
+    | App (f, args) -> capp f (List.map (rename suffix) args)
+    | Const _ -> t
 
 let rec pp ppf t =
   match t.node with

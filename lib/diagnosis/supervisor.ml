@@ -125,7 +125,7 @@ let build ?(supervisor = "supervisor") ?place_peers ?(hidden_peers = [])
      peer share a preset, an event of the wrong transition (wrong alarm
      label!) would extend the configuration, and goal-directed evaluation
      would materialize events the dedicated algorithm of Theorem 4 never
-     constructs. The bound term makes head unification filter them out
+     constructs. The bound term makes the head match filter them out
      before any subquery is issued. Found by the lib/check fuzzer
      (seed 2030, qsq-vs-reference). *)
   let new_event = Term.app "f" [ v "T"; g_u_c; g_v_c0 ] in

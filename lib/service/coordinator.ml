@@ -29,6 +29,9 @@ type tenant = {
   net : Petri.Net.t;  (* binarized *)
   supervisor : string;
   peers : string list;  (* the net's peers, the only alarm sources *)
+  emits : (string * string, unit) Hashtbl.t;
+      (* the (symbol, peer) pairs the net's transitions carry: the only
+         alarms a session accepts *)
   placement : string list;  (* shard directory: [peers] + the supervisor *)
   batch : Diagnoser.net_half Lazy.t;
       (* batch sessions only, built on the first batch start *)
@@ -162,12 +165,18 @@ let add_tenant t ~name net =
       errorf "tenant %s: a net peer is named %S" name supervisor
     | net ->
       let peers = Petri.Net.peers net in
+      let emits = Hashtbl.create 16 in
+      List.iter
+        (fun (tr : Petri.Net.transition) ->
+          Hashtbl.replace emits (tr.Petri.Net.t_alarm, tr.Petri.Net.t_peer) ())
+        (Petri.Net.transitions net);
       let tn =
         {
           t_name = name;
           net;
           supervisor;
           peers;
+          emits;
           placement = peers @ [ supervisor ];
           batch = lazy (Diagnoser.encode_net net);
           pool = [];
@@ -216,44 +225,50 @@ let open_stream ?max_states t ~tenant:name =
     Obs.Metrics.incr streams_c;
     Ok id)
 
+(* An alarm no transition of the tenant's net can emit is refused before
+   a session records it (nor is its symbol ever interned). *)
 let add_alarm t sid ~symbol ~peer =
   let* s = session t sid in
-  let known = List.mem peer s.s_tenant.peers in
+  let tn = s.s_tenant in
+  let emittable () =
+    if not (List.mem peer tn.peers) then
+      errorf "session %d: tenant %s has no peer %s" sid tn.t_name peer
+    else if not (Hashtbl.mem tn.emits (symbol, peer)) then
+      errorf "session %d: tenant %s has no transition emitting %s at %s" sid tn.t_name symbol
+        peer
+    else Ok ()
+  in
   match s.phase with
   | Open ->
-    if known then begin
-      s.alarms_rev <- (symbol, peer) :: s.alarms_rev;
+    let* () = emittable () in
+    s.alarms_rev <- (symbol, peer) :: s.alarms_rev;
+    Ok ()
+  | Streaming st -> (
+    let* () = emittable () in
+    (* degrade, don't crash: the stream is marked failed and its live
+       tables are released; the coordinator and every other session
+       keep going *)
+    let fail m =
+      Online.release st.online;
+      s.phase <- Failed m;
+      errorf "session %d failed: %s" sid m
+    in
+    let t0 = Obs.Clock.now_s () in
+    match Online.observe st.online (symbol, peer) with
+    | () ->
+      st.s_last_latency <- Obs.Clock.now_s () -. t0;
+      Obs.Metrics.observe stream_alarm_h (st.s_last_latency *. 1e6);
+      if Online.live_states st.online > st.s_peak_live then
+        st.s_peak_live <- Online.live_states st.online;
       Ok ()
-    end
-    else errorf "session %d: tenant %s has no peer %s" sid s.s_tenant.t_name peer
-  | Streaming st ->
-    if known then begin
-      (* degrade, don't crash: the stream is marked failed and its live
-         tables are released; the coordinator and every other session
-         keep going *)
-      let fail m =
-        Online.release st.online;
-        s.phase <- Failed m;
-        errorf "session %d failed: %s" sid m
-      in
-      let t0 = Obs.Clock.now_s () in
-      match Online.observe st.online (symbol, peer) with
-      | () ->
-        st.s_last_latency <- Obs.Clock.now_s () -. t0;
-        Obs.Metrics.observe stream_alarm_h (st.s_last_latency *. 1e6);
-        if Online.live_states st.online > st.s_peak_live then
-          st.s_peak_live <- Online.live_states st.online;
-        Ok ()
-      | exception Online.State_budget_exceeded { states; alarms_consumed } ->
-        fail
-          (Printf.sprintf "state budget exceeded (%d states after %d alarms)" states
-             alarms_consumed)
-      | exception Online.Unsafe_net { transition; place; alarms_consumed } ->
-        fail
-          (Printf.sprintf "net is not safe: %s puts a second token on place %s (after %d alarms)"
-             transition place alarms_consumed)
-    end
-    else errorf "session %d: tenant %s has no peer %s" sid s.s_tenant.t_name peer
+    | exception Online.State_budget_exceeded { states; alarms_consumed } ->
+      fail
+        (Printf.sprintf "state budget exceeded (%d states after %d alarms)" states
+           alarms_consumed)
+    | exception Online.Unsafe_net { transition; place; alarms_consumed } ->
+      fail
+        (Printf.sprintf "net is not safe: %s puts a second token on place %s (after %d alarms)"
+           transition place alarms_consumed))
   | Failed m -> errorf "session %d failed: %s" sid m
   | Running _ | Done _ -> errorf "session %d already started" sid
 

@@ -1,15 +1,14 @@
 (* Unit and property tests for the centralized Datalog engine:
-   terms, unification, parser, naive/semi-naive evaluation, QSQ and magic. *)
+   terms, parser, naive/semi-naive evaluation, QSQ and magic. *)
 
 open Datalog
 
-let term = Alcotest.testable Term.pp Term.equal
 let atom = Alcotest.testable Atom.pp Atom.equal
 
 let sorted_answers answers = List.sort_uniq String.compare (List.map Atom.to_string answers)
 
 (* ------------------------------------------------------------------ *)
-(* Terms and unification                                              *)
+(* Terms                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_term_basics () =
@@ -19,35 +18,6 @@ let test_term_basics () =
   Alcotest.(check int) "size" 3 (Term.size t);
   Alcotest.(check (list string)) "vars" [ "X" ] (Term.vars t);
   Alcotest.(check string) "print" "f(a, X)" (Term.to_string t)
-
-let test_unify_simple () =
-  let x = Term.var "X" and a = Term.const "a" in
-  (match Unify.unify x a with
-  | Some s -> Alcotest.check term "X bound to a" a (Subst.apply s x)
-  | None -> Alcotest.fail "should unify");
-  (match Unify.unify (Term.app "f" [ x; Term.const "b" ]) (Term.app "f" [ a; Term.var "Y" ]) with
-  | Some s ->
-    Alcotest.check term "X=a" a (Subst.apply s x);
-    Alcotest.check term "Y=b" (Term.const "b") (Subst.apply s (Term.var "Y"))
-  | None -> Alcotest.fail "should unify");
-  Alcotest.(check bool)
-    "clash" true
-    (Unify.unify (Term.const "a") (Term.const "b") = None)
-
-let test_unify_occurs () =
-  let x = Term.var "X" in
-  Alcotest.(check bool)
-    "occurs check" true
-    (Unify.unify x (Term.app "f" [ x ]) = None)
-
-let test_unify_nested () =
-  (* Unifying a demand g(u, c1) against a head g(X, c1) binds X. *)
-  let demand = Term.app "g" [ Term.app "f" [ Term.const "i" ]; Term.const "c1" ] in
-  let head = Term.app "g" [ Term.var "X"; Term.const "c1" ] in
-  match Unify.unify head demand with
-  | Some s ->
-    Alcotest.check term "X = f(i)" (Term.app "f" [ Term.const "i" ]) (Subst.apply s (Term.var "X"))
-  | None -> Alcotest.fail "should unify"
 
 (* qcheck generators for ground-ish terms *)
 let gen_term : Term.t QCheck.Gen.t =
@@ -66,40 +36,6 @@ let gen_term : Term.t QCheck.Gen.t =
                 (fun f args -> Term.capp (Symbol.intern (Printf.sprintf "f%d" (abs f mod 3))) args)
                 small_int
                 (list_size (1 -- 3) (self (n / 2))) ) ])
-
-let arb_term = QCheck.make ~print:Term.to_string gen_term
-
-let prop_unify_is_unifier =
-  QCheck.Test.make ~count:500 ~name:"mgu unifies its arguments"
-    (QCheck.pair arb_term arb_term) (fun (a, b) ->
-      match Unify.unify a b with
-      | None -> true
-      | Some s -> Term.equal (Subst.apply s a) (Subst.apply s b))
-
-let prop_unify_idempotent =
-  QCheck.Test.make ~count:500 ~name:"mgu substitution is idempotent"
-    (QCheck.pair arb_term arb_term) (fun (a, b) ->
-      match Unify.unify a b with
-      | None -> true
-      | Some s ->
-        let once = Subst.apply s a in
-        Term.equal once (Subst.apply s once))
-
-let prop_match_is_unify_on_ground =
-  QCheck.Test.make ~count:500 ~name:"matching agrees with unification when target ground"
-    (QCheck.pair arb_term arb_term) (fun (pat, target) ->
-      QCheck.assume (Term.is_ground target);
-      let m = Unify.match_term pat target in
-      let u = Unify.unify pat target in
-      match m, u with
-      | None, None -> true
-      | Some s, Some _ -> Term.equal (Subst.apply s pat) target
-      | Some _, None -> false
-      | None, Some s ->
-        (* matching may fail where unification succeeds only if the pattern
-           needs its own variables instantiated inconsistently; for ground
-           targets they must agree. *)
-        not (Term.equal (Subst.apply s pat) target))
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
@@ -252,6 +188,92 @@ let prop_naive_eq_seminaive =
       ignore (Eval.naive p s1);
       ignore (Eval.seminaive p s2);
       Fact_store.to_sorted_strings s1 = Fact_store.to_sorted_strings s2)
+
+(* A one-way matcher over association lists, independent of the compiled
+   joins: [p] against the ground [t]. *)
+let rec match_term env p t =
+  match Term.view p, Term.view t with
+  | Term.Var x, _ -> (
+    match List.assoc_opt x env with
+    | Some u -> if Term.equal u t then Some env else None
+    | None -> Some ((x, t) :: env))
+  | Term.Const a, Term.Const b -> if Symbol.equal a b then Some env else None
+  | Term.App (f, ps), Term.App (g, ts) when Symbol.equal f g -> match_args env ps ts
+  | (Term.Const _ | Term.App _), _ -> None
+
+and match_args env ps ts =
+  match ps, ts with
+  | [], [] -> Some env
+  | p :: ps, t :: ts -> Option.bind (match_term env p t) (fun env -> match_args env ps ts)
+  | _ :: _, [] | [], _ :: _ -> None
+
+let rec instantiate env t =
+  match Term.view t with
+  | Term.Var x -> Option.value (List.assoc_opt x env) ~default:t
+  | Term.App (f, args) -> Term.capp f (List.map (instantiate env) args)
+  | Term.Const _ -> t
+
+(* Ground a generated term: each variable V becomes the constant v. *)
+let rec close t =
+  match Term.view t with
+  | Term.Var x -> Term.const (String.lowercase_ascii x)
+  | Term.App (f, args) -> Term.capp f (List.map close args)
+  | Term.Const _ -> t
+
+(* Stores of relations r0..r2 holding tuples of arity 1-3 (so arities
+   mismatch), filled in two batches with an answer read between them (so
+   the index the first read builds is maintained through the second
+   batch); patterns from [gen_term], with repeated variables, nested
+   function terms and constants. *)
+let arb_answers_case =
+  let open QCheck.Gen in
+  let atom term =
+    map2 Atom.make (map (fun i -> Printf.sprintf "r%d" (abs i mod 3)) small_int)
+      (list_size (1 -- 3) term)
+  in
+  let fact = atom (map close gen_term) in
+  QCheck.make
+    ~print:(fun (before, after, pattern) ->
+      Printf.sprintf "facts: %s | %s\npattern: %s"
+        (String.concat " " (List.map Atom.to_string before))
+        (String.concat " " (List.map Atom.to_string after))
+        (Atom.to_string pattern))
+    (triple (list_size (0 -- 20) fact) (list_size (0 -- 20) fact) (atom gen_term))
+
+(* The brute force lists matches in probe order: newest first on a full
+   scan; through an index, the facts added since the first read (which
+   built it) newest first, then the [built] older ones oldest first. *)
+let prop_answers_match =
+  QCheck.Test.make ~count:500 ~name:"answers == brute-force matches, in probe order"
+    arb_answers_case (fun (before, after, pattern) ->
+      let store = Fact_store.create () in
+      let head =
+        Atom.make "ans" [ Term.app "k" (List.rev_map Term.var (Atom.vars pattern)); Term.const "c0" ]
+      in
+      let indexed = List.exists Term.is_ground pattern.Atom.args in
+      let brute ~built head =
+        let matches =
+          List.filter (fun (fact : Atom.t) -> Symbol.equal fact.Atom.rel pattern.Atom.rel)
+            (Fact_store.all store)
+          |> List.mapi (fun i (fact : Atom.t) ->
+                 Option.map
+                   (fun env ->
+                     (i, Atom.cmake head.Atom.rel (List.map (instantiate env) head.Atom.args)))
+                   (match_args [] pattern.Atom.args fact.Atom.args))
+          |> List.filter_map Fun.id
+        in
+        let older, newer = List.partition (fun (i, _) -> indexed && i < built) matches in
+        List.map snd (List.rev newer @ older)
+      in
+      let agree ~built =
+        List.equal Atom.equal (Eval.answers ~pattern store head) (brute ~built head)
+        && List.equal Atom.equal (Eval.answers store pattern) (brute ~built pattern)
+      in
+      List.iter (fun a -> ignore (Fact_store.add store a)) before;
+      let built = Fact_store.count_rel store pattern.Atom.rel in
+      let first = agree ~built in
+      List.iter (fun a -> ignore (Fact_store.add store a)) after;
+      first && agree ~built)
 
 (* ------------------------------------------------------------------ *)
 (* QSQ and magic                                                      *)
@@ -410,11 +432,7 @@ let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
   [ ( "term-unify",
-      [ Alcotest.test_case "term basics" `Quick test_term_basics;
-        Alcotest.test_case "unify simple" `Quick test_unify_simple;
-        Alcotest.test_case "occurs check" `Quick test_unify_occurs;
-        Alcotest.test_case "unify nested" `Quick test_unify_nested ]
-      @ qcheck [ prop_unify_is_unifier; prop_unify_idempotent; prop_match_is_unify_on_ground ] );
+      [ Alcotest.test_case "term basics" `Quick test_term_basics ] );
     ( "parser",
       [ Alcotest.test_case "parse program" `Quick test_parse_program;
         Alcotest.test_case "parse terms" `Quick test_parse_terms;
@@ -427,7 +445,7 @@ let suite =
         Alcotest.test_case "neq semantics" `Quick test_neq_semantics;
         Alcotest.test_case "depth bound" `Quick test_function_symbols_depth_bound;
         Alcotest.test_case "fact budget" `Quick test_budget ]
-      @ qcheck [ prop_naive_eq_seminaive ] );
+      @ qcheck [ prop_naive_eq_seminaive; prop_answers_match ] );
     ( "qsq-magic",
       [ Alcotest.test_case "qsq tc answers" `Quick test_qsq_tc_answers;
         Alcotest.test_case "qsq materializes less" `Quick test_qsq_materializes_less;

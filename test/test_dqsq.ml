@@ -359,11 +359,15 @@ let ring_edb ?(domain = 8) ~rng k ~edges () =
 let canonical_rules rules =
   List.map
     (fun (r : Rule.t) ->
-      let s =
-        Subst.of_list (List.mapi (fun i x -> (x, Term.var (Printf.sprintf "?%d" i))) (Rule.vars r))
+      let names = List.mapi (fun i x -> (x, Term.var (Printf.sprintf "?%d" i))) (Rule.vars r) in
+      let rec term t =
+        match Term.view t with
+        | Term.Var x -> List.assoc x names
+        | Term.App (f, args) -> Term.capp f (List.map term args)
+        | Term.Const _ -> t
       in
       let atom (a : Atom.t) =
-        Atom.make (Qsq_engine.zeta (Symbol.name a.Atom.rel)) (List.map (Subst.apply s) a.Atom.args)
+        Atom.make (Qsq_engine.zeta (Symbol.name a.Atom.rel)) (List.map term a.Atom.args)
       in
       Rule.to_string
         (Rule.make (atom r.Rule.head)
@@ -371,7 +375,7 @@ let canonical_rules rules =
               (function
                 | Rule.Pos a -> Rule.Pos (atom a)
                 | Rule.Neg a -> Rule.Neg (atom a)
-                | Rule.Neq (x, y) -> Rule.Neq (Subst.apply s x, Subst.apply s y))
+                | Rule.Neq (x, y) -> Rule.Neq (term x, term y))
               r.Rule.body)))
     rules
   |> sorted_strings

@@ -168,26 +168,39 @@ let test_lifecycle_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "report after close accepted"
 
-(* an alarm from a peer outside the tenant's net is refused with the same
-   text by a batch session and a stream, and leaves both usable; the
-   supervisor is placed beside the peers but emits no alarm *)
+(* an alarm from a peer outside the tenant's net, or with a symbol no
+   transition of that peer carries, is refused with the same text by a
+   batch session and a stream, is not recorded, and leaves both usable;
+   the supervisor is placed beside the peers but emits no alarm *)
 let test_unknown_peer_both_arms () =
   let coord = Coordinator.create () in
   ignore (ok (Coordinator.add_tenant coord ~name:"t" (running_net ())));
   let batch = ok (Coordinator.open_session coord ~tenant:"t") in
   let stream = ok (Coordinator.open_stream coord ~tenant:"t") in
+  let refused sid ~symbol ~peer msg =
+    Alcotest.(check (result unit string))
+      (Printf.sprintf "session %d, %s@%s" sid symbol peer)
+      (Error (Printf.sprintf "session %d: tenant t %s" sid msg))
+      (Coordinator.add_alarm coord sid ~symbol ~peer)
+  in
+  let stream_body () = (ok (Coordinator.report coord stream)).Coordinator.body in
   List.iter
     (fun sid ->
       List.iter
-        (fun peer ->
-          Alcotest.(check (result unit string))
-            (Printf.sprintf "session %d, peer %s" sid peer)
-            (Error (Printf.sprintf "session %d: tenant t has no peer %s" sid peer))
-            (Coordinator.add_alarm coord sid ~symbol:"b" ~peer))
+        (fun peer -> refused sid ~symbol:"b" ~peer ("has no peer " ^ peer))
         [ "nope"; "supervisor" ];
-      ok (Coordinator.add_alarm coord sid ~symbol:"b" ~peer:"p1"))
+      ok (Coordinator.add_alarm coord sid ~symbol:"b" ~peer:"p1");
+      let before = if sid = stream then stream_body () else "" in
+      (* [a] is a symbol of the net, but only p2 emits it *)
+      List.iter
+        (fun symbol ->
+          refused sid ~symbol ~peer:"p1"
+            (Printf.sprintf "has no transition emitting %s at p1" symbol))
+        [ "nosuchsym"; "a" ];
+      if sid = stream then
+        Alcotest.(check string) "the stream's report is unchanged" before (stream_body ()))
     [ batch; stream ];
-  Alcotest.(check int) "the stream consumed only the known-peer alarm" 1
+  Alcotest.(check int) "the stream consumed only the emittable alarm" 1
     (ok (Coordinator.stream_info coord stream)).Coordinator.si_alarms;
   ok (Coordinator.start coord batch);
   Alcotest.(check int) "the batch session explains the known-peer alarm" 1

@@ -73,16 +73,15 @@ let test_term_cached_fields () =
     samples
 
 let test_term_subst_sharing () =
-  let s = Subst.of_list [ ("X", Term.const "a") ] in
   let t = Term.app "f" [ deep_term 10; Term.const "b" ] in
   Alcotest.(check bool) "ground term returned physically unchanged" true
-    (Subst.apply s t == t);
+    (Term.rename "~1" t == t);
   let u = Term.app "f" [ Term.var "Y"; deep_term 10 ] in
-  Alcotest.(check bool) "untouched variables leave term physically unchanged" true
-    (Subst.apply s u == u);
-  let v = Subst.apply (Subst.of_list [ ("Y", Term.const "a") ]) u in
-  Alcotest.(check bool) "a bound variable rebuilds the term" false (v == u);
-  Alcotest.(check bool) "result is ground" true (Term.is_ground v)
+  Alcotest.(check bool) "an empty suffix leaves the term physically unchanged" true
+    (Term.rename "" u == u);
+  let v = Term.rename "~1" u in
+  Alcotest.(check bool) "a renamed variable rebuilds the term" false (v == u);
+  Alcotest.check term "only the variable is renamed" (Term.app "f" [ Term.var "Y~1"; deep_term 10 ]) v
 
 let test_term_weak_collection () =
   (* terms without live roots must be collectable from the weak table *)
@@ -145,25 +144,6 @@ let test_term_parallel_intern () =
   Alcotest.(check int) "tags are pairwise distinct" 0 !clashes
 
 (* ------------------------------------------------------------------ *)
-(* Subst                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_subst_compose () =
-  let s1 = Subst.of_list [ ("X", Term.const "a") ] in
-  let s2 = Subst.of_list [ ("Y", Term.var "X") ] in
-  let s = Subst.compose s1 s2 in
-  (* compose s1 s2 = apply s2 then s1: Y -> X -> a *)
-  Alcotest.check term "Y resolves through both" (Term.const "a")
-    (Subst.apply s (Term.var "Y"));
-  Alcotest.check term "X still bound" (Term.const "a") (Subst.apply s (Term.var "X"))
-
-let test_subst_restrict () =
-  let s = Subst.of_list [ ("X", Term.const "a"); ("Y", Term.const "b") ] in
-  let s' = Subst.restrict [ "X" ] s in
-  Alcotest.(check int) "one binding left" 1 (Subst.cardinal s');
-  Alcotest.(check bool) "Y gone" false (Subst.mem "Y" s')
-
-(* ------------------------------------------------------------------ *)
 (* Fact_store                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -188,15 +168,12 @@ let test_store_indexing () =
   add "a" "c";
   add "x" "y";
   let pattern = Atom.make "e" [ Term.const "a"; Term.var "Y" ] in
-  Alcotest.(check int) "two matches" 2
-    (List.length (Fact_store.matches store pattern ~init:Subst.empty));
+  Alcotest.(check int) "two matches" 2 (List.length (Eval.answers store pattern));
   add "a" "d";
-  Alcotest.(check int) "index maintained on insert" 3
-    (List.length (Fact_store.matches store pattern ~init:Subst.empty));
+  Alcotest.(check int) "index maintained on insert" 3 (List.length (Eval.answers store pattern));
   (* second-position index *)
   let pattern2 = Atom.make "e" [ Term.var "X"; Term.const "y" ] in
-  Alcotest.(check int) "one match on pos 2" 1
-    (List.length (Fact_store.matches store pattern2 ~init:Subst.empty))
+  Alcotest.(check int) "one match on pos 2" 1 (List.length (Eval.answers store pattern2))
 
 let test_store_copy_isolated () =
   let store = Fact_store.create () in
@@ -237,10 +214,10 @@ let test_store_function_terms () =
   let pattern =
     Atom.make "places" [ Term.app "g" [ Term.var "X"; Term.const "c1" ]; Term.var "Y" ]
   in
-  match Fact_store.matches store pattern ~init:Subst.empty with
-  | [ s ] ->
+  match Eval.answers ~pattern store (Atom.make "x" [ Term.var "X" ]) with
+  | [ a ] ->
     Alcotest.check term "X bound inside structure" (Term.app "f" [ Term.const "i" ])
-      (Subst.apply s (Term.var "X"))
+      (List.hd a.Atom.args)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 match, got %d" (List.length l))
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +423,9 @@ let test_plan_lazy () =
 
 let test_eval_run_wrapper () =
   let p = Parser.parse_program "tc(X, Y) :- e(X, Y). e(a, b)." in
-  let _, res, answers = Eval.run ~strategy:`Naive p (Atom.make "tc" [ Term.var "X"; Term.var "Y" ]) in
+  let store = Fact_store.create () in
+  let res = Eval.naive p store in
+  let answers = Eval.answers store (Atom.make "tc" [ Term.var "X"; Term.var "Y" ]) in
   Alcotest.(check bool) "fixpoint" true (res.Eval.status = Eval.Fixpoint);
   Alcotest.(check int) "one answer" 1 (List.length answers)
 
@@ -927,9 +906,7 @@ let suite =
         Alcotest.test_case "weak collection" `Quick test_term_weak_collection;
         Alcotest.test_case "parallel interning" `Quick test_term_parallel_intern ] );
     ( "symbol-subst",
-      [ Alcotest.test_case "symbol" `Quick test_symbol;
-        Alcotest.test_case "subst compose" `Quick test_subst_compose;
-        Alcotest.test_case "subst restrict" `Quick test_subst_restrict ] );
+      [ Alcotest.test_case "symbol" `Quick test_symbol ] );
     ( "fact-store",
       [ Alcotest.test_case "basics" `Quick test_store_basics;
         Alcotest.test_case "indexing" `Quick test_store_indexing;
