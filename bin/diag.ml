@@ -168,7 +168,7 @@ let engine_conv =
       ("reference", `Reference) ]
 
 let diagnose_cmd =
-  let run path alarms_opt engine seed parallel jobs verbose stats trace =
+  let run path alarms_opt engine seed jobs verbose stats trace =
     enable_trace trace;
     let f = load path in
     let net = Petri.Net.binarize f.Petri.Parse.net in
@@ -193,17 +193,12 @@ let diagnose_cmd =
           | `Qsq -> Diagnoser.Centralized_qsq
           | `Magic -> Diagnoser.Centralized_magic
           | `Dqsq ->
-            if parallel || jobs <> None then
-              let jobs =
-                match jobs with
-                | Some j when j >= 1 -> j
-                | Some _ ->
-                  Printf.eprintf "error: --jobs must be >= 1\n";
-                  exit 2
-                | None -> Domain.recommended_domain_count ()
-              in
-              Diagnoser.Distributed_parallel { jobs }
-            else Diagnoser.Distributed { seed; policy = Network.Sim.Random_interleaving }
+            match jobs with
+            | Some jobs when jobs >= 1 -> Diagnoser.Distributed_parallel { jobs }
+            | Some _ ->
+              Printf.eprintf "error: --jobs must be >= 1\n";
+              exit 2
+            | None -> Diagnoser.Distributed { seed; policy = Network.Sim.Random_interleaving }
         in
         let r = Diagnoser.diagnose ~engine net alarms in
         let comm =
@@ -237,23 +232,19 @@ let diagnose_cmd =
          & info [ "engine" ] ~doc:"One of qsq, magic, dqsq, product, reference.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Scheduler seed (dqsq).") in
-  let parallel =
-    Arg.(value & flag
-         & info [ "parallel" ]
-             ~doc:"With --engine dqsq: run each peer on its own OCaml domain \
-                   (default domain count: the machine's). The diagnosis is \
-                   identical to the sequential run.")
-  in
   let jobs =
-    Arg.(value & opt (some int) None
+    Arg.(value
+         & opt ~vopt:(Some (Domain.recommended_domain_count ())) (some int) None
          & info [ "jobs" ] ~docv:"N"
-             ~doc:"With --engine dqsq: number of domains for the parallel \
-                   scheduler (implies --parallel).")
+             ~doc:"With --engine dqsq: run the peers on $(docv) OCaml domains \
+                   under the parallel scheduler ($(b,--jobs) alone: the \
+                   machine's domain count). The diagnosis is identical to the \
+                   sequential run.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print event terms.") in
   Cmd.v
     (Cmd.info "diagnose" ~doc:"Diagnose an alarm sequence.")
-    Term.(const run $ file_arg $ alarms_arg $ engine $ seed $ parallel $ jobs $ verbose
+    Term.(const run $ file_arg $ alarms_arg $ engine $ seed $ jobs $ verbose
           $ stats_arg $ trace_arg)
 
 (* ---------------- rewrite ---------------- *)

@@ -42,9 +42,7 @@ let rec activate t p rel =
   if not (Hashtbl.mem st.activated rel) then begin
     Hashtbl.add st.activated rel ();
     let rules = Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) in
-    let newly_installed =
-      List.filter (fun r -> Runtime.install st.rt (Drule.to_rule r)) rules
-    in
+    List.iter (fun r -> ignore (Runtime.install st.rt (Drule.to_rule r))) rules;
     List.iter
       (fun r ->
         List.iter
@@ -56,8 +54,7 @@ let rec activate t p rel =
                 (Message.Subscribe (Datom.mangle_rel ~rel:a.Datom.rel ~peer:a.Datom.peer))
             end)
           (Drule.body_atoms r))
-      rules;
-    if newly_installed <> [] then forward t ~src:p (Runtime.evaluate st.rt)
+      rules
   end
 
 let handle t p ~src msg =
@@ -67,11 +64,15 @@ let handle t p ~src msg =
   | Message.Subscribe rel ->
     let snapshot = Runtime.subscribe st.rt rel ~dst:src in
     List.iter (fun fact -> send t ~src:p ~dst:src (Message.Fact fact)) snapshot
-  | Message.Fact fact ->
-    if Runtime.add_fact st.rt fact then
-      forward t ~src:p (Runtime.evaluate ~delta:[ fact ] st.rt)
+  | Message.Fact fact -> ignore (Runtime.add_fact st.rt fact)
   | Message.Delegate _ -> invalid_arg "Naive_engine: unexpected delegation"
   | Message.Batch _ -> invalid_arg "Naive_engine: unexpected envelope"
+
+(* One activation of peer [p]: [f] handles what arrived, then the peer
+   runs the one local pass that requires and ships what it derived. *)
+let activation t p f =
+  f ();
+  forward t ~src:p (Runtime.evaluate (state t p).rt)
 
 let unwrap = function
   | Network.Termination.Work m -> m
@@ -104,7 +105,8 @@ let create ?(seed = 0) ?(policy = Network.Sim.Random_interleaving)
             (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel) @ [ r ]))
         (Dprogram.rules_at program p);
       Hashtbl.add states p st;
-      Network.Sim.add_peer sim p (fun _ ~src msg -> handle t p ~src (unwrap msg)))
+      Network.Sim.add_peer sim p (fun _ ~src msg ->
+          activation t p (fun () -> handle t p ~src (unwrap msg))))
     peers;
   List.iter
     (fun (a : Datom.t) ->
@@ -122,7 +124,7 @@ type outcome = {
 
 (** Pose the query and run to global quiescence. *)
 let run ?max_steps (t : t) ~(query : Datom.t) : outcome =
-  activate t t.query_peer query.Datom.rel;
+  activation t t.query_peer (fun () -> activate t t.query_peer query.Datom.rel);
   let deliveries = Network.Sim.run ?max_steps t.sim in
   let st = state t t.query_peer in
   let answers = Eval.answers (Runtime.store st.rt) (Datom.to_atom query) in

@@ -202,10 +202,8 @@ let ensure_subscription t p ~owner ~rel_sym =
     end
   end
 
-let install_and_eval t p rules =
-  let st = state t p in
-  let fresh = List.filter (fun r -> Runtime.install st.rt r) rules in
-  if fresh <> [] then forward t ~src:p (Runtime.evaluate st.rt)
+(* Rules wait for the activation's one evaluation. *)
+let install t p rules = List.iter (fun r -> ignore (Runtime.install (state t p).rt r)) rules
 
 (* ------------------------------------------------------------------ *)
 (* The distributed rewriting walk                                      *)
@@ -265,7 +263,7 @@ let rec walk t p (d : Message.delegation) =
   let w = walk_of d in
   ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:w.Qsq.prev.Atom.rel;
   go d.Message.d_pos d.Message.d_lit_index w d.Message.d_prev_owner d.Message.d_remaining;
-  install_and_eval t p !rules_to_install
+  install t p !rules_to_install
 
 and install_answer t p (d : Message.delegation) =
   let st = state t p in
@@ -275,7 +273,7 @@ and install_answer t p (d : Message.delegation) =
     let w = walk_of d in
     ensure_subscription t p ~owner:d.Message.d_prev_owner ~rel_sym:w.Qsq.prev.Atom.rel;
     let head = d.Message.d_head in
-    install_and_eval t p
+    install t p
       [ Qsq.answer w
           (located ~rel:head.Datom.rel ~peer:p)
           (ad_of_string d.Message.d_origin_ad) head.Datom.args ]
@@ -290,7 +288,7 @@ and demand t p ~rel ~ad =
   if not (Hashtbl.mem st.demanded key) then begin
     Hashtbl.add st.demanded key ();
     let n = located ~rel ~peer:p in
-    install_and_eval t p [ Qsq.bridge n ~stored:(Datom.mangle_rel ~rel ~peer:p) ad ];
+    install t p [ Qsq.bridge n ~stored:(Datom.mangle_rel ~rel ~peer:p) ad ];
     let origin = Printf.sprintf "%s@%s" rel p in
     List.iteri
       (fun i r0 ->
@@ -316,7 +314,7 @@ and demand t p ~rel ~ad =
             ~sup:(sup_at ~rel:origin ~ad:ad_name ~rule_index:i ~pos:0 ~peer:p)
             ~need:(need head body) head.Datom.args
         in
-        install_and_eval t p [ sup0_rule ];
+        install t p [ sup0_rule ];
         walk t p
           {
             Message.d_origin_rel = origin;
@@ -338,28 +336,26 @@ and demand t p ~rel ~ad =
 (* Message handling and the public API                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Seed the input relation of the query and start the local rewriting at
+   the supervisor's peer. *)
+let start_query t =
+  let query = t.query in
+  let p0 = t.query_peer in
+  let q_local = Datom.to_local_atom query in
+  let ad = Adornment.of_query q_local in
+  let st = state t p0 in
+  let seed_fact = Qsq.subquery (located ~rel:query.Datom.rel ~peer:p0) ad query.Datom.args in
+  ignore (Runtime.add_fact st.rt seed_fact);
+  demand t p0 ~rel:query.Datom.rel ~ad
+
 let rec handle_msg t p ~src msg =
   let st = state t p in
   Obs.Metrics.incr st.steps_c;
   match msg with
   | Message.Subscribe rel ->
     List.iter (send_fact t ~src:p ~dst:src) (Runtime.subscribe st.rt rel ~dst:src)
-  | Message.Fact fact ->
-    if Runtime.add_fact st.rt fact then
-      forward t ~src:p (Runtime.evaluate ~delta:[ fact ] st.rt)
-  | Message.Batch ms ->
-    (* absorb the whole envelope, then run one semi-naive pass over the
-       fresh delta — monotone Datalog, so coalescing deltas is sound *)
-    let fresh =
-      List.filter_map
-        (function
-          | Message.Fact fact -> if Runtime.add_fact st.rt fact then Some fact else None
-          | m ->
-            handle_msg t p ~src m;
-            None)
-        ms
-    in
-    if fresh <> [] then forward t ~src:p (Runtime.evaluate ~delta:fresh st.rt)
+  | Message.Fact fact -> ignore (Runtime.add_fact st.rt fact)
+  | Message.Batch ms -> List.iter (handle_msg t p ~src) ms
   | Message.Delegate d ->
     if d.Message.d_remaining = [] then install_answer t p d
     else begin
@@ -373,27 +369,19 @@ let rec handle_msg t p ~src msg =
     (* the supervisor's root injected the query (Dijkstra-Scholten mode) *)
     start_query t
 
-(* Outermost entry: one delivered message = one activation. The outbox is
-   flushed before returning to the scheduler — NOT inside nested
-   [handle_msg] calls for envelope members, so a whole Batch's responses
-   coalesce — and before the Dijkstra-Scholten wrapper's disengage check,
-   so the deficit already counts the flushed envelopes. *)
-and handle t p ~src msg =
-  handle_msg t p ~src msg;
+(* One activation of peer [p]: [f] handles what arrived (a delivered
+   message, or the query injection), then the peer runs the one local pass
+   that requires — monotone Datalog, so deferring every install and fact
+   of the activation to one pass is sound — and ships what it derived.
+   The outbox is flushed before returning to the scheduler, so a whole
+   Batch's responses coalesce, and before the Dijkstra-Scholten wrapper's
+   disengage check, so the deficit already counts the flushed envelopes. *)
+let activation t p f =
+  f ();
+  forward t ~src:p (Runtime.evaluate (state t p).rt);
   flush_outbox t p
 
-(* Seed the input relation of the query and start the local rewriting at
-   the supervisor's peer. *)
-and start_query t =
-  let query = t.query in
-  let p0 = t.query_peer in
-  let q_local = Datom.to_local_atom query in
-  let ad = Adornment.of_query q_local in
-  let st = state t p0 in
-  let seed_fact = Qsq.subquery (located ~rel:query.Datom.rel ~peer:p0) ad query.Datom.args in
-  ignore (Runtime.add_fact st.rt seed_fact);
-  demand t p0 ~rel:query.Datom.rel ~ad;
-  forward t ~src:p0 (Runtime.evaluate st.rt)
+let handle t p ~src msg = activation t p (fun () -> handle_msg t p ~src msg)
 
 (** How the distributed fixpoint is detected: by the simulator's omniscient
     quiescence test, or by the peers themselves running Dijkstra-Scholten
@@ -502,10 +490,7 @@ type outcome = {
    then driven by {!step} (interleaved service sessions) or {!run}. *)
 let start (t : t) =
   match t.detector with
-  | None ->
-    start_query t;
-    (* the injection runs outside any activation; flush it explicitly *)
-    flush_outbox t t.query_peer
+  | None -> activation t t.query_peer (fun () -> start_query t)
   | Some det ->
     (* the diffusing computation starts with the root's query injection *)
     Ds.start det t.sim ~dst:t.query_peer (Message.Activate t.query.Datom.rel)

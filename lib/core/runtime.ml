@@ -15,8 +15,9 @@ type t = {
   installed : unit Rule.Tbl.t;  (** dedup of installed rules, up to [Rule.equal] *)
   index : Eval.index;  (** the installed rules, indexed once, kept across evaluations *)
   mutable closed : int;
-      (** the store is a fixpoint of the first [closed] installed rules:
-          set by a completed evaluation, cleared by a new fact *)
+      (** the store minus [pending] is a fixpoint of the first [closed]
+          installed rules; only {!evaluate} moves it *)
+  mutable pending : Atom.t list;  (** facts added since the last evaluation, newest first *)
   subscribers : (Symbol.t, string list ref) Hashtbl.t;
   eval_options : Eval.options;
   mutable clipped : int;  (** facts discarded by the depth bound *)
@@ -30,6 +31,7 @@ let create ?(eval_options = Eval.default_options) peer =
     installed = Rule.Tbl.create 64;
     index = Eval.index_create ();
     closed = 0;
+    pending = [];
     subscribers = Hashtbl.create 16;
     eval_options;
     clipped = 0;
@@ -45,6 +47,7 @@ let reset t =
   Rule.Tbl.clear t.installed;
   Eval.index_clear t.index;
   t.closed <- 0;
+  t.pending <- [];
   Hashtbl.clear t.subscribers;
   t.clipped <- 0
 
@@ -79,10 +82,10 @@ let subscribers_of t rel =
   match Hashtbl.find_opt t.subscribers rel with Some l -> !l | None -> []
 
 (** Add a fact received from the network (or seeded); [true] if new. A new
-    fact may enable every installed rule again. *)
+    fact waits for the next {!evaluate}. *)
 let add_fact t (a : Atom.t) : bool =
   let fresh = Fact_store.add t.store a in
-  if fresh then t.closed <- 0;
+  if fresh then t.pending <- a :: t.pending;
   fresh
 
 (* The same registry names the centralized {!Qsq.solve} increments: the
@@ -90,30 +93,34 @@ let add_fact t (a : Atom.t) : bool =
 let facts_derived_c = Obs.Metrics.counter "qsq.facts_derived"
 let rules_fired_c = Obs.Metrics.counter "qsq.rules_fired"
 let rounds_c = Obs.Metrics.counter "qsq.fixpoint_rounds"
+let passes_c = Obs.Metrics.counter "qsq.local_passes"
 
-(** Run local semi-naive evaluation. [delta], when given, restricts the
-    initial delta to the given freshly arrived facts, and must hold every
-    fact added since the last evaluation. Returns the newly derived facts
-    paired with the peers subscribed to their relations at derivation
-    time. The firings of rules under which the store is already closed are
-    skipped until the first new fact (see {!Eval.seminaive_indexed}), so
-    the facts derived and their order do not depend on it. *)
-let evaluate ?delta t : (Atom.t * string list) list =
-  let out = ref [] in
-  let on_new a = out := (a, subscribers_of t a.Atom.rel) :: !out in
-  let result =
-    Eval.seminaive_indexed ~options:t.eval_options ~init_delta:delta ~on_new
-      ~closed:t.closed t.index t.store
-  in
-  t.closed <-
-    (match result.Eval.status with
-    | Eval.Budget_exhausted -> 0
-    | Eval.Fixpoint | Eval.Depth_clipped -> Eval.index_size t.index);
-  t.clipped <- t.clipped + result.Eval.stats.Eval.clipped;
-  Obs.Metrics.incr ~by:result.Eval.stats.Eval.new_facts facts_derived_c;
-  Obs.Metrics.incr ~by:result.Eval.stats.Eval.derivations rules_fired_c;
-  Obs.Metrics.incr ~by:result.Eval.stats.Eval.rounds rounds_c;
-  List.rev !out
+(** The one pass that what changed requires (see the interface). Rules
+    were installed iff the index outgrew [closed]. The full pass's skip
+    needs a store its rules are closed under, so pending facts void it. *)
+let evaluate t : (Atom.t * string list) list =
+  let installed = Eval.index_size t.index > t.closed in
+  if (not installed) && t.pending = [] then []
+  else begin
+    let init_delta = if installed then None else Some (List.rev t.pending) in
+    let closed = if t.pending = [] then t.closed else 0 in
+    t.pending <- [];
+    let out = ref [] in
+    let on_new a = out := (a, subscribers_of t a.Atom.rel) :: !out in
+    let result =
+      Eval.seminaive_indexed ~options:t.eval_options ~init_delta ~on_new ~closed t.index t.store
+    in
+    t.closed <-
+      (match result.Eval.status with
+      | Eval.Budget_exhausted -> 0
+      | Eval.Fixpoint | Eval.Depth_clipped -> Eval.index_size t.index);
+    t.clipped <- t.clipped + result.Eval.stats.Eval.clipped;
+    Obs.Metrics.incr passes_c;
+    Obs.Metrics.incr ~by:result.Eval.stats.Eval.new_facts facts_derived_c;
+    Obs.Metrics.incr ~by:result.Eval.stats.Eval.derivations rules_fired_c;
+    Obs.Metrics.incr ~by:result.Eval.stats.Eval.rounds rounds_c;
+    List.rev !out
+  end
 
 let facts_count t = Fact_store.count t.store
 let store t = t.store

@@ -14,9 +14,10 @@ val reset : t -> unit
     [eval_options] are preserved. *)
 
 val install : t -> Rule.t -> bool
-(** Install a rule; [true] iff new (idempotent otherwise). Rules are
-    compared structurally ({!Datalog.Rule.equal}): a rule rebuilt from
-    scratch is a duplicate, a variable renaming is not. *)
+(** Install a rule, to be fired from the next {!evaluate}; [true] iff new
+    (idempotent otherwise). Rules are compared structurally
+    ({!Datalog.Rule.equal}): a rule rebuilt from scratch is a duplicate, a
+    variable renaming is not. *)
 
 val subscribe : t -> Symbol.t -> dst:string -> Atom.t list
 (** Record the subscriber and return the current extent to ship at once. *)
@@ -24,18 +25,24 @@ val subscribe : t -> Symbol.t -> dst:string -> Atom.t list
 val subscribers_of : t -> Symbol.t -> string list
 
 val add_fact : t -> Atom.t -> bool
-(** Add a fact; [true] iff new. A new fact clears the record that the store
-    is a fixpoint of the installed rules. *)
+(** Add a fact; [true] iff new. A new fact is pending until the next
+    {!evaluate}. *)
 
-val evaluate : ?delta:Atom.t list -> t -> (Atom.t * string list) list
-(** Local semi-naive evaluation; returns the newly derived facts with the
-    peers subscribed to their relations. [delta] restricts the initial
-    delta to freshly arrived facts and must hold every fact added since the
-    last evaluation (rule installs need a full pass). The peer keeps its
-    rule index across calls, and a completed evaluation records that the
-    store is a fixpoint of the rules installed so far: the next full pass
-    skips their firings until something new is derived. The derived facts
-    and their order are those of a from-scratch pass. *)
+val evaluate : t -> (Atom.t * string list) list
+(** Run the one local semi-naive pass that what changed since the last
+    call requires, and return the newly derived facts with the peers
+    subscribed to their relations:
+    - nothing, when no rule was installed and no fact is pending;
+    - a delta pass over the pending facts, when only facts arrived;
+    - a full pass, when rules were installed. It skips the firings of the
+      rules the store is closed under until it derives a new fact.
+
+    The invariant behind the choice: the store minus the pending facts is
+    a fixpoint of the rules installed before the last completed pass, so
+    a skipped firing could only re-derive a present fact. A caller may
+    install and add as much as it likes between two calls: in monotone
+    Datalog one pass at the end derives what a pass after each change
+    would have. Each pass run counts in [qsq.local_passes]. *)
 
 val facts_count : t -> int
 val store : t -> Fact_store.t

@@ -538,10 +538,22 @@ let seminaive_indexed ~options ~init_delta ~on_new ~closed ix (store : Fact_stor
   | exception Stop st -> { status = st; stats }
 
 (** Semi-naive evaluation of a whole program: index it, then run the
-    rounds. [on_new] observes every fact added to the store. *)
-let seminaive ?(options = default_options) ?init_delta ?(on_new = fun (_ : Atom.t) -> ())
-    (program : Program.t) (store : Fact_store.t) : result =
-  seminaive_indexed ~options ~init_delta ~on_new ~closed:0 (index_of_program program) store
+    rounds from the whole store. *)
+let seminaive ?(options = default_options) (program : Program.t) (store : Fact_store.t) : result =
+  seminaive_indexed ~options ~init_delta:None ~on_new:ignore ~closed:0
+    (index_of_program program) store
+
+(* Add the counts of [r] into [into]; the combined status is the worse of
+   [status] and [r]'s. *)
+let merge into status (r : result) =
+  into.derivations <- into.derivations + r.stats.derivations;
+  into.new_facts <- into.new_facts + r.stats.new_facts;
+  into.clipped <- into.clipped + r.stats.clipped;
+  into.rounds <- into.rounds + r.stats.rounds;
+  match status, r.status with
+  | Budget_exhausted, _ | _, Budget_exhausted -> Budget_exhausted
+  | Depth_clipped, _ | _, Depth_clipped -> Depth_clipped
+  | Fixpoint, Fixpoint -> Fixpoint
 
 (* ------------------------------------------------------------------ *)
 (* Negation (Remark 4)                                                 *)
@@ -607,16 +619,7 @@ let stratified ?(options = default_options) (program : Program.t) (store : Fact_
     let merged = fresh_stats () in
     let status =
       List.fold_left
-        (fun acc stratum ->
-          let r = seminaive ~options stratum store in
-          merged.derivations <- merged.derivations + r.stats.derivations;
-          merged.new_facts <- merged.new_facts + r.stats.new_facts;
-          merged.clipped <- merged.clipped + r.stats.clipped;
-          merged.rounds <- merged.rounds + r.stats.rounds;
-          match acc, r.status with
-          | Budget_exhausted, _ | _, Budget_exhausted -> Budget_exhausted
-          | Depth_clipped, _ | _, Depth_clipped -> Depth_clipped
-          | Fixpoint, Fixpoint -> Fixpoint)
+        (fun status stratum -> merge merged status (seminaive ~options stratum store))
         Fixpoint strata
     in
     { status; stats = merged }
@@ -639,39 +642,25 @@ let alternating ?(options = default_options) (program : Program.t) (store : Fact
   let positive = index_of_program (Program.make positive) in
   let negated = List.map (fun rule -> { serial = 0; rule; code = None }) negated in
   let merged = fresh_stats () in
-  let clipped_status = ref false in
-  let budget = ref false in
-  let accum (r : result) =
-    merged.derivations <- merged.derivations + r.stats.derivations;
-    merged.new_facts <- merged.new_facts + r.stats.new_facts;
-    merged.clipped <- merged.clipped + r.stats.clipped;
-    merged.rounds <- merged.rounds + r.stats.rounds;
-    (match r.status with
-    | Depth_clipped -> clipped_status := true
-    | Budget_exhausted -> budget := true
-    | Fixpoint -> ())
-  in
+  let status = ref Fixpoint in
   let rec loop () =
     let before = Fact_store.count store in
-    accum
-      (seminaive_indexed ~options ~init_delta:None ~on_new:ignore ~closed:0 positive store);
-    if not !budget then begin
+    status :=
+      merge merged !status
+        (seminaive_indexed ~options ~init_delta:None ~on_new:ignore ~closed:0 positive store);
+    if !status <> Budget_exhausted then begin
       (* one pass of the negation rules against the saturated store *)
       List.iter
         (fun c ->
           match fire_rule store options merged c (fun _ -> ()) with
           | () -> ()
-          | exception Stop _ -> budget := true)
+          | exception Stop _ -> status := Budget_exhausted)
         negated;
-      if Fact_store.count store > before && not !budget then loop ()
+      if Fact_store.count store > before && !status <> Budget_exhausted then loop ()
     end
   in
   loop ();
-  let status =
-    if !budget then Budget_exhausted
-    else if !clipped_status || merged.clipped > 0 then Depth_clipped
-    else Fixpoint
-  in
+  let status = if !status = Fixpoint && merged.clipped > 0 then Depth_clipped else !status in
   { status; stats = merged }
 
 (** The heads of the one-atom rule [head :- pattern] over the store, in

@@ -31,17 +31,9 @@ val default_options : options
 val naive : ?options:options -> Program.t -> Fact_store.t -> result
 (** Re-evaluate every rule against the whole store each round. *)
 
-val seminaive :
-  ?options:options ->
-  ?init_delta:Atom.t list ->
-  ?on_new:(Atom.t -> unit) ->
-  Program.t ->
-  Fact_store.t ->
-  result
+val seminaive : ?options:options -> Program.t -> Fact_store.t -> result
 (** Each round only considers instantiations matching a previous round's
-    new facts. [init_delta] replaces the default initial delta (the whole
-    store) for incremental re-evaluation; [on_new] observes every added
-    fact (the distributed engines forward them to subscribers). *)
+    new facts; the first round's delta is the whole store. *)
 
 (** {2 Incremental evaluation}
 
@@ -73,13 +65,17 @@ val seminaive_indexed :
   index ->
   Fact_store.t ->
   result
-(** The semi-naive rounds over an index. [closed] is the caller's promise
-    that the store is a fixpoint of the rules with serial [< closed]
-    ([0] promises nothing): until round 1 derives its first new fact their
-    firings are skipped, since over an unchanged store they could only
-    re-derive present facts. From that fact on every rule fires, so the
-    derived facts, their order and the [on_new] calls are exactly those of
-    [closed = 0]; only [stats.derivations] drops. *)
+(** The semi-naive rounds over an index. The first round's delta is
+    [init_delta], or the whole store when [None]; [on_new] observes every
+    fact added (the distributed engines forward them to subscribers).
+    [closed] is the caller's promise that the store is a fixpoint of the
+    rules with serial [< closed] ([0] promises nothing): until round 1
+    derives its first new fact their firings are skipped, since over an
+    unchanged store they could only re-derive present facts. From that
+    fact on every rule fires, so the derived facts, their order and the
+    [on_new] calls are exactly those of [closed = 0]; only
+    [stats.derivations] drops. The dQSQ peer runtime ([Dqsq.Runtime]) is
+    the one caller that passes a delta or a promise. *)
 
 val stratify : Program.t -> (Program.t list, string) Stdlib.result
 (** Split into strata with every negated relation fully defined strictly

@@ -143,12 +143,14 @@ let ensure_index rs (mask : int list) =
   | None ->
     let t0 = Obs.Clock.now_s () in
     let idx = Tuple_tbl.create (max 8 rs.n) in
+    (* oldest first, so that each key lists its tuples newest first, as
+       {!add} keeps it *)
     List.iter
       (fun args ->
         let key = project_mask mask args in
         let prev = Option.value ~default:[] (Tuple_tbl.find_opt idx key) in
         Tuple_tbl.replace idx key (args :: prev))
-      rs.tuples;
+      (List.rev rs.tuples);
     rs.indexes <- (mask, idx) :: rs.indexes;
     Obs.Metrics.incr index_builds_c;
     Obs.Metrics.observe index_build_h (Obs.Clock.now_s () -. t0);

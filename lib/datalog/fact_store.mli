@@ -56,10 +56,10 @@ val extent : t -> Symbol.t -> extent option
 val probe : extent -> int list -> Term.t list -> Term.t list list
 (** [probe e mask key]: the tuples whose arguments at the ascending
     positions [mask] are the terms of [key] (every tuple when [mask] is
-    empty: a full scan, newest first). The compound index over [mask] is
-    built on first use and maintained from then on; it lists the tuples
-    added since it was built newest first, then those present when it was
-    built oldest first. Counted in
+    empty: a full scan). Either way the tuples come newest first: the
+    compound index over [mask] is built on first use and maintained from
+    then on, and its order does not depend on when it was built, nor on
+    whether the store was {!reset} since. Counted in
     [fact_store.probes], [.candidates] and [.full_scans]. *)
 
 val copy : t -> t

@@ -240,9 +240,9 @@ let arb_answers_case =
         (Atom.to_string pattern))
     (triple (list_size (0 -- 20) fact) (list_size (0 -- 20) fact) (atom gen_term))
 
-(* The brute force lists matches in probe order: newest first on a full
-   scan; through an index, the facts added since the first read (which
-   built it) newest first, then the [built] older ones oldest first. *)
+(* The brute force lists every match newest first: the order of a full
+   scan, and of an index whether it was built before or after its facts
+   arrived. *)
 let prop_answers_match =
   QCheck.Test.make ~count:500 ~name:"answers == brute-force matches, in probe order"
     arb_answers_case (fun (before, after, pattern) ->
@@ -250,30 +250,49 @@ let prop_answers_match =
       let head =
         Atom.make "ans" [ Term.app "k" (List.rev_map Term.var (Atom.vars pattern)); Term.const "c0" ]
       in
-      let indexed = List.exists Term.is_ground pattern.Atom.args in
-      let brute ~built head =
-        let matches =
-          List.filter (fun (fact : Atom.t) -> Symbol.equal fact.Atom.rel pattern.Atom.rel)
-            (Fact_store.all store)
-          |> List.mapi (fun i (fact : Atom.t) ->
-                 Option.map
-                   (fun env ->
-                     (i, Atom.cmake head.Atom.rel (List.map (instantiate env) head.Atom.args)))
-                   (match_args [] pattern.Atom.args fact.Atom.args))
-          |> List.filter_map Fun.id
-        in
-        let older, newer = List.partition (fun (i, _) -> indexed && i < built) matches in
-        List.map snd (List.rev newer @ older)
+      let brute head =
+        List.filter (fun (fact : Atom.t) -> Symbol.equal fact.Atom.rel pattern.Atom.rel)
+          (Fact_store.all store)
+        |> List.filter_map (fun (fact : Atom.t) ->
+               Option.map
+                 (fun env -> Atom.cmake head.Atom.rel (List.map (instantiate env) head.Atom.args))
+                 (match_args [] pattern.Atom.args fact.Atom.args))
+        |> List.rev
       in
-      let agree ~built =
-        List.equal Atom.equal (Eval.answers ~pattern store head) (brute ~built head)
-        && List.equal Atom.equal (Eval.answers store pattern) (brute ~built pattern)
+      let agree () =
+        List.equal Atom.equal (Eval.answers ~pattern store head) (brute head)
+        && List.equal Atom.equal (Eval.answers store pattern) (brute pattern)
       in
       List.iter (fun a -> ignore (Fact_store.add store a)) before;
-      let built = Fact_store.count_rel store pattern.Atom.rel in
-      let first = agree ~built in
+      let first = agree () in
       List.iter (fun a -> ignore (Fact_store.add store a)) after;
-      first && agree ~built)
+      first && agree ())
+
+(* A probe lists a key's tuples newest first, whether its index was built
+   after they arrived (a fresh store builds it at the first probe) or
+   before (a reset store keeps its indexes). *)
+let test_probe_order () =
+  let e a b = Atom.make "e" [ Term.const a; Term.const b ] in
+  let fill store =
+    List.iter (fun a -> ignore (Fact_store.add store a)) [ e "k" "1"; e "j" "0"; e "k" "2" ]
+  in
+  let probe store =
+    match Fact_store.extent store (Symbol.intern "e") with
+    | None -> []
+    | Some ext ->
+      List.map
+        (fun args -> Term.to_string (List.nth args 1))
+        (Fact_store.probe ext [ 0 ] [ Term.const "k" ])
+  in
+  let fresh = Fact_store.create () in
+  fill fresh;
+  Alcotest.(check (list string)) "index built after its facts" [ "2"; "1" ] (probe fresh);
+  let reset = Fact_store.create () in
+  fill reset;
+  ignore (probe reset);
+  Fact_store.reset reset;
+  fill reset;
+  Alcotest.(check (list string)) "a reset store orders like a fresh one" (probe fresh) (probe reset)
 
 (* ------------------------------------------------------------------ *)
 (* QSQ and magic                                                      *)
@@ -444,7 +463,8 @@ let suite =
         Alcotest.test_case "semi-naive cheaper" `Quick test_seminaive_fewer_derivations;
         Alcotest.test_case "neq semantics" `Quick test_neq_semantics;
         Alcotest.test_case "depth bound" `Quick test_function_symbols_depth_bound;
-        Alcotest.test_case "fact budget" `Quick test_budget ]
+        Alcotest.test_case "fact budget" `Quick test_budget;
+        Alcotest.test_case "probe order" `Quick test_probe_order ]
       @ qcheck [ prop_naive_eq_seminaive; prop_answers_match ] );
     ( "qsq-magic",
       [ Alcotest.test_case "qsq tc answers" `Quick test_qsq_tc_answers;

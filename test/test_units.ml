@@ -738,8 +738,9 @@ let test_runtime_unevaluated_fact_then_install () =
   let derived = List.map (fun (a, _) -> Atom.to_string a) (Runtime.evaluate rt) in
   Alcotest.(check (list string)) "old rule fired on the new fact" [ "b(1)" ] derived
 
-(* Rules installed and facts added in any order reach the same store as a
-   from-scratch evaluation. *)
+(* Rules installed and facts added in any order, evaluated after every
+   change or once at the end, reach the same store as a from-scratch
+   evaluation. *)
 let test_runtime_order_independent () =
   let expected =
     let store = Fact_store.create () in
@@ -747,34 +748,80 @@ let test_runtime_order_independent () =
     ignore (Eval.seminaive (Program.make (List.map Parser.parse_rule tc_rules)) store);
     Fact_store.to_sorted_strings store
   in
-  let install_all rt =
-    List.iter
-      (fun r -> if Runtime.install rt (Parser.parse_rule r) then ignore (Runtime.evaluate rt))
-      tc_rules
+  let install r rt = ignore (Runtime.install rt (Parser.parse_rule r)) in
+  let add a rt = ignore (Runtime.add_fact rt a) in
+  let then_eval step rt =
+    step rt;
+    ignore (Runtime.evaluate rt)
   in
-  let add_all rt =
-    List.iter
-      (fun a -> if Runtime.add_fact rt a then ignore (Runtime.evaluate ~delta:[ a ] rt))
-      tc_facts
+  let rules = List.map install tc_rules and facts = List.map add tc_facts in
+  let each = List.map then_eval in
+  let run steps =
+    let rt = Runtime.create "p" in
+    List.iter (fun step -> step rt) steps;
+    ignore (Runtime.evaluate rt);
+    Fact_store.to_sorted_strings (Runtime.store rt)
   in
-  let rules_first = Runtime.create "p" and facts_first = Runtime.create "p" in
-  install_all rules_first;
-  add_all rules_first;
-  add_all facts_first;
-  install_all facts_first;
-  (* interleaved: half the facts, the rules, the rest of the facts *)
-  let mixed = Runtime.create "p" in
-  List.iteri (fun i a -> if i < 2 then ignore (Runtime.add_fact mixed a)) tc_facts;
-  install_all mixed;
-  List.iteri
-    (fun i a ->
-      if i >= 2 && Runtime.add_fact mixed a then ignore (Runtime.evaluate ~delta:[ a ] mixed))
-    tc_facts;
   List.iter
-    (fun (name, rt) ->
-      Alcotest.(check (list string)) name expected
-        (Fact_store.to_sorted_strings (Runtime.store rt)))
-    [ ("rules first", rules_first); ("facts first", facts_first); ("interleaved", mixed) ]
+    (fun (name, steps) -> Alcotest.(check (list string)) name expected (run steps))
+    [
+      ("rules first", each rules @ each facts);
+      ("facts first", each facts @ each rules);
+      (* half the facts unevaluated, the rules, the rest of the facts *)
+      ( "interleaved",
+        List.filteri (fun i _ -> i < 2) facts
+        @ each rules
+        @ each (List.filteri (fun i _ -> i >= 2) facts) );
+      ("one evaluation", facts @ rules);
+    ]
+
+(* Nothing installed and nothing pending since the last pass: no pass, not
+   even a round. *)
+let test_runtime_idle_evaluate () =
+  let rt = Runtime.create "p" in
+  let rule = Parser.parse_rule "b(X) :- a(X)." and fact = Atom.make "a" [ Term.const "1" ] in
+  ignore (Runtime.install rt rule);
+  ignore (Runtime.add_fact rt fact);
+  Alcotest.(check int) "one fact derived" 1 (List.length (Runtime.evaluate rt));
+  let rounds = Obs.Metrics.counter_value "eval.rounds" in
+  Alcotest.(check int) "nothing derived" 0 (List.length (Runtime.evaluate rt));
+  Alcotest.(check int) "no round" rounds (Obs.Metrics.counter_value "eval.rounds");
+  ignore (Runtime.install rt rule);
+  ignore (Runtime.add_fact rt fact);
+  ignore (Runtime.evaluate rt);
+  Alcotest.(check int) "duplicates change nothing" rounds (Obs.Metrics.counter_value "eval.rounds")
+
+(* R@p joins q's A with p's own IDB relation B, which reads q's C. q's
+   delegation of the B literal makes p demand B, so p's answer to q is one
+   envelope: the sup0 facts q subscribed to, a subscription and the
+   delegation of B's C literal. q absorbs it all and runs one pass, as
+   does every other delivery. *)
+let test_batch_one_pass () =
+  let program = Dprogram.parse "R@p(X, Y) :- A@q(X, Z), B@p(Z, Y). B@p(Z, Y) :- C@q(Z, Y)." in
+  let edb rel a b = Datom.make ~rel ~peer:"q" [ Term.const a; Term.const b ] in
+  let query = Datom.make ~rel:"R" ~peer:"p" [ Term.const "0"; Term.var "Y" ] in
+  let t = Qsq_engine.create program ~edb:[ edb "A" "0" "1"; edb "C" "1" "2" ] ~query in
+  Qsq_engine.set_tracing t true;
+  let passes () = Obs.Metrics.counter_value "qsq.local_passes" in
+  let before = passes () in
+  Qsq_engine.start t;
+  Alcotest.(check int) "the query injection: one pass" 1 (passes () - before);
+  let rec costs () =
+    let before = passes () in
+    if Qsq_engine.step t then
+      let cost = passes () - before in
+      cost :: costs ()
+    else []
+  in
+  let costs = costs () in
+  let trace = Qsq_engine.delivery_trace t in
+  let src, dst, what = List.nth trace 2 in
+  Alcotest.(check string)
+    "p's envelope to q" "p -> q batch[3]" (Printf.sprintf "%s -> %s %s" src dst what);
+  Alcotest.(check (list int)) "one pass per delivery" (List.map (fun _ -> 1) trace) costs;
+  let out = Qsq_engine.finish t in
+  Alcotest.(check (list string)) "answers" [ "R@p(0, 2)" ]
+    (List.map Atom.to_string out.Qsq_engine.answers)
 
 (* ------------------------------------------------------------------ *)
 (* Canon                                                              *)
@@ -946,7 +993,9 @@ let suite =
         Alcotest.test_case "runtime structural dedup" `Quick test_runtime_install_structural;
         Alcotest.test_case "runtime unevaluated fact, then install" `Quick
           test_runtime_unevaluated_fact_then_install;
-        Alcotest.test_case "runtime order independence" `Quick test_runtime_order_independent ] );
+        Alcotest.test_case "runtime order independence" `Quick test_runtime_order_independent;
+        Alcotest.test_case "runtime idle evaluation" `Quick test_runtime_idle_evaluate;
+        Alcotest.test_case "a batch costs one pass" `Quick test_batch_one_pass ] );
     ( "canon",
       [ Alcotest.test_case "roundtrip" `Quick test_canon_roundtrip;
         Alcotest.test_case "depth agreement" `Quick test_canon_depth_agreement ] );
