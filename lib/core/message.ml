@@ -10,8 +10,9 @@
     Distributed naive evaluation uses {!Activate} instead of delegations.
 
     A delegation carries only what its receiver cannot rebuild: its dedup
-    {!key} and the relation of its previous supplementary atom are
-    functions of the other fields. A subscription or a fact carries its
+    {!key}, the relation of its previous supplementary atom and the
+    walk's bound variables (that atom's variables) are functions of the
+    other fields. A subscription or a fact carries its
     relation's symbol; when that is a located supplementary relation, the
     {!sup} registry gives its parts, which is what the wire writes. *)
 
@@ -29,7 +30,6 @@ type delegation = {
   d_prev_owner : string;  (** peer holding sup_{i,j-1} *)
   d_remaining : Drule.literal list;  (** literals still to process *)
   d_pending : (Term.t * Term.t) list;  (** disequalities not yet ground *)
-  d_bound : string list;  (** variables bound so far *)
   d_head : Datom.t;  (** original rule head (unadorned, located) *)
 }
 

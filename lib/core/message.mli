@@ -15,7 +15,10 @@ open Datalog
 (** A delegation holds only what its receiver cannot rebuild. Its dedup
     key is {!key}, and the relation of [sup_{i,j-1}] is the origin's
     supplementary relation at [d_pos], located at [d_prev_owner]
-    ([Qsq_engine] rebuilds it), so only its arguments are carried. *)
+    ([Qsq_engine] rebuilds it), so only its arguments are carried. The
+    walk's bound variables are the variables of those arguments: they
+    are all the bound variables the head, [d_remaining] or [d_pending]
+    still need. *)
 type delegation = {
   d_origin_rel : string;  (** located name of the relation being rewritten *)
   d_origin_ad : string;
@@ -26,7 +29,6 @@ type delegation = {
   d_prev_owner : string;  (** the peer holding [sup_{i,j-1}] *)
   d_remaining : Drule.literal list;
   d_pending : (Term.t * Term.t) list;  (** disequalities not yet ground *)
-  d_bound : string list;
   d_head : Datom.t;  (** the original rule head *)
 }
 

@@ -16,8 +16,11 @@
     Every rule a peer installs is built by {!Datalog.Qsq}'s own steps over
     located names, so stripping ["@peer"] realizes the surjection zeta of
     Theorem 1 (the tests check it on facts and on rules). This module
-    keeps what is distributed: delegation, subscriptions, per-peer dedup,
-    the per-engine ["~n"] freshening and the located [sup] origins. *)
+    keeps what is distributed: delegation, subscriptions, per-peer dedup
+    and the located [sup] origins. Rules are installed with their own
+    variable names, so every rule a peer builds is a function of the
+    program rule, adornment, position and peer, and a fragment shipped
+    again crosses its channel as backrefs. *)
 
 open Datalog
 module Sim = Network.Sim
@@ -62,10 +65,6 @@ type t = {
   delegations : int Atomic.t;
   subscriptions : int Atomic.t;
   fact_messages : int Atomic.t;
-  fresh : int Atomic.t;
-      (* per-engine rule-freshening suffixes: with a process-global counter
-         the suffix lengths — and hence real wire bytes — would depend on
-         what ran before, breaking same-seed byte determinism *)
   mutable released : bool;  (* peers cleared by {!release}, nothing installed *)
 }
 
@@ -179,16 +178,13 @@ let prev_sup (d : Message.delegation) =
 let need (head : Datom.t) lits =
   Var_set.of_list (Datom.vars head @ List.concat_map Drule.literal_vars lits)
 
+(* The walk resumes with the variables of [sup_{i,j-1}] as its bound set.
+   That atom keeps every bound variable that the head, the remaining
+   literals or a pending disequality still needs, and no later step reads
+   any other bound variable. *)
 let walk_of (d : Message.delegation) : Qsq.walk =
-  { Qsq.bound = Var_set.of_list d.Message.d_bound; prev = prev_sup d;
-    pending = d.Message.d_pending }
-
-(* The per-engine [t.fresh] counter is atomic so concurrent [demand]s on
-   different domains still draw unique suffixes. The drawn values then
-   depend on the schedule — harmless: all variables of one rule instance
-   share one suffix, derived facts are ground, and attribute (column)
-   order compares same-suffix names, so fact sets are
-   suffix-value-independent. *)
+  let prev = prev_sup d in
+  { Qsq.bound = Var_set.of_list (Atom.vars prev); prev; pending = d.Message.d_pending }
 
 (* Ensure [p] receives the tuples of [rel_sym] owned by [owner]. *)
 let ensure_subscription t p ~owner ~rel_sym =
@@ -224,8 +220,7 @@ let rec walk t p (d : Message.delegation) =
     let here remaining =
       { d with Message.d_pos = pos; d_lit_index = lit_index;
                d_prev_args = w.Qsq.prev.Atom.args; d_prev_owner = prev_owner;
-               d_remaining = remaining; d_pending = w.Qsq.pending;
-               d_bound = Var_set.elements w.Qsq.bound }
+               d_remaining = remaining; d_pending = w.Qsq.pending }
     in
     match lits with
     | [] ->
@@ -291,24 +286,12 @@ and demand t p ~rel ~ad =
     install t p [ Qsq.bridge n ~stored:(Datom.mangle_rel ~rel ~peer:p) ad ];
     let origin = Printf.sprintf "%s@%s" rel p in
     List.iteri
-      (fun i r0 ->
-        (* Freshen the rule's variables with a uniform "~n" suffix. The
-           suffix format matches {!Rule.freshen} so that the lexicographic
-           order of attribute names — and hence the column order of the
-           supplementary relations — agrees with the centralized rewriting
-           (Theorem 1 is checked as exact fact equality). *)
-        let suffix = Printf.sprintf "~%d" (1 + Atomic.fetch_and_add t.fresh 1) in
-        let rename_datom (a : Datom.t) =
-          { a with Datom.args = List.map (Term.rename suffix) a.Datom.args }
-        in
-        let head = rename_datom r0.Drule.head in
-        let body =
-          List.map
-            (function
-              | Drule.Pos a -> Drule.Pos (rename_datom a)
-              | Drule.Neq (x, y) -> Drule.Neq (Term.rename suffix x, Term.rename suffix y))
-            r0.Drule.body
-        in
+      (fun i (r : Drule.t) ->
+        (* The rule keeps its own variable names, as in {!Qsq.rewrite}, so
+           a supplementary relation orders its attributes as the
+           centralized rewriting does (Theorem 1 is checked as exact fact
+           equality). *)
+        let head = r.Drule.head and body = r.Drule.body in
         let w, sup0_rule =
           Qsq.start n ad
             ~sup:(sup_at ~rel:origin ~ad:ad_name ~rule_index:i ~pos:0 ~peer:p)
@@ -326,7 +309,6 @@ and demand t p ~rel ~ad =
             d_prev_owner = p;
             d_remaining = body;
             d_pending = [];
-            d_bound = Var_set.elements w.Qsq.bound;
             d_head = head;
           })
       (Option.value ~default:[] (Hashtbl.find_opt st.my_rules rel))
@@ -437,7 +419,7 @@ let create ?(seed = 0) ?(policy = Sim.Random_interleaving) ?(loss = 0.0)
   let t =
     { program; sim; channels; states; query; query_peer = query.Datom.peer;
       detector; delegations = Atomic.make 0; subscriptions = Atomic.make 0;
-      fact_messages = Atomic.make 0; fresh = Atomic.make 0; released = false }
+      fact_messages = Atomic.make 0; released = false }
   in
   load t program ~edb ~query ~peer:(fun p ->
       if detector <> None && String.equal p ds_root then
@@ -557,7 +539,6 @@ let release (t : t) =
   Atomic.set t.delegations 0;
   Atomic.set t.subscriptions 0;
   Atomic.set t.fact_messages 0;
-  Atomic.set t.fresh 0;
   Hashtbl.iter
     (fun _ st ->
       Runtime.reset st.rt;

@@ -11,7 +11,8 @@
     time per connection. Located names (relations, peers, adornments)
     get a third such table, of plain strings. A located supplementary
     relation crosses a simulated channel as its parts (origin, adornment,
-    rule index, position), since the channel's ends give its owner.
+    rule index, position), since the channel's ends give its owner. A
+    batch writes consecutive facts over one relation as one run.
     Decoding re-interns through the hash-consing smart constructors, so a
     decoded term is physically equal to the term that was encoded
     ([Term.equal], which IS pointer equality).
@@ -334,14 +335,6 @@ let get_literal d r =
     Drule.Neq (x, get_term d r)
   | b -> corrupt "bad literal tag %d" b
 
-(* A bound variable is written as its variable term: the rule's
-   variables already crossed in its literals, so it is usually a
-   backref. *)
-let get_var d r =
-  match Term.view (get_term d r) with
-  | Term.Var v -> v
-  | _ -> corrupt "bound variable is not a variable"
-
 (* Bytes by message kind; framing (length prefixes, headers, envelopes,
    acks and the other frame kinds) is the rest of [wire.bytes_sent]. *)
 let delegate_bytes_c = Obs.Metrics.counter "wire.bytes.delegate"
@@ -351,8 +344,29 @@ let subscribe_bytes_c = Obs.Metrics.counter "wire.bytes.subscribe"
 (* the bytes [buf] gained since [start] *)
 let bill c buf start = Obs.Metrics.incr ~by:(Buffer.length buf - start) c
 
+(* The facts at the front of [ms] over [rel] with [n] arguments, and the
+   messages after them. *)
+let rec take_run rel n acc = function
+  | Message.Fact a :: rest
+    when Symbol.equal a.Atom.rel rel && List.compare_length_with a.Atom.args n = 0 ->
+    take_run rel n (a :: acc) rest
+  | rest -> (List.rev acc, rest)
+
+(* A run of facts over one relation, sent by its owner: the relation and
+   the arity once, the count, then each fact's arguments. *)
+let put_run e buf rel n facts =
+  let start = Buffer.length buf in
+  Buffer.add_char buf '\005';
+  put_rel e buf ~owner:e.e_src rel;
+  put_uvarint buf n;
+  put_uvarint buf (List.length facts);
+  List.iter (fun (a : Atom.t) -> List.iter (put_term e buf) a.Atom.args) facts;
+  bill fact_bytes_c buf start
+
 (* A delegation carries no dedup key and no [sup_{i,j-1}] relation: the
-   receiver rebuilds both from the fields that follow. *)
+   receiver rebuilds both from the fields that follow. A batch counts its
+   messages, and writes two or more consecutive facts over one relation
+   and one nonzero arity as one run. *)
 let rec put_message e buf (m : Message.t) =
   let start = Buffer.length buf in
   match m with
@@ -387,14 +401,27 @@ let rec put_message e buf (m : Message.t) =
         put_term e buf x;
         put_term e buf y)
       d.Message.d_pending;
-    put_uvarint buf (List.length d.Message.d_bound);
-    List.iter (fun v -> put_term e buf (Term.var v)) d.Message.d_bound;
     put_datom e buf d.Message.d_head;
     bill delegate_bytes_c buf start
   | Message.Batch ms ->
     Buffer.add_char buf '\004';
     put_uvarint buf (List.length ms);
-    List.iter (put_message e buf) ms
+    put_batch e buf ms
+
+and put_batch e buf = function
+  | [] -> ()
+  | Message.Fact a :: rest when a.Atom.args <> [] -> (
+    let n = List.length a.Atom.args in
+    match take_run a.Atom.rel n [] rest with
+    | [], rest ->
+      put_message e buf (Message.Fact a);
+      put_batch e buf rest
+    | run, rest ->
+      put_run e buf a.Atom.rel n (a :: run);
+      put_batch e buf rest)
+  | m :: rest ->
+    put_message e buf m;
+    put_batch e buf rest
 
 let rec get_message d r : Message.t =
   match get_byte r with
@@ -417,13 +444,36 @@ let rec get_message d r : Message.t =
           let x = get_term d r in
           (x, get_term d r))
     in
-    let d_bound = get_list (get_uvarint r) (fun () -> get_var d r) in
     let d_head = get_datom d r in
     Message.Delegate
       { Message.d_origin_rel; d_origin_ad; d_rule_index; d_pos; d_lit_index; d_prev_args;
-        d_prev_owner; d_remaining; d_pending; d_bound; d_head }
-  | 4 -> Message.Batch (get_list (get_uvarint r) (fun () -> get_message d r))
+        d_prev_owner; d_remaining; d_pending; d_head }
+  | 4 -> Message.Batch (get_batch d r (get_uvarint r) [])
   | b -> corrupt "bad message tag %d" b
+
+(* The [left] messages still to read of a batch, after [acc] (reversed).
+   A run's arguments take a byte each at least, so a count the bytes left
+   cannot hold is refused before any fact is built. *)
+and get_batch d r left acc =
+  if left = 0 then List.rev acc
+  else if r.pos < String.length r.src && r.src.[r.pos] = '\005' then begin
+    r.pos <- r.pos + 1;
+    let rel = get_rel d r ~owner:d.d_src in
+    let n = get_uvarint r in
+    let count = get_uvarint r in
+    if n = 0 then corrupt "fact run of arity 0";
+    if count < 2 || count > left then corrupt "fact run of %d in a batch of %d" count left;
+    if count > (String.length r.src - r.pos) / n then corrupt "truncated fact run";
+    let acc = ref acc in
+    for _ = 1 to count do
+      acc := Message.Fact (Atom.cmake rel (get_list n (fun () -> get_term d r))) :: !acc
+    done;
+    get_batch d r (left - count) !acc
+  end
+  else begin
+    let m = get_message d r in
+    get_batch d r (left - 1) (m :: acc)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)

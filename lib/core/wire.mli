@@ -22,9 +22,17 @@
     definition-or-backref table of plain strings, so every name crosses a
     directed channel once and decoding one interns no {!Datalog.Symbol}.
     A delegation frame carries only what its receiver cannot rebuild: no
-    dedup key ({!Message.key}), and of its [sup_{i,j-1}] atom only the
-    arguments; its bound variables are variable terms, usually backrefs
-    to the rule's own.
+    dedup key ({!Message.key}), no bound variables (the variables of
+    [sup_{i,j-1}]), and of that atom only the arguments. Rules keep their
+    own variable names, so a fragment sent again on a channel is
+    backrefs.
+
+    A {!Message.Batch} writes its message count, then its messages, but
+    two or more consecutive facts over one relation and one nonzero arity
+    as one run: the relation, the arity and the count once, then each
+    fact's arguments. The decoder expands a run into the same facts in
+    the same order; a run whose count the batch or the bytes left cannot
+    hold is {!Corrupt} before any fact is built.
 
     A subscription or a fact over a located supplementary relation
     carries, the first time that relation crosses a channel, its parts
@@ -43,11 +51,12 @@
     Counters [wire.bytes_sent], [wire.bytes_recv] and [wire.frames] in
     the default {!Obs.Metrics} registry account every frame, and
     [wire.bytes.delegate], [wire.bytes.fact] and [wire.bytes.subscribe]
-    the bytes of each message kind; the rest of [wire.bytes_sent] is
-    framing (length prefixes, headers, envelopes, acks and the other frame
-    kinds). {!table_entries} counts the codec-table entries of a set of
-    channels, so unbounded channel-table growth is visible in [serve stats]
-    instead of only in RSS. *)
+    the bytes of each message kind (a run of facts is fact bytes); the
+    rest of [wire.bytes_sent] is framing (length prefixes, headers,
+    envelopes, acks and the other frame kinds). {!table_entries} counts
+    the codec-table entries of a set of channels, so unbounded
+    channel-table growth is visible in [serve stats] instead of only in
+    RSS. *)
 
 open Datalog
 

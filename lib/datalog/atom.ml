@@ -14,7 +14,6 @@ let hash a =
   List.fold_left (fun acc t -> (acc * 65599) + Term.hash t) (Symbol.hash a.rel) a.args
 
 let is_ground a = List.for_all Term.is_ground a.args
-let rename suffix a = { a with args = List.map (Term.rename suffix) a.args }
 
 let vars a =
   let add acc x = if List.mem x acc then acc else x :: acc in

@@ -10,9 +10,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 val is_ground : t -> bool
 
-val rename : string -> t -> t
-(** {!Term.rename} on every argument. *)
-
 val vars : t -> string list
 (** Distinct variables in order of first occurrence. *)
 

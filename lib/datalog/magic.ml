@@ -44,8 +44,7 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
          [ Rule.Pos (Atom.cmake (Adornment.magic_sym rel ad) (Adornment.bound_args ad xs));
            Rule.Pos (Atom.cmake rel xs) ]);
     List.iter
-      (fun r0 ->
-        let r = Rule.freshen r0 in
+      (fun r ->
         let head = r.Rule.head in
         let magic_head =
           Atom.cmake (Adornment.magic_sym rel ad) (Adornment.bound_args ad head.Atom.args)
@@ -58,7 +57,7 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
             let extra = List.map (fun (x, y) -> Rule.Neq (x, y)) pending in
             emit
               (Rule.make answer ((Rule.Pos magic_head :: List.rev prefix_rev) @ extra))
-          | Rule.Neg _ :: _ -> raise (Negation_unsupported r0)
+          | Rule.Neg _ :: _ -> raise (Negation_unsupported r)
           | Rule.Neq (x, y) :: rest -> walk bound prefix_rev (pending @ [ (x, y) ]) rest
           | Rule.Pos a :: rest ->
             let ground_now, pending =

@@ -133,8 +133,7 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
     let n = names rel in
     emit (bridge n ~stored:rel ad);
     List.iteri
-      (fun i r0 ->
-        let r = Rule.freshen r0 in
+      (fun i r ->
         let head = r.Rule.head in
         let head_vars = Atom.vars head in
         (* the variables of the head and of the literals still to walk *)
@@ -148,7 +147,7 @@ let rewrite (program : Program.t) (query : Atom.t) : t =
             (* "Extensions of Magic Sets for Datalog with negation were
                studied, e.g. in [29, 15]" — out of scope here (Remark 4);
                use the bottom-up Eval.stratified / Eval.alternating. *)
-            raise (Negation_unsupported r0)
+            raise (Negation_unsupported r)
           | Rule.Neq (x, y) :: rest ->
             (* Disequalities are folded into the next rule whose bindings
                ground them (or into the final answer rule). *)

@@ -61,20 +61,6 @@ let check_range_restricted r =
 
 let is_range_restricted r = Result.is_ok (check_range_restricted r)
 
-(** Rename all variables of [r] with a fresh suffix, so that the rewriting
-    can reuse the rule without capturing the variables of another copy. *)
-let freshen =
-  let counter = ref 0 in
-  fun r ->
-    incr counter;
-    let suffix = Printf.sprintf "~%d" !counter in
-    let rename_lit = function
-      | Pos a -> Pos (Atom.rename suffix a)
-      | Neg a -> Neg (Atom.rename suffix a)
-      | Neq (x, y) -> Neq (Term.rename suffix x, Term.rename suffix y)
-    in
-    { head = Atom.rename suffix r.head; body = List.map rename_lit r.body }
-
 let pp_literal ppf = function
   | Pos a -> Atom.pp ppf a
   | Neg a -> Format.fprintf ppf "not %a" Atom.pp a

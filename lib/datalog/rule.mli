@@ -35,10 +35,6 @@ val check_range_restricted : t -> (unit, string) result
 
 val is_range_restricted : t -> bool
 
-val freshen : t -> t
-(** Rename all variables with a fresh ["~n"] suffix ({!Term.rename}), for
-    capture-free reuse of the rule during rewriting. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool

@@ -160,16 +160,6 @@ let rec vars_fold f acc t =
 let vars t =
   List.rev (vars_fold (fun acc x -> if List.mem x acc then acc else x :: acc) [] t)
 
-(* Ground subterms (the deep Skolem spines) come back physically
-   unchanged, in O(1). *)
-let rec rename suffix t =
-  if t.ground then t
-  else
-    match t.node with
-    | Var x -> var (x ^ suffix)
-    | App (f, args) -> capp f (List.map (rename suffix) args)
-    | Const _ -> t
-
 let rec pp ppf t =
   match t.node with
   | Const s -> Symbol.pp ppf s

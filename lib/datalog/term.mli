@@ -72,10 +72,6 @@ val vars_fold : ('a -> string -> 'a) -> 'a -> t -> 'a
 val vars : t -> string list
 (** Distinct variables in order of first occurrence. *)
 
-val rename : string -> t -> t
-(** [rename suffix t] renames every variable [x] of [t] to [x ^ suffix];
-    ground subterms are returned as they are (physically). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

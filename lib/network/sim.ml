@@ -29,7 +29,7 @@ type peer_id = string
 
 type policy =
   | Random_interleaving  (** pick a random nonempty channel (seeded) *)
-  | Round_robin  (** cycle over channels in creation order *)
+  | Round_robin  (** cycle over channels in creation order, passing over empty ones *)
   | Global_fifo  (** deliver strictly in send order (a synchronous-ish run) *)
 
 (* Process-wide mirrors, registered eagerly so snapshots always carry the
@@ -81,7 +81,7 @@ type 'msg t = {
      channel is O(1) amortized (the former list-append made it O(N)) *)
   mutable channel_order : 'msg channel array;
   mutable channel_count : int;
-  mutable rr_cursor : int;
+  mutable rr_cursor : int;  (* [Round_robin]: index of the channel last served *)
   pending : 'msg channel Queue.t;
       (** channels in message send order, kept under [Global_fifo] only *)
   delivered : int Atomic.t;  (* {!run_parallel} workers count both *)
@@ -106,7 +106,7 @@ let create ?(seed = 0) ?(policy = Random_interleaving) ?(loss = 0.0) ~codec
     channels = Hashtbl.create 16;
     channel_order = [||];
     channel_count = 0;
-    rr_cursor = 0;
+    rr_cursor = -1;
     pending = Queue.create ();
     delivered = Atomic.make 0;
     dropped = Atomic.make 0;
@@ -223,13 +223,20 @@ let pick_channel t =
     match nonempty_channels t with
     | [] -> None
     | chans -> Some (List.nth chans (Random.State.int t.rng (List.length chans))))
-  | Round_robin -> (
-    match nonempty_channels t with
-    | [] -> None
-    | chans ->
-      let n = List.length chans in
-      t.rr_cursor <- (t.rr_cursor + 1) mod n;
-      Some (List.nth chans t.rr_cursor))
+  | Round_robin ->
+    (* the first nonempty channel after the last one served *)
+    let n = t.channel_count in
+    let rec go k =
+      if k > n then None
+      else
+        let i = (t.rr_cursor + k) mod n in
+        if Queue.is_empty t.channel_order.(i).frames then go (k + 1)
+        else begin
+          t.rr_cursor <- i;
+          Some t.channel_order.(i)
+        end
+    in
+    go 1
 
 (* Decode a frame at its destination and account the delivery. *)
 let receive t ch frame =

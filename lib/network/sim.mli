@@ -16,7 +16,7 @@ type peer_id = string
 
 type policy =
   | Random_interleaving  (** pick a random nonempty channel (seeded) *)
-  | Round_robin  (** cycle over channels in creation order *)
+  | Round_robin  (** cycle over channels in creation order, passing over empty ones *)
   | Global_fifo  (** deliver strictly in send order *)
 
 type 'msg t

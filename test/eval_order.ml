@@ -8,6 +8,8 @@
    follows relation [Symbol] ids through the evaluator's hash tables), not
    only on what is derived, so a change to that order fails the diff
    against [eval_order_golden.txt] even when every diagnosis stays equal.
+   A last line sums the columns over the episode and splits the bytes by
+   message kind (the [wire.bytes.*] counters), framing being the rest.
 
    Run: dune exec test/eval_order.exe *)
 
@@ -47,6 +49,8 @@ let shuffle rng a =
 let counters =
   [ "eval.rules_fired"; "fact_store.probes"; "fact_store.full_scans"; "eval.facts_derived" ]
 
+let kinds = [ "wire.bytes.delegate"; "wire.bytes.fact"; "wire.bytes.subscribe" ]
+
 let () =
   let rng = Random.State.make [| 1 |] in
   let shapes = [ (3, 5); (4, 4) ] in
@@ -65,6 +69,8 @@ let () =
          shapes)
   in
   shuffle rng scenarios;
+  let kinds_before = List.map Obs.Metrics.counter_value kinds in
+  let totals = Array.make (List.length counters + 1) 0 in
   Array.iteri
     (fun i (peers, alarms, dseed, expected) ->
       let net = List.assoc peers nets in
@@ -81,7 +87,16 @@ let () =
             Diagnoser.Distributed { seed = dseed; policy = Network.Sim.Random_interleaving } ]
       in
       let deltas = List.map2 (fun c b -> Obs.Metrics.counter_value c - b) counters before in
+      List.iteri (fun k x -> totals.(k) <- totals.(k) + x) (deltas @ [ bytes ]);
       Printf.printf "%2d ring%d %s fired %d probes %d full_scans %d derived %d bytes %d\n" i
         peers (Petri.Alarm.to_string alarms) (List.nth deltas 0) (List.nth deltas 1)
         (List.nth deltas 2) (List.nth deltas 3) bytes)
-    scenarios
+    scenarios;
+  let by_kind = List.map2 (fun c b -> Obs.Metrics.counter_value c - b) kinds kinds_before in
+  let bytes = totals.(4) in
+  Printf.printf
+    "total fired %d probes %d full_scans %d derived %d bytes %d delegate %d fact %d subscribe %d \
+     framing %d\n"
+    totals.(0) totals.(1) totals.(2) totals.(3) bytes (List.nth by_kind 0) (List.nth by_kind 1)
+    (List.nth by_kind 2)
+    (bytes - List.fold_left ( + ) 0 by_kind)

@@ -530,6 +530,43 @@ let test_rebuilt_prev_sup () =
     peers;
   Alcotest.(check bool) "delegations crossed" true (!rebuilt > 0)
 
+(* Rewriting mints no variables: a rule a rewriting builds is a function
+   of the program rule, the adornment, the position and the peer, so the
+   same program and query rewrite to equal rules, and dQSQ installs the
+   same rules at every peer whatever the schedule. *)
+let running_prepared () =
+  Diagnosis.Diagnoser.prepare
+    (Petri.Net.binarize (Petri.Examples.running_example ()))
+    (Petri.Examples.running_alarms ())
+
+let test_rewrite_is_a_function () =
+  let p = running_prepared () in
+  let program = Dprogram.localize p.Diagnosis.Diagnoser.program in
+  let query = Datom.to_local_atom p.Diagnosis.Diagnoser.query in
+  let rules () = Program.rules (Qsq.rewrite program query).Qsq.program in
+  let first = rules () and second = rules () in
+  Alcotest.(check bool) "rewritten twice: equal rules" true
+    (List.length first = List.length second && List.for_all2 Rule.equal first second)
+
+let test_peer_rules_schedule_independent () =
+  let p = running_prepared () in
+  let open Diagnosis.Diagnoser in
+  let installed seed =
+    let t = Qsq_engine.create ~seed p.program ~edb:p.edb ~query:p.query in
+    let out = Qsq_engine.run t ~query:p.query in
+    List.map
+      (fun (q, _) -> (q, sorted_strings (List.map Rule.to_string (Qsq_engine.peer_rules t q))))
+      out.Qsq_engine.facts_per_peer
+  in
+  let expected = installed 0 in
+  for seed = 1 to 9 do
+    List.iter2
+      (fun (q, rules) (q', rules') ->
+        Alcotest.(check string) "same peers" q q';
+        Alcotest.(check (list string)) (Printf.sprintf "seed %d, rules at %s" seed q) rules rules')
+      expected (installed seed)
+  done
+
 let test_dijkstra_scholten_mode () =
   (* the peers detect the fixpoint themselves; same answers, same facts,
      more messages (the acknowledgements) *)
@@ -684,7 +721,11 @@ let suite =
         Alcotest.test_case "parallel keeps channel FIFO" `Quick
           test_parallel_keeps_channel_fifo;
         Alcotest.test_case "Theorem 1 on Fig. 3" `Quick test_theorem1_fig3;
-        Alcotest.test_case "Theorem 1 on rules" `Quick test_theorem1_rules ] );
+        Alcotest.test_case "Theorem 1 on rules" `Quick test_theorem1_rules;
+        Alcotest.test_case "rewriting is a function of the program" `Quick
+          test_rewrite_is_a_function;
+        Alcotest.test_case "installed rules are schedule-independent" `Quick
+          test_peer_rules_schedule_independent ] );
     ( "random",
       qcheck [ prop_theorem1_random; prop_dqsq_answers_random; prop_dnaive_answers_random ] );
     ( "communication",

@@ -52,6 +52,23 @@ let test_interleaving_differs_across_channels () =
   Alcotest.(check (list int)) "b order" (List.init 10 (fun i -> i + 1)) (from "b");
   Alcotest.(check int) "all delivered" 20 (List.length log)
 
+(* Round robin cycles over the channels in creation order, from the first
+   one created, and passes over the empty ones. *)
+let test_round_robin_order () =
+  let served = ref [] in
+  let sim = Sim.create ~policy:Sim.Round_robin ~codec () in
+  List.iter (fun p -> Sim.add_peer sim p (fun _ ~src:_ _ -> ())) [ "a"; "b"; "c" ];
+  Sim.add_peer sim "z" (fun _ ~src _ -> served := src :: !served);
+  List.iter
+    (fun (src, k) ->
+      for i = 1 to k do
+        Sim.send sim ~src ~dst:"z" (Ping i)
+      done)
+    [ ("a", 3); ("b", 1); ("c", 3) ];
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "creation order, empty channels passed over"
+    [ "a"; "b"; "c"; "a"; "c"; "a"; "c" ] (List.rev !served)
+
 let test_handlers_can_send () =
   (* a token passes around a ring 3 times *)
   let hops = ref 0 in
@@ -278,6 +295,7 @@ let suite =
       [ Alcotest.test_case "fifo per channel" `Quick test_fifo_per_channel;
         Alcotest.test_case "interleaving across channels" `Quick
           test_interleaving_differs_across_channels;
+        Alcotest.test_case "round robin order" `Quick test_round_robin_order;
         Alcotest.test_case "handlers can send" `Quick test_handlers_can_send;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "frames, not references" `Quick test_frames_not_references;

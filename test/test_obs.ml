@@ -183,7 +183,7 @@ let test_wire_bytes_by_kind () =
         Dqsq.Message.Delegate
           { Dqsq.Message.d_origin_rel = "q@p"; d_origin_ad = "f"; d_rule_index = 0; d_pos = 0;
             d_lit_index = 0; d_prev_args = []; d_prev_owner = "p"; d_remaining = [];
-            d_pending = []; d_bound = []; d_head = datom } ]
+            d_pending = []; d_head = datom } ]
   in
   let frame = Dqsq.Wire.encode_message (Dqsq.Wire.encoder ()) m in
   (match moved before with

@@ -72,17 +72,6 @@ let test_term_cached_fields () =
       Alcotest.(check bool) "ground cached" (recompute_ground t) (Term.is_ground t))
     samples
 
-let test_term_subst_sharing () =
-  let t = Term.app "f" [ deep_term 10; Term.const "b" ] in
-  Alcotest.(check bool) "ground term returned physically unchanged" true
-    (Term.rename "~1" t == t);
-  let u = Term.app "f" [ Term.var "Y"; deep_term 10 ] in
-  Alcotest.(check bool) "an empty suffix leaves the term physically unchanged" true
-    (Term.rename "" u == u);
-  let v = Term.rename "~1" u in
-  Alcotest.(check bool) "a renamed variable rebuilds the term" false (v == u);
-  Alcotest.check term "only the variable is renamed" (Term.app "f" [ Term.var "Y~1"; deep_term 10 ]) v
-
 let test_term_weak_collection () =
   (* terms without live roots must be collectable from the weak table *)
   let build () =
@@ -257,15 +246,6 @@ let test_adornment_classify () =
 (* ------------------------------------------------------------------ *)
 (* Rule / Program                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let test_rule_freshen () =
-  let r = Parser.parse_rule "p(X, Y) :- q(X, Z), r(Z, Y)." in
-  let r' = Rule.freshen r in
-  Alcotest.(check int) "same var count" (List.length (Rule.vars r))
-    (List.length (Rule.vars r'));
-  Alcotest.(check bool) "vars disjoint" true
-    (List.for_all (fun x -> not (List.mem x (Rule.vars r))) (Rule.vars r'));
-  Alcotest.(check bool) "still range restricted" true (Rule.is_range_restricted r')
 
 let test_program_partition_facts () =
   let p = Parser.parse_program "e(a, b). e(b, c). p(X) :- e(X, Y)." in
@@ -480,10 +460,10 @@ let test_message_wire () =
 let delegation ~lit_index remaining =
   let v = Term.var in
   { Message.d_origin_rel = "reach_rel@origin_peer"; d_origin_ad = "bf"; d_rule_index = 2;
-    d_pos = 1; d_lit_index = lit_index; d_prev_args = [ v "X~7"; v "Y~7" ];
+    d_pos = 1; d_lit_index = lit_index; d_prev_args = [ v "Xv"; v "Yv" ];
     d_prev_owner = "origin_peer"; d_remaining = remaining;
-    d_pending = [ (v "X~7", Term.const "c") ]; d_bound = [ "X~7"; "Y~7" ];
-    d_head = Datom.make ~rel:"reach_rel" ~peer:"origin_peer" [ v "X~7"; v "Z~7" ] }
+    d_pending = [ (v "Xv", Term.const "c") ];
+    d_head = Datom.make ~rel:"reach_rel" ~peer:"origin_peer" [ v "Xv"; v "Zv" ] }
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -491,8 +471,8 @@ let contains s sub =
   go 0
 
 let test_delegation_wire () =
-  let lit rel = Drule.Pos (Datom.make ~rel ~peer:"remote_peer" [ Term.var "Y~7"; Term.var "Z~7" ]) in
-  let d1 = delegation ~lit_index:1 [ lit "edge_rel"; Drule.Neq (Term.var "Z~7", Term.const "c") ] in
+  let lit rel = Drule.Pos (Datom.make ~rel ~peer:"remote_peer" [ Term.var "Yv"; Term.var "Zv" ]) in
+  let d1 = delegation ~lit_index:1 [ lit "edge_rel"; Drule.Neq (Term.var "Zv", Term.const "c") ] in
   let d2 = delegation ~lit_index:3 [ lit "edge_rel" ] in
   let d3 = delegation ~lit_index:4 [] in
   Alcotest.(check string) "key of a remainder" "reach_rel@origin_peer^bf/2@1" (Message.key d1);
@@ -512,7 +492,6 @@ let test_delegation_wire () =
           [ got.Message.d_rule_index; got.Message.d_pos; got.Message.d_lit_index ];
         Alcotest.(check bool) "sup arguments, physically" true
           (List.for_all2 ( == ) sent.Message.d_prev_args got.Message.d_prev_args);
-        Alcotest.(check (list string)) "bound" sent.Message.d_bound got.Message.d_bound;
         Alcotest.(check bool) "head" true (Datom.equal sent.Message.d_head got.Message.d_head);
         let rest (m : Message.delegation) =
           Drule.to_string (Drule.make m.Message.d_head m.Message.d_remaining)
@@ -529,15 +508,15 @@ let test_delegation_wire () =
     (fun name ->
       Alcotest.(check bool) (name ^ " defined in the first frame") true (contains f1 name);
       Alcotest.(check bool) (name ^ " a backref in the second") false (contains f2 name))
-    [ "reach_rel@origin_peer"; "origin_peer"; "remote_peer"; "edge_rel"; "X~7" ];
+    [ "reach_rel@origin_peer"; "origin_peer"; "remote_peer"; "edge_rel"; "Xv" ];
   (* sent again, a delegation is one byte per field: its tag, origin and
      adornment, three positions, the sup arguments (count, two), owner, the
      remainder (count; a literal's tag, two names, count, two arguments),
-     the pending pair (count, two), the bound variables (count, two) and
-     the head (two names, count, two arguments) *)
+     the pending pair (count, two) and the head (two names, count, two
+     arguments); the bound variables are the sup arguments' *)
   let body = String.length (Wire.encode_message e (Message.Delegate d2)) - 3 in
   Alcotest.(check int) "one byte per repeated name and term"
-    (1 + 2 + 3 + 3 + 1 + 7 + 3 + 3 + 5) body
+    (1 + 2 + 3 + 3 + 1 + 7 + 3 + 5) body
 
 (* A hostile delegation frame raises [Wire.Corrupt], and only that. *)
 let test_delegation_wire_corrupt () =
@@ -564,16 +543,16 @@ let test_delegation_wire_corrupt () =
   let bare =
     Message.Delegate
       { (delegation ~lit_index:0 []) with
-        Message.d_prev_args = []; d_pending = []; d_bound = [];
+        Message.d_prev_args = []; d_pending = [];
         d_head = Datom.make ~rel:"reach_rel" ~peer:"origin_peer" [] }
   in
   ignore (Wire.encode_message e bare);
   expect_corrupt "names never defined" (Wire.encode_message e bare);
   (* origin "R@p", adornment "b", positions 0 0 0, no sup argument,
-     owner "p", no remainder or pending pair, then one bound "variable"
-     that is the constant c *)
-  expect_corrupt "bound constant"
-    (frame "\003\000\003R@p\000\001b\000\000\000\000\000\001p\000\000\001\000\000\000\001c")
+     owner "p", no remainder or pending pair, then a head whose relation
+     is name 8 of a table of three *)
+  expect_corrupt "head name past the table"
+    (frame "\003\000\003R@p\000\001b\000\000\000\000\000\001p\000\000\009")
 
 (* A located supplementary relation crosses a channel as its parts. [p]
    owns [sup]: its facts go p -> q and subscriptions to it q -> p, so the
@@ -663,6 +642,102 @@ let test_sup_wire_corrupt () =
     (frame (origin ^ ad ^ "\001\002"));
   expect_corrupt "parts off a channel" ~d:(Wire.decoder ()) (frame (origin ^ ad ^ "\001\002"));
   Alcotest.(check int) "no symbol interned" symbols (Symbol.count ())
+
+(* Two or more consecutive facts over one relation and one arity cross a
+   batch as one run: the relation, the arity and the count once, then the
+   tuples. [p] owns [sup], so its facts go p -> q. *)
+let test_fact_runs () =
+  let sup = sup_rel () and plain = Symbol.intern "plain_rel@p" in
+  let c i = Term.const (Printf.sprintf "k%d" i) in
+  let fact rel args = Message.Fact (Atom.cmake rel args) in
+  let ms =
+    [ fact sup [ c 1 ]; fact sup [ c 2 ]; fact sup [ c 3 ];
+      Message.Subscribe plain;
+      fact sup [ c 4 ];
+      fact sup [ c 4; c 5 ]; fact sup [ c 5; c 6 ];
+      fact plain [ c 1 ];
+      fact sup [ c 6 ];
+      Message.Activate "r";
+      fact plain [ c 2 ]; fact plain [ c 3 ] ]
+  in
+  let e = Wire.encoder ~src:"p" ~dst:"q" () and d = Wire.decoder ~src:"p" ~dst:"q" () in
+  let roundtrip ms =
+    match Wire.decode_message d (Wire.encode_message e (Message.Batch ms)) with
+    | Message.Batch got -> got
+    | _ -> Alcotest.fail "not a batch"
+  in
+  let got = roundtrip ms in
+  Alcotest.(check (list string)) "same messages, in order" (List.map Message.describe ms)
+    (List.map Message.describe got);
+  Alcotest.(check bool) "relations, physically" true
+    (List.for_all2
+       (fun m m' ->
+         match m, m' with
+         | Message.Fact a, Message.Fact a' -> a.Atom.rel == a'.Atom.rel
+         | _ -> true)
+       ms got);
+  Alcotest.(check string) "the decoded copy re-encodes alike"
+    (Wire.encode_message e (Message.Batch ms)) (Wire.encode_message e (Message.Batch got));
+  (* everything is a backref now: a run of k facts is the batch's tag and
+     count, then the run's tag, relation, arity and count, then a byte per
+     tuple, behind the frame's length, version and kind *)
+  let fact_bytes = Obs.Metrics.counter "wire.bytes.fact" in
+  List.iter
+    (fun k ->
+      let run = List.init k (fun i -> fact sup [ c (1 + (i mod 6)) ]) in
+      let billed = Obs.Metrics.value fact_bytes in
+      let frame = Wire.encode_message e (Message.Batch run) in
+      Alcotest.(check int) (Printf.sprintf "run of %d: relation once" k) (3 + 2 + 4 + k)
+        (String.length frame);
+      Alcotest.(check int) (Printf.sprintf "run of %d: billed to facts" k) (4 + k)
+        (Obs.Metrics.value fact_bytes - billed);
+      match Wire.decode_message d frame with
+      | Message.Batch got -> Alcotest.(check int) "run expanded" k (List.length got)
+      | _ -> Alcotest.fail "not a batch")
+    [ 2; 3; 10 ]
+
+(* A hostile run raises [Wire.Corrupt], and only that, before it builds
+   more facts than its frame holds bytes. *)
+let test_fact_runs_corrupt () =
+  ignore (sup_rel ());
+  let uv n =
+    let b = Buffer.create 8 in
+    Wire.put_uvarint b n;
+    Buffer.contents b
+  in
+  let frame body =
+    let body = "\001\000" ^ body in
+    uv (String.length body) ^ body
+  in
+  let name s = "\000" ^ String.make 1 (Char.chr (String.length s)) ^ s in
+  (* the relation as the parts of [sup_rel]: tag 1, origin, adornment,
+     rule 1, position 2 *)
+  let rel = "\001" ^ name "reach_rel@origin_peer" ^ name "bf" ^ "\001\002" in
+  (* a batch of [n] messages, the first a run over [rel] *)
+  let run ~n ~arity ~count tuples =
+    frame ("\004" ^ uv n ^ "\005" ^ rel ^ uv arity ^ uv count ^ tuples)
+  in
+  (* constant k1, defined, then a backref to it *)
+  let k1 = "\000\000\000\002k1" and k1' = "\001" in
+  let expect_corrupt ?(d = Wire.decoder ~src:"p" ~dst:"q" ()) name s =
+    match Wire.decode_message d s with
+    | exception Wire.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: %s, not Wire.Corrupt" name (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  (match Wire.decode_message (Wire.decoder ~src:"p" ~dst:"q" ()) (run ~n:2 ~arity:1 ~count:2 (k1 ^ k1')) with
+  | Message.Batch [ Message.Fact a; Message.Fact b ] ->
+    Alcotest.(check bool) "well-formed run" true (a.Atom.rel == sup_rel () && Atom.equal a b)
+  | _ -> Alcotest.fail "not a run of two facts");
+  let huge = 1 lsl 40 in
+  expect_corrupt "arity 0, count 2^40" (run ~n:huge ~arity:0 ~count:huge "");
+  expect_corrupt "count above the bytes left" (run ~n:1000 ~arity:1 ~count:1000 (k1 ^ k1' ^ k1'));
+  expect_corrupt "count above the batch" (run ~n:2 ~arity:1 ~count:3 (k1 ^ k1' ^ k1'));
+  expect_corrupt "run of one" (run ~n:1 ~arity:1 ~count:1 k1);
+  expect_corrupt "truncated tuple" (run ~n:2 ~arity:2 ~count:2 (k1 ^ k1' ^ k1' ^ "\000\000\000\005ab"));
+  expect_corrupt "run outside a batch" (frame ("\005" ^ rel ^ "\001\002" ^ k1 ^ k1'));
+  expect_corrupt "parts from the wrong end" ~d:(Wire.decoder ~src:"q" ~dst:"p" ())
+    (run ~n:2 ~arity:1 ~count:2 (k1 ^ k1'))
 
 (* Distributed naive evaluation ships plain relations, which still go by
    their names and roundtrip: it answers as dQSQ does. *)
@@ -949,7 +1024,6 @@ let suite =
   [ ( "term",
       [ Alcotest.test_case "hash-consing identity" `Quick test_term_hashcons;
         Alcotest.test_case "cached fields" `Quick test_term_cached_fields;
-        Alcotest.test_case "subst sharing" `Quick test_term_subst_sharing;
         Alcotest.test_case "weak collection" `Quick test_term_weak_collection;
         Alcotest.test_case "parallel interning" `Quick test_term_parallel_intern ] );
     ( "symbol-subst",
@@ -964,8 +1038,7 @@ let suite =
       [ Alcotest.test_case "binding patterns" `Quick test_adornment;
         Alcotest.test_case "classify" `Quick test_adornment_classify ] );
     ( "rule-program-eval",
-      [ Alcotest.test_case "freshen" `Quick test_rule_freshen;
-        Alcotest.test_case "partition facts" `Quick test_program_partition_facts;
+      [ Alcotest.test_case "partition facts" `Quick test_program_partition_facts;
         Alcotest.test_case "max rounds" `Quick test_eval_max_rounds;
         Alcotest.test_case "closed rules skipped, same facts" `Quick
           test_eval_closed_skips_only_dead_firings;
@@ -987,6 +1060,8 @@ let suite =
         Alcotest.test_case "sup relation wire codec" `Quick test_sup_wire;
         Alcotest.test_case "sup relation parts sizes" `Quick test_sup_wire_sizes;
         Alcotest.test_case "hostile sup relation parts" `Quick test_sup_wire_corrupt;
+        Alcotest.test_case "fact runs" `Quick test_fact_runs;
+        Alcotest.test_case "hostile fact runs" `Quick test_fact_runs_corrupt;
         Alcotest.test_case "naive evaluation wire codec" `Quick test_naive_wire;
         Alcotest.test_case "runtime subscribe" `Quick test_runtime_subscribe;
         Alcotest.test_case "runtime install" `Quick test_runtime_install_idempotent;
